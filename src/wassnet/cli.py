@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import NumericalError, ParseError
-from .mixtures import DiscreteDistribution, mixture_from_atoms
+from .mixtures import as_gaussian_mixture
 from .priortune import apply_params, parse_gp_spec, tune
 from .quantizer import QuantizerTable, build_table
 from .snn import PropagationConfig, SnnModel, propagate, sample_network
@@ -120,12 +120,6 @@ def _resolve_table(path: str, budget: int) -> QuantizerTable:
     return build_table(budget)
 
 
-def _as_mixture_artifact(approx) -> GaussianMixture:
-    if isinstance(approx, DiscreteDistribution):
-        return mixture_from_atoms(approx)
-    return approx
-
-
 def cmd_quantizer_build(args) -> int:
     table = build_table(args.max_n, tol=args.tol)
     table.save(args.out)
@@ -140,7 +134,7 @@ def cmd_approximate(args) -> int:
     cfg = PropagationConfig(table=table, signature_budget=args.budget,
                             compression_size=args.m, seed=args.seed)
     approx, ledger = propagate(model, points, cfg)
-    mixture = _as_mixture_artifact(approx)
+    mixture = as_gaussian_mixture(approx)
     try:
         relative = relative_w2(ledger.final_bound, mixture)
     except ParseError:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import ParseError
-from .stats import Gaussian, GaussianMixture, _readonly
+from .stats import Gaussian, GaussianMixture, _readonly, as_mixture
 from .transport import mw2
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "expand_dropout",
     "compress_dropout",
     "mixture_from_atoms",
+    "as_gaussian_mixture",
 ]
 
 
@@ -37,6 +38,18 @@ def mixture_from_atoms(atoms) -> GaussianMixture:
     return GaussianMixture(atoms.weights,
                            tuple(Gaussian(loc, zero)
                                  for loc in atoms.locations))
+
+
+def as_gaussian_mixture(approx) -> GaussianMixture:
+    """A ``propagate`` output as a Gaussian mixture.
+
+    Mixtures pass through; atom sets become zero-covariance mixtures.
+    """
+    if isinstance(approx, GaussianMixture):
+        return approx
+    if isinstance(approx, DiscreteDistribution):
+        return mixture_from_atoms(approx)
+    raise ParseError("unsupported approximation type")
 
 
 @dataclass(frozen=True)
@@ -206,8 +219,7 @@ def compress_gmm(g, m: int, seed: int) -> CompressionResult:
     each cluster is replaced by its moment-matched Gaussian, and the returned
     bound is the mixture-level transport bound between input and result.
     """
-    if not isinstance(g, GaussianMixture):
-        g = GaussianMixture(np.array([1.0]), (g,))
+    g = as_mixture(g)
     if not (isinstance(m, (int, np.integer)) and m >= 1):
         raise ParseError("target size must be a positive integer")
     if g.size <= m:

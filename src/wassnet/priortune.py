@@ -24,10 +24,10 @@ import numpy as np
 
 from .config import TOL
 from .errors import NumericalError, ParseError
-from .mixtures import DiscreteDistribution, mixture_from_atoms
+from .mixtures import as_gaussian_mixture
 from .snn import (PropagationConfig, SnnModel, StochasticLinear, propagate,
                   sample_network)
-from .stats import Gaussian, GaussianMixture, as_mixture, _readonly
+from .stats import Gaussian, as_mixture, _readonly
 from .transport import empirical_w2, mw2, relative_w2
 
 __all__ = [
@@ -255,14 +255,6 @@ class LossParts(NamedTuple):
                 "bound_term": self.bound_term}
 
 
-def _as_gaussian_mixture(approx) -> GaussianMixture:
-    if isinstance(approx, GaussianMixture):
-        return approx
-    if isinstance(approx, DiscreteDistribution):
-        return mixture_from_atoms(approx)
-    raise ParseError("unsupported approximation type")
-
-
 def tune_loss(params: PriorParams, template: SnnModel, target: GpTarget,
               cfg: PropagationConfig, beta: float) -> LossParts:
     """Certified objective at one parameter vector.
@@ -278,7 +270,7 @@ def tune_loss(params: PriorParams, template: SnnModel, target: GpTarget,
     model = apply_params(template, params)
     approx, ledger = propagate(model, target.points, cfg)
     gp_mixture = as_mixture(gp_realize(target))
-    mw2_term, _ = mw2(_as_gaussian_mixture(approx), gp_mixture)
+    mw2_term, _ = mw2(as_gaussian_mixture(approx), gp_mixture)
     bound_term = ledger.final_bound
     return LossParts(mw2_term + beta * bound_term, mw2_term, bound_term)
 

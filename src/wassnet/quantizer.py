@@ -24,6 +24,7 @@ from .stats import (
     Gaussian,
     GaussianMixture,
     _readonly,
+    as_mixture,
     standard_truncated_moments,
 )
 
@@ -685,8 +686,7 @@ def signature_of_mixture(g, budget_per_component: int, table: QuantizerTable):
     ``w2_bound = sqrt(sum_i pi_i * w2sq_i)``.  Zero-weight components
     contribute neither atoms nor bound mass.
     """
-    gm = g if isinstance(g, GaussianMixture) else GaussianMixture(
-        np.array([1.0]), (g,))
+    gm = as_mixture(g)
     blocks = []
     comp_w = []
     comp_d = []

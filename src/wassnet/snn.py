@@ -512,33 +512,23 @@ def propagate(model: SnnModel, points, cfg: PropagationConfig):
             atoms, drop_bound = compress_dropout(
                 atoms, layer.keep_prob, mask_budget, blocks=d)
             pending_compression += drop_bound
-        elif isinstance(layer, DeterministicLinear):
+        else:  # DeterministicLinear or StochasticLinear
             k += 1
             spectral = expected_spectral_bound(layer, d)
-            if mixture is not None:
+            if isinstance(layer, StochasticLinear):
+                if mixture is not None:
+                    reduce_to_atoms()
+                comps = tuple(
+                    push_point_through_stochastic_linear(loc, layer, d)
+                    for loc in atoms.locations)
+                mixture = GaussianMixture(atoms.weights, comps)
+                atoms = None
+            elif mixture is not None:
                 comps = tuple(_gaussian_through_deterministic(g, layer, d)
                               for g in mixture.components)
                 mixture = GaussianMixture(mixture.weights, comps)
             else:
                 atoms = _atoms_through_deterministic(atoms, layer, d)
-            acc = spectral * (block_lipschitz * acc
-                              + block_lipschitz * pending_compression
-                              + pending_signature)
-            records.append(LedgerRecord(k, spectral, pending_signature,
-                                        pending_compression, block_lipschitz,
-                                        acc))
-            pending_compression = pending_signature = 0.0
-            block_lipschitz = 1.0
-        else:  # StochasticLinear
-            k += 1
-            spectral = expected_spectral_bound(layer, d)
-            if mixture is not None:
-                reduce_to_atoms()
-            comps = tuple(
-                push_point_through_stochastic_linear(loc, layer, d)
-                for loc in atoms.locations)
-            mixture = GaussianMixture(atoms.weights, comps)
-            atoms = None
             acc = spectral * (block_lipschitz * acc
                               + block_lipschitz * pending_compression
                               + pending_signature)

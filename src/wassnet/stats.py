@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 from scipy.special import ndtr
 
 from .config import TOL
@@ -371,33 +372,21 @@ def rectified_moments_1d(mu: float, var: float, lo: float, hi: float):
 # ---------------------------------------------------------------------------
 
 def _symmetric_blocks(a: np.ndarray):
-    """Index groups of the connected components of the sparsity pattern.
+    """Connected components of the sparsity pattern, grouped by size.
 
-    A union-find over nonzero off-diagonal entries; exact zeros produced by
-    mean-field propagation make large covariances block-diagonal, which turns
-    one O(n^3) eigendecomposition into many small ones.
+    Returns ``(k, s)`` index arrays, one per block size ``s``, each row one
+    block's indices in increasing order.  Exact zeros produced by mean-field
+    propagation make large covariances block-diagonal, which turns one
+    O(n^3) eigendecomposition into many small ones.
     """
     n = a.shape[0]
-    parent = np.arange(n)
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    rows, cols = np.nonzero(a)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        if i >= j:
-            continue
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    roots = np.array([find(i) for i in range(n)])
-    groups = {}
-    for i, r in enumerate(roots.tolist()):
-        groups.setdefault(r, []).append(i)
-    return [np.array(groups[r]) for r in sorted(groups)]
+    if np.all(a != 0.0):
+        return [np.arange(n)[None, :]]
+    _, labels = connected_components(a != 0.0, directed=False)
+    order = np.argsort(labels, kind="stable")  # blocks contiguous, in order
+    block_size = np.bincount(labels)[labels[order]]
+    return [order[block_size == s].reshape(-1, s)
+            for s in np.unique(block_size)]
 
 
 def symmetric_eig(cov: np.ndarray, degeneracy_threshold: float = TOL.eig_clip_rtol) -> EigenBasis:
@@ -420,12 +409,11 @@ def symmetric_eig(cov: np.ndarray, degeneracy_threshold: float = TOL.eig_clip_rt
     lam = np.empty(n)
     vecs = np.zeros((n, n))
     try:
-        blocks = _symmetric_blocks(a)
-        for idx in blocks:
-            sub = a[np.ix_(idx, idx)]
-            w, v = np.linalg.eigh(sub)
+        for idx in _symmetric_blocks(a):
+            rows, cols = idx[:, :, None], idx[:, None, :]
+            w, v = np.linalg.eigh(a[rows, cols])
             lam[idx] = w
-            vecs[np.ix_(idx, idx)] = v
+            vecs[rows, cols] = v
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}", payload=a) from exc
     order = np.argsort(-lam, kind="stable")

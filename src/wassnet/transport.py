@@ -1,29 +1,30 @@
 """Exact discrete optimal transport, mixture-level W2 bounds, empirical W2.
 
-The transportation LP is solved by a hand-written network simplex (exact
-vertex solutions, no regularization), which backs both the MW2 distance
-between Gaussian mixtures and empirical W2 estimates between sample clouds.
-Equal-size uniform empirical problems take the assignment-problem fast path.
+The transportation LP is solved exactly (vertex solutions, no
+regularization) by the HiGHS dual simplex; problems with a single row or
+column have only the product plan and skip the solver.  The solver backs
+both the MW2 distance between Gaussian mixtures and empirical W2 estimates
+between sample clouds.  Equal-size uniform empirical problems take the
+assignment-problem fast path.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import linear_sum_assignment, linprog
+from scipy.sparse import coo_array
 
 from .config import TOL
 from .errors import NumericalError, ParseError
-from .stats import Gaussian, GaussianMixture, as_mixture, gaussian_w2, \
-    mixture_second_moment, _readonly
+from .stats import as_mixture, gaussian_w2, mixture_second_moment, \
+    _readonly
 
 __all__ = [
     "TransportPlan",
     "solve_discrete_ot",
-    "northwest_corner_plan",
     "mw2",
     "discrete_w2",
     "empirical_w2",
@@ -79,147 +80,23 @@ def _validate_marginals(cost, a, b):
     return cost, np.maximum(a, 0.0), np.maximum(b, 0.0)
 
 
-def northwest_corner_plan(a, b) -> np.ndarray:
-    """Greedy feasible plan (northwest-corner rule); not optimal in general."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    plan = np.zeros((a.size, b.size))
-    ar = a.copy()
-    bc = b.copy() * (a.sum() / b.sum())
-    i = j = 0
-    while i < a.size and j < b.size:
-        t = min(ar[i], bc[j])
-        plan[i, j] = t
-        ar[i] -= t
-        bc[j] -= t
-        if ar[i] <= bc[j] and i < a.size - 1:
-            i += 1
-        elif j < b.size - 1:
-            j += 1
-        else:
-            i += 1
-    return plan
+def _transport_lp(cost, a, b):
+    """Vertex optimum of the balanced transportation LP by HiGHS dual simplex.
 
-
-def _northwest_basis(a, b):
-    """Northwest-corner basic feasible solution as a spanning-tree arc list."""
-    m, n = a.size, b.size
-    ar = a.copy()
-    bc = b.copy()
-    bi, bj, bf = [], [], []
-    i = j = 0
-    while True:
-        t = min(ar[i], bc[j])
-        bi.append(i)
-        bj.append(j)
-        bf.append(t)
-        ar[i] -= t
-        bc[j] -= t
-        if i == m - 1 and j == n - 1:
-            break
-        if j == n - 1 or (ar[i] <= bc[j] and i < m - 1):
-            i += 1
-        else:
-            j += 1
-    return bi, bj, bf
-
-
-def _network_simplex(cost, a, b, max_pivots=200_000):
-    """Exact transportation LP by primal network simplex on the basis tree.
-
-    Dantzig (most-negative reduced cost) entering rule with a Bland-style
-    fallback after a streak of degenerate pivots guarantees termination;
-    potentials are recomputed from the spanning tree every pivot.
+    The last column constraint is implied by the others and is left out.
     """
-    m, n = a.size, b.size
-    bi, bj, bf = _northwest_basis(a, b)
-    n_nodes = m + n
-    rc_tol = 1e-12 * (1.0 + float(np.max(cost, initial=0.0)))
-    degenerate_streak = 0
-    bland = False
-
-    for _ in range(int(max_pivots)):
-        # potentials from the spanning tree (u on rows, v on cols)
-        adj = [[] for _ in range(n_nodes)]
-        for k in range(len(bi)):
-            r, c = bi[k], m + bj[k]
-            adj[r].append((c, k))
-            adj[c].append((r, k))
-        pot = np.zeros(n_nodes)
-        parent = np.full(n_nodes, -1, dtype=int)
-        parent_arc = np.full(n_nodes, -1, dtype=int)
-        depth = np.zeros(n_nodes, dtype=int)
-        seen = np.zeros(n_nodes, dtype=bool)
-        seen[0] = True
-        queue = deque([0])
-        while queue:
-            x = queue.popleft()
-            for y, k in adj[x]:
-                if seen[y]:
-                    continue
-                seen[y] = True
-                parent[y] = x
-                parent_arc[y] = k
-                depth[y] = depth[x] + 1
-                c_k = cost[bi[k], bj[k]]
-                pot[y] = c_k - pot[x]
-                queue.append(y)
-        if not np.all(seen):
-            raise NumericalError("transport basis lost tree connectivity")
-
-        rc = cost - pot[:m, None] - pot[None, m:]
-        if bland:
-            negative = np.flatnonzero(rc.ravel() < -rc_tol)
-            if negative.size == 0:
-                break
-            flat = int(negative[0])
-        else:
-            flat = int(np.argmin(rc.ravel()))
-            if rc.ravel()[flat] >= -rc_tol:
-                break
-        ei, ej = divmod(flat, n)
-
-        # cycle: entering arc + tree path between its endpoints
-        x, y = ei, m + ej
-        path_x, path_y = [], []
-        while depth[x] > depth[y]:
-            path_x.append(parent_arc[x])
-            x = parent[x]
-        while depth[y] > depth[x]:
-            path_y.append(parent_arc[y])
-            y = parent[y]
-        while x != y:
-            path_x.append(parent_arc[x])
-            x = parent[x]
-            path_y.append(parent_arc[y])
-            y = parent[y]
-        # cycle arc order: entering (+), up from the col endpoint, then down
-        # to the row endpoint; signs alternate around the cycle
-        cycle = path_y + path_x[::-1]
-        signs = [-1 if p % 2 == 1 else 1 for p in range(1, len(cycle) + 1)]
-        neg = [(bf[k], bi[k] * n + bj[k], k) for k, s in zip(cycle, signs)
-               if s < 0]
-        theta, _, leave = min(neg, key=lambda t: (t[0], t[1]))
-        for k, s in zip(cycle, signs):
-            bf[k] += s * theta
-        # the leaving arc's slot takes the entering arc
-        bi[leave], bj[leave], bf[leave] = ei, ej, theta
-        if theta <= 0.0:
-            degenerate_streak += 1
-            if degenerate_streak > 2 * n_nodes:
-                bland = True
-        else:
-            degenerate_streak = 0
-    else:
-        raise NumericalError(
-            f"network simplex exceeded {max_pivots} pivots without "
-            "reaching optimality")
-
-    plan = np.zeros((m, n))
-    flows = np.maximum(np.asarray(bf), 0.0)
-    plan[np.asarray(bi), np.asarray(bj)] = flows
-    objective = float(np.sum(flows * cost[np.asarray(bi), np.asarray(bj)]))
-    return plan, objective
+    m, n = cost.shape
+    var = np.arange(m * n)
+    a_eq = coo_array((np.ones(2 * m * n),
+                      (np.concatenate([var // n, m + var % n]),
+                       np.concatenate([var, var]))),
+                     shape=(m + n, m * n)).tocsr()[:-1]
+    res = linprog(cost.ravel(), A_eq=a_eq,
+                  b_eq=np.concatenate([a, b[:-1]]), bounds=(0.0, None),
+                  method="highs-ds")
+    if res.status != 0:
+        raise NumericalError(f"transportation LP failed: {res.message}")
+    return np.maximum(res.x, 0.0).reshape(m, n)
 
 
 def solve_discrete_ot(cost, a, b) -> TransportPlan:
@@ -228,7 +105,10 @@ def solve_discrete_ot(cost, a, b) -> TransportPlan:
     Marginals must be nonnegative with equal total mass (within 1e-9); the
     result is a vertex plan whose row/column sums reproduce the marginals.
     Zero-mass atoms are removed before the solve and reinserted as zero
-    rows/columns.
+    rows/columns.  A reduced problem with one row or one column has the
+    product plan ``outer(a, b) / sum(a)`` as its only feasible point, which
+    is returned in closed form; any other is solved by the HiGHS dual
+    simplex, which ends on a basic (vertex) solution.
     """
     cost, a, b = _validate_marginals(cost, a, b)
     rows = np.flatnonzero(a > 0.0)
@@ -240,14 +120,17 @@ def solve_discrete_ot(cost, a, b) -> TransportPlan:
     sub_b = sub_b.copy()
     sub_b[int(np.argmax(sub_b))] += diff
     sub_cost = cost[np.ix_(rows, cols)]
-    sub_plan, objective = _network_simplex(sub_cost, sub_a, sub_b)
+    if rows.size == 1 or cols.size == 1:
+        sub_plan = np.outer(sub_a, sub_b) / sub_a.sum()
+    else:
+        sub_plan = _transport_lp(sub_cost, sub_a, sub_b)
     plan = np.zeros_like(cost)
     plan[np.ix_(rows, cols)] = sub_plan
     if not np.allclose(plan.sum(axis=1), a, rtol=0.0, atol=TOL.marginal_atol):
         raise NumericalError("transport plan violates the row marginal")
     if not np.allclose(plan.sum(axis=0), b, rtol=0.0, atol=TOL.marginal_atol):
         raise NumericalError("transport plan violates the column marginal")
-    return TransportPlan(plan, objective)
+    return TransportPlan(plan, float(np.sum(sub_plan * sub_cost)))
 
 
 def _pairwise_sq_dists(xs, ys):
@@ -293,7 +176,7 @@ def empirical_w2(xs, ys) -> float:
     """Exact W2 between the uniform empirical measures of two sample sets.
 
     Equal sample counts reduce to an assignment problem (solved exactly);
-    unequal counts go through the transportation simplex.  Instances whose
+    unequal counts go through the transportation LP.  Instances whose
     cost matrix would exceed the configured entry cap are rejected with
     advice to subsample.
     """

@@ -2,14 +2,18 @@
 
 Everything here deliberately avoids the library's own code paths: moments are
 computed by adaptive quadrature of the normal density, optimal transport by a
-generic exact LP solver, the 1-d Gaussian W2 by quantile coupling, and the
-scalar quantizer by a from-scratch fixed point driven by quadrature.
+generic exact LP solver and, independently of any LP solver, by enumerating
+the vertices of tiny transportation polytopes or by an assignment problem,
+the 1-d Gaussian W2 by quantile coupling, and the scalar quantizer by a
+from-scratch fixed point driven by quadrature.
 """
 
+import itertools
 import math
 
 import numpy as np
 from scipy import integrate, optimize
+from scipy.sparse import csr_matrix
 
 
 def npdf(x, mu=0.0, var=1.0):
@@ -51,29 +55,80 @@ def quantile_coupling_w2_1d(mu1, var1, mu2, var2):
     return math.sqrt(max(val, 0.0))
 
 
+def _transport_constraints(m, n):
+    """Sparse row-sum then column-sum equality rows over the flat plan."""
+    var_idx = np.arange(m * n)
+    rows = np.concatenate([var_idx // n, m + (var_idx % n)])
+    cols = np.concatenate([var_idx, var_idx])
+    return csr_matrix((np.ones(2 * m * n), (rows, cols)), shape=(m + n, m * n))
+
+
 def lp_transport_oracle(cost, a, b):
     """Exact transportation LP via scipy's HiGHS solver.
 
-    Returns the optimal objective value.  Used as the generic exact-LP
-    reference for the in-package network simplex.
+    Returns the optimal objective value.  The library solves the same LP
+    with HiGHS, so this oracle only catches errors in how the problem is
+    set up; :func:`vertex_enumeration_oracle` and
+    :func:`assignment_oracle` do not share the solver.
     """
     cost = np.asarray(cost, dtype=float)
     m, n = cost.shape
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    # equality constraints: row sums = a, col sums = b (drop one redundant row)
-    var_idx = np.arange(m * n)
-    rows = np.concatenate([var_idx // n, m + (var_idx % n)])
-    cols = np.concatenate([var_idx, var_idx])
-    data = np.ones(2 * m * n)
-    from scipy.sparse import csr_matrix
-    a_eq = csr_matrix((data, (rows, cols)), shape=(m + n, m * n))
+    # drop one redundant equality row
+    a_eq = _transport_constraints(m, n)[:-1]
     b_eq = np.concatenate([a, b])
-    res = optimize.linprog(cost.ravel(), A_eq=a_eq[:-1], b_eq=b_eq[:-1],
+    res = optimize.linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq[:-1],
                            bounds=(0, None), method="highs")
     if not res.success:
         raise RuntimeError(f"oracle LP failed: {res.message}")
     return float(res.fun)
+
+
+def vertex_enumeration_oracle(cost, a, b, tol=1e-12):
+    """Exact transportation optimum by brute force over all basic solutions.
+
+    A basis of the m x n transportation polytope is a set of m + n - 1 cells
+    forming a spanning tree of the bipartite row/column graph, which is the
+    case exactly when the matching columns of the constraint matrix (one
+    redundant row dropped) are independent.  Every basis with a nonnegative
+    solution is a vertex and an LP optimum is attained at a vertex, so the
+    minimum over those bases is the optimum.  Only for m, n <= 3, where
+    there are at most C(9, 5) = 126 candidate bases.
+    """
+    cost = np.asarray(cost, dtype=float)
+    m, n = cost.shape
+    if m > 3 or n > 3:
+        raise ValueError("vertex enumeration is limited to m, n <= 3")
+    eq = _transport_constraints(m, n).toarray()[:-1]
+    rhs = np.concatenate([np.asarray(a, dtype=float),
+                          np.asarray(b, dtype=float)])[:-1]
+    best = math.inf
+    for basis in itertools.combinations(range(m * n), m + n - 1):
+        sub = eq[:, basis]
+        if np.linalg.matrix_rank(sub) < m + n - 1:
+            continue  # the cells contain a cycle: not a spanning tree
+        flow = np.linalg.solve(sub, rhs)
+        if np.all(flow >= -tol):
+            best = min(best, float(cost.ravel()[list(basis)] @ flow))
+    if not math.isfinite(best):
+        raise RuntimeError("no feasible basis found")
+    return best
+
+
+def assignment_oracle(cost):
+    """Transportation optimum for n x n cost with uniform 1/n marginals.
+
+    By Birkhoff's theorem the vertices of that polytope are the permutation
+    matrices scaled by 1/n, so the optimum is the optimal assignment cost
+    divided by n.
+    """
+    cost = np.asarray(cost, dtype=float)
+    n = cost.shape[0]
+    if cost.shape != (n, n):
+        raise ValueError("the assignment oracle needs a square cost matrix")
+    rows, cols = optimize.linear_sum_assignment(cost)
+    return float(cost[rows, cols].sum() / n)
 
 
 def semidiscrete_w2_lp(samples, locations, weights):

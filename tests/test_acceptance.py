@@ -27,8 +27,9 @@ from wassnet.stats import (Gaussian, GaussianMixture, mixture_second_moment,
                            truncated_moments_1d)
 from wassnet.transport import empirical_w2, mw2, solve_discrete_ot
 
-from oracles import (lp_transport_oracle, mc_mean_se, quad_truncated_moments,
-                     semidiscrete_w2_lp, stratified_w2_batches)
+from oracles import (assignment_oracle, lp_transport_oracle, mc_mean_se,
+                     quad_truncated_moments, semidiscrete_w2_lp,
+                     stratified_w2_batches, vertex_enumeration_oracle)
 
 DATA = Path(__file__).parent / "data"
 
@@ -178,8 +179,12 @@ def test_criterion_03_signature_distance_matches_empirical_ot(table, capsys):
 
 
 def test_criterion_04_discrete_ot_matches_lp_oracle(capsys):
+    # the LP oracle runs the library's own solver (HiGHS); vertex
+    # enumeration (m, n <= 3) and the assignment problem (uniform n x n)
+    # are independent of it
     rng = np.random.default_rng(41)
     worst = 0.0
+    checked = 0
     for _ in range(200):
         m = int(rng.integers(1, 7))
         n = int(rng.integers(1, min(6, 30 // m) + 1))
@@ -187,11 +192,31 @@ def test_criterion_04_discrete_ot_matches_lp_oracle(capsys):
         a = rng.dirichlet(np.ones(m))
         b = rng.dirichlet(np.ones(n))
         plan = solve_discrete_ot(cost, a, b)
-        worst = max(worst, abs(plan.cost - lp_transport_oracle(cost, a, b)))
+        refs = [lp_transport_oracle(cost, a, b)]
+        if max(m, n) <= 3:
+            refs.append(vertex_enumeration_oracle(cost, a, b))
+        worst = max([worst] + [abs(plan.cost - r) for r in refs])
+        checked += len(refs)
+    for _ in range(100):
+        m, n = (int(v) for v in rng.integers(1, 4, size=2))
+        cost = np.abs(rng.normal(size=(m, n)))
+        a = rng.dirichlet(np.ones(m))
+        b = rng.dirichlet(np.ones(n))
+        plan = solve_discrete_ot(cost, a, b)
+        worst = max(worst, abs(plan.cost
+                               - vertex_enumeration_oracle(cost, a, b)))
+        checked += 1
+    for n in range(2, 12):
+        cost = np.abs(rng.normal(size=(n, n)))
+        uniform = np.full(n, 1.0 / n)
+        plan = solve_discrete_ot(cost, uniform, uniform)
+        worst = max(worst, abs(plan.cost - assignment_oracle(cost)))
+        checked += 1
     ok = worst <= 1e-9
     _report(capsys, ok,
-            "criterion 4 — exact transport solver matches the LP oracle on "
-            f"200 instances (worst diff {worst:.2e})")
+            "criterion 4 — exact transport solver matches the LP, vertex-"
+            f"enumeration and assignment oracles ({checked} comparisons on "
+            f"310 instances, worst diff {worst:.2e})")
     assert ok, f"worst cost difference {worst}"
 
 

@@ -1,0 +1,106 @@
+"""Golden outputs of ``propagate`` on two fixed networks.
+
+``tests/data/golden_propagate.json`` holds the mixture and ledger of each
+case below, recorded with an independent implementation of the
+transportation LP (a pure-Python network simplex) and of the eigen-block
+split (a union-find).  Refactors of the pipeline must reproduce the
+mixtures exactly and every ledger term within 1e-12 relative.  The second
+case has two tanh hidden layers, so it runs ``compress_gmm``, ``mw2`` and
+a multi-row, multi-column transportation LP.
+
+Regenerate (only on purpose, after a deliberate change of the numbers) with
+``PYTHONPATH=src python3 tests/test_golden.py``.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from wassnet.quantizer import build_table
+from wassnet.snn import (Activation, PropagationConfig, SnnModel,
+                         StochasticLinear, propagate)
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden_propagate.json"
+TABLE_N = 128
+LEDGER_RTOL = 1e-12
+
+
+def _two_layer_tanh():
+    """Seeded 1-8-8-1 tanh net with NTK scaling and variance 0.05."""
+    rng = np.random.default_rng(7)
+    widths = (1, 8, 8, 1)
+    layers = []
+    for i, (n_in, n_out) in enumerate(zip(widths[:-1], widths[1:])):
+        layers.append(StochasticLinear(
+            rng.normal(size=(n_out, n_in)), np.full((n_out, n_in), 0.05),
+            rng.normal(scale=0.5, size=n_out), np.full(n_out, 0.05),
+            ntk_scaling=True))
+        if i < len(widths) - 2:
+            layers.append(Activation("tanh"))
+    return SnnModel(1, tuple(layers))
+
+
+def _cases():
+    """(name, model, points, budget, m, seed) for every golden case."""
+    model_1_16_1 = SnnModel.from_dict(
+        json.loads((DATA / "model_1_16_1_tanh.json").read_text()))
+    points_5 = np.asarray(json.loads((DATA / "points_5.json").read_text()))
+    return (
+        ("model_1_16_1_tanh/points_5", model_1_16_1, points_5, 10, 5, 0),
+        ("tanh_1_8_8_1/seed_7", _two_layer_tanh(),
+         np.linspace(-1.0, 1.0, 3).reshape(-1, 1), 10, 5, 3),
+    )
+
+
+def _run(table, model, points, budget, m, seed):
+    cfg = PropagationConfig(table=table, signature_budget=budget,
+                            compression_size=m, seed=seed)
+    approx, ledger = propagate(model, points, cfg)
+    return approx.to_dict(), ledger.to_dict()
+
+
+def _golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("case", _cases(), ids=lambda c: c[0])
+def test_propagate_matches_golden(case, table):
+    assert table.n_max == TABLE_N
+    name = case[0]
+    mixture, ledger = _run(table, *case[1:])
+    want = _golden()[name]
+    # JSON floats round-trip exactly, so the mixture must compare equal
+    assert json.loads(json.dumps(mixture)) == want["mixture"]
+    assert ledger["input_set_size"] == want["ledger"]["input_set_size"]
+    assert math.isclose(ledger["final_bound"], want["ledger"]["final_bound"],
+                        rel_tol=LEDGER_RTOL, abs_tol=0.0)
+    assert len(ledger["records"]) == len(want["ledger"]["records"])
+    for got, ref in zip(ledger["records"], want["ledger"]["records"]):
+        assert got["k"] == ref["k"]
+        for term in ("spectral_term", "signature_term", "compression_term",
+                     "lipschitz", "accumulated"):
+            assert math.isclose(got[term], ref[term], rel_tol=LEDGER_RTOL,
+                                abs_tol=0.0), (name, got["k"], term)
+
+
+def test_two_layer_case_exercises_compression():
+    # the golden only guards the LP if compression actually ran
+    records = _golden()["tanh_1_8_8_1/seed_7"]["ledger"]["records"]
+    assert any(r["compression_term"] > 0.0 for r in records)
+
+
+def _write_golden():
+    table = build_table(TABLE_N)
+    out = {}
+    for name, *args in _cases():
+        mixture, ledger = _run(table, *args)
+        out[name] = {"mixture": mixture, "ledger": ledger}
+    GOLDEN.write_text(json.dumps(out, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    _write_golden()

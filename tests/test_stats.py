@@ -266,18 +266,30 @@ class TestSymmetricEig:
         np.testing.assert_allclose(basis.eigenvalues[1:], 0.0, atol=1e-12)
 
     def test_block_structure_reconstruction(self):
-        # interleaved blocks exercise the connected-component fast path
+        # interleaved blocks exercise the connected-component split: blocks
+        # of different sizes, two equal-size blocks (one batched eigh call)
+        # and a fully dense matrix (no graph built)
         rng = np.random.default_rng(23)
-        cov = np.zeros((6, 6))
-        for idx in (np.array([0, 2, 4]), np.array([1, 3]), np.array([5])):
-            f = rng.normal(size=(len(idx), len(idx)))
-            cov[np.ix_(idx, idx)] = f @ f.T
-        basis = symmetric_eig(cov)
-        np.testing.assert_allclose(basis.eigenvectors.T @ basis.eigenvectors,
-                                   np.eye(6), atol=1e-10)
-        rebuilt = (basis.eigenvectors * basis.eigenvalues) @ basis.eigenvectors.T
-        assert np.linalg.norm(rebuilt - cov) <= 1e-8 * np.linalg.norm(cov)
-        assert np.all(np.diff(basis.eigenvalues) <= 1e-12)
+        cases = (
+            (np.array([0, 2, 4]), np.array([1, 3]), np.array([5])),
+            (np.array([0, 3, 4]), np.array([1, 2, 5])),
+            (np.arange(6),),
+        )
+        for blocks in cases:
+            cov = np.zeros((6, 6))
+            for idx in blocks:
+                f = rng.normal(size=(len(idx), len(idx)))
+                cov[np.ix_(idx, idx)] = f @ f.T
+            basis = symmetric_eig(cov)
+            vecs = basis.eigenvectors
+            np.testing.assert_allclose(vecs.T @ vecs, np.eye(6), atol=1e-10)
+            rebuilt = (vecs * basis.eigenvalues) @ vecs.T
+            assert np.linalg.norm(rebuilt - cov) <= 1e-8 * np.linalg.norm(cov)
+            assert np.all(np.diff(basis.eigenvalues) <= 1e-12)
+            # each eigenvector lives on exactly one block
+            for col in vecs.T:
+                support = np.flatnonzero(col != 0.0)
+                assert sum(np.isin(support, idx).all() for idx in blocks) == 1
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ParseError):
