@@ -11,7 +11,8 @@ from .config import TOL, Tolerances
 from .errors import (FixedPointError, NegligibleMassCell, NumericalError,
                      ParseError, WassnetError)
 from .stats import (EigenBasis, Gaussian, GaussianMixture, TruncatedMoments1D,
-                    as_mixture, gaussian_w2, mixture_second_moment, psd_sqrt,
+                    as_mixture, gaussian_w2, gaussian_w2_sq_matrix,
+                    mixture_second_moment, psd_sqrt,
                     rectified_moments_1d, standard_truncated_moments,
                     std_normal_cdf, symmetric_eig, truncated_moments_1d)
 from .quantizer import (ComponentCells, GridAllocation, Quantizer1D,

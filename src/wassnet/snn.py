@@ -403,9 +403,9 @@ def push_point_through_stochastic_linear(point, layer: StochasticLinear,
     cov = np.zeros((d * n_out, d * n_out))
     a_idx = np.repeat(np.arange(d), d)
     b_idx = np.tile(np.arange(d), d)
-    for i in range(n_out):
-        cov[a_idx * n_out + i, b_idx * n_out + i] = \
-            s * s * (cross[i, a_idx, b_idx] + layer.bias_var[i])
+    i = np.arange(n_out)[:, None]
+    cov[a_idx * n_out + i, b_idx * n_out + i] = \
+        s * s * (cross[:, a_idx, b_idx] + layer.bias_var[:, None])
     return Gaussian(mean.reshape(-1), 0.5 * (cov + cov.T))
 
 

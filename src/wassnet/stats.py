@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 from scipy.special import ndtr
 
 from .config import TOL
@@ -380,13 +379,62 @@ def _symmetric_blocks(a: np.ndarray):
     O(n^3) eigendecomposition into many small ones.
     """
     n = a.shape[0]
-    if np.all(a != 0.0):
+    link = a != 0.0
+    if np.all(link):
         return [np.arange(n)[None, :]]
-    _, labels = connected_components(a != 0.0, directed=False)
+    # min-label propagation over the edges plus self-loops, with pointer
+    # jumping; each node ends labelled by the lowest index in its block
+    rows, cols = np.nonzero(link | np.eye(n, dtype=bool))
+    starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+    lab = np.arange(n)
+    while True:
+        new = np.minimum.reduceat(lab[cols], starts)
+        new = new[new]
+        if np.array_equal(new, lab):
+            break
+        lab = new
+    # consecutive labels in order of each block's lowest index
+    _, labels = np.unique(lab, return_inverse=True)
     order = np.argsort(labels, kind="stable")  # blocks contiguous, in order
     block_size = np.bincount(labels)[labels[order]]
     return [order[block_size == s].reshape(-1, s)
             for s in np.unique(block_size)]
+
+
+def _block_eigh(stack: np.ndarray, pattern: np.ndarray):
+    """Eigendecomposition of stacked symmetric matrices, block by block.
+
+    Every matrix in ``stack`` must be zero wherever ``pattern`` is.  Each
+    block of the pattern (:func:`_symmetric_blocks`) is decomposed on its
+    own, one stacked ``eigh`` call per block size.  Returns the unsorted
+    eigenvalues, one row per matrix, and ``(idx, vecs)`` per block size:
+    the ``(k, s)`` block indices and the ``(len(stack), k, s, s)``
+    eigenvectors.
+    """
+    lam = np.empty(stack.shape[:2])
+    blocks = []
+    try:
+        for idx in _symmetric_blocks(pattern):
+            w, v = np.linalg.eigh(stack[:, idx[:, :, None], idx[:, None, :]])
+            lam[:, idx] = w
+            blocks.append((idx, v))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed: {exc}",
+                             payload=stack) from exc
+    return lam, blocks
+
+
+def _clip_negative(lam: np.ndarray, threshold: float, payload) -> np.ndarray:
+    """Eigenvalues (last axis, one matrix per row) with negatives clipped to 0.
+
+    A negative eigenvalue below ``-threshold * max|lambda|`` of its matrix
+    raises :class:`NumericalError` with ``payload`` attached.
+    """
+    scale = np.max(np.abs(lam), axis=-1, keepdims=True, initial=0.0)
+    if np.any(lam < -threshold * scale):
+        raise NumericalError("matrix has a negative eigenvalue beyond tolerance",
+                             payload=payload)
+    return np.maximum(lam, 0.0)
 
 
 def symmetric_eig(cov: np.ndarray, degeneracy_threshold: float = TOL.eig_clip_rtol) -> EigenBasis:
@@ -406,24 +454,15 @@ def symmetric_eig(cov: np.ndarray, degeneracy_threshold: float = TOL.eig_clip_rt
     if asym > TOL.cov_symmetry_rtol * max(scale0, 1.0):
         raise ParseError("matrix is not symmetric within tolerance")
     a = 0.5 * (a + a.T)
-    lam = np.empty(n)
+    lam, blocks = _block_eigh(a[None], a)
+    lam = lam[0]
     vecs = np.zeros((n, n))
-    try:
-        for idx in _symmetric_blocks(a):
-            rows, cols = idx[:, :, None], idx[:, None, :]
-            w, v = np.linalg.eigh(a[rows, cols])
-            lam[idx] = w
-            vecs[rows, cols] = v
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}", payload=a) from exc
+    for idx, v in blocks:
+        vecs[idx[:, :, None], idx[:, None, :]] = v[0]
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]
     vecs = vecs[:, order]
-    scale = float(np.max(np.abs(lam), initial=0.0))
-    if np.any(lam < -degeneracy_threshold * scale):
-        raise NumericalError("matrix has a negative eigenvalue beyond tolerance",
-                             payload=a)
-    lam = np.maximum(lam, 0.0)
+    lam = _clip_negative(lam, degeneracy_threshold, payload=a)
     lam_max = float(lam[0]) if n else 0.0
     rank = int(np.sum(lam > degeneracy_threshold * lam_max))
     return EigenBasis(lam, vecs, rank)
@@ -440,28 +479,89 @@ def psd_sqrt(cov: np.ndarray) -> np.ndarray:
 # Wasserstein and moments
 # ---------------------------------------------------------------------------
 
+def gaussian_w2_sq_matrix(ps, qs) -> np.ndarray:
+    """Closed-form squared 2-Wasserstein distances between two lists of Gaussians.
+
+    Entry ``(i, j)`` is ``W2^2(p_i, q_j) = |m_i - m_j|^2
+    + tr(S_i + S_j - 2 (S_i^1/2 S_j S_i^1/2)^1/2)``.  Each row component's
+    root ``S_i^1/2`` is taken once; its products with every column
+    covariance are symmetrised and decomposed together, one stacked
+    ``eigh`` call per row when they are dense (see :func:`_psd_root_traces`),
+    and the fidelity term is the trace of the clipped root
+    ``V diag(sqrt(max(lambda, 0))) V^T``.  Diagonal pairs use the commuting
+    shortcut and identical pairs are exactly 0.  Degenerate covariances are
+    fine; a product with an eigenvalue below ``-eig_clip_rtol * max|lambda|``
+    (a covariance that is not PSD within tolerance) raises
+    :class:`NumericalError`.
+    """
+    ps, qs = tuple(ps), tuple(qs)
+    if len({g.dim for g in ps + qs}) > 1:
+        raise ParseError("dimension mismatch")
+    p_mean = np.stack([g.mean for g in ps])
+    q_mean = np.stack([g.mean for g in qs])
+    out = np.sum(np.square(p_mean[:, None, :] - q_mean[None, :, :]), axis=-1)
+    p_diag = np.array([g.is_diagonal for g in ps])
+    q_diag = np.array([g.is_diagonal for g in qs])
+    same = (p_diag[:, None] == q_diag[None, :]) \
+        & np.all(p_mean[:, None, :] == q_mean[None, :, :], axis=-1)
+    for i, j in zip(*np.nonzero(same)):
+        same[i, j] = np.array_equal(ps[i].cov, qs[j].cov)
+    p_idx, q_idx = np.flatnonzero(p_diag), np.flatnonzero(q_diag)
+    if p_idx.size and q_idx.size:
+        p_sd = np.sqrt(np.stack([ps[i].cov for i in p_idx]))
+        q_sd = np.sqrt(np.stack([qs[j].cov for j in q_idx]))
+        out[np.ix_(p_idx, q_idx)] += np.sum(
+            np.square(p_sd[:, None, :] - q_sd[None, :, :]), axis=-1)
+    full = ~(p_diag[:, None] & q_diag[None, :]) & ~same
+    if np.any(full):
+        q_cov = np.stack([g.full_cov() for g in qs])
+        q_tr = np.array([g.cov_trace() for g in qs])
+        for i in np.flatnonzero(np.any(full, axis=1)):
+            js = np.flatnonzero(full[i])
+            sa = psd_sqrt(ps[i].full_cov())
+            inner = sa @ q_cov[js] @ sa
+            inner = 0.5 * (inner + np.swapaxes(inner, 1, 2))
+            fidelity = _psd_root_traces(inner)
+            out[i, js] += ps[i].cov_trace() + q_tr[js] - 2.0 * fidelity
+    out[same] = 0.0
+    return np.maximum(out, 0.0)
+
+
+def _psd_root_traces(mats: np.ndarray) -> np.ndarray:
+    """``tr(M^1/2)`` of each symmetric PSD matrix ``M`` in a stack.
+
+    Matrices with the same sparsity pattern are decomposed together by
+    :func:`_block_eigh`, as :func:`symmetric_eig` decomposes one matrix; a
+    stack of dense matrices is one ``eigh`` call.
+    The split keeps exact zeros exact instead of turning them into rounding
+    noise that the square root would amplify.  The trace is that of the
+    root ``V diag(sqrt(max(lambda, 0))) V^T``.  An eigenvalue below
+    ``-eig_clip_rtol * max|lambda|`` of its matrix raises
+    :class:`NumericalError`.
+    """
+    nonzero = mats != 0.0
+    groups = {}
+    for k, pattern in enumerate(nonzero):
+        groups.setdefault(np.packbits(pattern).tobytes(), []).append(k)
+    out = np.empty(len(mats))
+    for sel in groups.values():
+        stack = mats[sel]
+        lam, blocks = _block_eigh(stack, nonzero[sel[0]])
+        root = np.sqrt(_clip_negative(lam, TOL.eig_clip_rtol, payload=stack))
+        out[sel] = sum(np.sum(np.square(v) * root[:, idx][..., None, :],
+                              axis=(1, 2, 3)) for idx, v in blocks)
+    return out
+
+
 def gaussian_w2(a: Gaussian, b: Gaussian) -> float:
     """Closed-form 2-Wasserstein distance between Gaussians.
 
-    ``W2^2 = |m_a - m_b|^2 + tr(S_a + S_b - 2 (S_a^1/2 S_b S_a^1/2)^1/2)``.
-    Diagonal pairs use the commuting shortcut.  Degenerate covariances are
-    fine; a covariance that is not PSD within tolerance raises
-    :class:`NumericalError`.
+    The one-pair case of :func:`gaussian_w2_sq_matrix`, which holds the
+    formula: one square root of ``S_a``, one ``eigh`` of the symmetrised
+    ``S_a^1/2 S_b S_a^1/2``, the commuting shortcut for diagonal pairs and
+    an exact 0 for identical ones.
     """
-    if a.dim != b.dim:
-        raise ParseError("dimension mismatch")
-    if (a.is_diagonal == b.is_diagonal and np.array_equal(a.mean, b.mean)
-            and np.array_equal(a.cov, b.cov)):
-        return 0.0
-    dm2 = float(np.sum(np.square(a.mean - b.mean)))
-    if a.is_diagonal and b.is_diagonal:
-        tr = float(np.sum(np.square(np.sqrt(a.cov) - np.sqrt(b.cov))))
-    else:
-        sa = psd_sqrt(a.full_cov())
-        inner = sa @ b.full_cov() @ sa
-        cross = psd_sqrt(0.5 * (inner + inner.T))
-        tr = a.cov_trace() + b.cov_trace() - 2.0 * float(np.trace(cross))
-    return math.sqrt(max(dm2 + tr, 0.0))
+    return math.sqrt(float(gaussian_w2_sq_matrix((a,), (b,))[0, 0]))
 
 
 def mixture_second_moment(g) -> float:

@@ -19,8 +19,8 @@ from scipy.sparse import coo_array
 
 from .config import TOL
 from .errors import NumericalError, ParseError
-from .stats import as_mixture, gaussian_w2, mixture_second_moment, \
-    _readonly
+from .stats import as_mixture, gaussian_w2_sq_matrix, \
+    mixture_second_moment, _readonly
 
 __all__ = [
     "TransportPlan",
@@ -146,20 +146,19 @@ def _pairwise_sq_dists(xs, ys):
 def mw2(p, q):
     """Mixture-level W2 upper bound: transport over pairwise Gaussian W2^2.
 
-    Returns ``(distance, plan)``.  The coupling set is restricted to mixtures
-    of the given components, so the value always upper-bounds the true W2
-    between the mixtures and vanishes iff the component-wise coupling can be
-    made perfect (in particular mw2(p, p) = 0).
+    Returns ``(distance, plan)``.  The cost matrix comes from
+    :func:`gaussian_w2_sq_matrix` in one pass: one square root per
+    component of ``p`` and one stacked ``eigh`` per row.  The coupling set
+    is restricted to mixtures of the given components, so the value always
+    upper-bounds the true W2 between the mixtures and vanishes iff the
+    component-wise coupling can be made perfect (in particular
+    mw2(p, p) = 0).
     """
     pm = as_mixture(p)
     qm = as_mixture(q)
     if pm.dim != qm.dim:
         raise ParseError("mixtures must share the ambient dimension")
-    cost = np.empty((pm.size, qm.size))
-    for i, ci in enumerate(pm.components):
-        for j, cj in enumerate(qm.components):
-            w = gaussian_w2(ci, cj)
-            cost[i, j] = w * w
+    cost = gaussian_w2_sq_matrix(pm.components, qm.components)
     plan = solve_discrete_ot(cost, pm.weights, qm.weights)
     return math.sqrt(max(plan.cost, 0.0)), plan
 

@@ -7,14 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from wassnet import (Gaussian, GaussianMixture, NegligibleMassCell,
                      NumericalError, ParseError, gaussian_w2,
-                     mixture_second_moment, psd_sqrt, rectified_moments_1d,
-                     std_normal_cdf, symmetric_eig, truncated_moments_1d)
+                     gaussian_w2_sq_matrix, mixture_second_moment, psd_sqrt,
+                     rectified_moments_1d, std_normal_cdf, symmetric_eig,
+                     truncated_moments_1d)
+from wassnet.stats import _symmetric_blocks
 
-from oracles import (quad_rectified_moments, quad_truncated_moments,
-                     quantile_coupling_w2_1d)
+from oracles import (gaussian_w2_pair_oracle, quad_rectified_moments,
+                     quad_truncated_moments, quantile_coupling_w2_1d)
 
 
 def random_gaussian(rng, dim, diagonal=False, degenerate=False):
@@ -226,6 +229,78 @@ class TestGaussianW2:
             gaussian_w2(bad, good)
 
 
+def mixed_component(rng, dim, kind):
+    """A Gaussian of one of five covariance kinds used by the cost tests."""
+    mean = rng.normal(size=dim)
+    if kind == "diag":
+        return Gaussian(mean, rng.uniform(0.05, 2.0, size=dim))
+    if kind == "diag_zeros":
+        return Gaussian(mean, rng.uniform(0.05, 2.0, size=dim)
+                        * (rng.uniform(size=dim) < 0.5))
+    if kind == "blocks":  # interleaved blocks with exact zeros between them
+        lab = rng.integers(0, 3, size=dim)
+        f = rng.normal(size=(dim, dim)) * (lab[:, None] == lab[None, :])
+        return Gaussian(mean, f @ f.T)
+    rank = dim if kind == "full" else int(rng.integers(0, dim))
+    f = rng.normal(size=(dim, rank))
+    return Gaussian(mean, f @ f.T)
+
+
+KINDS = ("diag", "diag_zeros", "full", "rank_deficient", "blocks")
+
+
+class TestGaussianW2SqMatrix:
+    """The batched cost matrix against the per-pair formula."""
+
+    def test_matches_pair_oracle(self):
+        rng = np.random.default_rng(31)
+        seen = set()
+        for _ in range(80):
+            dim = int(rng.integers(1, 9))
+            ps, qs = ([mixed_component(rng, dim, KINDS[int(k)])
+                       for k in rng.integers(0, len(KINDS), size=n)]
+                      for n in rng.integers(1, 6, size=2))
+            # duplicates: a column repeated as a row, and a diagonal row
+            # repeated as a column in the full form
+            ps.append(qs[int(rng.integers(len(qs)))])
+            d = ps[int(rng.integers(len(ps)))]
+            qs.append(Gaussian(d.mean, d.full_cov()) if d.is_diagonal else d)
+            cost = gaussian_w2_sq_matrix(ps, qs)
+            oracle = np.array([[max(gaussian_w2_pair_oracle(a, b), 0.0)
+                                for b in qs] for a in ps])
+            np.testing.assert_allclose(cost, oracle, rtol=1e-12, atol=1e-12)
+            seen |= {(a.is_diagonal, b.is_diagonal) for a in ps for b in qs}
+        assert seen == {(True, True), (True, False), (False, True),
+                        (False, False)}
+
+    def test_identical_components_are_exactly_zero(self):
+        rng = np.random.default_rng(37)
+        comps = [mixed_component(rng, 4, kind) for kind in KINDS]
+        cost = gaussian_w2_sq_matrix(comps, comps[::-1])
+        assert np.all(cost[np.arange(5), np.arange(5)[::-1]] == 0.0)
+        assert np.all(np.delete(cost.ravel(), np.arange(4, 21, 4)) > 0.0)
+
+    def test_gaussian_w2_is_the_one_pair_case(self):
+        rng = np.random.default_rng(41)
+        a, b = (mixed_component(rng, 3, "full") for _ in range(2))
+        cost = gaussian_w2_sq_matrix((a,), (b,))
+        assert cost.shape == (1, 1)
+        assert gaussian_w2(a, b) == math.sqrt(cost[0, 0])
+
+    def test_non_psd_rejected_as_row_or_column(self):
+        bad = Gaussian([0.0, 0.0], np.array([[1.0, 2.0], [2.0, 1.0]]))
+        good = (Gaussian([0.0, 0.0], np.eye(2)), Gaussian([1.0, 0.0], [1.0, 2.0]))
+        with pytest.raises(NumericalError):
+            gaussian_w2_sq_matrix((bad,), good)
+        with pytest.raises(NumericalError):
+            gaussian_w2_sq_matrix(good, (good[0], bad))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ParseError):
+            gaussian_w2_sq_matrix((Gaussian([0.0], [1.0]),),
+                                  (Gaussian([0.0, 0.0], [1.0, 1.0]),))
+
+
 class TestMixtureSecondMoment:
     def test_single_standard(self):
         assert abs(mixture_second_moment(Gaussian([0.0, 0.0], np.eye(2))) - 2.0) < 1e-15
@@ -290,6 +365,40 @@ class TestSymmetricEig:
             for col in vecs.T:
                 support = np.flatnonzero(col != 0.0)
                 assert sum(np.isin(support, idx).all() for idx in blocks) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(labels=st.lists(st.integers(0, 5), min_size=1, max_size=30),
+           shape=st.sampled_from(("dense", "chain", "random")),
+           zero_diag=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_block_labelling_matches_connected_components(
+            self, labels, shape, zero_diag, seed):
+        # interleaved blocks given by `labels`, each dense, a chain in a
+        # random order or a random graph; zero diagonal entries at random
+        rng = np.random.default_rng(seed)
+        labels = np.array(labels)
+        n = labels.size
+        same = labels[:, None] == labels[None, :]
+        if shape == "chain":
+            link = np.zeros((n, n), dtype=bool)
+            for lab in np.unique(labels):
+                members = rng.permutation(np.flatnonzero(labels == lab))
+                link[members[:-1], members[1:]] = True
+        elif shape == "random":
+            link = same & (rng.uniform(size=(n, n)) < 0.3)
+        else:
+            link = same
+        link = link | link.T
+        np.fill_diagonal(link, rng.uniform(size=n) >= zero_diag)
+        a = np.where(link, rng.normal(size=(n, n)), 0.0)
+        a = a + a.T
+        _, cc = connected_components(a != 0.0, directed=False)
+        order = np.argsort(cc, kind="stable")
+        size = np.bincount(cc)[cc[order]]
+        expected = [order[size == s].reshape(-1, s) for s in np.unique(size)]
+        got = _symmetric_blocks(a)
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            np.testing.assert_array_equal(g, e)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ParseError):
