@@ -20,9 +20,8 @@ from .quantizer import (ComponentCells, GridAllocation, Quantizer1D,
                         activation_signature_w2_bound, allocate_grid,
                         build_table, signature_of_gaussian,
                         signature_of_mixture, solve_quantizer_1d)
-from .transport import (TransportPlan, discrete_w2, empirical_w2,
-                        empirical_w2_spread, mw2, relative_w2,
-                        solve_discrete_ot)
+from .transport import (TransportPlan, discrete_w2, empirical_w2, mw2,
+                        relative_w2, solve_discrete_ot)
 from .mixtures import (BernoulliMixture, CompressionResult,
                        DiscreteDistribution, compress_dropout, compress_gmm,
                        expand_dropout)

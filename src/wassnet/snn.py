@@ -548,7 +548,11 @@ def sample_network(model: SnnModel, points, n_samples: int, seed: int):
     Each sample draws one weight realization per layer (shared by all input
     points) and one dropout mask per dropout layer, from an independent
     substream derived from ``(seed, sample index)``; rows are the stacked
-    block-major outputs.
+    block-major outputs.  Each substream fills that sample's row of one
+    preallocated ``(n_samples, k)`` buffer per draw, in layer order
+    (weights, then biases, of each stochastic layer; the mask of each
+    dropout layer), and the forward pass then runs once for all samples
+    as stacked matmuls.
     """
     if not isinstance(model, SnnModel):
         raise ParseError("sample_network expects an SnnModel")
@@ -560,25 +564,38 @@ def sample_network(model: SnnModel, points, n_samples: int, seed: int):
     if pts.ndim != 2 or pts.shape[1] != model.input_dim:
         raise ParseError(
             f"points must be (D, {model.input_dim}); got {pts.shape}")
-    d = pts.shape[0]
-    out = np.empty((int(n_samples), d * model.output_dim))
-    children = np.random.SeedSequence(int(seed)).spawn(int(n_samples))
+    n = int(n_samples)
+    # (buffer, normal?) per draw; a dropout mask is as wide as its input
+    draws = []
+    width = model.input_dim
+    for layer in model.layers:
+        if isinstance(layer, StochasticLinear):
+            draws.append((np.empty((n, layer.weight_mean.size)), True))
+            draws.append((np.empty((n, layer.n_out)), True))
+        elif isinstance(layer, Dropout):
+            draws.append((np.empty((n, width)), False))
+        if _is_linear(layer):
+            width = layer.n_out
+    children = np.random.SeedSequence(int(seed)).spawn(n)
     for row, child in enumerate(children):
         rng = np.random.default_rng(child)
-        z = pts
-        for layer in model.layers:
-            if isinstance(layer, StochasticLinear):
-                w = layer.weight_mean + np.sqrt(layer.weight_var) \
-                    * rng.standard_normal(layer.weight_mean.shape)
-                b = layer.bias_mean + np.sqrt(layer.bias_var) \
-                    * rng.standard_normal(layer.bias_mean.shape)
-                z = layer.scale * (z @ w.T + b)
-            elif isinstance(layer, DeterministicLinear):
-                z = z @ layer.weight.T + layer.bias
-            elif isinstance(layer, Activation):
-                z = layer.apply(z)
-            else:
-                mask = rng.random(z.shape[1]) < layer.keep_prob
-                z = z * mask
-        out[row] = z.reshape(-1)
+        for buf, normal in draws:
+            (rng.standard_normal if normal else rng.random)(out=buf[row])
+    z = pts[None]
+    bufs = iter(buf for buf, _ in draws)
+    for layer in model.layers:
+        if isinstance(layer, StochasticLinear):
+            w = layer.weight_mean + np.sqrt(layer.weight_var) \
+                * next(bufs).reshape((n,) + layer.weight_mean.shape)
+            b = layer.bias_mean + np.sqrt(layer.bias_var) * next(bufs)
+            z = layer.scale * (z @ w.transpose(0, 2, 1) + b[:, None, :])
+        elif isinstance(layer, DeterministicLinear):
+            z = z @ layer.weight.T + layer.bias
+        elif isinstance(layer, Activation):
+            z = layer.apply(z)
+        else:
+            z = z * (next(bufs) < layer.keep_prob)[:, None, :]
+    out = np.empty((n, pts.shape[0] * model.output_dim))
+    # a net without random draws gives one row, repeated for every sample
+    out[:] = z.reshape(z.shape[0], -1)
     return out

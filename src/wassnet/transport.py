@@ -28,7 +28,6 @@ __all__ = [
     "mw2",
     "discrete_w2",
     "empirical_w2",
-    "empirical_w2_spread",
     "relative_w2",
 ]
 
@@ -134,13 +133,18 @@ def solve_discrete_ot(cost, a, b) -> TransportPlan:
 
 
 def _pairwise_sq_dists(xs, ys):
-    """Squared Euclidean distances in the expanded form, clamped at zero."""
+    """Squared Euclidean distances in the expanded form, clamped at zero.
+
+    ``|x|^2 + |y|^2 - 2 x.y`` is built in place in one (n, m) buffer; the
+    cross products are the only other (n, m) array alive.
+    """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    d2 = (np.sum(xs * xs, axis=1)[:, None]
-          + np.sum(ys * ys, axis=1)[None, :]
-          - 2.0 * xs @ ys.T)
-    return np.maximum(d2, 0.0)
+    d2 = np.add.outer(np.sum(xs * xs, axis=1), np.sum(ys * ys, axis=1))
+    cross = xs @ ys.T
+    cross *= 2.0
+    d2 -= cross
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def mw2(p, q):
@@ -174,10 +178,16 @@ def discrete_w2(xs, x_weights, ys, y_weights) -> float:
 def empirical_w2(xs, ys) -> float:
     """Exact W2 between the uniform empirical measures of two sample sets.
 
-    Equal sample counts reduce to an assignment problem (solved exactly);
-    unequal counts go through the transportation LP.  Instances whose
-    cost matrix would exceed the configured entry cap are rejected with
-    advice to subsample.
+    Equal sample counts reduce to an assignment problem, solved exactly by
+    scipy's shortest augmenting path method.  That method starts from zero
+    dual potentials, so the cost matrix first has its row minima and then
+    its column minima subtracted in place, the reduction Jonker and
+    Volgenant apply before augmenting: a dual warm start.  Every
+    permutation's cost moves by the same constant, so the optimal
+    permutations do not change, and the value is recomputed from direct
+    differences on the returned permutation.  Unequal counts go through
+    the transportation LP.  Instances whose cost matrix would exceed the
+    configured entry cap are rejected with advice to subsample.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -193,6 +203,8 @@ def empirical_w2(xs, ys) -> float:
     cost = _pairwise_sq_dists(xs, ys)
     if n == m:
         # uniform equal marginals: the optimum is a permutation
+        cost -= cost.min(axis=1)[:, None]
+        cost -= cost.min(axis=0)[None, :]
         rows, cols = linear_sum_assignment(cost)
         sq = np.sum(np.square(xs[rows] - ys[cols]), axis=1)
         return math.sqrt(float(sq.mean()))
@@ -202,27 +214,6 @@ def empirical_w2(xs, ys) -> float:
     ii, jj = np.nonzero(plan.plan)
     sq = np.sum(np.square(xs[ii] - ys[jj]), axis=1)
     return math.sqrt(float(np.dot(plan.plan[ii, jj], sq)))
-
-
-def empirical_w2_spread(xs, ys, n_batches: int):
-    """Mean and standard error of empirical W2 over disjoint sample batches.
-
-    Splits both sample sets into ``n_batches`` equal leading chunks and
-    estimates W2 on each; returns ``(mean, standard_error)``.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if n_batches < 2:
-        raise ParseError("need at least two batches for a standard error")
-    bx = xs.shape[0] // n_batches
-    by = ys.shape[0] // n_batches
-    if bx < 1 or by < 1:
-        raise ParseError("not enough samples for the requested batches")
-    vals = np.array([
-        empirical_w2(xs[k * bx:(k + 1) * bx], ys[k * by:(k + 1) * by])
-        for k in range(n_batches)
-    ])
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_batches))
 
 
 def relative_w2(w2_value: float, reference) -> float:

@@ -80,6 +80,36 @@ def gaussian_w2_pair_oracle(a, b):
     return dm2 + (a.cov_trace() + b.cov_trace() - 2.0 * float(np.trace(cross)))
 
 
+def sample_network_oracle(model, points, n_samples, seed):
+    """Network samples by the per-sample loop: one substream and one
+    forward pass per sample, each draw taken by its own generator call."""
+    from wassnet.snn import Activation, DeterministicLinear, StochasticLinear
+
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    d = pts.shape[0]
+    out = np.empty((int(n_samples), d * model.output_dim))
+    children = np.random.SeedSequence(int(seed)).spawn(int(n_samples))
+    for row, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        z = pts
+        for layer in model.layers:
+            if isinstance(layer, StochasticLinear):
+                w = layer.weight_mean + np.sqrt(layer.weight_var) \
+                    * rng.standard_normal(layer.weight_mean.shape)
+                b = layer.bias_mean + np.sqrt(layer.bias_var) \
+                    * rng.standard_normal(layer.bias_mean.shape)
+                z = layer.scale * (z @ w.T + b)
+            elif isinstance(layer, DeterministicLinear):
+                z = z @ layer.weight.T + layer.bias
+            elif isinstance(layer, Activation):
+                z = layer.apply(z)
+            else:
+                mask = rng.random(z.shape[1]) < layer.keep_prob
+                z = z * mask
+        out[row] = z.reshape(-1)
+    return out
+
+
 def _transport_constraints(m, n):
     """Sparse row-sum then column-sum equality rows over the flat plan."""
     var_idx = np.arange(m * n)

@@ -1,4 +1,4 @@
-"""Golden outputs of ``propagate`` on two fixed networks.
+"""Golden outputs of ``propagate`` on two fixed networks and of one ``tune``.
 
 ``tests/data/golden_propagate.json`` holds the mixture and ledger of each
 case below, recorded with an independent implementation of the
@@ -7,6 +7,12 @@ split (a union-find).  Refactors of the pipeline must reproduce the
 mixtures exactly and every ledger term within 1e-12 relative.  The second
 case has two tanh hidden layers, so it runs ``compress_gmm``, ``mw2`` and
 a multi-row, multi-column transportation LP.
+
+``tests/data/golden_tune.json`` holds the report of a short ``tune`` run,
+recorded before the assignment solve started from reduced costs and
+before ``sample_network`` batched its forward pass.  Its
+``relative_empirical`` passes through both, so the report must reproduce
+exactly.
 
 Regenerate (only on purpose, after a deliberate change of the numbers) with
 ``PYTHONPATH=src python3 tests/test_golden.py``.
@@ -19,12 +25,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wassnet.priortune import GpTarget, tune
 from wassnet.quantizer import build_table
 from wassnet.snn import (Activation, PropagationConfig, SnnModel,
                          StochasticLinear, propagate)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_propagate.json"
+GOLDEN_TUNE = DATA / "golden_tune.json"
 TABLE_N = 128
 LEDGER_RTOL = 1e-12
 
@@ -93,6 +101,30 @@ def test_two_layer_case_exercises_compression():
     assert any(r["compression_term"] > 0.0 for r in records)
 
 
+def _tune_report(table):
+    """``tune`` of a zero-mean 1-8-1 tanh template on 6 seeded points."""
+    rng = np.random.default_rng(11)
+    template = SnnModel(1, (
+        StochasticLinear(np.zeros((8, 1)), np.ones((8, 1)), np.zeros(8),
+                         np.ones(8)),
+        Activation("tanh"),
+        StochasticLinear(np.zeros((1, 8)), np.ones((1, 8)), np.zeros(1),
+                         np.ones(1), ntk_scaling=True)))
+    target = GpTarget(0.5, 1.0, np.sort(rng.uniform(-1.5, 1.5, (6, 1)),
+                                        axis=0))
+    cfg = PropagationConfig(table=table, signature_budget=8,
+                            compression_size=2, seed=0)
+    report = tune(template, target, cfg, beta=0.01, steps=2, step_size=0.15,
+                  batch=3, seed=5, eval_samples=200, eval_batches=2)
+    return report.to_dict()
+
+
+def test_tune_report_matches_golden(table):
+    assert table.n_max == TABLE_N
+    report = json.loads(json.dumps(_tune_report(table)))
+    assert report == json.loads(GOLDEN_TUNE.read_text())
+
+
 def _write_golden():
     table = build_table(TABLE_N)
     out = {}
@@ -100,6 +132,7 @@ def _write_golden():
         mixture, ledger = _run(table, *args)
         out[name] = {"mixture": mixture, "ledger": ledger}
     GOLDEN.write_text(json.dumps(out, indent=1) + "\n")
+    GOLDEN_TUNE.write_text(json.dumps(_tune_report(table), indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from wassnet.snn import (Activation, BoundLedger, DeterministicLinear,
 from wassnet.stats import GaussianMixture
 from wassnet.transport import empirical_w2
 
-from oracles import mc_mean_se
+from oracles import mc_mean_se, sample_network_oracle
 
 
 def _vi_net(rng, widths, activation="tanh", weight_var=0.3, bias_var=0.1,
@@ -610,6 +610,32 @@ class TestSampleNetwork:
         kept = samples.mean()
         se = math.sqrt(0.7 * 0.3 / 20_000)
         assert abs(kept - 0.7) <= 4 * se
+
+    def test_matches_per_sample_oracle(self):
+        rng = np.random.default_rng(21)
+        for trial in range(12):
+            d_in = int(rng.integers(1, 4))
+            width = int(rng.integers(1, 7))
+            act = ("relu", "tanh")[trial % 2]
+            keep = float(rng.uniform(0.5, 0.95))
+            stoch = _vi_net(rng, (d_in, width, width, 2), act, dropout=keep,
+                            ntk=bool(trial % 3))
+            det = DeterministicLinear(rng.normal(size=(width, d_in)),
+                                      rng.normal(size=width))
+            # dropout between stochastic layers, after a deterministic
+            # one, and ahead of the first linear layer
+            models = (stoch, SnnModel(d_in, (det, Activation(act),
+                                             Dropout(keep))
+                                      + stoch.layers[2:]),
+                      SnnModel(d_in, (Dropout(keep),) + stoch.layers))
+            pts = rng.normal(size=(int(rng.integers(1, 6)), d_in))
+            for model in models:
+                for n in (1, 7, 300):
+                    seed = int(rng.integers(2 ** 31))
+                    assert np.array_equal(
+                        sample_network(model, pts, n, seed),
+                        sample_network_oracle(model, pts, n, seed)), \
+                        (trial, n)
 
     def test_invalid_inputs(self):
         rng = np.random.default_rng(1)

@@ -13,7 +13,6 @@ from wassnet.transport import (
     TransportPlan,
     discrete_w2,
     empirical_w2,
-    empirical_w2_spread,
     mw2,
     relative_w2,
     solve_discrete_ot,
@@ -301,6 +300,33 @@ class TestEmpiricalW2:
                       - math.sqrt(float(np.mean(np.sum(ys ** 2, axis=1)))))
             assert gap <= empirical_w2(xs, ys) + 1e-9
 
+    def test_equal_counts_match_assignment_oracle(self):
+        # the oracle's costs come from direct differences, not from the
+        # expanded form |x|^2 + |y|^2 - 2 x.y the library reduces and solves
+        rng = np.random.default_rng(11)
+        for n in (50, 200, 500):
+            for kind in ("shifted", "scaled", "anisotropic", "duplicates",
+                         "near-duplicates"):
+                d = int(rng.integers(1, 11))
+                xs = rng.normal(size=(n, d))
+                if kind == "shifted":
+                    ys = rng.normal(size=(n, d)) + rng.normal(size=d)
+                elif kind == "scaled":
+                    ys = rng.uniform(0.2, 5.0) * rng.normal(size=(n, d))
+                elif kind == "anisotropic":
+                    ys = rng.normal(size=(n, d)) @ rng.normal(size=(d, d))
+                else:
+                    ys = rng.normal(size=(n, d)) + 0.5
+                    half = rng.permutation(n)[:n // 2]
+                    ys[:n // 2] = xs[half]
+                    if kind == "near-duplicates":
+                        ys[:n // 2] += 1e-9 * rng.normal(size=(n // 2, d))
+                    ys = ys[rng.permutation(n)]
+                cost = np.sum((xs[:, None, :] - ys[None, :, :]) ** 2, axis=-1)
+                ref = math.sqrt(assignment_oracle(cost))
+                assert math.isclose(empirical_w2(xs, ys), ref, rel_tol=1e-12,
+                                    abs_tol=0.0), (n, kind, d)
+
     def test_cost_cap_exceeded_rejected(self):
         xs = np.zeros((2001, 1))
         ys = np.zeros((2001, 1))
@@ -314,29 +340,6 @@ class TestEmpiricalW2:
             empirical_w2(np.zeros((3, 1)), np.zeros((3, 2)))
         with pytest.raises(ParseError):
             empirical_w2(np.zeros(3), np.zeros(3))
-
-
-class TestEmpiricalW2Spread:
-    def test_mean_and_error_on_shifted_gaussians(self):
-        rng = np.random.default_rng(5)
-        xs = rng.normal(size=(1200, 1))
-        ys = rng.normal(size=(1200, 1)) + 2.0
-        mean, se = empirical_w2_spread(xs, ys, 4)
-        assert mean == pytest.approx(2.0, abs=0.3)
-        assert 0.0 < se < 0.3
-
-    def test_uses_disjoint_leading_chunks(self):
-        xs = np.arange(8.0).reshape(-1, 1)
-        ys = np.arange(8.0).reshape(-1, 1)
-        mean, se = empirical_w2_spread(xs, ys, 2)
-        assert mean == 0.0 and se == 0.0
-
-    def test_requires_two_batches_and_enough_samples(self):
-        xs = np.zeros((10, 1))
-        with pytest.raises(ParseError):
-            empirical_w2_spread(xs, xs, 1)
-        with pytest.raises(ParseError):
-            empirical_w2_spread(np.zeros((1, 1)), np.zeros((1, 1)), 2)
 
 
 class TestRelativeW2:
