@@ -8,23 +8,19 @@ Gaussian process by descending that bound.
 """
 
 from .config import TOL, Tolerances
-from .errors import (FixedPointError, NegligibleMassCell, NumericalError,
-                     ParseError, WassnetError)
-from .stats import (EigenBasis, Gaussian, GaussianMixture, TruncatedMoments1D,
-                    as_mixture, gaussian_w2, gaussian_w2_sq_matrix,
-                    mixture_second_moment, psd_sqrt,
-                    rectified_moments_1d, standard_truncated_moments,
-                    std_normal_cdf, symmetric_eig, truncated_moments_1d)
+from .errors import FixedPointError, NumericalError, ParseError, WassnetError
+from .stats import (EigenBasis, Gaussian, GaussianMixture, as_mixture,
+                    gaussian_w2, gaussian_w2_sq_matrix, mixture_second_moment,
+                    psd_sqrt, standard_truncated_moments, symmetric_eig)
 from .quantizer import (ComponentCells, GridAllocation, Quantizer1D,
                         QuantizerTable, Signature,
                         activation_signature_w2_bound, allocate_grid,
                         build_table, signature_of_gaussian,
                         signature_of_mixture, solve_quantizer_1d)
-from .transport import (TransportPlan, discrete_w2, empirical_w2, mw2,
-                        relative_w2, solve_discrete_ot)
-from .mixtures import (BernoulliMixture, CompressionResult,
-                       DiscreteDistribution, compress_dropout, compress_gmm,
-                       expand_dropout)
+from .transport import (TransportPlan, empirical_w2, mw2, relative_w2,
+                        solve_discrete_ot)
+from .mixtures import (CompressionResult, DiscreteDistribution,
+                       compress_dropout, compress_gmm)
 from .snn import (Activation, BoundLedger, DeterministicLinear, Dropout,
                   LedgerRecord, PropagationConfig, SnnModel, StochasticLinear,
                   expected_spectral_bound,

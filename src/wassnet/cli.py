@@ -93,7 +93,11 @@ def _load_points(path: str) -> np.ndarray:
         except (OSError, ValueError) as exc:
             raise ParseError(f"cannot read points CSV {path}: {exc}") from exc
     else:
-        points = np.asarray(_read_json(path), dtype=float)
+        try:
+            points = np.asarray(_read_json(path), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"cannot read points JSON {path}: {exc}") \
+                from exc
     points = np.atleast_2d(points)
     if points.ndim != 2 or points.size == 0 or not np.all(
             np.isfinite(points)):

@@ -18,8 +18,6 @@ class Tolerances:
     eig_clip_rtol: float = 1e-10
     # mixture weights must sum to 1 within this absolute tolerance
     simplex_atol: float = 1e-12
-    # truncated cells with less mass than this signal "negligible mass"
-    negligible_mass: float = 1e-300
     # 1-d quantizer fixed point: stop when max location change < tol
     fixed_point_tol: float = 1e-12
     fixed_point_max_iters: int = 100_000
@@ -33,8 +31,6 @@ class Tolerances:
     empirical_cost_cap: int = 4_000_000
     # propagation aborts if a mixture/atom set would exceed this size
     atom_cap: int = 100_000
-    # full dropout-mask expansion refuses more outcomes per atom than this
-    dropout_expand_cap: int = 4096
     # GP Gram matrices get this relative diagonal jitter before Cholesky
     gp_jitter: float = 1e-10
     # Lloyd clustering stops after this many sweeps at the latest

@@ -25,13 +25,6 @@ class NumericalError(WassnetError):
         self.payload = payload
 
 
-class NegligibleMassCell(NumericalError):
-    """A truncation cell carries less mass than the configured floor.
-
-    Callers building signatures catch this and drop the cell.
-    """
-
-
 class FixedPointError(NumericalError):
     """The quantizer fixed point did not converge; residual attached."""
 

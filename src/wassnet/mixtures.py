@@ -3,8 +3,8 @@
 Gaussian mixtures are reduced by seeded k-means++ / Lloyd clustering of the
 component means followed by per-cluster moment matching, certified by the
 mixture-level transport bound.  Dropout layers turn an atom set into a
-mixture of masked copies; that mixture is expanded explicitly on a chosen
-subset of mask dimensions and the discarded mask randomness is charged with
+mixture of masked copies; that mixture is expanded explicitly on the
+heaviest mask dimensions and the discarded mask randomness is charged with
 a closed-form W2 bound.
 """
 
@@ -23,32 +23,25 @@ from .transport import mw2
 __all__ = [
     "DiscreteDistribution",
     "CompressionResult",
-    "BernoulliMixture",
     "compress_gmm",
-    "expand_dropout",
     "compress_dropout",
-    "mixture_from_atoms",
     "as_gaussian_mixture",
 ]
-
-
-def mixture_from_atoms(atoms) -> GaussianMixture:
-    """Zero-covariance Gaussian mixture with one component per atom."""
-    zero = np.zeros(atoms.dim)
-    return GaussianMixture(atoms.weights,
-                           tuple(Gaussian(loc, zero)
-                                 for loc in atoms.locations))
 
 
 def as_gaussian_mixture(approx) -> GaussianMixture:
     """A ``propagate`` output as a Gaussian mixture.
 
-    Mixtures pass through; atom sets become zero-covariance mixtures.
+    Mixtures pass through; atom sets become zero-covariance mixtures with
+    one component per atom.
     """
     if isinstance(approx, GaussianMixture):
         return approx
     if isinstance(approx, DiscreteDistribution):
-        return mixture_from_atoms(approx)
+        zero = np.zeros(approx.dim)
+        return GaussianMixture(approx.weights,
+                               tuple(Gaussian(loc, zero)
+                                     for loc in approx.locations))
     raise ParseError("unsupported approximation type")
 
 
@@ -72,7 +65,7 @@ class DiscreteDistribution:
             raise ParseError("negative atom weight")
         w = np.maximum(w, 0.0)
         total = float(w.sum())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:  # also rejects NaN weights
             raise ParseError(f"atom weights sum to {total}, not 1")
         object.__setattr__(self, "locations", _readonly(loc))
         object.__setattr__(self, "weights", _readonly(w / total))
@@ -85,10 +78,6 @@ class DiscreteDistribution:
     def dim(self) -> int:
         return self.locations.shape[1]
 
-    def second_moment(self) -> float:
-        """``E[|z|^2]`` of the atom distribution."""
-        return float(self.weights @ np.sum(np.square(self.locations), axis=1))
-
     def to_dict(self) -> dict:
         return {"locations": self.locations.tolist(),
                 "weights": self.weights.tolist()}
@@ -99,7 +88,7 @@ class DiscreteDistribution:
             return DiscreteDistribution(
                 np.asarray(d["locations"], dtype=float),
                 np.asarray(d["weights"], dtype=float))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed discrete distribution: {exc}") from exc
 
 
@@ -236,109 +225,28 @@ def compress_gmm(g, m: int, seed: int) -> CompressionResult:
     return CompressionResult(compressed, bound, compact)
 
 
-@dataclass(frozen=True)
-class BernoulliMixture:
-    """Atom set under an independent keep/drop mask on selected dimensions.
-
-    Each base atom spawns masked copies: every dimension in ``active_dims``
-    is kept with probability ``keep_prob`` (independently) and zeroed
-    otherwise, while all remaining dimensions are always kept.  With
-    ``blocks > 1`` an atom stacks that many equal-length segments and one
-    shared mask is applied to every segment, so the mask length is
-    ``dim / blocks``.  The implied support size is ``N * 2^len(active_dims)``.
-    """
-
-    base: DiscreteDistribution
-    keep_prob: float
-    active_dims: tuple
-    blocks: int = 1
-
-    def __post_init__(self):
-        if not (0.0 <= self.keep_prob <= 1.0):
-            raise ParseError("keep probability must lie in [0, 1]")
-        if not (isinstance(self.blocks, (int, np.integer)) and self.blocks >= 1):
-            raise ParseError("blocks must be a positive integer")
-        if self.base.dim % self.blocks != 0:
-            raise ParseError("atom dimension is not divisible by blocks")
-        n = self.base.dim // self.blocks
-        dims = tuple(sorted(int(d) for d in self.active_dims))
-        if len(set(dims)) != len(dims):
-            raise ParseError("active dimensions must be distinct")
-        if dims and not (0 <= dims[0] and dims[-1] < n):
-            raise ParseError(f"active dimensions must lie in [0, {n})")
-        object.__setattr__(self, "keep_prob", float(self.keep_prob))
-        object.__setattr__(self, "active_dims", dims)
-        object.__setattr__(self, "blocks", int(self.blocks))
-
-    @property
-    def mask_dim(self) -> int:
-        """Number of maskable dimensions per block."""
-        return self.base.dim // self.blocks
-
-    @property
-    def support_size(self) -> int:
-        return self.base.size * (2 ** len(self.active_dims))
-
-    def expand(self) -> DiscreteDistribution:
-        """Explicit atom set over all mask outcomes on the active dimensions.
-
-        Outcome weights are the Bernoulli products
-        ``keep_prob^kept * (1-keep_prob)^dropped``; exactly-zero outcomes
-        (keep probability 0 or 1) are omitted.
-        """
-        k = len(self.active_dims)
-        theta = self.keep_prob
-        if k == 0:
-            return self.base
-        bits = np.array(np.meshgrid(*([np.array([0.0, 1.0])] * k),
-                                    indexing="ij")).reshape(k, -1).T
-        kept = bits.sum(axis=1)
-        mask_w = theta ** kept * (1.0 - theta) ** (k - kept)
-        masks = np.ones((bits.shape[0], self.mask_dim))
-        masks[:, list(self.active_dims)] = bits
-        masks = np.tile(masks, (1, self.blocks))
-        locations = (self.base.locations[:, None, :] * masks[None, :, :])
-        weights = self.base.weights[:, None] * mask_w[None, :]
-        locations = locations.reshape(-1, self.base.dim)
-        weights = weights.reshape(-1)
-        keep = weights > 0.0
-        return DiscreteDistribution(locations[keep], weights[keep])
-
-
-def expand_dropout(base: DiscreteDistribution, theta: float,
-                   dim_cap: int = TOL.dropout_expand_cap,
-                   blocks: int = 1) -> DiscreteDistribution:
-    """Apply an independent keep/drop mask to every atom, fully expanded.
-
-    Every maskable dimension is active, so each atom spawns ``2^n`` masked
-    copies (``n = dim / blocks``); expansions beyond ``dim_cap`` outcomes
-    per atom are rejected with advice to use :func:`compress_dropout`.
-    """
-    if not isinstance(base, DiscreteDistribution):
-        raise ParseError("base must be a DiscreteDistribution")
-    if blocks < 1 or base.dim % blocks != 0:
-        raise ParseError("atom dimension is not divisible by blocks")
-    n = base.dim // blocks
-    if 2 ** n > dim_cap:
-        raise ParseError(
-            f"full mask expansion has 2^{n} outcomes per atom, above the cap "
-            f"{dim_cap}; use compress_dropout for a bounded-size result")
-    mixture = BernoulliMixture(base, theta, tuple(range(n)), blocks)
-    return mixture.expand()
-
-
 def compress_dropout(base: DiscreteDistribution, theta: float, m: int,
                      blocks: int = 1):
     """Keep mask randomness only on the ``log2(m)`` heaviest dimensions.
 
     Dimensions are ranked by the mass-weighted squared magnitude of the atom
-    coordinates (summed over blocks); the rest are forced to "keep".  Returns
-    ``(compressed, w2_bound)`` where the bound charges the discarded mask
-    randomness: ``bound^2 = (1-theta) * sum_j pi_j * sum_{d inactive}
-    c_{j,d}^2``.
+    coordinates (summed over blocks); the rest are forced to "keep".  Each
+    atom spawns ``m`` masked copies (atom-major), one per keep/drop outcome
+    on the active dimensions in binary counting order (the lowest active
+    dimension is the most significant bit), weighted by the Bernoulli
+    product ``theta^kept * (1-theta)^dropped``; outcomes of weight exactly
+    zero (``theta`` 0 or 1) are omitted.  With ``blocks > 1`` an atom stacks
+    that many equal-length segments and one mask is shared by all of them,
+    so the mask length is ``n = dim / blocks`` and ``m = 2^n`` gives the
+    full expansion.  Returns ``(compressed, w2_bound)`` where the bound
+    charges the discarded mask randomness: ``bound^2 = (1-theta) * sum_j
+    pi_j * sum_{d inactive} c_{j,d}^2``.
     """
     if not isinstance(base, DiscreteDistribution):
         raise ParseError("base must be a DiscreteDistribution")
+    if not (0.0 <= theta <= 1.0):
+        raise ParseError("keep probability must lie in [0, 1]")
+    theta = float(theta)
     if blocks < 1 or base.dim % blocks != 0:
         raise ParseError("atom dimension is not divisible by blocks")
     n = base.dim // blocks
@@ -353,10 +261,21 @@ def compress_dropout(base: DiscreteDistribution, theta: float, m: int,
     sq = np.square(base.locations).reshape(base.size, blocks, n)
     scores = base.weights @ sq.sum(axis=1)
     order = np.argsort(-scores, kind="stable")
-    active = tuple(sorted(int(d) for d in order[:k]))
+    active = sorted(int(d) for d in order[:k])
     inactive = [d for d in range(n) if d not in active]
-    mixture = BernoulliMixture(base, theta, active, blocks)
     discarded = float(base.weights @ sq[:, :, inactive].sum(axis=(1, 2))) \
         if inactive else 0.0
-    bound = math.sqrt((1.0 - float(theta)) * discarded)
-    return mixture.expand(), bound
+    bound = math.sqrt((1.0 - theta) * discarded)
+    if k == 0:
+        return base, bound
+    bits = np.array(np.meshgrid(*([np.array([0.0, 1.0])] * k),
+                                indexing="ij")).reshape(k, -1).T
+    kept = bits.sum(axis=1)
+    mask_w = theta ** kept * (1.0 - theta) ** (k - kept)
+    masks = np.ones((bits.shape[0], n))
+    masks[:, active] = bits
+    masks = np.tile(masks, (1, blocks))
+    locations = (base.locations[:, None, :] * masks).reshape(-1, base.dim)
+    weights = (base.weights[:, None] * mask_w).reshape(-1)
+    keep = weights > 0.0
+    return DiscreteDistribution(locations[keep], weights[keep]), bound

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -24,6 +23,7 @@ from .stats import (
     Gaussian,
     GaussianMixture,
     _readonly,
+    _std_pdf,
     as_mixture,
     standard_truncated_moments,
 )
@@ -103,12 +103,13 @@ class Quantizer1D:
 
 
 def _centroid_map(loc: np.ndarray):
-    """One centroid sweep: cell masses and truncated means at midpoints."""
+    """One centroid sweep: cell edges at the midpoints and the cells'
+    truncated masses, means and variances."""
     mid = 0.5 * (loc[1:] + loc[:-1])
     lo = np.concatenate(([-np.inf], mid))
     hi = np.concatenate((mid, [np.inf]))
-    mass, mean, _ = standard_truncated_moments(lo, hi)
-    return lo, hi, mass, mean
+    mass, mean, var = standard_truncated_moments(lo, hi)
+    return lo, hi, mass, mean, var
 
 
 def _newton_accelerate(loc: np.ndarray, target: float,
@@ -125,7 +126,7 @@ def _newton_accelerate(loc: np.ndarray, target: float,
     best_res = math.inf
     stall = 0
     for _ in range(max_steps):
-        lo, hi, mass, mean = _centroid_map(loc)
+        lo, hi, mass, mean, _ = _centroid_map(loc)
         resid = mean - loc
         res = float(np.max(np.abs(resid)))
         if res < best_res:
@@ -136,14 +137,8 @@ def _newton_accelerate(loc: np.ndarray, target: float,
             stall += 1
         if best_res < target or stall >= 5:
             break
-        phi_lo = np.where(np.isfinite(lo),
-                          np.exp(-0.5 * np.square(np.where(np.isfinite(lo),
-                                                           lo, 0.0)))
-                          / math.sqrt(2.0 * math.pi), 0.0)
-        phi_hi = np.where(np.isfinite(hi),
-                          np.exp(-0.5 * np.square(np.where(np.isfinite(hi),
-                                                           hi, 0.0)))
-                          / math.sqrt(2.0 * math.pi), 0.0)
+        phi_lo = _std_pdf(lo)
+        phi_hi = _std_pdf(hi)
         d_lo = np.zeros_like(loc)
         d_hi = np.zeros_like(loc)
         fin_lo = np.isfinite(lo)
@@ -202,10 +197,7 @@ def solve_quantizer_1d(n: int,
     loc = _newton_accelerate(loc, target=max(0.25 * tol, 5e-16))
     delta = math.inf
     for _ in range(int(max_iters)):
-        mid = 0.5 * (loc[1:] + loc[:-1])
-        lo = np.concatenate(([-np.inf], mid))
-        hi = np.concatenate((mid, [np.inf]))
-        _, mean, _ = standard_truncated_moments(lo, hi)
+        _, _, _, mean, _ = _centroid_map(loc)
         new = 0.5 * (mean - mean[::-1])  # enforce symmetry about 0
         delta = float(np.max(np.abs(new - loc)))
         loc = new
@@ -218,10 +210,7 @@ def solve_quantizer_1d(n: int,
             residual=delta,
         )
 
-    mid = 0.5 * (loc[1:] + loc[:-1])
-    lo = np.concatenate(([-np.inf], mid))
-    hi = np.concatenate((mid, [np.inf]))
-    mass, mean, var = standard_truncated_moments(lo, hi)
+    _, _, mass, mean, var = _centroid_map(loc)
     w2sq = float(np.sum(mass * (var + np.square(mean - loc))))
     if not np.all(np.diff(loc) > 0):
         raise NumericalError(f"quantizer locations collapsed for N={n}")
@@ -460,20 +449,19 @@ class ComponentCells:
 
 @dataclass(frozen=True)
 class Signature:
-    """Weighted atoms approximating a distribution, with optional cell data.
+    """Weighted atoms approximating a distribution, with their cell data.
 
     Atoms are grouped by generating mixture component in component order;
-    ``cells`` (when present) holds one :class:`ComponentCells` per component,
-    aligned with the atom blocks.  Signatures without cell metadata are
-    "unstructured" and support only global-Lipschitz error bounds.
+    ``cells`` holds one :class:`ComponentCells` per component, aligned with
+    the atom blocks, and ``component_w2sq`` the squared distortion of each
+    component's block.
     """
 
     locations: np.ndarray
     weights: np.ndarray
-    component_weights: np.ndarray = None
-    component_w2sq: np.ndarray = None
-    cells: tuple = None
-    meta: dict = field(default_factory=dict)
+    component_weights: np.ndarray
+    component_w2sq: np.ndarray
+    cells: tuple
 
     def __post_init__(self):
         loc = np.asarray(self.locations, dtype=float)
@@ -490,17 +478,14 @@ class Signature:
         w = np.maximum(w, 0.0) / np.maximum(w, 0.0).sum()
         object.__setattr__(self, "locations", _readonly(loc))
         object.__setattr__(self, "weights", _readonly(w))
-        if self.component_weights is not None:
-            object.__setattr__(
-                self, "component_weights",
-                _readonly(np.asarray(self.component_weights, dtype=float)))
-        if self.component_w2sq is not None:
-            object.__setattr__(
-                self, "component_w2sq",
-                _readonly(np.asarray(self.component_w2sq, dtype=float)))
-        if self.cells is not None:
-            if sum(c.size for c in self.cells) != loc.shape[0]:
-                raise ParseError("cell blocks must cover exactly all atoms")
+        object.__setattr__(
+            self, "component_weights",
+            _readonly(np.asarray(self.component_weights, dtype=float)))
+        object.__setattr__(
+            self, "component_w2sq",
+            _readonly(np.asarray(self.component_w2sq, dtype=float)))
+        if sum(c.size for c in self.cells) != loc.shape[0]:
+            raise ParseError("cell blocks must cover exactly all atoms")
 
     @property
     def size(self) -> int:
@@ -511,52 +496,10 @@ class Signature:
         return int(self.locations.shape[1])
 
     @property
-    def atom_component_index(self) -> np.ndarray:
-        """Generating component index per atom (zeros when unstructured)."""
-        if self.cells is None:
-            return np.zeros(self.size, dtype=int)
-        return np.repeat(np.arange(len(self.cells)),
-                         [c.size for c in self.cells])
-
-    @property
     def w2_bound(self) -> float:
-        """Upper bound on W2 to the generating mixture (None if unknown)."""
-        if self.component_weights is None or self.component_w2sq is None:
-            return None
+        """Upper bound on W2 to the generating mixture."""
         return float(math.sqrt(max(0.0, float(
             np.dot(self.component_weights, self.component_w2sq)))))
-
-    def to_dict(self) -> dict:
-        meta = {k: v for k, v in self.meta.items()}
-        if self.component_weights is not None:
-            meta["component_weights"] = [float(v)
-                                         for v in self.component_weights]
-        if self.component_w2sq is not None:
-            meta["component_w2sq"] = [float(v) for v in self.component_w2sq]
-        return {
-            "locations": [[float(v) for v in row] for row in self.locations],
-            "weights": [float(v) for v in self.weights],
-            "meta": meta,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Signature":
-        try:
-            meta = dict(data.get("meta", {}))
-            cw = meta.pop("component_weights", None)
-            cd = meta.pop("component_w2sq", None)
-            return cls(
-                np.asarray(data["locations"], dtype=float),
-                np.asarray(data["weights"], dtype=float),
-                component_weights=None if cw is None else np.asarray(cw, float),
-                component_w2sq=None if cd is None else np.asarray(cd, float),
-                cells=None,
-                meta=meta,
-            )
-        except ParseError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed signature: {exc}") from exc
 
 
 def _component_grid(g: Gaussian, budget: int, table: QuantizerTable):
@@ -673,7 +616,6 @@ def signature_of_gaussian(g: Gaussian, budget: int, table: QuantizerTable):
         component_weights=np.array([1.0]),
         component_w2sq=np.array([cells.w2sq_total]),
         cells=(cells,),
-        meta={"pruned_mass": cells.pruned_mass},
     )
     return sig, float(w2sq_exact)
 
@@ -691,7 +633,6 @@ def signature_of_mixture(g, budget_per_component: int, table: QuantizerTable):
     comp_w = []
     comp_d = []
     cells = []
-    pruned = 0.0
     for pi, comp in zip(gm.weights, gm.components):
         if pi <= 0.0:
             continue
@@ -701,20 +642,15 @@ def signature_of_mixture(g, budget_per_component: int, table: QuantizerTable):
         comp_w.append(float(pi))
         comp_d.append(cells_i.w2sq_total)
         cells.append(cells_i)
-        pruned += float(pi) * cells_i.pruned_mass
     locations = np.concatenate([b[0] for b in blocks], axis=0)
     weights = np.concatenate([b[1] for b in blocks])
-    comp_w = np.asarray(comp_w)
-    comp_d = np.asarray(comp_d)
     sig = Signature(
         locations, weights,
-        component_weights=comp_w,
-        component_w2sq=comp_d,
+        component_weights=np.asarray(comp_w),
+        component_w2sq=np.asarray(comp_d),
         cells=tuple(cells),
-        meta={"pruned_mass": pruned},
     )
-    bound = math.sqrt(max(0.0, float(np.dot(comp_w, comp_d))))
-    return sig, float(bound)
+    return sig, sig.w2_bound
 
 
 # ---------------------------------------------------------------------------
@@ -782,20 +718,12 @@ def activation_signature_w2_bound(sig: Signature, activation: str,
     With the global Lipschitz constant 1 (ReLU and tanh) the plain signature
     bound applies.  For ReLU the bound is refined: cells certified to lie in
     the dead zone (nonpositive orthant) contribute only their negligible-mass
-    tail.  Missing cell metadata falls back to the global bound with a
-    warning.  The returned value never exceeds the unrefined bound.
+    tail.  The returned value never exceeds the unrefined bound.
     """
     if activation not in _ACTIVATIONS:
         raise ParseError(
             f"unknown activation {activation!r}; expected one of {_ACTIVATIONS}")
-    if sig.component_weights is None or sig.component_w2sq is None:
-        raise ParseError("signature carries no per-component error data")
     unrefined = sig.w2_bound
-    if sig.cells is None:
-        warnings.warn(
-            "signature has no cell metadata; returning the global-Lipschitz "
-            "bound without refinement", RuntimeWarning, stacklevel=2)
-        return unrefined
     if activation == "tanh":
         return unrefined
 

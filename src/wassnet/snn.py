@@ -256,7 +256,6 @@ class PropagationConfig:
     signature_budget: int = 10
     compression_size: int = 5
     seed: int = 0
-    activation_refinement: bool = True
 
     def __post_init__(self):
         if not isinstance(self.table, QuantizerTable):
@@ -481,11 +480,11 @@ def propagate(model: SnnModel, points, cfg: PropagationConfig):
                 "compression size")
         sig, plain_bound = signature_of_mixture(
             res.compressed, cfg.signature_budget, cfg.table)
-        if activation_kind is not None and cfg.activation_refinement:
+        if activation_kind is None:
+            delta = plain_bound
+        else:
             delta = activation_signature_w2_bound(sig, activation_kind,
                                                   res.compressed)
-        else:
-            delta = plain_bound
         pending_compression += res.w2_bound
         pending_signature += delta
         atoms = DiscreteDistribution(sig.locations, sig.weights)

@@ -1,9 +1,9 @@
 """Exact probabilistic primitives.
 
-Gaussian and Gaussian-mixture containers, the standard-normal CDF, truncated
-and rectified Gaussian moments in one dimension, symmetric eigendecomposition
-with degeneracy handling, the closed-form 2-Wasserstein distance between
-Gaussians, and mixture second moments.
+Gaussian and Gaussian-mixture containers, moments of the standard normal
+truncated to intervals, symmetric eigendecomposition with degeneracy
+handling, the closed-form 2-Wasserstein distance between Gaussians, and
+mixture second moments.
 
 All values are immutable after construction and safe to share across threads.
 Covariances may be stored full (2-d array) or diagonal (1-d variance vector);
@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .config import TOL
-from .errors import NegligibleMassCell, NumericalError, ParseError
+from .errors import NumericalError, ParseError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -135,7 +135,7 @@ class Gaussian:
                                 np.asarray(cov["diag"], dtype=float))
             return Gaussian(np.asarray(d["mean"], dtype=float),
                             np.asarray(cov["full"], dtype=float))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed Gaussian object: {exc}") from exc
 
 
@@ -161,7 +161,7 @@ class GaussianMixture:
             raise ParseError("negative mixture weight")
         w = np.maximum(w, 0.0)
         total = float(w.sum())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:  # also rejects NaN weights
             raise ParseError(f"mixture weights sum to {total}, not 1")
         dims = {c.dim for c in comps}
         if len(dims) != 1:
@@ -198,25 +198,6 @@ class GaussianMixture:
                 out[take] = self.components[k].sample(int(take.sum()), rng)
         return out
 
-    def sample_stratified(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Sample with per-component counts pinned to ``n * weights``.
-
-        Largest-remainder rounding makes the component proportions
-        deterministic, removing the multinomial imbalance noise that
-        dominates empirical W2 estimates between well-separated modes; the
-        sampler remains consistent for the mixture distribution.  Rows are
-        shuffled so the output carries no component grouping.
-        """
-        target = n * self.weights
-        counts = np.floor(target).astype(int)
-        short = n - int(counts.sum())
-        if short > 0:
-            order = np.argsort(-(target - counts), kind="stable")
-            counts[order[:short]] += 1
-        parts = [comp.sample(int(c), rng)
-                 for c, comp in zip(counts, self.components) if c > 0]
-        return rng.permutation(np.concatenate(parts, axis=0), axis=0)
-
     def to_dict(self) -> dict:
         return {"weights": self.weights.tolist(),
                 "components": [c.to_dict() for c in self.components]}
@@ -226,7 +207,7 @@ class GaussianMixture:
         try:
             comps = tuple(Gaussian.from_dict(c) for c in d["components"])
             return GaussianMixture(np.asarray(d["weights"], dtype=float), comps)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed mixture object: {exc}") from exc
 
 
@@ -235,15 +216,6 @@ def as_mixture(g) -> GaussianMixture:
     if isinstance(g, GaussianMixture):
         return g
     return GaussianMixture(np.array([1.0]), (g,))
-
-
-@dataclass(frozen=True)
-class TruncatedMoments1D:
-    """Mass, conditional mean and conditional variance of a truncated normal."""
-
-    mass: float
-    mean: float
-    variance: float
 
 
 @dataclass(frozen=True)
@@ -267,24 +239,20 @@ class EigenBasis:
 # scalar normal machinery
 # ---------------------------------------------------------------------------
 
-def std_normal_cdf(x):
-    """Standard normal CDF.  Accepts scalars or arrays; saturates at 0/1."""
-    out = ndtr(x)
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
-
-
 def _std_pdf(x):
     return np.exp(-0.5 * np.square(x)) / _SQRT_2PI
 
 
-def _std_trunc_core(a, b):
-    """Vectorized (mass, mean, variance) of N(0,1) truncated to [a, b].
+def standard_truncated_moments(lo, hi):
+    """Vectorized (mass, mean, variance) of N(0,1) truncated to ``[lo, hi]``.
 
-    ``a``/``b`` may contain ``-inf``/``+inf``.  Inputs must satisfy a < b
-    elementwise.  No mass floor is applied here.
+    Accepts arrays of any matching shape; bounds may be ``±inf`` and must
+    satisfy ``lo <= hi`` elementwise.  Entries whose mass underflows to zero
+    get mean/variance ``0`` instead of NaN and are reported with mass ``0``
+    — callers decide how to treat empty cells.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a = np.asarray(lo, dtype=float)
+    b = np.asarray(hi, dtype=float)
     # complement form keeps precision in the right tail
     mass = np.where(a > 0.0, ndtr(-a) - ndtr(-b), ndtr(b) - ndtr(a))
     pa = _std_pdf(a)
@@ -292,78 +260,12 @@ def _std_trunc_core(a, b):
     with np.errstate(invalid="ignore"):
         apa = np.where(np.isinf(a), 0.0, a * pa)
         bpb = np.where(np.isinf(b), 0.0, b * pb)
-    safe = np.where(mass > 0.0, mass, 1.0)
+    full = mass > 0.0
+    safe = np.where(full, mass, 1.0)
     ratio = (pa - pb) / safe
-    mean = np.where(mass > 0.0, ratio, 0.5 * (np.clip(a, -1e308, 1e308)
-                                              + np.clip(b, -1e308, 1e308)))
     var = 1.0 + (apa - bpb) / safe - ratio * ratio
-    var = np.where(mass > 0.0, np.maximum(var, 0.0), 0.0)
-    return mass, mean, var
-
-
-def standard_truncated_moments(lo, hi):
-    """Vectorized (mass, mean, variance) of N(0,1) truncated to ``[lo, hi]``.
-
-    Accepts arrays of any matching shape; bounds may be ``±inf``.  Entries
-    whose mass underflows to zero get mean/variance ``0`` instead of NaN and
-    are reported with mass ``0`` — callers decide how to treat empty cells.
-    """
-    mass, mean, var = _std_trunc_core(lo, hi)
-    mass = np.maximum(mass, 0.0)
-    empty = ~(mass > 0.0)
-    if np.any(empty):
-        mean = np.where(empty, 0.0, mean)
-        var = np.where(empty, 0.0, var)
-        mass = np.where(empty, 0.0, mass)
-    return mass, mean, var
-
-
-def truncated_moments_1d(mu: float, var: float, lo: float, hi: float) -> TruncatedMoments1D:
-    """Closed-form moments of N(mu, var) conditioned on [lo, hi].
-
-    ``lo``/``hi`` may be ``-inf``/``+inf``; the untruncated case returns
-    ``(1, mu, var)`` exactly.  Cells whose mass falls below the configured
-    floor raise :class:`NegligibleMassCell` so callers can drop them.
-    """
-    if not var > 0.0:
-        raise ParseError("var must be positive")
-    if not lo < hi:
-        raise ParseError("need lo < hi")
-    if math.isinf(lo) and lo < 0 and math.isinf(hi):
-        return TruncatedMoments1D(1.0, float(mu), float(var))
-    s = math.sqrt(var)
-    a = (lo - mu) / s
-    b = (hi - mu) / s
-    mass, mean, v = _std_trunc_core(a, b)
-    mass = float(mass)
-    if mass < TOL.negligible_mass:
-        raise NegligibleMassCell(f"truncation cell [{lo}, {hi}] has mass {mass}")
-    return TruncatedMoments1D(mass, float(mu + s * mean), float(var * v))
-
-
-def rectified_moments_1d(mu: float, var: float, lo: float, hi: float):
-    """First and second moment of ``min(max(Z, lo), hi)`` for Z ~ N(mu, var).
-
-    Combines boundary atoms at ``lo`` and ``hi`` with the truncated moments
-    of the interior.  Bounds may be infinite, in which case the corresponding
-    atom vanishes.  Returns ``(first_moment, second_moment)``.
-    """
-    if not var > 0.0:
-        raise ParseError("var must be positive")
-    if not lo < hi:
-        raise ParseError("need lo < hi")
-    s = math.sqrt(var)
-    p_lo = float(ndtr((lo - mu) / s)) if math.isfinite(lo) else 0.0
-    p_hi = float(ndtr(-(hi - mu) / s)) if math.isfinite(hi) else 0.0
-    m1 = (lo * p_lo if p_lo else 0.0) + (hi * p_hi if p_hi else 0.0)
-    m2 = (lo * lo * p_lo if p_lo else 0.0) + (hi * hi * p_hi if p_hi else 0.0)
-    try:
-        interior = truncated_moments_1d(mu, var, lo, hi)
-    except NegligibleMassCell:
-        return m1, m2
-    m1 += interior.mass * interior.mean
-    m2 += interior.mass * (interior.variance + interior.mean ** 2)
-    return m1, m2
+    return (np.where(full, mass, 0.0), np.where(full, ratio, 0.0),
+            np.where(full, np.maximum(var, 0.0), 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ __all__ = [
     "TransportPlan",
     "solve_discrete_ot",
     "mw2",
-    "discrete_w2",
     "empirical_w2",
     "relative_w2",
 ]
@@ -165,14 +164,6 @@ def mw2(p, q):
     cost = gaussian_w2_sq_matrix(pm.components, qm.components)
     plan = solve_discrete_ot(cost, pm.weights, qm.weights)
     return math.sqrt(max(plan.cost, 0.0)), plan
-
-
-def discrete_w2(xs, x_weights, ys, y_weights) -> float:
-    """Exact W2 between two weighted atom sets (squared-Euclidean cost)."""
-    cost = _pairwise_sq_dists(xs, ys)
-    plan = solve_discrete_ot(cost, np.asarray(x_weights, dtype=float),
-                             np.asarray(y_weights, dtype=float))
-    return math.sqrt(max(plan.cost, 0.0))
 
 
 def empirical_w2(xs, ys) -> float:

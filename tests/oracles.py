@@ -4,10 +4,12 @@ Everything here deliberately avoids the library's own code paths: moments are
 computed by adaptive quadrature of the normal density, optimal transport by a
 generic exact LP solver and, independently of any LP solver, by enumerating
 the vertices of tiny transportation polytopes or by an assignment problem,
-the 1-d Gaussian W2 by quantile coupling, and the scalar quantizer by a
-from-scratch fixed point driven by quadrature.  The batched Gaussian W2
-cost matrix is checked against the per-pair formula it replaced, which
-shares ``psd_sqrt`` with the library.
+the 1-d Gaussian W2 by quantile coupling, the scalar quantizer by a
+from-scratch fixed point driven by quadrature, and the full dropout-mask
+expansion by enumerating every mask.  The batched Gaussian W2 cost matrix
+is checked against the per-pair formula it replaced, which shares
+``psd_sqrt`` with the library.  Exact W2 between atom sets and stratified
+mixture samples serve as references for the compression bounds.
 """
 
 import itertools
@@ -30,19 +32,6 @@ def quad_truncated_moments(mu, var, lo, hi):
     m2, _ = integrate.quad(lambda z: z * z * f(z), lo, hi, limit=200)
     mean = m1 / mass
     return mass, mean, m2 / mass - mean * mean
-
-
-def quad_rectified_moments(mu, var, lo, hi):
-    """Moments of min(max(Z, lo), hi) by quadrature plus boundary atoms."""
-    f = lambda z: npdf(z, mu, var)
-    s = math.sqrt(var)
-    p_lo, _ = integrate.quad(f, mu - 14 * s, lo, limit=200) if lo > mu - 14 * s else (0.0, 0.0)
-    p_hi, _ = integrate.quad(f, hi, mu + 14 * s, limit=200) if hi < mu + 14 * s else (0.0, 0.0)
-    m1_in, _ = integrate.quad(lambda z: z * f(z), max(lo, mu - 14 * s), min(hi, mu + 14 * s), limit=200)
-    m2_in, _ = integrate.quad(lambda z: z * z * f(z), max(lo, mu - 14 * s), min(hi, mu + 14 * s), limit=200)
-    m1 = lo * p_lo + hi * p_hi + m1_in
-    m2 = lo * lo * p_lo + hi * hi * p_hi + m2_in
-    return m1, m2
 
 
 def quantile_coupling_w2_1d(mu1, var1, mu2, var2):
@@ -108,6 +97,47 @@ def sample_network_oracle(model, points, n_samples, seed):
                 z = z * mask
         out[row] = z.reshape(-1)
     return out
+
+
+def dropout_expansion_oracle(locations, weights, theta, blocks=1):
+    """Full dropout-mask expansion of weighted atoms, by brute force.
+
+    Every atom is paired with every keep/drop mask over its ``n = dim /
+    blocks`` maskable coordinates, in ``itertools.product`` order, and one
+    mask applies to all ``blocks`` segments.  The pair's weight is the atom
+    weight times ``theta`` per kept and ``1 - theta`` per dropped
+    coordinate; pairs of weight exactly zero are left out.  Returns
+    ``(locations, weights)``.
+    """
+    locations = np.asarray(locations, dtype=float)
+    n = locations.shape[1] // blocks
+    out_loc, out_w = [], []
+    for loc, w in zip(locations, weights):
+        for mask in itertools.product((0, 1), repeat=n):
+            p = float(w)
+            for bit in mask:
+                p *= theta if bit else 1.0 - theta
+            if p > 0.0:
+                out_loc.append(loc * np.tile(mask, blocks))
+                out_w.append(p)
+    return np.array(out_loc), np.array(out_w)
+
+
+def discrete_w2(xs, x_weights, ys, y_weights):
+    """Exact W2 between two weighted atom sets (squared-Euclidean cost).
+
+    The costs are direct differences; the transportation LP is the
+    library's ``solve_discrete_ot``, which the transport tests check
+    against solver-independent oracles.
+    """
+    from wassnet.transport import solve_discrete_ot
+
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    cost = np.sum(np.square(xs[:, None, :] - ys[None, :, :]), axis=-1)
+    plan = solve_discrete_ot(cost, np.asarray(x_weights, dtype=float),
+                             np.asarray(y_weights, dtype=float))
+    return math.sqrt(max(plan.cost, 0.0))
 
 
 def _transport_constraints(m, n):
@@ -240,6 +270,26 @@ def mc_mean_se(values):
     return float(values.mean()), float(se)
 
 
+def sample_stratified(g, n, rng):
+    """Sample a Gaussian mixture with per-component counts pinned to ``n * weights``.
+
+    Largest-remainder rounding makes the component proportions
+    deterministic, removing the multinomial imbalance noise that
+    dominates empirical W2 estimates between well-separated modes; the
+    sampler remains consistent for the mixture distribution.  Rows are
+    shuffled so the output carries no component grouping.
+    """
+    target = n * g.weights
+    counts = np.floor(target).astype(int)
+    short = n - int(counts.sum())
+    if short > 0:
+        order = np.argsort(-(target - counts), kind="stable")
+        counts[order[:short]] += 1
+    parts = [comp.sample(int(c), rng)
+             for c, comp in zip(counts, g.components) if c > 0]
+    return rng.permutation(np.concatenate(parts, axis=0), axis=0)
+
+
 def stratified_w2_batches(p, q, n, k, rng):
     """Mean and SE of empirical W2 over k fresh stratified sample pairs.
 
@@ -249,6 +299,6 @@ def stratified_w2_batches(p, q, n, k, rng):
     """
     from wassnet.transport import empirical_w2
 
-    vals = [empirical_w2(p.sample_stratified(n, rng),
-                         q.sample_stratified(n, rng)) for _ in range(k)]
+    vals = [empirical_w2(sample_stratified(p, n, rng),
+                         sample_stratified(q, n, rng)) for _ in range(k)]
     return mc_mean_se(vals)

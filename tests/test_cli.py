@@ -191,6 +191,21 @@ class TestApproximate:
         assert code == 3
         assert "nope.json" in err
 
+    @pytest.mark.parametrize("points", ["[[0.1], [0.2, 0.3]]", '[["a"]]',
+                                        '{"x": 1}'],
+                             ids=["ragged", "string", "object"])
+    def test_malformed_numeric_points_json(self, tmp_path, table_file,
+                                           capsys, points):
+        path = tmp_path / "bad_points.json"
+        path.write_text(points)
+        code, _, err = run_cli(
+            ["approximate", "--model", str(DATA / "model_1_16_1_tanh.json"),
+             "--points", str(path), "--table", table_file,
+             "--out-gmm", str(tmp_path / "g.json"),
+             "--out-ledger", str(tmp_path / "l.json")], capsys)
+        assert code == 3
+        assert err.startswith("error:") and "bad_points.json" in err
+
     def test_negative_seed_rejected(self, tmp_path, table_file, capsys):
         code, _, err = run_cli(
             ["approximate", "--model", str(DATA / "model_1_16_1_tanh.json"),
@@ -327,6 +342,29 @@ class TestMw2:
             ["mw2", "--gmm-a", str(DATA / "gmm_pair_a.json"),
              "--gmm-b", str(path)], capsys)
         assert code == 3
+
+    @pytest.mark.parametrize("field,value", [
+        ("weights", ["x"]), ("mean", ["a"]), ("mean", [[0.1], [0.2, 0.3]]),
+        ("diag", ["v"]), ("weights", [math.nan, math.nan])],
+        ids=["weights-string", "mean-string", "mean-ragged", "diag-string",
+             "weights-nan"])
+    def test_malformed_numeric_mixture_json(self, tmp_path, capsys, field,
+                                            value):
+        data = json.loads((DATA / "gmm_pair_a.json").read_text())
+        if field == "weights":
+            data["weights"] = value
+        elif field == "mean":
+            data["components"][0]["mean"] = value
+        else:
+            data["components"][0]["cov"] = {"diag": value}
+        path = tmp_path / "bad_gmm.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(
+            ["mw2", "--gmm-a", str(path),
+             "--gmm-b", str(DATA / "gmm_pair_b.json")], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestTunePrior:

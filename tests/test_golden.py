@@ -1,12 +1,16 @@
 """Golden outputs of ``propagate`` on two fixed networks and of one ``tune``.
 
 ``tests/data/golden_propagate.json`` holds the mixture and ledger of each
-case below, recorded with an independent implementation of the
-transportation LP (a pure-Python network simplex) and of the eigen-block
-split (a union-find).  Refactors of the pipeline must reproduce the
-mixtures exactly and every ledger term within 1e-12 relative.  The second
-case has two tanh hidden layers, so it runs ``compress_gmm``, ``mw2`` and
-a multi-row, multi-column transportation LP.
+case below.  The first two were recorded with an independent
+implementation of the transportation LP (a pure-Python network simplex)
+and of the eigen-block split (a union-find).  Refactors of the pipeline
+must reproduce the mixtures exactly and every ledger term within 1e-12
+relative.  The second case has two tanh hidden layers, so it runs
+``compress_gmm``, ``mw2`` and a multi-row, multi-column transportation
+LP.  The third has ReLU hidden layers, each followed by ``Dropout(0.9)``,
+so it also runs the ReLU signature refinement (which leaves this
+case's bound unchanged) and the truncated dropout expansion; it was
+recorded before that expansion moved into ``compress_dropout``.
 
 ``tests/data/golden_tune.json`` holds the report of a short ``tune`` run,
 recorded before the assignment solve started from reduced costs and
@@ -27,7 +31,7 @@ import pytest
 
 from wassnet.priortune import GpTarget, tune
 from wassnet.quantizer import build_table
-from wassnet.snn import (Activation, PropagationConfig, SnnModel,
+from wassnet.snn import (Activation, Dropout, PropagationConfig, SnnModel,
                          StochasticLinear, propagate)
 
 DATA = Path(__file__).parent / "data"
@@ -37,8 +41,12 @@ TABLE_N = 128
 LEDGER_RTOL = 1e-12
 
 
-def _two_layer_tanh():
-    """Seeded 1-8-8-1 tanh net with NTK scaling and variance 0.05."""
+def _two_layer(kind, keep_prob=None):
+    """Seeded 1-8-8-1 net with NTK scaling and variance 0.05.
+
+    Each hidden layer ends in a ``kind`` activation, followed by
+    ``Dropout(keep_prob)`` when one is given.
+    """
     rng = np.random.default_rng(7)
     widths = (1, 8, 8, 1)
     layers = []
@@ -48,7 +56,9 @@ def _two_layer_tanh():
             rng.normal(scale=0.5, size=n_out), np.full(n_out, 0.05),
             ntk_scaling=True))
         if i < len(widths) - 2:
-            layers.append(Activation("tanh"))
+            layers.append(Activation(kind))
+            if keep_prob is not None:
+                layers.append(Dropout(keep_prob))
     return SnnModel(1, tuple(layers))
 
 
@@ -59,7 +69,9 @@ def _cases():
     points_5 = np.asarray(json.loads((DATA / "points_5.json").read_text()))
     return (
         ("model_1_16_1_tanh/points_5", model_1_16_1, points_5, 10, 5, 0),
-        ("tanh_1_8_8_1/seed_7", _two_layer_tanh(),
+        ("tanh_1_8_8_1/seed_7", _two_layer("tanh"),
+         np.linspace(-1.0, 1.0, 3).reshape(-1, 1), 10, 5, 3),
+        ("relu_dropout_1_8_8_1/seed_7", _two_layer("relu", keep_prob=0.9),
          np.linspace(-1.0, 1.0, 3).reshape(-1, 1), 10, 5, 3),
     )
 
@@ -99,6 +111,11 @@ def test_two_layer_case_exercises_compression():
     # the golden only guards the LP if compression actually ran
     records = _golden()["tanh_1_8_8_1/seed_7"]["ledger"]["records"]
     assert any(r["compression_term"] > 0.0 for r in records)
+    # and the dropout expansion only if masks were truncated: the mixture
+    # ahead of the first dropout has one component, so its compression is
+    # free and the whole k=2 compression term is the dropout bound
+    records = _golden()["relu_dropout_1_8_8_1/seed_7"]["ledger"]["records"]
+    assert records[1]["k"] == 2 and records[1]["compression_term"] > 0.0
 
 
 def _tune_report(table):

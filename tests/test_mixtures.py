@@ -7,18 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wassnet import Gaussian, GaussianMixture, gaussian_w2
+from wassnet import Gaussian, GaussianMixture, gaussian_w2, \
+    mixture_second_moment
 from wassnet.errors import ParseError
 from wassnet.mixtures import (
-    BernoulliMixture,
     DiscreteDistribution,
+    as_gaussian_mixture,
     compress_dropout,
     compress_gmm,
-    expand_dropout,
 )
-from wassnet.transport import discrete_w2
 
-from oracles import stratified_w2_batches
+from oracles import (discrete_w2, dropout_expansion_oracle,
+                     stratified_w2_batches)
 
 
 def _random_mixture(rng, size, dim, mean_scale=3.0):
@@ -38,7 +38,10 @@ class TestDiscreteDistribution:
         np.testing.assert_array_equal(back.locations, d.locations)
         np.testing.assert_array_equal(back.weights, d.weights)
         assert d.size == 2 and d.dim == 2
-        assert d.second_moment() == pytest.approx(0.25 * 1 + 0.75 * 4)
+        mixture = as_gaussian_mixture(d)
+        np.testing.assert_array_equal(mixture.weights, d.weights)
+        assert mixture_second_moment(mixture) == pytest.approx(
+            0.25 * 1 + 0.75 * 4)
 
     def test_validation(self):
         with pytest.raises(ParseError):
@@ -50,7 +53,15 @@ class TestDiscreteDistribution:
         with pytest.raises(ParseError):
             DiscreteDistribution(np.full((1, 1), np.inf), np.array([1.0]))
         with pytest.raises(ParseError):
+            DiscreteDistribution(np.zeros((2, 1)), np.array([np.nan, 0.5]))
+        with pytest.raises(ParseError):
             DiscreteDistribution.from_dict({"locations": [[0.0]]})
+        with pytest.raises(ParseError):
+            DiscreteDistribution.from_dict({"locations": [["a"]],
+                                            "weights": [1.0]})
+        with pytest.raises(ParseError):
+            DiscreteDistribution.from_dict({"locations": [[0.0], [1.0, 2.0]],
+                                            "weights": [0.5, 0.5]})
 
 
 class TestCompressGmm:
@@ -162,24 +173,40 @@ class TestCompressGmm:
             compress_gmm(g, 0, seed=0)
 
 
+def _expand(base, theta, blocks=1):
+    """Full mask expansion: ``compress_dropout`` at its full budget 2^n."""
+    out, bound = compress_dropout(base, theta, 2 ** (base.dim // blocks),
+                                  blocks=blocks)
+    assert bound == 0.0
+    return out
+
+
+def _exact_w2(base, theta, comp):
+    """Exact W2 between the brute-force full expansion and ``comp``."""
+    locations, weights = dropout_expansion_oracle(base.locations,
+                                                  base.weights, theta)
+    return discrete_w2(locations, weights, comp.locations, comp.weights)
+
+
 class TestExpandDropout:
     def test_keep_probability_one_returns_base(self):
         base = DiscreteDistribution(np.array([[1.0, -2.0], [3.0, 0.5]]),
                                     np.array([0.4, 0.6]))
-        out = expand_dropout(base, 1.0)
+        out = _expand(base, 1.0)
         np.testing.assert_array_equal(out.locations, base.locations)
         np.testing.assert_array_equal(out.weights, base.weights)
 
     def test_keep_probability_zero_collapses_to_origin(self):
         base = DiscreteDistribution(np.array([[1.0, -2.0], [3.0, 0.5]]),
                                     np.array([0.4, 0.6]))
-        out = expand_dropout(base, 0.0)
+        out = _expand(base, 0.0)
+        assert out.size == 2
         assert np.all(out.locations == 0.0)
         assert out.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_two_dim_enumeration(self):
         base = DiscreteDistribution(np.array([[1.0, 2.0]]), np.array([1.0]))
-        out = expand_dropout(base, 0.5)
+        out = _expand(base, 0.5)
         got = {tuple(row) for row in out.locations}
         assert got == {(1.0, 2.0), (1.0, 0.0), (0.0, 2.0), (0.0, 0.0)}
         np.testing.assert_allclose(out.weights, 0.25)
@@ -188,7 +215,7 @@ class TestExpandDropout:
         base = DiscreteDistribution(np.array([[1.0, 2.0, 3.0]]),
                                     np.array([1.0]))
         theta = 0.8
-        out = expand_dropout(base, theta)
+        out = _expand(base, theta)
         assert out.size == 8
         assert out.weights.sum() == pytest.approx(1.0, abs=1e-12)
         for loc, w in zip(out.locations, out.weights):
@@ -199,28 +226,41 @@ class TestExpandDropout:
     def test_mask_shared_across_blocks(self):
         base = DiscreteDistribution(np.array([[1.0, 2.0, 1.0, 2.0]]),
                                     np.array([1.0]))
-        out = expand_dropout(base, 0.5, blocks=2)
+        out = _expand(base, 0.5, blocks=2)
         got = {tuple(row) for row in out.locations}
         assert got == {(1.0, 2.0, 1.0, 2.0), (1.0, 0.0, 1.0, 0.0),
                        (0.0, 2.0, 0.0, 2.0), (0.0, 0.0, 0.0, 0.0)}
 
-    def test_cap_overflow_directs_to_compression(self):
-        base = DiscreteDistribution(np.zeros((1, 20)), np.array([1.0]))
-        with pytest.raises(ParseError, match="compress_dropout"):
-            expand_dropout(base, 0.5, dim_cap=1024)
+    def test_matches_brute_force_in_order(self):
+        # same atoms in the same order (atom-major, masks counting up from
+        # all-dropped), weights equal up to rounding; theta 0 and 1 leave
+        # out the zero-weight outcomes
+        rng = np.random.default_rng(8)
+        for theta in (0.0, 1.0, 0.3, 0.9):
+            for blocks in (1, 2, 3):
+                n = int(rng.integers(1, 4))
+                size = int(rng.integers(1, 4))
+                w = rng.random(size) + 0.1
+                base = DiscreteDistribution(
+                    rng.normal(size=(size, n * blocks)), w / w.sum())
+                out = _expand(base, theta, blocks=blocks)
+                locations, weights = dropout_expansion_oracle(
+                    base.locations, base.weights, theta, blocks)
+                np.testing.assert_array_equal(out.locations, locations)
+                np.testing.assert_allclose(out.weights, weights,
+                                           rtol=1e-14, atol=0.0)
 
     def test_invalid_inputs(self):
         base = DiscreteDistribution(np.zeros((1, 3)), np.array([1.0]))
         with pytest.raises(ParseError):
-            expand_dropout(base, 0.5, blocks=2)
+            compress_dropout(base, 0.5, 8, blocks=2)
         with pytest.raises(ParseError):
-            expand_dropout(np.zeros((1, 3)), 0.5)
-        with pytest.raises(ParseError):
-            BernoulliMixture(base, 1.5, (0,))
-        with pytest.raises(ParseError):
-            BernoulliMixture(base, 0.5, (0, 0))
-        with pytest.raises(ParseError):
-            BernoulliMixture(base, 0.5, (3,))
+            compress_dropout(np.zeros((1, 3)), 0.5, 8)
+        for theta in (1.5, -0.1, float("nan")):
+            with pytest.raises(ParseError, match="keep probability"):
+                compress_dropout(base, theta, 1)
+            with pytest.raises(ParseError, match="keep probability"):
+                compress_dropout(base, theta, 8)
 
 
 class TestCompressDropout:
@@ -229,9 +269,7 @@ class TestCompressDropout:
         base = DiscreteDistribution(rng.normal(size=(2, 3)), np.array([0.5, 0.5]))
         comp, bound = compress_dropout(base, 0.7, 8)
         assert bound == 0.0
-        full = expand_dropout(base, 0.7)
-        assert discrete_w2(comp.locations, comp.weights,
-                           full.locations, full.weights) <= 1e-12
+        assert _exact_w2(base, 0.7, comp) <= 1e-12
 
     def test_no_budget_keeps_atoms_with_closed_form_bound(self):
         rng = np.random.default_rng(1)
@@ -244,10 +282,7 @@ class TestCompressDropout:
             base.weights @ np.sum(base.locations ** 2, axis=1))
         assert bound ** 2 == pytest.approx(expected_sq, abs=1e-12)
         # the bound must dominate the exact W2 against the full expansion
-        full = expand_dropout(base, theta)
-        exact = discrete_w2(full.locations, full.weights,
-                            comp.locations, comp.weights)
-        assert exact <= bound + 1e-9
+        assert _exact_w2(base, theta, comp) <= bound + 1e-9
 
     def test_three_dim_single_atom_example(self):
         base = DiscreteDistribution(np.array([[10.0, 0.1, 0.1]]),
@@ -257,10 +292,7 @@ class TestCompressDropout:
         got = {tuple(np.round(row, 12)) for row in comp.locations}
         assert got == {(10.0, 0.1, 0.1), (0.0, 0.1, 0.1)}
         assert bound ** 2 == pytest.approx(0.1 * (0.01 + 0.01), abs=1e-15)
-        full = expand_dropout(base, 0.9)
-        exact = discrete_w2(full.locations, full.weights,
-                            comp.locations, comp.weights)
-        assert exact <= bound + 1e-9
+        assert _exact_w2(base, 0.9, comp) <= bound + 1e-9
 
     def test_ranking_uses_mass_weighted_squared_magnitude(self):
         # dimension 0 wins on aggregate mass even though dimension 1 holds
@@ -285,10 +317,7 @@ class TestCompressDropout:
             m = 2 ** int(rng.integers(0, n))
             comp, bound = compress_dropout(base, theta, m)
             assert comp.size <= base.size * m
-            full = expand_dropout(base, theta)
-            exact = discrete_w2(full.locations, full.weights,
-                                comp.locations, comp.weights)
-            assert exact <= bound + 1e-9
+            assert _exact_w2(base, theta, comp) <= bound + 1e-9
 
     def test_bound_nonincreasing_in_budget(self):
         rng = np.random.default_rng(3)
@@ -326,6 +355,6 @@ class TestCompressDropout:
         w = rng.random(size) + 0.1
         base = DiscreteDistribution(rng.normal(size=(size, n)), w / w.sum())
         theta = float(rng.uniform(0.05, 0.95))
-        out = expand_dropout(base, theta)
+        out = _expand(base, theta)
         assert out.size == size * 2 ** n
         assert out.weights.sum() == pytest.approx(1.0, abs=1e-9)

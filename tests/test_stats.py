@@ -9,15 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from wassnet import (Gaussian, GaussianMixture, NegligibleMassCell,
-                     NumericalError, ParseError, gaussian_w2,
-                     gaussian_w2_sq_matrix, mixture_second_moment, psd_sqrt,
-                     rectified_moments_1d, std_normal_cdf, symmetric_eig,
-                     truncated_moments_1d)
+from wassnet import (Gaussian, GaussianMixture, NumericalError, ParseError,
+                     gaussian_w2, gaussian_w2_sq_matrix, mixture_second_moment,
+                     psd_sqrt, standard_truncated_moments, symmetric_eig)
 from wassnet.stats import _symmetric_blocks
 
-from oracles import (gaussian_w2_pair_oracle, quad_rectified_moments,
-                     quad_truncated_moments, quantile_coupling_w2_1d)
+from oracles import (gaussian_w2_pair_oracle, quad_truncated_moments,
+                     quantile_coupling_w2_1d)
 
 
 def random_gaussian(rng, dim, diagonal=False, degenerate=False):
@@ -27,6 +25,19 @@ def random_gaussian(rng, dim, diagonal=False, degenerate=False):
     r = dim - 1 if degenerate and dim > 1 else dim
     f = rng.normal(size=(dim, r))
     return Gaussian(mean, f @ f.T)
+
+
+def truncated_moments(mu, var, lo, hi):
+    """(mass, mean, variance) of N(mu, var) on [lo, hi], computed by
+    ``standard_truncated_moments`` on the standardised window."""
+    s = math.sqrt(var)
+    mass, mean, v = standard_truncated_moments((lo - mu) / s, (hi - mu) / s)
+    return float(mass), float(mu + s * mean), float(var * v)
+
+
+def std_normal_cdf(x):
+    """Standard normal CDF as the mass of the window (-inf, x]."""
+    return standard_truncated_moments(-np.inf, x)[0]
 
 
 class TestStdNormalCdf:
@@ -54,22 +65,21 @@ class TestStdNormalCdf:
 
 class TestTruncatedMoments:
     def test_no_truncation(self):
-        t = truncated_moments_1d(0.3, 1.7, -np.inf, np.inf)
-        assert (t.mass, t.mean, t.variance) == (1.0, 0.3, 1.7)
+        assert standard_truncated_moments(-np.inf, np.inf) == (1.0, 0.0, 1.0)
+        assert truncated_moments(0.3, 1.7, -np.inf, np.inf) == (1.0, 0.3, 1.7)
 
     def test_half_line(self):
         # oracle: quadrature of z^k phi(z) over [0, inf)
-        t = truncated_moments_1d(0.0, 1.0, 0.0, np.inf)
-        assert abs(t.mass - 0.5) < 1e-15
-        assert abs(t.mean - 0.7978845608028654) < 1e-12
-        assert abs(t.variance - 0.36338022763241865) < 1e-12
+        mass, mean, var = standard_truncated_moments(0.0, np.inf)
+        assert abs(mass - 0.5) < 1e-15
+        assert abs(mean - 0.7978845608028654) < 1e-12
+        assert abs(var - 0.36338022763241865) < 1e-12
 
     def test_finite_window_against_quadrature(self):
-        t = truncated_moments_1d(2.0, 4.0, 1.0, 3.0)
-        mass, mean, var = quad_truncated_moments(2.0, 4.0, 1.0, 3.0)
-        assert abs(t.mass - mass) < 1e-10
-        assert abs(t.mean - mean) < 1e-10
-        assert abs(t.variance - var) < 1e-10
+        t = truncated_moments(2.0, 4.0, 1.0, 3.0)
+        oracle = quad_truncated_moments(2.0, 4.0, 1.0, 3.0)
+        for got, want in zip(t, oracle):
+            assert abs(got - want) < 1e-10
 
     def test_random_windows_against_quadrature(self):
         rng = np.random.default_rng(7)
@@ -84,23 +94,26 @@ class TestTruncatedMoments:
                 lo = -np.inf
             elif kind == 2:
                 hi = np.inf
-            t = truncated_moments_1d(mu, var, lo, hi)
-            mass, mean, v = quad_truncated_moments(
+            t = truncated_moments(mu, var, lo, hi)
+            oracle = quad_truncated_moments(
                 mu, var, lo if np.isfinite(lo) else mu - 14 * s,
                 hi if np.isfinite(hi) else mu + 14 * s)
-            assert abs(t.mass - mass) < 1e-9
-            assert abs(t.mean - mean) < 1e-9
-            assert abs(t.variance - v) < 1e-9
+            for got, want in zip(t, oracle):
+                assert abs(got - want) < 1e-9
 
     def test_negligible_mass_signal(self):
-        with pytest.raises(NegligibleMassCell):
-            truncated_moments_1d(0.0, 1.0, 40.0, 41.0)
+        # a window whose mass underflows is empty: mass, mean and variance 0
+        assert standard_truncated_moments(40.0, 41.0) == (0.0, 0.0, 0.0)
+        assert standard_truncated_moments(-np.inf, -40.0) == (0.0, 0.0, 0.0)
+        mass, mean, var = standard_truncated_moments(
+            np.array([40.0, 0.0]), np.array([41.0, np.inf]))
+        assert mass[0] == mean[0] == var[0] == 0.0
+        assert mass[1] == 0.5
 
     def test_preconditions(self):
-        with pytest.raises(ParseError):
-            truncated_moments_1d(0.0, 0.0, 0.0, 1.0)
-        with pytest.raises(ParseError):
-            truncated_moments_1d(0.0, 1.0, 2.0, 1.0)
+        # windows with lo >= hi hold no mass and are reported empty, not NaN
+        for lo, hi in ((1.0, 1.0), (2.0, 1.0), (-1.0, -2.0), (np.inf, np.inf)):
+            assert standard_truncated_moments(lo, hi) == (0.0, 0.0, 0.0)
 
     @settings(max_examples=50, deadline=None)
     @given(mu=st.floats(-5, 5), var=st.floats(0.01, 9.0),
@@ -115,49 +128,16 @@ class TestTruncatedMoments:
         for lo, hi in zip(edges[:-1], edges[1:]):
             if not lo < hi:
                 continue
-            try:
-                t = truncated_moments_1d(mu, var, lo, hi)
-            except NegligibleMassCell:
-                continue
-            total_mass += t.mass
-            total_mean += t.mass * t.mean
+            mass, mean, _ = truncated_moments(mu, var, lo, hi)
+            total_mass += mass
+            total_mean += mass * mean
         assert abs(total_mass - 1.0) < 1e-12
         assert abs(total_mean - mu) < 1e-9
 
     def test_symmetric_window_shrinks_variance(self):
         for half in (0.3, 1.0, 2.5):
-            t = truncated_moments_1d(1.0, 2.0, 1.0 - half, 1.0 + half)
-            assert t.variance <= 2.0
-
-
-class TestRectifiedMoments:
-    def test_inactive(self):
-        m1, m2 = rectified_moments_1d(0.0, 1.0, -1e6, 1e6)
-        assert abs(m1) < 1e-9
-        assert abs(m2 - 1.0) < 1e-9
-
-    def test_relu_mean(self):
-        # E[max(Z, 0)] = 1/sqrt(2 pi), by quadrature
-        m1, _ = rectified_moments_1d(0.0, 1.0, 0.0, 1e6)
-        assert abs(m1 - 0.3989422804014327) < 1e-9
-
-    def test_against_monte_carlo(self):
-        rng = np.random.default_rng(11)
-        z = rng.normal(1.0, 1.0, size=10**6)
-        clipped = np.clip(z, 0.0, 2.0)
-        m1, m2 = rectified_moments_1d(1.0, 1.0, 0.0, 2.0)
-        se1 = clipped.std() / 1000.0
-        se2 = (clipped ** 2).std() / 1000.0
-        assert abs(m1 - clipped.mean()) < 3 * se1
-        assert abs(m2 - (clipped ** 2).mean()) < 3 * se2
-
-    def test_against_quadrature(self):
-        for mu, var, lo, hi in [(1.0, 1.0, 0.0, 2.0), (-0.5, 2.0, -1.0, 0.5),
-                                (0.0, 0.3, -0.2, 4.0)]:
-            m1, m2 = rectified_moments_1d(mu, var, lo, hi)
-            q1, q2 = quad_rectified_moments(mu, var, lo, hi)
-            assert abs(m1 - q1) < 1e-9
-            assert abs(m2 - q2) < 1e-9
+            _, _, var = truncated_moments(1.0, 2.0, 1.0 - half, 1.0 + half)
+            assert var <= 2.0
 
 
 class TestGaussianW2:

@@ -11,14 +11,13 @@ from wassnet import Gaussian, GaussianMixture
 from wassnet.errors import ParseError
 from wassnet.transport import (
     TransportPlan,
-    discrete_w2,
     empirical_w2,
     mw2,
     relative_w2,
     solve_discrete_ot,
 )
 
-from oracles import (assignment_oracle, lp_transport_oracle,
+from oracles import (assignment_oracle, discrete_w2, lp_transport_oracle,
                      stratified_w2_batches, vertex_enumeration_oracle)
 
 
