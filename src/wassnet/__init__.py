@@ -9,9 +9,10 @@ Gaussian process by descending that bound.
 
 from .config import TOL, Tolerances
 from .errors import FixedPointError, NumericalError, ParseError, WassnetError
-from .stats import (EigenBasis, Gaussian, GaussianMixture, as_mixture,
-                    gaussian_w2, gaussian_w2_sq_matrix, mixture_second_moment,
-                    psd_sqrt, standard_truncated_moments, symmetric_eig)
+from .stats import (DiscreteDistribution, EigenBasis, Gaussian,
+                    GaussianMixture, as_mixture, gaussian_w2,
+                    gaussian_w2_sq_matrix, mixture_second_moment, psd_sqrt,
+                    standard_truncated_moments, symmetric_eig)
 from .quantizer import (ComponentCells, GridAllocation, Quantizer1D,
                         QuantizerTable, Signature,
                         activation_signature_w2_bound, allocate_grid,
@@ -19,8 +20,7 @@ from .quantizer import (ComponentCells, GridAllocation, Quantizer1D,
                         signature_of_mixture, solve_quantizer_1d)
 from .transport import (TransportPlan, empirical_w2, mw2, relative_w2,
                         solve_discrete_ot)
-from .mixtures import (CompressionResult, DiscreteDistribution,
-                       compress_dropout, compress_gmm)
+from .mixtures import CompressionResult, compress_dropout, compress_gmm
 from .snn import (Activation, BoundLedger, DeterministicLinear, Dropout,
                   LedgerRecord, PropagationConfig, SnnModel, StochasticLinear,
                   expected_spectral_bound,

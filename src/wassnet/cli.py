@@ -21,11 +21,10 @@ import numpy as np
 
 from .config import TOL
 from .errors import NumericalError, ParseError
-from .mixtures import as_gaussian_mixture
 from .priortune import apply_params, parse_gp_spec, tune
 from .quantizer import QuantizerTable, build_table
 from .snn import PropagationConfig, SnnModel, propagate, sample_network
-from .stats import GaussianMixture, mixture_second_moment
+from .stats import GaussianMixture, as_mixture, mixture_second_moment
 from .transport import empirical_w2, mw2, relative_w2
 
 __all__ = ["main"]
@@ -138,12 +137,11 @@ def cmd_approximate(args) -> int:
     cfg = PropagationConfig(table=table, signature_budget=args.budget,
                             compression_size=args.m, seed=args.seed)
     approx, ledger = propagate(model, points, cfg)
-    mixture = as_gaussian_mixture(approx)
     try:
-        relative = relative_w2(ledger.final_bound, mixture)
+        relative = relative_w2(ledger.final_bound, approx)
     except ParseError:
         relative = None  # degenerate point-mass output at the origin
-    _write_json(mixture.to_dict(), args.out_gmm)
+    _write_json(as_mixture(approx).to_dict(), args.out_gmm)
     artifact = {
         "model": args.model,
         "input_set_size": ledger.input_set_size,

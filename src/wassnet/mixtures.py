@@ -2,7 +2,8 @@
 
 Gaussian mixtures are reduced by seeded k-means++ / Lloyd clustering of the
 component means followed by per-cluster moment matching, certified by the
-mixture-level transport bound.  Dropout layers turn an atom set into a
+mixture-level transport bound.  Dropout layers turn an atom set (a
+:class:`~wassnet.stats.DiscreteDistribution`, re-exported here) into a
 mixture of masked copies; that mixture is expanded explicitly on the
 heaviest mask dimensions and the discarded mask randomness is charged with
 a closed-form W2 bound.
@@ -17,79 +18,15 @@ import numpy as np
 
 from .config import TOL
 from .errors import ParseError
-from .stats import Gaussian, GaussianMixture, _readonly, as_mixture
-from .transport import mw2
+from .stats import DiscreteDistribution, Gaussian, GaussianMixture, as_mixture
+from .transport import _pairwise_sq_dists, mw2
 
 __all__ = [
     "DiscreteDistribution",
     "CompressionResult",
     "compress_gmm",
     "compress_dropout",
-    "as_gaussian_mixture",
 ]
-
-
-def as_gaussian_mixture(approx) -> GaussianMixture:
-    """A ``propagate`` output as a Gaussian mixture.
-
-    Mixtures pass through; atom sets become zero-covariance mixtures with
-    one component per atom.
-    """
-    if isinstance(approx, GaussianMixture):
-        return approx
-    if isinstance(approx, DiscreteDistribution):
-        zero = np.zeros(approx.dim)
-        return GaussianMixture(approx.weights,
-                               tuple(Gaussian(loc, zero)
-                                     for loc in approx.locations))
-    raise ParseError("unsupported approximation type")
-
-
-@dataclass(frozen=True)
-class DiscreteDistribution:
-    """Finitely supported distribution: atom locations and simplex weights."""
-
-    locations: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        loc = np.array(self.locations, dtype=float)
-        w = np.array(self.weights, dtype=float).reshape(-1)
-        if loc.ndim != 2 or loc.shape[0] < 1:
-            raise ParseError("locations must be a nonempty (N, d) array")
-        if not np.all(np.isfinite(loc)):
-            raise ParseError("atom locations must be finite")
-        if w.shape[0] != loc.shape[0]:
-            raise ParseError("weight count does not match atom count")
-        if np.any(w < -TOL.simplex_atol):
-            raise ParseError("negative atom weight")
-        w = np.maximum(w, 0.0)
-        total = float(w.sum())
-        if not abs(total - 1.0) <= 1e-9:  # also rejects NaN weights
-            raise ParseError(f"atom weights sum to {total}, not 1")
-        object.__setattr__(self, "locations", _readonly(loc))
-        object.__setattr__(self, "weights", _readonly(w / total))
-
-    @property
-    def size(self) -> int:
-        return self.locations.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.locations.shape[1]
-
-    def to_dict(self) -> dict:
-        return {"locations": self.locations.tolist(),
-                "weights": self.weights.tolist()}
-
-    @staticmethod
-    def from_dict(d: dict) -> "DiscreteDistribution":
-        try:
-            return DiscreteDistribution(
-                np.asarray(d["locations"], dtype=float),
-                np.asarray(d["weights"], dtype=float))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed discrete distribution: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -109,13 +46,6 @@ class CompressionResult:
         assign.setflags(write=False)
         object.__setattr__(self, "w2_bound", float(self.w2_bound))
         object.__setattr__(self, "cluster_assignment", assign)
-
-
-def _sq_dists(points, centers):
-    d2 = (np.sum(points * points, axis=1)[:, None]
-          + np.sum(centers * centers, axis=1)[None, :]
-          - 2.0 * points @ centers.T)
-    return np.maximum(d2, 0.0)
 
 
 def _kmeanspp_centers(means, weights, m, rng):
@@ -151,7 +81,7 @@ def _lloyd_assign(means, weights, centers, max_iters):
     prev = None
     assign = np.zeros(n, dtype=int)
     for _ in range(max_iters):
-        d2 = _sq_dists(means, centers)
+        d2 = _pairwise_sq_dists(means, centers)
         assign = np.argmin(d2, axis=1)
         for j in range(m):
             if np.any(assign == j):

@@ -24,10 +24,9 @@ import numpy as np
 
 from .config import TOL
 from .errors import NumericalError, ParseError
-from .mixtures import as_gaussian_mixture
 from .snn import (PropagationConfig, SnnModel, StochasticLinear, propagate,
                   sample_network)
-from .stats import Gaussian, as_mixture, _readonly
+from .stats import Gaussian, _readonly
 from .transport import empirical_w2, mw2, relative_w2
 
 __all__ = [
@@ -173,7 +172,11 @@ class PriorParams:
 
 def _param_groups(template: SnnModel, granularity: str,
                   include_biases: bool) -> list:
-    """(label, slot count, layer index, kind) for every tuned group."""
+    """(label, slot count) of every tuned group, in template order.
+
+    Each stochastic layer contributes its weight group and then, with
+    ``include_biases``, its bias group.
+    """
     if granularity not in _GRANULARITIES:
         raise ParseError(f"granularity must be one of {_GRANULARITIES}")
     groups = []
@@ -183,21 +186,39 @@ def _param_groups(template: SnnModel, granularity: str,
             continue
         ordinal += 1
         n_w = layer.n_out * layer.n_in if granularity == "parameter" else 1
-        groups.append((f"layer {ordinal} weights", n_w, ordinal, "weight"))
+        groups.append((f"layer {ordinal} weights", n_w))
         if include_biases:
             n_b = layer.n_out if granularity == "parameter" else 1
-            groups.append((f"layer {ordinal} biases", n_b, ordinal, "bias"))
+            groups.append((f"layer {ordinal} biases", n_b))
     if not groups:
         raise ParseError("template has no stochastic layers to tune")
     return groups
+
+
+def _group_layout(template: SnnModel, params: PriorParams):
+    """Group labels and the offsets that split ``params`` into its groups."""
+    labels, counts = zip(*_param_groups(template, params.granularity,
+                                        params.include_biases))
+    if params.size != sum(counts):
+        raise ParseError(
+            f"parameter vector has {params.size} entries but the template "
+            f"exposes {sum(counts)} tuned groups")
+    return labels, np.cumsum(counts)[:-1]
+
+
+def _fill(values: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """One shared value or one value per entry, in the shape of ``like``."""
+    if values.size == 1:
+        return np.full_like(like, values[0])
+    return values.reshape(like.shape)
 
 
 def params_for_template(template: SnnModel, granularity: str = "layer",
                         include_biases: bool = True,
                         init_log_variance: float = 0.0) -> PriorParams:
     """Isotropic initialization sized to the template's tuned groups."""
-    total = sum(n for _, n, _, _ in _param_groups(template, granularity,
-                                                  include_biases))
+    total = sum(n for _, n in _param_groups(template, granularity,
+                                            include_biases))
     return PriorParams(np.full(total, float(init_log_variance)),
                        granularity, include_biases)
 
@@ -206,40 +227,18 @@ def apply_params(template: SnnModel, params: PriorParams) -> SnnModel:
     """Instantiate the template with variances ``exp(log_variances)``."""
     if not isinstance(template, SnnModel):
         raise ParseError("apply_params expects an SnnModel template")
-    groups = _param_groups(template, params.granularity,
-                           params.include_biases)
-    expected = sum(n for _, n, _, _ in groups)
-    if params.size != expected:
-        raise ParseError(
-            f"parameter vector has {params.size} entries but the template "
-            f"exposes {expected} tuned groups")
-    variances = np.exp(params.log_variances)
-    offset = 0
-    per_layer = {}
-    for label, count, ordinal, kind in groups:
-        per_layer.setdefault(ordinal, {})[kind] = variances[offset:offset
-                                                            + count]
-        offset += count
+    _, offsets = _group_layout(template, params)
+    variances = iter(np.split(np.exp(params.log_variances), offsets))
     layers = []
-    ordinal = 0
     for layer in template.layers:
-        if not isinstance(layer, StochasticLinear):
-            layers.append(layer)
-            continue
-        ordinal += 1
-        slots = per_layer[ordinal]
-        wv = slots["weight"]
-        weight_var = (np.full_like(layer.weight_var, wv[0])
-                      if wv.size == 1 else wv.reshape(layer.weight_var.shape))
-        if "bias" in slots:
-            bv = slots["bias"]
-            bias_var = (np.full_like(layer.bias_var, bv[0])
-                        if bv.size == 1 else bv.reshape(layer.bias_var.shape))
-        else:
-            bias_var = layer.bias_var
-        layers.append(StochasticLinear(layer.weight_mean, weight_var,
-                                       layer.bias_mean, bias_var,
-                                       layer.ntk_scaling))
+        if isinstance(layer, StochasticLinear):
+            weight_var = _fill(next(variances), layer.weight_var)
+            bias_var = (_fill(next(variances), layer.bias_var)
+                        if params.include_biases else layer.bias_var)
+            layer = StochasticLinear(layer.weight_mean, weight_var,
+                                     layer.bias_mean, bias_var,
+                                     layer.ntk_scaling)
+        layers.append(layer)
     return SnnModel(template.input_dim, tuple(layers))
 
 
@@ -269,8 +268,7 @@ def tune_loss(params: PriorParams, template: SnnModel, target: GpTarget,
         raise ParseError("prior tuning targets a single-output GP")
     model = apply_params(template, params)
     approx, ledger = propagate(model, target.points, cfg)
-    gp_mixture = as_mixture(gp_realize(target))
-    mw2_term, _ = mw2(as_gaussian_mixture(approx), gp_mixture)
+    mw2_term, _ = mw2(approx, gp_realize(target))
     bound_term = ledger.final_bound
     return LossParts(mw2_term + beta * bound_term, mw2_term, bound_term)
 
@@ -354,16 +352,12 @@ def _require_zero_mean(template: SnnModel):
 
 
 def _blame_parameter_block(params: PriorParams, template: SnnModel) -> str:
-    groups = _param_groups(template, params.granularity,
-                           params.include_biases)
-    offset = 0
-    worst_label, worst_value = groups[0][0], -np.inf
-    for label, count, _, _ in groups:
-        peak = float(np.max(params.log_variances[offset:offset + count]))
-        if peak > worst_value:
-            worst_label, worst_value = label, peak
-        offset += count
-    return f"{worst_label} (log-variance {worst_value})"
+    """The group holding the largest log-variance (the first on ties)."""
+    labels, offsets = _group_layout(template, params)
+    peaks = [float(np.max(v))
+             for v in np.split(params.log_variances, offsets)]
+    worst = int(np.argmax(peaks))
+    return f"{labels[worst]} (log-variance {peaks[worst]})"
 
 
 def tune(template: SnnModel, target: GpTarget, cfg: PropagationConfig,
@@ -455,7 +449,6 @@ def tune(template: SnnModel, target: GpTarget, cfg: PropagationConfig,
 
     model = apply_params(template, final_params)
     gp = gp_realize(target)
-    gp_mixture = as_mixture(gp)
     eval_rng = np.random.default_rng(
         np.random.SeedSequence((int(seed), int(steps))))
     estimates = []
@@ -466,16 +459,14 @@ def tune(template: SnnModel, target: GpTarget, cfg: PropagationConfig,
         estimates.append(empirical_w2(net_samples, gp_samples))
     est = float(np.mean(estimates))
     se = float(np.std(estimates, ddof=1) / math.sqrt(len(estimates)))
-    denom = math.sqrt(float(np.sum(np.square(gp.mean))) + gp.cov_trace())
     return TuneReport(
         history=tuple(history),
         params=final_params,
         initial_loss=initial.loss,
         final_loss=final.loss,
-        relative_empirical=est / denom,
-        relative_empirical_se=se / denom,
-        relative_formal=relative_w2(final.mw2_term + final.bound_term,
-                                    gp_mixture),
+        relative_empirical=relative_w2(est, gp),
+        relative_empirical_se=relative_w2(se, gp),
+        relative_formal=relative_w2(final.mw2_term + final.bound_term, gp),
         beta=float(beta),
         step_size=float(step_size),
         step_decay=TOL.step_decay,

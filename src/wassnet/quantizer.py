@@ -76,19 +76,6 @@ class Quantizer1D:
     def size(self) -> int:
         return int(self.locations.size)
 
-    @property
-    def boundaries(self) -> np.ndarray:
-        """Voronoi midpoints between consecutive locations (size N-1)."""
-        loc = self.locations
-        return 0.5 * (loc[1:] + loc[:-1])
-
-    def cell_edges(self):
-        """Per-cell (lo, hi) edges, outermost cells extending to ±inf."""
-        b = self.boundaries
-        lo = np.concatenate(([-np.inf], b))
-        hi = np.concatenate((b, [np.inf]))
-        return lo, hi
-
     def to_dict(self) -> dict:
         return {"locations": [float(v) for v in self.locations],
                 "w2sq": float(self.w2sq)}
@@ -103,8 +90,13 @@ class Quantizer1D:
 
 
 def _centroid_map(loc: np.ndarray):
-    """One centroid sweep: cell edges at the midpoints and the cells'
-    truncated masses, means and variances."""
+    """The Voronoi cells of 1-D locations under N(0,1).
+
+    Returns ``(lo, hi, mass, mean, var)``: cell edges at the midpoints
+    (outermost cells extending to ±inf) and the cells' truncated masses,
+    means and variances.  One centroid sweep moves each location to its
+    cell's mean.
+    """
     mid = 0.5 * (loc[1:] + loc[:-1])
     lo = np.concatenate(([-np.inf], mid))
     hi = np.concatenate((mid, [np.inf]))
@@ -453,14 +445,12 @@ class Signature:
 
     Atoms are grouped by generating mixture component in component order;
     ``cells`` holds one :class:`ComponentCells` per component, aligned with
-    the atom blocks, and ``component_w2sq`` the squared distortion of each
-    component's block.
+    the atom blocks.
     """
 
     locations: np.ndarray
     weights: np.ndarray
     component_weights: np.ndarray
-    component_w2sq: np.ndarray
     cells: tuple
 
     def __post_init__(self):
@@ -481,9 +471,6 @@ class Signature:
         object.__setattr__(
             self, "component_weights",
             _readonly(np.asarray(self.component_weights, dtype=float)))
-        object.__setattr__(
-            self, "component_w2sq",
-            _readonly(np.asarray(self.component_w2sq, dtype=float)))
         if sum(c.size for c in self.cells) != loc.shape[0]:
             raise ParseError("cell blocks must cover exactly all atoms")
 
@@ -497,9 +484,14 @@ class Signature:
 
     @property
     def w2_bound(self) -> float:
-        """Upper bound on W2 to the generating mixture."""
+        """Upper bound on W2 to the generating mixture.
+
+        Couples every component with its own cell block:
+        ``sqrt(sum_i pi_i * cells[i].w2sq_total)``.
+        """
+        w2sq = np.array([c.w2sq_total for c in self.cells])
         return float(math.sqrt(max(0.0, float(
-            np.dot(self.component_weights, self.component_w2sq)))))
+            np.dot(self.component_weights, w2sq)))))
 
 
 def _component_grid(g: Gaussian, budget: int, table: QuantizerTable):
@@ -509,7 +501,7 @@ def _component_grid(g: Gaussian, budget: int, table: QuantizerTable):
     is the closed-form squared distortion (eigenvalue-weighted sum of 1-D
     quantizer distortions, plus pinned-axis variance).
     """
-    basis = g.eigen(TOL.eig_clip_rtol)
+    basis = g.eigen()
     lam = basis.eigenvalues
     alloc = allocate_grid(lam, budget, table)
     sizes = alloc.per_axis_sizes
@@ -517,18 +509,6 @@ def _component_grid(g: Gaussian, budget: int, table: QuantizerTable):
     pinned = lam[r:]
     pinned_sum = float(pinned.sum())
     pinned_exact_zero = bool(np.all(pinned == 0.0))
-
-    if r == 0:
-        cells = ComponentCells(
-            offset=g.mean, transform=np.zeros((g.dim, 0)), eigenvalues=lam,
-            grid_sizes=(), lo=np.zeros((1, 0)), hi=np.zeros((1, 0)),
-            centers=np.zeros((1, 0)), cell_mass=np.array([1.0]),
-            distortion=np.array([pinned_sum]),
-            prune_penalty=np.array([0.0]), pruned_mass=0.0,
-            pinned_exact_zero=pinned_exact_zero)
-        return (g.mean[None, :].copy(), np.array([1.0]), cells,
-                pinned_sum)
-
     lam_r = lam[:r]
     transform = basis.eigenvectors[:, :r] * np.sqrt(lam_r)
 
@@ -536,9 +516,7 @@ def _component_grid(g: Gaussian, budget: int, table: QuantizerTable):
     w2sq_exact = pinned_sum
     for l, n_l in enumerate(sizes):
         q = table.get(n_l)
-        lo_l, hi_l = q.cell_edges()
-        mass_l, mean_l, var_l = standard_truncated_moments(lo_l, hi_l)
-        axis_stats.append((q.locations, lo_l, hi_l, mass_l, mean_l, var_l))
+        axis_stats.append((q.locations,) + _centroid_map(q.locations))
         w2sq_exact += float(lam_r[l]) * q.w2sq
 
     # enumerate only axes with several cells; single-cell axes keep index 0,
@@ -614,7 +592,6 @@ def signature_of_gaussian(g: Gaussian, budget: int, table: QuantizerTable):
     sig = Signature(
         locations, weights,
         component_weights=np.array([1.0]),
-        component_w2sq=np.array([cells.w2sq_total]),
         cells=(cells,),
     )
     return sig, float(w2sq_exact)
@@ -631,7 +608,6 @@ def signature_of_mixture(g, budget_per_component: int, table: QuantizerTable):
     gm = as_mixture(g)
     blocks = []
     comp_w = []
-    comp_d = []
     cells = []
     for pi, comp in zip(gm.weights, gm.components):
         if pi <= 0.0:
@@ -640,14 +616,12 @@ def signature_of_mixture(g, budget_per_component: int, table: QuantizerTable):
                                                  table)
         blocks.append((loc_i, pi * w_i))
         comp_w.append(float(pi))
-        comp_d.append(cells_i.w2sq_total)
         cells.append(cells_i)
     locations = np.concatenate([b[0] for b in blocks], axis=0)
     weights = np.concatenate([b[1] for b in blocks])
     sig = Signature(
         locations, weights,
         component_weights=np.asarray(comp_w),
-        component_w2sq=np.asarray(comp_d),
         cells=tuple(cells),
     )
     return sig, sig.w2_bound
@@ -678,11 +652,6 @@ def _refined_component_w2sq(cc: ComponentCells, radius: float) -> float:
     if not cc.pinned_exact_zero:
         # positive variance off the grid axes: cell support is unbounded in
         # those directions, so no cell can be certified dead
-        return cc.w2sq_total
-    if cc.lo.shape[1] == 0:
-        atom = cc.offset
-        if np.all(atom <= 0.0):
-            return float(np.sum(cc.prune_penalty))
         return cc.w2sq_total
 
     lam_r = cc.eigenvalues[: cc.lo.shape[1]]

@@ -18,10 +18,10 @@ import numpy as np
 
 from .config import TOL
 from .errors import ParseError
-from .mixtures import (DiscreteDistribution, compress_dropout, compress_gmm)
-from .quantizer import (QuantizerTable, activation_signature_w2_bound,
-                        signature_of_mixture)
-from .stats import Gaussian, GaussianMixture, _readonly
+from .mixtures import compress_dropout, compress_gmm
+from .quantizer import (_ACTIVATIONS, QuantizerTable,
+                        activation_signature_w2_bound, signature_of_mixture)
+from .stats import DiscreteDistribution, Gaussian, GaussianMixture, _readonly
 
 __all__ = [
     "StochasticLinear",
@@ -37,8 +37,6 @@ __all__ = [
     "propagate",
     "sample_network",
 ]
-
-_ACTIVATION_KINDS = ("relu", "tanh")
 
 
 @dataclass(frozen=True)
@@ -133,10 +131,10 @@ class Activation:
     kind: str
 
     def __post_init__(self):
-        if self.kind not in _ACTIVATION_KINDS:
+        if self.kind not in _ACTIVATIONS:
             raise ParseError(
                 f"unknown activation {self.kind!r}; "
-                f"supported: {', '.join(_ACTIVATION_KINDS)}")
+                f"supported: {', '.join(_ACTIVATIONS)}")
 
     @property
     def lipschitz(self) -> float:

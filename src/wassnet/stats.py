@@ -1,9 +1,10 @@
 """Exact probabilistic primitives.
 
-Gaussian and Gaussian-mixture containers, moments of the standard normal
-truncated to intervals, symmetric eigendecomposition with degeneracy
-handling, the closed-form 2-Wasserstein distance between Gaussians, and
-mixture second moments.
+Gaussian, Gaussian-mixture and atom-set containers with one coercion of all
+three to a mixture, moments of the standard normal truncated to intervals,
+symmetric eigendecomposition with negative-eigenvalue clipping, the
+closed-form 2-Wasserstein distance between Gaussians, and mixture second
+moments.
 
 All values are immutable after construction and safe to share across threads.
 Covariances may be stored full (2-d array) or diagonal (1-d variance vector);
@@ -54,11 +55,15 @@ class Gaussian:
         cov = np.array(self.cov, dtype=float)
         if mean.ndim != 1:
             raise ParseError("mean must be a vector")
+        if not np.all(np.isfinite(mean)):
+            raise ParseError("mean must be finite")
         n = mean.shape[0]
         if cov.ndim == 1:
             if cov.shape[0] != n:
                 raise ParseError("variance vector length does not match mean")
             scale = float(np.max(cov, initial=0.0))
+            if not math.isfinite(scale):
+                raise ParseError("covariance must be finite")
             floor = -TOL.eig_clip_rtol * max(scale, 1.0)
             if np.any(cov < floor):
                 raise ParseError("negative variance beyond tolerance")
@@ -66,8 +71,10 @@ class Gaussian:
         elif cov.ndim == 2:
             if cov.shape != (n, n):
                 raise ParseError("covariance shape does not match mean")
-            asym = float(np.max(np.abs(cov - cov.T), initial=0.0))
             scale = float(np.max(np.abs(cov), initial=0.0))
+            if not math.isfinite(scale):
+                raise ParseError("covariance must be finite")
+            asym = float(np.max(np.abs(cov - cov.T), initial=0.0))
             if asym > TOL.cov_symmetry_rtol * max(scale, 1.0):
                 raise ParseError("covariance is not symmetric within tolerance")
             cov = 0.5 * (cov + cov.T)
@@ -84,26 +91,20 @@ class Gaussian:
     def is_diagonal(self) -> bool:
         return self.cov.ndim == 1
 
-    def diag_var(self) -> np.ndarray:
-        """Variance vector (the covariance diagonal)."""
-        return self.cov if self.is_diagonal else np.diag(self.cov).copy()
-
     def full_cov(self) -> np.ndarray:
         return np.diag(self.cov) if self.is_diagonal else np.array(self.cov)
 
     def cov_trace(self) -> float:
         return float(np.sum(self.cov) if self.is_diagonal else np.trace(self.cov))
 
-    def eigen(self, degeneracy_threshold: float = TOL.eig_clip_rtol) -> "EigenBasis":
+    def eigen(self) -> "EigenBasis":
         if self.is_diagonal:
             order = np.argsort(-self.cov, kind="stable")
             lam = self.cov[order]
             vecs = np.zeros((self.dim, self.dim))
             vecs[order, np.arange(self.dim)] = 1.0
-            lam_max = float(lam[0]) if self.dim else 0.0
-            rank = int(np.sum(lam > degeneracy_threshold * lam_max))
-            return EigenBasis(lam, vecs, rank)
-        return symmetric_eig(self.cov, degeneracy_threshold)
+            return EigenBasis(lam, vecs)
+        return symmetric_eig(self.cov)
 
     def factor(self) -> np.ndarray:
         """Matrix ``F`` with ``cov = F F^T`` (columns span the support)."""
@@ -211,10 +212,65 @@ class GaussianMixture:
             raise ParseError(f"malformed mixture object: {exc}") from exc
 
 
+@dataclass(frozen=True)
+class DiscreteDistribution:
+    """Finitely supported distribution: atom locations and simplex weights."""
+
+    locations: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        loc = np.array(self.locations, dtype=float)
+        w = np.array(self.weights, dtype=float).reshape(-1)
+        if loc.ndim != 2 or loc.shape[0] < 1:
+            raise ParseError("locations must be a nonempty (N, d) array")
+        if not np.all(np.isfinite(loc)):
+            raise ParseError("atom locations must be finite")
+        if w.shape[0] != loc.shape[0]:
+            raise ParseError("weight count does not match atom count")
+        if np.any(w < -TOL.simplex_atol):
+            raise ParseError("negative atom weight")
+        w = np.maximum(w, 0.0)
+        total = float(w.sum())
+        if not abs(total - 1.0) <= 1e-9:  # also rejects NaN weights
+            raise ParseError(f"atom weights sum to {total}, not 1")
+        object.__setattr__(self, "locations", _readonly(loc))
+        object.__setattr__(self, "weights", _readonly(w / total))
+
+    @property
+    def size(self) -> int:
+        return self.locations.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.locations.shape[1]
+
+    def to_dict(self) -> dict:
+        return {"locations": self.locations.tolist(),
+                "weights": self.weights.tolist()}
+
+    @staticmethod
+    def from_dict(d: dict) -> "DiscreteDistribution":
+        try:
+            return DiscreteDistribution(
+                np.asarray(d["locations"], dtype=float),
+                np.asarray(d["weights"], dtype=float))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"malformed discrete distribution: {exc}") from exc
+
+
 def as_mixture(g) -> GaussianMixture:
-    """Wrap a single Gaussian as a one-component mixture; pass mixtures through."""
+    """A Gaussian, mixture or atom set as a Gaussian mixture.
+
+    Mixtures pass through, a Gaussian becomes a one-component mixture, and
+    an atom set a zero-covariance mixture with one component per atom.
+    """
     if isinstance(g, GaussianMixture):
         return g
+    if isinstance(g, DiscreteDistribution):
+        zero = np.zeros(g.dim)
+        return GaussianMixture(g.weights, tuple(Gaussian(loc, zero)
+                                                for loc in g.locations))
     return GaussianMixture(np.array([1.0]), (g,))
 
 
@@ -223,12 +279,11 @@ class EigenBasis:
     """Sorted eigendecomposition of a symmetric PSD matrix.
 
     Eigenvalues are nonincreasing with negatives (within tolerance) clipped
-    to zero; ``rank`` counts eigenvalues above the degeneracy threshold.
+    to zero.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    rank: int
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", _readonly(self.eigenvalues))
@@ -326,26 +381,25 @@ def _block_eigh(stack: np.ndarray, pattern: np.ndarray):
     return lam, blocks
 
 
-def _clip_negative(lam: np.ndarray, threshold: float, payload) -> np.ndarray:
+def _clip_negative(lam: np.ndarray, payload) -> np.ndarray:
     """Eigenvalues (last axis, one matrix per row) with negatives clipped to 0.
 
-    A negative eigenvalue below ``-threshold * max|lambda|`` of its matrix
+    A negative eigenvalue below ``-eig_clip_rtol * max|lambda|`` of its matrix
     raises :class:`NumericalError` with ``payload`` attached.
     """
     scale = np.max(np.abs(lam), axis=-1, keepdims=True, initial=0.0)
-    if np.any(lam < -threshold * scale):
+    if np.any(lam < -TOL.eig_clip_rtol * scale):
         raise NumericalError("matrix has a negative eigenvalue beyond tolerance",
                              payload=payload)
     return np.maximum(lam, 0.0)
 
 
-def symmetric_eig(cov: np.ndarray, degeneracy_threshold: float = TOL.eig_clip_rtol) -> EigenBasis:
+def symmetric_eig(cov: np.ndarray) -> EigenBasis:
     """Eigendecomposition of a symmetric matrix with PSD clipping.
 
     Eigenvalues are returned nonincreasing.  Negative eigenvalues within
-    ``degeneracy_threshold * scale`` of zero are clipped to 0; anything more
-    negative raises :class:`NumericalError` with the matrix attached.  The
-    rank counts eigenvalues above ``degeneracy_threshold * lambda_max``.
+    ``eig_clip_rtol * max|lambda|`` of zero are clipped to 0; anything more
+    negative raises :class:`NumericalError` with the matrix attached.
     """
     a = np.asarray(cov, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -364,10 +418,8 @@ def symmetric_eig(cov: np.ndarray, degeneracy_threshold: float = TOL.eig_clip_rt
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]
     vecs = vecs[:, order]
-    lam = _clip_negative(lam, degeneracy_threshold, payload=a)
-    lam_max = float(lam[0]) if n else 0.0
-    rank = int(np.sum(lam > degeneracy_threshold * lam_max))
-    return EigenBasis(lam, vecs, rank)
+    lam = _clip_negative(lam, payload=a)
+    return EigenBasis(lam, vecs)
 
 
 def psd_sqrt(cov: np.ndarray) -> np.ndarray:
@@ -449,7 +501,7 @@ def _psd_root_traces(mats: np.ndarray) -> np.ndarray:
     for sel in groups.values():
         stack = mats[sel]
         lam, blocks = _block_eigh(stack, nonzero[sel[0]])
-        root = np.sqrt(_clip_negative(lam, TOL.eig_clip_rtol, payload=stack))
+        root = np.sqrt(_clip_negative(lam, payload=stack))
         out[sel] = sum(np.sum(np.square(v) * root[:, idx][..., None, :],
                               axis=(1, 2, 3)) for idx, v in blocks)
     return out

@@ -49,14 +49,6 @@ class TransportPlan:
         object.__setattr__(self, "plan", _readonly(np.maximum(p, 0.0)))
         object.__setattr__(self, "cost", float(max(self.cost, 0.0)))
 
-    @property
-    def row_marginal(self) -> np.ndarray:
-        return self.plan.sum(axis=1)
-
-    @property
-    def col_marginal(self) -> np.ndarray:
-        return self.plan.sum(axis=0)
-
 
 def _validate_marginals(cost, a, b):
     cost = np.asarray(cost, dtype=float)

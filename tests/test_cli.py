@@ -345,9 +345,10 @@ class TestMw2:
 
     @pytest.mark.parametrize("field,value", [
         ("weights", ["x"]), ("mean", ["a"]), ("mean", [[0.1], [0.2, 0.3]]),
-        ("diag", ["v"]), ("weights", [math.nan, math.nan])],
+        ("diag", ["v"]), ("weights", [math.nan, math.nan]),
+        ("mean", [math.nan, 0.0]), ("diag", [math.inf, 0.5])],
         ids=["weights-string", "mean-string", "mean-ragged", "diag-string",
-             "weights-nan"])
+             "weights-nan", "mean-nan", "diag-inf"])
     def test_malformed_numeric_mixture_json(self, tmp_path, capsys, field,
                                             value):
         data = json.loads((DATA / "gmm_pair_a.json").read_text())
@@ -359,12 +360,19 @@ class TestMw2:
             data["components"][0]["cov"] = {"diag": value}
         path = tmp_path / "bad_gmm.json"
         path.write_text(json.dumps(data))
-        code, out, err = run_cli(
-            ["mw2", "--gmm-a", str(path),
-             "--gmm-b", str(DATA / "gmm_pair_b.json")], capsys)
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: ")
+        # two points through the 1-output model match the mixture's dim 2
+        points = tmp_path / "pts.json"
+        points.write_text("[[0.0], [1.0]]")
+        for argv in (["mw2", "--gmm-a", str(path),
+                      "--gmm-b", str(DATA / "gmm_pair_b.json")],
+                     ["empirical", "--model",
+                      str(DATA / "model_1_16_1_tanh.json"),
+                      "--points", str(points), "--gmm", str(path),
+                      "--samples", "50"]):
+            code, out, err = run_cli(argv, capsys)
+            assert code == 3
+            assert out == ""
+            assert err.startswith("error: ")
 
 
 class TestTunePrior:

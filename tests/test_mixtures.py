@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wassnet import Gaussian, GaussianMixture, gaussian_w2, \
-    mixture_second_moment
+from wassnet import (DeterministicLinear, Gaussian, GaussianMixture,
+                     PropagationConfig, SnnModel, as_mixture, gaussian_w2,
+                     mixture_second_moment, mw2, propagate, relative_w2)
 from wassnet.errors import ParseError
 from wassnet.mixtures import (
     DiscreteDistribution,
-    as_gaussian_mixture,
     compress_dropout,
     compress_gmm,
 )
@@ -38,10 +38,40 @@ class TestDiscreteDistribution:
         np.testing.assert_array_equal(back.locations, d.locations)
         np.testing.assert_array_equal(back.weights, d.weights)
         assert d.size == 2 and d.dim == 2
-        mixture = as_gaussian_mixture(d)
+        mixture = as_mixture(d)
         np.testing.assert_array_equal(mixture.weights, d.weights)
         assert mixture_second_moment(mixture) == pytest.approx(
             0.25 * 1 + 0.75 * 4)
+
+    @staticmethod
+    def _zero_cov_mixture(d):
+        """The atoms as an explicit zero-covariance mixture."""
+        return GaussianMixture(d.weights, tuple(
+            Gaussian(loc, np.zeros(d.dim)) for loc in d.locations))
+
+    def test_mw2_coerces_atoms(self):
+        rng = np.random.default_rng(8)
+        d = DiscreteDistribution(rng.normal(size=(4, 3)),
+                                 rng.dirichlet(np.ones(4)))
+        f = rng.normal(size=(3, 3))
+        gp = Gaussian(rng.normal(size=3), f @ f.T)
+        value, plan = mw2(d, gp)
+        ref_value, ref_plan = mw2(self._zero_cov_mixture(d), gp)
+        assert value == ref_value
+        np.testing.assert_array_equal(plan.plan, ref_plan.plan)
+        assert mw2(gp, d)[0] == mw2(gp, self._zero_cov_mixture(d))[0]
+
+    def test_relative_w2_accepts_propagated_atoms(self, table):
+        model = SnnModel(1, (DeterministicLinear(np.array([[2.0], [-1.0]]),
+                                                 np.array([0.5, 0.0])),))
+        cfg = PropagationConfig(table=table, signature_budget=4,
+                                compression_size=2, seed=0)
+        approx, _ = propagate(model, np.array([[1.0], [3.0]]), cfg)
+        assert isinstance(approx, DiscreteDistribution)
+        value = relative_w2(0.5, approx)
+        assert value == relative_w2(0.5, self._zero_cov_mixture(approx))
+        assert value == pytest.approx(0.5 / math.sqrt(2.5 ** 2 + 1 + 6.5 ** 2
+                                                      + 9))
 
     def test_validation(self):
         with pytest.raises(ParseError):

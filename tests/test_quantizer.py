@@ -12,6 +12,7 @@ from wassnet.quantizer import (
     Quantizer1D,
     QuantizerTable,
     Signature,
+    _centroid_map,
     activation_signature_w2_bound,
     allocate_grid,
     build_table,
@@ -36,7 +37,9 @@ class TestSolveQuantizer1D:
         q = solve_quantizer_1d(1)
         assert q.locations.tolist() == [0.0]
         assert q.w2sq == 1.0
-        assert q.boundaries.size == 0
+        lo, hi, mass, _, _ = _centroid_map(q.locations)
+        assert lo.tolist() == [-np.inf] and hi.tolist() == [np.inf]
+        assert mass.tolist() == [1.0]
 
     def test_n2_closed_form(self):
         q = solve_quantizer_1d(2)
@@ -59,10 +62,15 @@ class TestSolveQuantizer1D:
         loc = q.locations
         assert np.all(np.diff(loc) > 0)
         np.testing.assert_allclose(loc + loc[::-1], 0.0, atol=1e-12)
-        np.testing.assert_allclose(q.boundaries, 0.5 * (loc[1:] + loc[:-1]))
+        # cells: Voronoi midpoints, outermost cells extending to +-inf
+        mid = 0.5 * (loc[1:] + loc[:-1])
+        lo, hi, mass, mean, var = _centroid_map(loc)
+        np.testing.assert_array_equal(lo, np.r_[-np.inf, mid])
+        np.testing.assert_array_equal(hi, np.r_[mid, np.inf])
+        ref = standard_truncated_moments(lo, hi)
+        for got, want in zip((mass, mean, var), ref):
+            np.testing.assert_array_equal(got, want)
         # centroid condition: each location is its cell's truncated mean
-        lo, hi = q.cell_edges()
-        _, mean, _ = standard_truncated_moments(lo, hi)
         np.testing.assert_allclose(mean, loc, atol=1e-10)
         assert 0.0 < q.w2sq < 1.0
 
@@ -418,7 +426,7 @@ class TestActivationRefinement:
         sig, bound = signature_of_mixture(gm, 4, table)
         refined = activation_signature_w2_bound(sig, "relu", gm)
         # the negative component's mass drops out; the active one remains
-        active_part = math.sqrt(0.5 * sig.component_w2sq[1])
+        active_part = math.sqrt(0.5 * sig.cells[1].w2sq_total)
         assert refined < bound
         assert abs(refined - active_part) < 1e-6
 
@@ -432,8 +440,7 @@ class TestActivationRefinement:
 class TestSignatureContainer:
     def test_validation(self, table):
         def signature(locations, weights, cells=()):
-            return Signature(locations, weights, np.array([1.0]),
-                             np.array([0.0]), cells)
+            return Signature(locations, weights, np.array([1.0]), cells)
 
         with pytest.raises(ParseError):
             signature(np.zeros((2, 1)), np.array([0.6, 0.3]))  # sums to 0.9
@@ -446,3 +453,6 @@ class TestSignatureContainer:
             Gaussian(np.zeros(1), np.ones(1)), 2, table)
         with pytest.raises(ParseError):
             signature(np.zeros((3, 1)), np.full(3, 1 / 3), sig.cells)
+        # the bound is derived from the cell blocks
+        ok = signature(sig.locations, sig.weights, sig.cells)
+        assert ok.w2_bound == math.sqrt(sig.cells[0].w2sq_total)

@@ -13,13 +13,12 @@ import pytest
 
 from wassnet import snn
 from wassnet.errors import ParseError
-from wassnet.mixtures import DiscreteDistribution
 from wassnet.snn import (Activation, BoundLedger, DeterministicLinear,
                          Dropout, LedgerRecord, PropagationConfig, SnnModel,
                          StochasticLinear, expected_spectral_bound,
                          propagate, push_point_through_stochastic_linear,
                          sample_network)
-from wassnet.stats import GaussianMixture
+from wassnet.stats import DiscreteDistribution, GaussianMixture
 from wassnet.transport import empirical_w2
 
 from oracles import mc_mean_se, sample_network_oracle
@@ -205,7 +204,8 @@ class TestPushPoint:
                                  np.array([0.3]), np.array([0.1]))
         g = push_point_through_stochastic_linear(np.array([1.0, 2.0]), layer)
         assert g.mean[0] == pytest.approx(2.0 - 2.0 + 0.3, abs=1e-15)
-        assert g.diag_var()[0] == pytest.approx(0.5 + 1.0 + 0.1, abs=1e-15)
+        assert np.diag(g.full_cov())[0] == pytest.approx(0.5 + 1.0 + 0.1,
+                                                         abs=1e-15)
         assert g.is_diagonal
 
     def test_zero_variance_gives_point_mass(self):
@@ -214,7 +214,7 @@ class TestPushPoint:
                                  np.zeros(2))
         g = push_point_through_stochastic_linear(np.array([2.0, 3.0]), layer)
         assert np.allclose(g.mean, [5.5, -1.0], atol=0)
-        assert np.all(g.diag_var() == 0.0)
+        assert np.all(np.diag(g.full_cov()) == 0.0)
 
     def test_scaled_layer_scales_bias_too(self):
         layer = StochasticLinear(np.array([[2.0, -1.0, 0.0, 0.0]]),
@@ -224,7 +224,7 @@ class TestPushPoint:
             np.array([1.0, 2.0, 0.0, 0.0]), layer)
         s = 0.5
         assert g.mean[0] == pytest.approx(s * 1.0, abs=1e-15)
-        assert g.diag_var()[0] == pytest.approx(
+        assert np.diag(g.full_cov())[0] == pytest.approx(
             s * s * (0.25 * 5.0 + 0.36), abs=1e-15)
 
     def test_duplicate_blocks_are_perfectly_correlated(self):
@@ -304,8 +304,8 @@ class TestPropagate:
         assert isinstance(approx, GaussianMixture)
         assert approx.size == 1
         assert approx.components[0].mean[0] == pytest.approx(0.3, abs=1e-15)
-        assert approx.components[0].diag_var()[0] == pytest.approx(1.6,
-                                                                   abs=1e-15)
+        assert np.diag(approx.components[0].full_cov())[0] == pytest.approx(
+            1.6, abs=1e-15)
         assert ledger.final_bound == 0.0
 
     def test_deterministic_map_of_gaussian_stays_exact(self, table):
@@ -429,16 +429,36 @@ class TestPropagate:
 
     def test_refinement_never_worsens_the_bound(self, table, monkeypatch):
         rng = np.random.default_rng(15)
-        model = _vi_net(rng, (1, 10, 1), activation="relu")
-        points = np.array([[0.3]])
-        cfg = PropagationConfig(table=table, signature_budget=6,
-                                compression_size=3, seed=2)
-        _, refined_ledger = propagate(model, points, cfg)
-        # the same propagation charging the plain signature bound instead
+        # hidden pre-activations near -5 with standard deviation near 0.14:
+        # every first-layer component lies deep in the ReLU dead zone with
+        # all its axes on the grid, so the refinement must bite
+        dead = SnnModel(1, (
+            StochasticLinear(np.zeros((2, 1)), np.full((2, 1), 0.01),
+                             np.full(2, -5.0), np.full(2, 0.01)),
+            Activation("relu"),
+            StochasticLinear(np.ones((1, 2)), np.full((1, 2), 0.01),
+                             np.zeros(1), np.full(1, 0.01)),
+        ))
+        cfg = PropagationConfig(table=table, signature_budget=10,
+                                compression_size=5, seed=0)
+        # (model, points, config, whether the refinement must bite)
+        cases = [
+            (_vi_net(rng, (1, 10, 1), activation="relu"), np.array([[0.3]]),
+             PropagationConfig(table=table, signature_budget=6,
+                               compression_size=3, seed=2), False),
+            (dead, np.array([[1.0]]), cfg, True),
+            (dead, np.array([[1.0], [0.5]]), cfg, True),
+        ]
+        refined = [propagate(m, x, c)[1].final_bound for m, x, c, _ in cases]
+        # the same propagations charging the plain signature bound instead
         monkeypatch.setattr(snn, "activation_signature_w2_bound",
                             lambda sig, activation, source: sig.w2_bound)
-        _, plain_ledger = propagate(model, points, cfg)
-        assert refined_ledger.final_bound <= plain_ledger.final_bound + 1e-12
+        plain = [propagate(m, x, c)[1].final_bound for m, x, c, _ in cases]
+        for r, p, (_, _, _, bites) in zip(refined, plain, cases):
+            assert r <= p + 1e-12
+            if bites:
+                # 2.6e-6 (D=1) and 4.8e-6 (D=2) against 0.136 and 0.257
+                assert r < 1e-4 * p
 
     def test_full_dropout_enumeration_is_exact(self, table):
         # width 2 and compression size 4 cover all 2^2 masks: zero error

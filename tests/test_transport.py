@@ -42,9 +42,9 @@ class TestTransportPlan:
         for _ in range(25):
             cost, a, b = _random_instance(rng)
             plan = solve_discrete_ot(cost, a, b)
-            np.testing.assert_allclose(plan.row_marginal, a, atol=1e-9,
+            np.testing.assert_allclose(plan.plan.sum(axis=1), a, atol=1e-9,
                                        rtol=0.0)
-            np.testing.assert_allclose(plan.col_marginal, b, atol=1e-9,
+            np.testing.assert_allclose(plan.plan.sum(axis=0), b, atol=1e-9,
                                        rtol=0.0)
             inner = float(np.sum(plan.plan * cost))
             assert abs(plan.cost - inner) <= 1e-9 * (1.0 + abs(inner))
