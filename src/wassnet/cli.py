@@ -23,8 +23,9 @@ from .config import TOL
 from .errors import NumericalError, ParseError
 from .priortune import apply_params, parse_gp_spec, tune
 from .quantizer import QuantizerTable, build_table
-from .snn import PropagationConfig, SnnModel, propagate, sample_network
-from .stats import GaussianMixture, as_mixture, mixture_second_moment
+from .snn import (BoundLedger, PropagationConfig, SnnModel, propagate,
+                  sample_network)
+from .stats import GaussianMixture, as_mixture
 from .transport import empirical_w2, mw2, relative_w2
 
 __all__ = ["main"]
@@ -123,6 +124,15 @@ def _resolve_table(path: str, budget: int) -> QuantizerTable:
     return build_table(budget)
 
 
+def _relative_or_none(value: float, reference):
+    """``relative_w2``, or None when the reference has zero second moment
+    (a point mass at the origin)."""
+    try:
+        return relative_w2(value, reference)
+    except ParseError:
+        return None
+
+
 def cmd_quantizer_build(args) -> int:
     table = build_table(args.max_n, tol=args.tol)
     table.save(args.out)
@@ -137,10 +147,7 @@ def cmd_approximate(args) -> int:
     cfg = PropagationConfig(table=table, signature_budget=args.budget,
                             compression_size=args.m, seed=args.seed)
     approx, ledger = propagate(model, points, cfg)
-    try:
-        relative = relative_w2(ledger.final_bound, approx)
-    except ParseError:
-        relative = None  # degenerate point-mass output at the origin
+    relative = _relative_or_none(ledger.final_bound, approx)
     _write_json(as_mixture(approx).to_dict(), args.out_gmm)
     artifact = {
         "model": args.model,
@@ -175,8 +182,7 @@ def cmd_empirical(args) -> int:
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 1)))
     mixture_samples = mixture.sample(args.samples, rng)
     value = empirical_w2(net_samples, mixture_samples)
-    second = mixture_second_moment(mixture)
-    relative = value / math.sqrt(second) if second > 0.0 else None
+    relative = _relative_or_none(value, mixture)
     print(f"empirical_w2={value!r}")
     print(f"relative_w2={relative!r}")
     return _EXIT_OK
@@ -223,29 +229,37 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _audited_final_bound(path: str, ledger):
+    """The stored ``final_bound`` of a ledger if a replay of its records
+    reproduces it; otherwise a ParseError naming ``path``."""
+    try:
+        replay = BoundLedger.from_dict(ledger).audit()
+        stored = ledger["final_bound"]
+    except (ParseError, KeyError, TypeError) as exc:
+        raise ParseError(f"malformed ledger file {path}: {exc}") from exc
+    if type(stored) not in (int, float) or stored != replay:
+        raise ParseError(f"ledger file {path}: stored final_bound {stored!r} "
+                         f"is not the replayed {replay!r}")
+    return stored
+
+
 def cmd_report(args) -> int:
     rows = []
     for path in args.ledger:
         data = _read_json(path)
-        if "ledger" in data:
-            meta, ledger = data, data["ledger"]
-        else:
-            # a bare ledger file without the wrapper metadata
-            meta, ledger = {}, data
-        try:
-            formal = meta.get("relative_formal_bound")
-            if formal is None:
-                formal = ledger["final_bound"]
-            rows.append({
-                "model": meta.get("model", path),
-                "d": ledger["input_set_size"],
-                "budget": meta.get("budget"),
-                "m": meta.get("m"),
-                "empirical": meta.get("empirical"),
-                "formal": formal,
-            })
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"malformed ledger file {path}: {exc}") from exc
+        # a bare ledger file lacks the wrapper metadata
+        meta = data if isinstance(data, dict) and "ledger" in data else {}
+        ledger = meta.get("ledger", data)
+        final_bound = _audited_final_bound(path, ledger)
+        formal = meta.get("relative_formal_bound")
+        rows.append({
+            "model": meta.get("model", path),
+            "d": ledger["input_set_size"],
+            "budget": meta.get("budget"),
+            "m": meta.get("m"),
+            "empirical": meta.get("empirical"),
+            "formal": final_bound if formal is None else formal,
+        })
     print("| model | D | budget | M | empirical | formal |")
     print("| --- | --- | --- | --- | --- | --- |")
     for row in rows:

@@ -2,8 +2,9 @@
 
 Every scalar tolerance, cap and default used across the package lives in one
 frozen record so that the numerical contract of the library is visible in a
-single place.  Functions take the module-level ``TOL`` unless a caller passes
-an override.
+single place.  Functions read the module-level ``TOL``; none accepts a
+``Tolerances``, though a few take one value as a keyword whose default comes
+from ``TOL`` (for example ``solve_quantizer_1d(n, tol=...)``).
 """
 
 from dataclasses import dataclass

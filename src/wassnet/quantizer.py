@@ -9,6 +9,7 @@ total budget, and assembles eigen-aligned tensor-product signatures whose
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -21,8 +22,8 @@ from .config import TOL
 from .errors import FixedPointError, NumericalError, ParseError
 from .stats import (
     Gaussian,
-    GaussianMixture,
     _readonly,
+    _simplex_weights,
     _std_pdf,
     as_mixture,
     standard_truncated_moments,
@@ -31,7 +32,6 @@ from .stats import (
 __all__ = [
     "Quantizer1D",
     "QuantizerTable",
-    "GridAllocation",
     "ComponentCells",
     "Signature",
     "solve_quantizer_1d",
@@ -75,6 +75,11 @@ class Quantizer1D:
     @property
     def size(self) -> int:
         return int(self.locations.size)
+
+    @functools.cached_property
+    def cells(self) -> tuple:
+        """Read-only ``(lo, hi, mass, mean, var)`` of :func:`_centroid_map`."""
+        return tuple(_readonly(a) for a in _centroid_map(self.locations))
 
     def to_dict(self) -> dict:
         return {"locations": [float(v) for v in self.locations],
@@ -239,16 +244,6 @@ class QuantizerTable:
                 f"quantizer size {n} outside table range 1..{self.n_max}")
         return self.entries[n - 1]
 
-    def w2sq_array(self, n_max: int) -> np.ndarray:
-        """Vector ``v`` with ``v[n] = w2sq(N=n)`` for n = 1..n_max (v[0] unused)."""
-        if n_max > self.n_max:
-            raise ParseError(
-                f"table covers N<= {self.n_max}, requested {n_max}")
-        out = np.empty(n_max + 1)
-        out[0] = np.inf
-        out[1:] = [q.w2sq for q in self.entries[:n_max]]
-        return out
-
     def to_dict(self) -> dict:
         return {
             "version": 1,
@@ -317,16 +312,6 @@ def build_table(n_max: int = TOL.table_n_max,
 # grid allocation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GridAllocation:
-    """Per-axis grid sizes over the non-degenerate eigen axes."""
-
-    per_axis_sizes: tuple
-    total: int
-    objective: float
-    degenerate_axes: int = 0
-
-
 def _active_mask(eigenvalues: np.ndarray) -> np.ndarray:
     """Axes whose eigenvalue exceeds the relative degeneracy threshold."""
     if eigenvalues.size == 0 or eigenvalues[0] <= 0.0:
@@ -334,15 +319,16 @@ def _active_mask(eigenvalues: np.ndarray) -> np.ndarray:
     return eigenvalues > TOL.eig_clip_rtol * eigenvalues[0]
 
 
-def allocate_grid(eigenvalues, budget: int, table: QuantizerTable) -> GridAllocation:
+def allocate_grid(eigenvalues, budget: int, table: QuantizerTable) -> tuple:
     """Exact minimizer of sum_j lambda_j * w2sq(N_j) subject to prod N_j <= budget.
 
-    ``eigenvalues`` must be sorted nonincreasing; axes below the degeneracy
-    threshold are pinned at one point and excluded from the search.  The
-    search enumerates all nonincreasing integer factor tuples with product at
-    most ``budget`` (an exchange argument shows some optimum is nonincreasing
-    when the eigenvalues are), breaking objective ties toward more points on
-    the larger-eigenvalue axes.
+    Returns the nonincreasing per-axis sizes ``(N_1, ..., N_r)`` over the
+    leading ``r`` axes; ``eigenvalues`` must be sorted nonincreasing, and the
+    trailing axes below the degeneracy threshold are pinned at one point and
+    excluded from the search.  The search enumerates all nonincreasing
+    integer factor tuples with product at most ``budget`` (an exchange
+    argument shows some optimum is nonincreasing when the eigenvalues are),
+    breaking objective ties toward more points on the larger-eigenvalue axes.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.ndim != 1 or lam.size == 0:
@@ -357,16 +343,11 @@ def allocate_grid(eigenvalues, budget: int, table: QuantizerTable) -> GridAlloca
         raise ParseError(
             f"quantizer table covers N<={table.n_max}; budget {budget} needs more")
 
-    active = _active_mask(lam)
-    lam_active = lam[active]
+    lam_active = lam[_active_mask(lam)]
     r = int(lam_active.size)
-    n_degenerate = int(lam.size - r)
-    if r == 0:
-        return GridAllocation((), 1, 0.0, degenerate_axes=n_degenerate)
-
-    w2 = table.w2sq_array(int(budget))
+    w2 = [q.w2sq for q in table.entries]
     best_obj = math.inf
-    best = None
+    best = ()
     sizes = [1] * r
 
     def descend(axis: int, cap: int, prod: int, partial: float) -> None:
@@ -382,13 +363,11 @@ def allocate_grid(eigenvalues, budget: int, table: QuantizerTable) -> GridAlloca
         for n in range(limit, 0, -1):
             sizes[axis] = n
             descend(axis + 1, n, prod * n,
-                    partial + lam_active[axis] * w2[n])
+                    partial + lam_active[axis] * w2[n - 1])
         sizes[axis] = 1
 
     descend(0, int(budget), 1, 0.0)
-    total = int(np.prod(np.asarray(best, dtype=np.int64)))
-    return GridAllocation(tuple(int(v) for v in best), total,
-                          float(best_obj), degenerate_axes=n_degenerate)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -460,14 +439,8 @@ class Signature:
             raise ParseError("signature locations must be a (M, n) array")
         if w.shape != (loc.shape[0],):
             raise ParseError("signature weights must match atom count")
-        if np.any(w < -1e-12) or not np.all(np.isfinite(w)):
-            raise ParseError("signature weights must be nonnegative")
-        total = float(w.sum())
-        if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-9):
-            raise ParseError(f"signature weights sum to {total}, expected 1")
-        w = np.maximum(w, 0.0) / np.maximum(w, 0.0).sum()
         object.__setattr__(self, "locations", _readonly(loc))
-        object.__setattr__(self, "weights", _readonly(w))
+        object.__setattr__(self, "weights", _simplex_weights(w, "signature"))
         object.__setattr__(
             self, "component_weights",
             _readonly(np.asarray(self.component_weights, dtype=float)))
@@ -477,10 +450,6 @@ class Signature:
     @property
     def size(self) -> int:
         return int(self.locations.shape[0])
-
-    @property
-    def dim(self) -> int:
-        return int(self.locations.shape[1])
 
     @property
     def w2_bound(self) -> float:
@@ -495,55 +464,42 @@ class Signature:
 
 
 def _component_grid(g: Gaussian, budget: int, table: QuantizerTable):
-    """Grid signature of a single Gaussian.
-
-    Returns ``(locations, weights, cells, w2sq_exact)`` where ``w2sq_exact``
-    is the closed-form squared distortion (eigenvalue-weighted sum of 1-D
-    quantizer distortions, plus pinned-axis variance).
-    """
+    """Grid signature of a single Gaussian: ``(locations, weights, cells)``."""
     basis = g.eigen()
     lam = basis.eigenvalues
-    alloc = allocate_grid(lam, budget, table)
-    sizes = alloc.per_axis_sizes
+    sizes = allocate_grid(lam, budget, table)
     r = len(sizes)
-    pinned = lam[r:]
-    pinned_sum = float(pinned.sum())
-    pinned_exact_zero = bool(np.all(pinned == 0.0))
+    pinned_sum = float(lam[r:].sum())
+    pinned_exact_zero = bool(np.all(lam[r:] == 0.0))
     lam_r = lam[:r]
     transform = basis.eigenvectors[:, :r] * np.sqrt(lam_r)
 
-    axis_stats = []
-    w2sq_exact = pinned_sum
-    for l, n_l in enumerate(sizes):
-        q = table.get(n_l)
-        axis_stats.append((q.locations,) + _centroid_map(q.locations))
-        w2sq_exact += float(lam_r[l]) * q.w2sq
-
-    # enumerate only axes with several cells; single-cell axes keep index 0,
-    # which np.indices cannot do directly past 64 axes
-    multi = [l for l, n_l in enumerate(sizes) if n_l > 1]
-    if multi:
-        idx_multi = np.indices([sizes[l] for l in multi])
-        idx_multi = idx_multi.reshape(len(multi), -1)
-        m_cells = idx_multi.shape[1]
-    else:
-        m_cells = 1
+    # sizes are nonincreasing, so the multi-point axes form a prefix; the
+    # single-point axes keep index 0, which np.indices cannot give directly
+    # past 64 axes
+    n_multi = sum(n_l > 1 for n_l in sizes)
+    m_cells = math.prod(sizes)
     idx = np.zeros((r, m_cells), dtype=int)
-    for pos, l in enumerate(multi):
-        idx[l] = idx_multi[pos]
+    idx[:n_multi] = np.indices(sizes[:n_multi]).reshape(n_multi, m_cells)
     mass = np.ones(m_cells)
     centers = np.empty((m_cells, r))
     lo = np.empty((m_cells, r))
     hi = np.empty((m_cells, r))
+    means = np.empty((m_cells, r))
+    variances = np.empty((m_cells, r))
     cond = np.full(m_cells, pinned_sum)
-    for l in range(r):
-        c_l, lo_l, hi_l, mass_l, mean_l, var_l = axis_stats[l]
+    for l, n_l in enumerate(sizes):
+        q = table.get(n_l)
+        lo_l, hi_l, mass_l, mean_l, var_l = q.cells
         sel = idx[l]
         mass *= mass_l[sel]
-        centers[:, l] = c_l[sel]
+        centers[:, l] = q.locations[sel]
         lo[:, l] = lo_l[sel]
         hi[:, l] = hi_l[sel]
-        cond += lam_r[l] * (var_l[sel] + np.square(mean_l[sel] - c_l[sel]))
+        means[:, l] = mean_l[sel]
+        variances[:, l] = var_l[sel]
+        cond += lam_r[l] * (variances[:, l]
+                            + np.square(means[:, l] - centers[:, l]))
 
     keep = mass >= TOL.cell_mass_prune
     if not np.any(keep):
@@ -558,10 +514,8 @@ def _component_grid(g: Gaussian, budget: int, table: QuantizerTable):
                         axis=1)
             j = int(np.argmin(d2))
             # exact conditional distortion of sending this cell to atom j
-            _, mean_c, var_c = standard_truncated_moments(
-                lo[c_idx], hi[c_idx])
-            pen = float(np.sum(lam_r * (var_c + np.square(
-                mean_c - kept_centers[j])))) + pinned_sum
+            pen = float(np.sum(lam_r * (variances[c_idx] + np.square(
+                means[c_idx] - kept_centers[j])))) + pinned_sum
             weights[j] += mass[c_idx]
             prune_penalty[j] += mass[c_idx] * pen
             pruned_mass += float(mass[c_idx])
@@ -571,30 +525,34 @@ def _component_grid(g: Gaussian, budget: int, table: QuantizerTable):
     locations = g.mean + centers[keep] @ transform.T
     cells = ComponentCells(
         offset=g.mean, transform=transform, eigenvalues=lam,
-        grid_sizes=tuple(int(v) for v in sizes),
+        grid_sizes=sizes,
         lo=lo[keep], hi=hi[keep], centers=centers[keep],
         cell_mass=mass[keep], distortion=cond[keep],
         prune_penalty=prune_penalty, pruned_mass=pruned_mass,
         pinned_exact_zero=pinned_exact_zero)
-    return locations, weights, cells, w2sq_exact
+    return locations, weights, cells
 
 
 def signature_of_gaussian(g: Gaussian, budget: int, table: QuantizerTable):
     """Signature of a Gaussian on the optimal eigen-aligned grid.
 
-    Returns ``(signature, w2sq_exact)``; ``w2sq_exact`` is the exact squared
-    2-Wasserstein distance between ``g`` and the signature (not a bound).
-    Zero covariance yields a single atom at the mean with distance zero.
+    The one-component :func:`signature_of_mixture`.  Returns
+    ``(signature, w2sq_exact)``; ``w2sq_exact`` is the exact squared
+    2-Wasserstein distance between ``g`` and the signature (not a bound): the
+    eigenvalue-weighted sum of the 1-D quantizer distortions plus the
+    variance of the pinned axes.  Zero covariance yields a single atom at
+    the mean with distance zero.
     """
     if not isinstance(g, Gaussian):
         raise ParseError("signature_of_gaussian expects a Gaussian")
-    locations, weights, cells, w2sq_exact = _component_grid(g, budget, table)
-    sig = Signature(
-        locations, weights,
-        component_weights=np.array([1.0]),
-        cells=(cells,),
-    )
-    return sig, float(w2sq_exact)
+    sig, _ = signature_of_mixture(g, budget, table)
+    cc = sig.cells[0]
+    lam = cc.eigenvalues
+    r = len(cc.grid_sizes)
+    w2sq_exact = float(lam[r:].sum())
+    for lam_l, n_l in zip(lam[:r], cc.grid_sizes):
+        w2sq_exact += float(lam_l) * table.get(n_l).w2sq
+    return sig, w2sq_exact
 
 
 def signature_of_mixture(g, budget_per_component: int, table: QuantizerTable):
@@ -612,8 +570,8 @@ def signature_of_mixture(g, budget_per_component: int, table: QuantizerTable):
     for pi, comp in zip(gm.weights, gm.components):
         if pi <= 0.0:
             continue
-        loc_i, w_i, cells_i, _ = _component_grid(comp, budget_per_component,
-                                                 table)
+        loc_i, w_i, cells_i = _component_grid(comp, budget_per_component,
+                                              table)
         blocks.append((loc_i, pi * w_i))
         comp_w.append(float(pi))
         cells.append(cells_i)
@@ -633,17 +591,15 @@ def signature_of_mixture(g, budget_per_component: int, table: QuantizerTable):
 
 _ACTIVATIONS = ("relu", "tanh")
 
-
-def _essential_radius() -> float:
-    """Half-width of the standard-normal box holding all but negligible mass."""
-    return float(-ndtri(TOL.cell_mass_prune))
+# half-width of the standard-normal box holding all but negligible mass
+_ESSENTIAL_RADIUS = float(-ndtri(TOL.cell_mass_prune))
 
 
-def _refined_component_w2sq(cc: ComponentCells, radius: float) -> float:
+def _refined_component_w2sq(cc: ComponentCells) -> float:
     """Squared distortion with L=0 on cells essentially in the ReLU dead zone.
 
     Clips every cell box to the essential standard-normal box of half-width
-    ``radius``; a cell whose clipped image under the generating transform
+    ``_ESSENTIAL_RADIUS``; a cell whose clipped image under the generating transform
     lies in the nonpositive orthant (and whose atom is nonpositive) maps to
     the ReLU constant region, so only its clipped-away tail distortion is
     kept.  All other cells keep their full distortion.  The result never
@@ -655,8 +611,8 @@ def _refined_component_w2sq(cc: ComponentCells, radius: float) -> float:
         return cc.w2sq_total
 
     lam_r = cc.eigenvalues[: cc.lo.shape[1]]
-    lo_c = np.maximum(cc.lo, -radius)
-    hi_c = np.minimum(cc.hi, radius)
+    lo_c = np.maximum(cc.lo, -_ESSENTIAL_RADIUS)
+    hi_c = np.minimum(cc.hi, _ESSENTIAL_RADIUS)
     valid = lo_c < hi_c
     lo_c = np.where(valid, lo_c, 0.0)
     hi_c = np.where(valid, hi_c, 0.0)
@@ -680,9 +636,9 @@ def _refined_component_w2sq(cc: ComponentCells, radius: float) -> float:
     return float(np.sum(per_cell))
 
 
-def activation_signature_w2_bound(sig: Signature, activation: str,
-                                  source: GaussianMixture) -> float:
-    """Upper bound on W2 between activation pushforwards of source and signature.
+def activation_signature_w2_bound(sig: Signature, activation: str) -> float:
+    """Upper bound on W2 between activation pushforwards of the signature's
+    generating mixture and the signature.
 
     With the global Lipschitz constant 1 (ReLU and tanh) the plain signature
     bound applies.  For ReLU the bound is refined: cells certified to lie in
@@ -696,16 +652,8 @@ def activation_signature_w2_bound(sig: Signature, activation: str,
     if activation == "tanh":
         return unrefined
 
-    if source is not None:
-        n_comp = len(sig.cells)
-        active = [i for i, w in enumerate(source.weights) if w > 0.0]
-        if len(active) != n_comp:
-            raise ParseError(
-                "source mixture does not match signature component blocks")
-
-    radius = _essential_radius()
     total = 0.0
     for pi, cc in zip(sig.component_weights, sig.cells):
-        total += float(pi) * _refined_component_w2sq(cc, radius)
+        total += float(pi) * _refined_component_w2sq(cc)
     refined = math.sqrt(max(0.0, total))
     return float(min(refined, unrefined))

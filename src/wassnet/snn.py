@@ -481,8 +481,7 @@ def propagate(model: SnnModel, points, cfg: PropagationConfig):
         if activation_kind is None:
             delta = plain_bound
         else:
-            delta = activation_signature_w2_bound(sig, activation_kind,
-                                                  res.compressed)
+            delta = activation_signature_w2_bound(sig, activation_kind)
         pending_compression += res.w2_bound
         pending_signature += delta
         atoms = DiscreteDistribution(sig.locations, sig.weights)

@@ -33,6 +33,21 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _simplex_weights(w: np.ndarray, what: str) -> np.ndarray:
+    """Validated simplex weights, renormalized by their exact sum.
+
+    Entries may fall below zero by at most ``TOL.simplex_atol`` (they are
+    clipped to zero) and must sum to 1 within 1e-9.
+    """
+    if np.any(w < -TOL.simplex_atol):
+        raise ParseError(f"negative {what} weight")
+    w = np.maximum(w, 0.0)
+    total = float(w.sum())
+    if not abs(total - 1.0) <= 1e-9:  # also rejects NaN and inf weights
+        raise ParseError(f"{what} weights sum to {total}, not 1")
+    return _readonly(w / total)
+
+
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
@@ -158,16 +173,11 @@ class GaussianMixture:
             raise ParseError("mixture needs at least one component")
         if w.shape[0] != len(comps):
             raise ParseError("weight count does not match component count")
-        if np.any(w < -TOL.simplex_atol):
-            raise ParseError("negative mixture weight")
-        w = np.maximum(w, 0.0)
-        total = float(w.sum())
-        if not abs(total - 1.0) <= 1e-9:  # also rejects NaN weights
-            raise ParseError(f"mixture weights sum to {total}, not 1")
+        w = _simplex_weights(w, "mixture")
         dims = {c.dim for c in comps}
         if len(dims) != 1:
             raise ParseError("mixture components have mismatched dimensions")
-        object.__setattr__(self, "weights", _readonly(w / total))
+        object.__setattr__(self, "weights", w)
         object.__setattr__(self, "components", comps)
 
     @property
@@ -228,14 +238,8 @@ class DiscreteDistribution:
             raise ParseError("atom locations must be finite")
         if w.shape[0] != loc.shape[0]:
             raise ParseError("weight count does not match atom count")
-        if np.any(w < -TOL.simplex_atol):
-            raise ParseError("negative atom weight")
-        w = np.maximum(w, 0.0)
-        total = float(w.sum())
-        if not abs(total - 1.0) <= 1e-9:  # also rejects NaN weights
-            raise ParseError(f"atom weights sum to {total}, not 1")
         object.__setattr__(self, "locations", _readonly(loc))
-        object.__setattr__(self, "weights", _readonly(w / total))
+        object.__setattr__(self, "weights", _simplex_weights(w, "atom"))
 
     @property
     def size(self) -> int:

@@ -510,3 +510,43 @@ class TestReport:
         code, _, err = run_cli(["report", "--ledger", str(bad)], capsys)
         assert code == 3
         assert "bad.json" in err
+
+    def test_bare_ledger_replays_and_renders(self, tmp_path, table_file,
+                                             capsys):
+        _, out_ledger, _ = _approximate(tmp_path, table_file, capsys,
+                                        budget=4)
+        ledger = json.loads(Path(out_ledger).read_text())["ledger"]
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps(ledger))
+        code, out, _ = run_cli(["report", "--ledger", str(bare)], capsys)
+        assert code == 0
+        cells = [c.strip() for c in out.splitlines()[2].strip("|").split("|")]
+        assert cells[5] == f"{ledger['final_bound']:.6g}"
+
+    @pytest.mark.parametrize("wrapped", [True, False])
+    @pytest.mark.parametrize("final_bound", [1e-9, "abc", None, True])
+    def test_stored_bound_must_match_replay(self, tmp_path, table_file,
+                                            capsys, wrapped, final_bound):
+        _, out_ledger, _ = _approximate(tmp_path, table_file, capsys,
+                                        budget=4)
+        artifact = json.loads(Path(out_ledger).read_text())
+        artifact["ledger"]["final_bound"] = final_bound
+        forged = tmp_path / "forged.json"
+        forged.write_text(json.dumps(artifact if wrapped
+                                     else artifact["ledger"]))
+        code, out, err = run_cli(["report", "--ledger", str(forged)], capsys)
+        assert code == 3
+        assert "forged.json" in err
+        assert out == ""
+
+    def test_tampered_record_rejected(self, tmp_path, table_file, capsys):
+        _, out_ledger, _ = _approximate(tmp_path, table_file, capsys,
+                                        budget=4)
+        artifact = json.loads(Path(out_ledger).read_text())
+        artifact["ledger"]["records"][-1]["signature_term"] *= 2.0
+        forged = tmp_path / "forged.json"
+        forged.write_text(json.dumps(artifact))
+        code, _, err = run_cli(["report", "--ledger", out_ledger,
+                                str(forged)], capsys)
+        assert code == 3
+        assert "forged.json" in err

@@ -117,6 +117,20 @@ class TestQuantizerTable:
             assert back.get(n).locations.tolist() == tab.get(n).locations.tolist()
             assert back.get(n).w2sq == tab.get(n).w2sq
 
+    def test_cells_survive_roundtrip_bitwise(self, tmp_path):
+        tab = build_table(12)
+        path = tmp_path / "table.json"
+        tab.save(path)
+        back = QuantizerTable.load(path)
+        for n in range(1, 13):
+            q = back.get(n)
+            assert q.cells is q.cells  # computed once per entry
+            for got, want in zip(q.cells, _centroid_map(q.locations)):
+                assert not got.flags.writeable
+                assert got.tobytes() == want.tobytes()
+            for got, want in zip(q.cells, tab.get(n).cells):
+                assert got.tobytes() == want.tobytes()
+
     def test_malformed_tables_rejected(self):
         tab = build_table(3)
         data = tab.to_dict()
@@ -139,21 +153,20 @@ class TestQuantizerTable:
 
 class TestAllocateGrid:
     def test_symmetric_axes_split_budget(self, table):
-        alloc = allocate_grid(np.array([1.0, 1.0]), 4, table)
-        assert alloc.per_axis_sizes == (2, 2)
-        assert alloc.total == 4
+        sizes = allocate_grid(np.array([1.0, 1.0]), 4, table)
+        assert sizes == (2, 2)
+        assert math.prod(sizes) == 4
 
     def test_skewed_axes_favor_large_eigenvalue(self, table):
-        alloc = allocate_grid(np.array([100.0, 0.01]), 4, table)
-        assert alloc.per_axis_sizes == (4, 1)
+        assert allocate_grid(np.array([100.0, 0.01]), 4, table) == (4, 1)
 
     def test_single_axis_takes_full_budget(self, table):
-        assert allocate_grid(np.array([1.0]), 7, table).per_axis_sizes == (7,)
+        assert allocate_grid(np.array([1.0]), 7, table) == (7,)
 
     def test_degenerate_axes_pinned(self, table):
-        alloc = allocate_grid(np.array([1.0, 1e-30]), 8, table)
-        assert alloc.per_axis_sizes == (8,)
-        assert alloc.degenerate_axes == 1
+        # the degenerate trailing axis gets no entry: it stays at one point
+        assert allocate_grid(np.array([1.0, 1e-30]), 8, table) == (8,)
+        assert allocate_grid(np.zeros(3), 8, table) == ()
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_exhaustive_oracle(self, table, seed):
@@ -161,18 +174,17 @@ class TestAllocateGrid:
         r = int(rng.integers(1, 4))
         lam = np.sort(rng.uniform(0.01, 10.0, size=r))[::-1]
         budget = int(rng.integers(2, 13))
-        alloc = allocate_grid(lam, budget, table)
+        sizes = allocate_grid(lam, budget, table)
         w2 = [None] + [table.get(n).w2sq for n in range(1, budget + 1)]
         best = math.inf
         for combo in itertools.product(range(1, budget + 1), repeat=r):
             if np.prod(combo) > budget:
                 continue
             best = min(best, sum(l * w2[n] for l, n in zip(lam, combo)))
-        assert abs(alloc.objective - best) < 1e-12 * max(1.0, best)
-        assert alloc.total <= budget
-        expected = sum(lam[i] * w2[n] for i, n in
-                       enumerate(alloc.per_axis_sizes))
-        assert abs(alloc.objective - expected) < 1e-12 * max(1.0, best)
+        assert len(sizes) == r
+        assert math.prod(sizes) <= budget
+        objective = sum(lam[i] * w2[n] for i, n in enumerate(sizes))
+        assert abs(objective - best) < 1e-12 * max(1.0, best)
 
     def test_invalid_inputs(self, table):
         with pytest.raises(ParseError):
@@ -263,6 +275,40 @@ class TestSignatureOfGaussian:
         emp = semidiscrete_w2_lp(samples, sig.locations, sig.weights)
         assert abs(emp * emp - w2sq) <= 0.05 * w2sq
 
+    @pytest.mark.parametrize("kind", ["diag", "full", "rank_deficient",
+                                      "zero"])
+    def test_matches_one_component_mixture_bitwise(self, table, kind):
+        rng = np.random.default_rng(13)
+        f = rng.normal(size=(3, 3))
+        u = rng.normal(size=(3, 1))
+        cov = {"diag": np.array([2.0, 0.5, 0.1]), "full": f @ f.T,
+               "rank_deficient": u @ u.T, "zero": np.zeros(3)}[kind]
+        g = Gaussian(rng.normal(size=3), cov)
+        for budget in (1, 5, 12):
+            sig_g, w2sq = signature_of_gaussian(g, budget, table)
+            sig_m, bound = signature_of_mixture(
+                GaussianMixture(np.array([1.0]), (g,)), budget, table)
+            for name in ("locations", "weights", "component_weights"):
+                assert (getattr(sig_g, name).tobytes()
+                        == getattr(sig_m, name).tobytes())
+            cg, cm = sig_g.cells[0], sig_m.cells[0]
+            for name in ("offset", "transform", "eigenvalues", "lo", "hi",
+                         "centers", "cell_mass", "distortion",
+                         "prune_penalty"):
+                assert getattr(cg, name).tobytes() == getattr(cm, name).tobytes()
+            assert cg.grid_sizes == cm.grid_sizes
+            assert cg.pruned_mass == cm.pruned_mass
+            assert cg.pinned_exact_zero == cm.pinned_exact_zero
+            assert sig_g.w2_bound == bound
+            # closed form: eigenvalue-weighted 1-D distortions plus the
+            # pinned-axis variance
+            r = len(cg.grid_sizes)
+            lam = cg.eigenvalues
+            exact = float(lam[r:].sum())
+            for lam_l, n_l in zip(lam[:r], cg.grid_sizes):
+                exact += float(lam_l) * table.get(n_l).w2sq
+            assert w2sq == exact
+
     def test_pruning_reassigns_negligible_cells(self):
         # a synthetic table whose 3-point entry has far-out cells drives the
         # outer cell masses below the pruning floor
@@ -279,6 +325,40 @@ class TestSignatureOfGaussian:
         assert sig.cells[0].pruned_mass > 0.0
         # the surviving cell still accounts for (essentially) all variance
         assert sig.cells[0].w2sq_total >= 0.999
+
+    def test_pruning_penalty_is_the_exact_box_distortion(self):
+        # 2-D grid of a 3-point entry with one far cell per side: the four
+        # corner cells fall below the floor; the larger entries are barely
+        # better than N=3, so the allocation picks the (3, 3) grid
+        real = build_table(9)
+        fake = QuantizerTable((
+            Quantizer1D(np.array([0.0]), 1.0),
+            Quantizer1D(np.array([-N2_LOC, N2_LOC]), N2_W2SQ),
+            Quantizer1D(np.array([-10.0, 0.0, 10.0]), 0.3),
+        ) + tuple(Quantizer1D(real.get(n).locations, 0.3 - 1e-3 * (n - 3))
+                  for n in range(4, 10)), tol=1e-12, max_iters=10)
+        g = Gaussian(np.array([1.0, -1.0]), np.array([4.0, 1.0]))
+        sig, _ = signature_of_gaussian(g, 9, fake)
+        cc = sig.cells[0]
+        assert cc.grid_sizes == (3, 3) and sig.size < 9
+        lam = cc.eigenvalues
+        q = fake.get(3)
+        lo, hi, mass, _, _ = _centroid_map(q.locations)
+        penalty = np.zeros(sig.size)
+        pruned = 0.0
+        for i, j in itertools.product(range(3), repeat=2):
+            cell_mass = mass[i] * mass[j]
+            if cell_mass >= 1e-12:
+                continue
+            c = q.locations[[i, j]]
+            k = int(np.argmin(np.sum(lam * np.square(cc.centers - c), axis=1)))
+            _, mean, var = standard_truncated_moments(lo[[i, j]], hi[[i, j]])
+            pen = float(np.sum(lam * (var + np.square(mean - cc.centers[k]))))
+            penalty[k] += cell_mass * pen
+            pruned += float(cell_mass)
+        assert pruned > 0.0
+        assert cc.prune_penalty.tobytes() == penalty.tobytes()
+        assert cc.pruned_mass == pruned
 
 
 class TestSignatureOfMixture:
@@ -394,19 +474,19 @@ class TestActivationRefinement:
     def test_tanh_equals_unrefined(self, table):
         gm = self._mix([-10.0], [0.01])
         sig, bound = signature_of_mixture(gm, 2, table)
-        assert activation_signature_w2_bound(sig, "tanh", gm) == bound
+        assert activation_signature_w2_bound(sig, "tanh") == bound
 
     def test_relu_dead_zone_vanishes(self, table):
         gm = self._mix([-10.0], [0.01])
         sig, bound = signature_of_mixture(gm, 2, table)
-        refined = activation_signature_w2_bound(sig, "relu", gm)
+        refined = activation_signature_w2_bound(sig, "relu")
         assert 0.0 <= refined < 1e-4
         assert refined < bound
 
     def test_relu_active_zone_keeps_bound(self, table):
         gm = self._mix([10.0], [0.01])
         sig, bound = signature_of_mixture(gm, 2, table)
-        assert activation_signature_w2_bound(sig, "relu", gm) == bound
+        assert activation_signature_w2_bound(sig, "relu") == bound
 
     def test_refined_never_exceeds_unrefined(self, table):
         rng = np.random.default_rng(37)
@@ -415,7 +495,7 @@ class TestActivationRefinement:
                 np.array([0.5, 0.5]),
                 (random_full_gaussian(rng, 2), random_full_gaussian(rng, 2)))
             sig, bound = signature_of_mixture(gm, 8, table)
-            refined = activation_signature_w2_bound(sig, "relu", gm)
+            refined = activation_signature_w2_bound(sig, "relu")
             assert refined <= bound + 1e-15
 
     def test_mixed_components_refine_partially(self, table):
@@ -424,7 +504,7 @@ class TestActivationRefinement:
             (Gaussian(np.array([-20.0, -20.0]), 0.01 * np.eye(2)),
              Gaussian(np.array([3.0, 3.0]), np.eye(2))))
         sig, bound = signature_of_mixture(gm, 4, table)
-        refined = activation_signature_w2_bound(sig, "relu", gm)
+        refined = activation_signature_w2_bound(sig, "relu")
         # the negative component's mass drops out; the active one remains
         active_part = math.sqrt(0.5 * sig.cells[1].w2sq_total)
         assert refined < bound
@@ -434,7 +514,7 @@ class TestActivationRefinement:
         gm = self._mix([0.0], [1.0])
         sig, _ = signature_of_mixture(gm, 2, table)
         with pytest.raises(ParseError):
-            activation_signature_w2_bound(sig, "gelu", gm)
+            activation_signature_w2_bound(sig, "gelu")
 
 
 class TestSignatureContainer:

@@ -452,7 +452,7 @@ class TestPropagate:
         refined = [propagate(m, x, c)[1].final_bound for m, x, c, _ in cases]
         # the same propagations charging the plain signature bound instead
         monkeypatch.setattr(snn, "activation_signature_w2_bound",
-                            lambda sig, activation, source: sig.w2_bound)
+                            lambda sig, activation: sig.w2_bound)
         plain = [propagate(m, x, c)[1].final_bound for m, x, c, _ in cases]
         for r, p, (_, _, _, bites) in zip(refined, plain, cases):
             assert r <= p + 1e-12
