@@ -49,7 +49,6 @@ print(f"approximation: mixture with {len(approx.weights)} components over "
 print("error ledger (one record per stochastic-linear crossing):")
 for rec in ledger.records:
     print(f"  layer {rec.k}: spectral={rec.spectral_term:.3f} "
-          f"lipschitz={rec.lipschitz:.2f} "
           f"signature={rec.signature_term:.4f} "
           f"compression={rec.compression_term:.4f} "
           f"-> accumulated={rec.accumulated:.4f}")

@@ -229,18 +229,22 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _audited_final_bound(path: str, ledger):
-    """The stored ``final_bound`` of a ledger if a replay of its records
-    reproduces it; otherwise a ParseError naming ``path``."""
+def _check_stored(path: str, key: str, stored, replay: float) -> None:
+    if type(stored) not in (int, float) or stored != replay:
+        raise ParseError(f"ledger file {path}: stored {key} {stored!r} "
+                         f"is not the replayed {replay!r}")
+
+
+def _audited_final_bound(path: str, ledger) -> float:
+    """The replayed bound of a ledger if it reproduces the stored
+    ``final_bound``; otherwise a ParseError naming ``path``."""
     try:
         replay = BoundLedger.from_dict(ledger).audit()
         stored = ledger["final_bound"]
     except (ParseError, KeyError, TypeError) as exc:
         raise ParseError(f"malformed ledger file {path}: {exc}") from exc
-    if type(stored) not in (int, float) or stored != replay:
-        raise ParseError(f"ledger file {path}: stored final_bound {stored!r} "
-                         f"is not the replayed {replay!r}")
-    return stored
+    _check_stored(path, "final_bound", stored, replay)
+    return replay
 
 
 def cmd_report(args) -> int:
@@ -251,14 +255,16 @@ def cmd_report(args) -> int:
         meta = data if isinstance(data, dict) and "ledger" in data else {}
         ledger = meta.get("ledger", data)
         final_bound = _audited_final_bound(path, ledger)
-        formal = meta.get("relative_formal_bound")
+        if meta:
+            _check_stored(path, "formal_bound", meta.get("formal_bound"),
+                          final_bound)
         rows.append({
             "model": meta.get("model", path),
             "d": ledger["input_set_size"],
             "budget": meta.get("budget"),
             "m": meta.get("m"),
             "empirical": meta.get("empirical"),
-            "formal": final_bound if formal is None else formal,
+            "formal": final_bound,
         })
     print("| model | D | budget | M | empirical | formal |")
     print("| --- | --- | --- | --- | --- | --- |")
@@ -337,7 +343,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report",
                        help="render ledger files as a markdown table")
     p.add_argument("--ledger", nargs="*", default=[])
-    p.add_argument("--format", choices=("md",), default="md")
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -4,7 +4,9 @@ Every scalar tolerance, cap and default used across the package lives in one
 frozen record so that the numerical contract of the library is visible in a
 single place.  Functions read the module-level ``TOL``; none accepts a
 ``Tolerances``, though a few take one value as a keyword whose default comes
-from ``TOL`` (for example ``solve_quantizer_1d(n, tol=...)``).
+from ``TOL`` (for example ``solve_quantizer_1d(n, tol=...)``).  A value that
+no caller varies is a field here, not a parameter: ``tune`` reads its
+gradient clip and step decay from ``TOL`` only.
 """
 
 from dataclasses import dataclass
@@ -41,6 +43,7 @@ class Tolerances:
     fd_step: float = 1e-4
     step_size_default: float = 0.05
     step_decay: float = 0.99
+    grad_clip: float = 10.0
 
 
 TOL = Tolerances()

@@ -42,8 +42,6 @@ __all__ = [
     "tune",
 ]
 
-_GRANULARITIES = ("layer", "parameter")
-
 
 @dataclass(frozen=True)
 class GpTarget:
@@ -123,13 +121,12 @@ def gp_realize(target: GpTarget) -> Gaussian:
 class PriorParams:
     """Log-variances of the mean-field prior, one entry per tuned group.
 
-    With ``granularity='layer'`` each stochastic layer contributes one weight
-    group and (if ``include_biases``) one bias group; ``'parameter'`` tunes
-    every variance entry individually.
+    Each stochastic layer contributes one weight group and (if
+    ``include_biases``) one bias group; every variance in a group shares
+    the group's value.
     """
 
     log_variances: np.ndarray
-    granularity: str = "layer"
     include_biases: bool = True
 
     def __post_init__(self):
@@ -140,9 +137,6 @@ class PriorParams:
             exp_finite = np.all(np.isfinite(np.exp(v)))
         if not np.all(np.isfinite(v)) or not exp_finite:
             raise ParseError("every log-variance must have a finite exponential")
-        if self.granularity not in _GRANULARITIES:
-            raise ParseError(
-                f"granularity must be one of {_GRANULARITIES}")
         object.__setattr__(self, "log_variances", _readonly(v))
         object.__setattr__(self, "include_biases", bool(self.include_biases))
 
@@ -151,12 +145,11 @@ class PriorParams:
         return self.log_variances.shape[0]
 
     def with_values(self, values) -> "PriorParams":
-        return PriorParams(values, self.granularity, self.include_biases)
+        return PriorParams(values, self.include_biases)
 
     def to_dict(self) -> dict:
         return {
             "log_variances": self.log_variances.tolist(),
-            "granularity": self.granularity,
             "include_biases": self.include_biases,
         }
 
@@ -164,76 +157,48 @@ class PriorParams:
     def from_dict(d: dict) -> "PriorParams":
         try:
             return PriorParams(np.asarray(d["log_variances"], dtype=float),
-                               str(d["granularity"]),
                                bool(d["include_biases"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed prior parameters: {exc}") from exc
 
 
-def _param_groups(template: SnnModel, granularity: str,
-                  include_biases: bool) -> list:
-    """(label, slot count) of every tuned group, in template order.
+def _group_labels(template: SnnModel, include_biases: bool) -> list:
+    """Label of every tuned group, in template order.
 
     Each stochastic layer contributes its weight group and then, with
     ``include_biases``, its bias group.
     """
-    if granularity not in _GRANULARITIES:
-        raise ParseError(f"granularity must be one of {_GRANULARITIES}")
-    groups = []
-    ordinal = 0
-    for layer in template.layers:
-        if not isinstance(layer, StochasticLinear):
-            continue
-        ordinal += 1
-        n_w = layer.n_out * layer.n_in if granularity == "parameter" else 1
-        groups.append((f"layer {ordinal} weights", n_w))
-        if include_biases:
-            n_b = layer.n_out if granularity == "parameter" else 1
-            groups.append((f"layer {ordinal} biases", n_b))
-    if not groups:
+    kinds = ("weights", "biases") if include_biases else ("weights",)
+    n_layers = sum(isinstance(layer, StochasticLinear)
+                   for layer in template.layers)
+    if n_layers == 0:
         raise ParseError("template has no stochastic layers to tune")
-    return groups
+    return [f"layer {i} {kind}" for i in range(1, n_layers + 1)
+            for kind in kinds]
 
 
-def _group_layout(template: SnnModel, params: PriorParams):
-    """Group labels and the offsets that split ``params`` into its groups."""
-    labels, counts = zip(*_param_groups(template, params.granularity,
-                                        params.include_biases))
-    if params.size != sum(counts):
-        raise ParseError(
-            f"parameter vector has {params.size} entries but the template "
-            f"exposes {sum(counts)} tuned groups")
-    return labels, np.cumsum(counts)[:-1]
-
-
-def _fill(values: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """One shared value or one value per entry, in the shape of ``like``."""
-    if values.size == 1:
-        return np.full_like(like, values[0])
-    return values.reshape(like.shape)
-
-
-def params_for_template(template: SnnModel, granularity: str = "layer",
-                        include_biases: bool = True,
-                        init_log_variance: float = 0.0) -> PriorParams:
-    """Isotropic initialization sized to the template's tuned groups."""
-    total = sum(n for _, n in _param_groups(template, granularity,
-                                            include_biases))
-    return PriorParams(np.full(total, float(init_log_variance)),
-                       granularity, include_biases)
+def params_for_template(template: SnnModel,
+                        include_biases: bool = True) -> PriorParams:
+    """Isotropic initialization (every log-variance 0) of the tuned groups."""
+    return PriorParams(np.zeros(len(_group_labels(template, include_biases))),
+                       include_biases)
 
 
 def apply_params(template: SnnModel, params: PriorParams) -> SnnModel:
     """Instantiate the template with variances ``exp(log_variances)``."""
     if not isinstance(template, SnnModel):
         raise ParseError("apply_params expects an SnnModel template")
-    _, offsets = _group_layout(template, params)
-    variances = iter(np.split(np.exp(params.log_variances), offsets))
+    n_groups = len(_group_labels(template, params.include_biases))
+    if params.size != n_groups:
+        raise ParseError(
+            f"parameter vector has {params.size} entries but the template "
+            f"exposes {n_groups} tuned groups")
+    variances = iter(np.exp(params.log_variances))
     layers = []
     for layer in template.layers:
         if isinstance(layer, StochasticLinear):
-            weight_var = _fill(next(variances), layer.weight_var)
-            bias_var = (_fill(next(variances), layer.bias_var)
+            weight_var = np.full_like(layer.weight_var, next(variances))
+            bias_var = (np.full_like(layer.bias_var, next(variances))
                         if params.include_biases else layer.bias_var)
             layer = StochasticLinear(layer.weight_mean, weight_var,
                                      layer.bias_mean, bias_var,
@@ -352,29 +317,28 @@ def _require_zero_mean(template: SnnModel):
 
 
 def _blame_parameter_block(params: PriorParams, template: SnnModel) -> str:
-    """The group holding the largest log-variance (the first on ties)."""
-    labels, offsets = _group_layout(template, params)
-    peaks = [float(np.max(v))
-             for v in np.split(params.log_variances, offsets)]
-    worst = int(np.argmax(peaks))
-    return f"{labels[worst]} (log-variance {peaks[worst]})"
+    """The group holding the largest log-variance (the first on ties);
+    ``params`` has passed :func:`apply_params` on ``template``."""
+    labels = _group_labels(template, params.include_biases)
+    worst = int(np.argmax(params.log_variances))
+    return (f"{labels[worst]} "
+            f"(log-variance {float(params.log_variances[worst])})")
 
 
 def tune(template: SnnModel, target: GpTarget, cfg: PropagationConfig,
          beta: float = TOL.beta_default, steps: int = 20,
          step_size: float = TOL.step_size_default, batch: int = None,
-         seed: int = 0, granularity: str = "layer",
-         include_biases: bool = True, init: PriorParams = None,
-         eval_samples: int = 1000, eval_batches: int = 4,
-         grad_clip: float = 10.0) -> TuneReport:
+         seed: int = 0, include_biases: bool = True,
+         init: PriorParams = None, eval_samples: int = 1000,
+         eval_batches: int = 4) -> TuneReport:
     """Mini-batch finite-difference descent of the certified objective.
 
     Each step draws a random batch of evaluation points, freezes the
     propagation seed, and takes a central-difference gradient step on the
     log-variances with geometrically decaying step size.  Gradient entries
-    are clipped to ``[-grad_clip, grad_clip]``: the bound term can be orders
-    of magnitude steeper than the fit term early on, and clipping keeps a
-    fixed step size stable across that range.  The returned parameters are
+    are clipped to ``[-TOL.grad_clip, TOL.grad_clip]``: the bound term can
+    be orders of magnitude steeper than the fit term early on, and clipping
+    keeps a fixed step size stable across that range.  The returned parameters are
     guaranteed no worse than the initialization on the full point set (the
     tuner reverts if the stochastic descent ended higher).
     """
@@ -395,12 +359,10 @@ def tune(template: SnnModel, target: GpTarget, cfg: PropagationConfig,
             and isinstance(eval_samples, (int, np.integer))
             and eval_samples >= 2):
         raise ParseError("evaluation needs at least 2 batches of 2 samples")
-    if not (np.isfinite(grad_clip) and grad_clip > 0.0):
-        raise ParseError("gradient clip must be positive")
     _require_zero_mean(template)
 
     if init is None:
-        params = params_for_template(template, granularity, include_biases)
+        params = params_for_template(template, include_biases)
     else:
         params = init
     initial = tune_loss(params, template, target, cfg, beta)
@@ -438,7 +400,7 @@ def tune(template: SnnModel, target: GpTarget, cfg: PropagationConfig,
         if not np.all(np.isfinite(grad)):
             raise NumericalError(
                 f"non-finite gradient at step {step}; try a smaller step size")
-        grad = np.clip(grad, -grad_clip, grad_clip)
+        grad = np.clip(grad, -TOL.grad_clip, TOL.grad_clip)
         psi = psi - step_size * (TOL.step_decay ** step) * grad
 
     final_params = params.with_values(psi)

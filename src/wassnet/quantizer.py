@@ -325,10 +325,12 @@ def allocate_grid(eigenvalues, budget: int, table: QuantizerTable) -> tuple:
     Returns the nonincreasing per-axis sizes ``(N_1, ..., N_r)`` over the
     leading ``r`` axes; ``eigenvalues`` must be sorted nonincreasing, and the
     trailing axes below the degeneracy threshold are pinned at one point and
-    excluded from the search.  The search enumerates all nonincreasing
+    excluded from the search.  The search scores all nonincreasing
     integer factor tuples with product at most ``budget`` (an exchange
     argument shows some optimum is nonincreasing when the eigenvalues are),
-    breaking objective ties toward more points on the larger-eigenvalue axes.
+    summing each objective left to right over the axes, and breaks
+    objective ties toward the lexicographically largest tuple, i.e. more
+    points on the larger-eigenvalue axes.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.ndim != 1 or lam.size == 0:
@@ -345,29 +347,20 @@ def allocate_grid(eigenvalues, budget: int, table: QuantizerTable) -> tuple:
 
     lam_active = lam[_active_mask(lam)]
     r = int(lam_active.size)
-    w2 = [q.w2sq for q in table.entries]
-    best_obj = math.inf
-    best = ()
-    sizes = [1] * r
-
-    def descend(axis: int, cap: int, prod: int, partial: float) -> None:
-        nonlocal best_obj, best
-        if axis == r:
-            if partial < best_obj:
-                best_obj = partial
-                best = tuple(sizes)
-            return
-        if partial >= best_obj:
-            return  # remaining axes only add strictly positive cost
-        limit = min(cap, budget // prod)
-        for n in range(limit, 0, -1):
-            sizes[axis] = n
-            descend(axis + 1, n, prod * n,
-                    partial + lam_active[axis] * w2[n - 1])
-        sizes[axis] = 1
-
-    descend(0, int(budget), 1, 0.0)
-    return best
+    if r == 0:
+        return ()
+    # factors >= 2 of every tuple, grown one axis at a time
+    found, frontier = [], [()]
+    while frontier:
+        found += frontier
+        frontier = [t + (n,) for t in frontier if len(t) < r
+                    for n in range(2, min(t[-1] if t else budget,
+                                          budget // math.prod(t)) + 1)]
+    sizes = np.array(sorted((t + (1,) * (r - len(t)) for t in found),
+                            reverse=True))
+    w2 = np.array([q.w2sq for q in table.entries[:budget]])
+    objective = np.cumsum(lam_active * w2[sizes - 1], axis=1)[:, -1]
+    return tuple(int(n) for n in sizes[int(np.argmin(objective))])
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,8 @@ class Dropout:
 
 @dataclass(frozen=True)
 class Activation:
-    """Elementwise nonlinearity; both supported kinds are 1-Lipschitz."""
+    """Elementwise nonlinearity; both supported kinds are 1-Lipschitz,
+    which the ledger recursion relies on (see :class:`BoundLedger`)."""
 
     kind: str
 
@@ -135,10 +136,6 @@ class Activation:
             raise ParseError(
                 f"unknown activation {self.kind!r}; "
                 f"supported: {', '.join(_ACTIVATIONS)}")
-
-    @property
-    def lipschitz(self) -> float:
-        return 1.0
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         if self.kind == "relu":
@@ -276,12 +273,11 @@ class LedgerRecord:
     spectral_term: float
     signature_term: float
     compression_term: float
-    lipschitz: float
     accumulated: float
 
     def __post_init__(self):
         vals = (self.spectral_term, self.signature_term,
-                self.compression_term, self.lipschitz, self.accumulated)
+                self.compression_term, self.accumulated)
         if not all(np.isfinite(v) and v >= 0.0 for v in vals):
             raise ParseError("ledger terms must be finite and nonnegative")
 
@@ -291,7 +287,6 @@ class LedgerRecord:
             "spectral_term": self.spectral_term,
             "signature_term": self.signature_term,
             "compression_term": self.compression_term,
-            "lipschitz": self.lipschitz,
             "accumulated": self.accumulated,
         }
 
@@ -301,8 +296,14 @@ class BoundLedger:
     """Certified error recursion across the linear layers of one propagation.
 
     The accumulated column satisfies, exactly and auditable by replay,
-    ``acc_k = spectral_k * (lipschitz_k * acc_{k-1} + lipschitz_k *
-    compression_k + signature_k)`` with ``acc_0 = 0``.
+    ``acc_k = spectral_k * (acc_{k-1} + compression_k + signature_k)`` with
+    ``acc_0 = 0``.  The recursion carries no Lipschitz factor because every
+    supported activation is 1-Lipschitz, and it is only sound for that
+    constant.  ``compression_k`` also holds dropout bounds taken after the
+    activation, which no activation constant may scale, and ``signature_k``
+    may hold a bound taken before a dropout that precedes the activation,
+    which the activation constant would have to scale.  ``from_dict``
+    ignores a stored ``lipschitz`` key (always 1.0 in older ledgers).
     """
 
     records: tuple
@@ -321,8 +322,7 @@ class BoundLedger:
         """Replay the recursion; raise if any stored value deviates."""
         acc = 0.0
         for rec in self.records:
-            acc = rec.spectral_term * (rec.lipschitz * acc
-                                       + rec.lipschitz * rec.compression_term
+            acc = rec.spectral_term * (acc + rec.compression_term
                                        + rec.signature_term)
             if acc != rec.accumulated:
                 raise ParseError(
@@ -343,7 +343,7 @@ class BoundLedger:
             recs = tuple(LedgerRecord(
                 int(r["k"]), float(r["spectral_term"]),
                 float(r["signature_term"]), float(r["compression_term"]),
-                float(r["lipschitz"]), float(r["accumulated"]))
+                float(r["accumulated"]))
                 for r in d["records"])
             return BoundLedger(recs, int(d["input_set_size"]))
         except (KeyError, TypeError, ValueError) as exc:
@@ -461,7 +461,6 @@ def propagate(model: SnnModel, points, cfg: PropagationConfig):
     acc = 0.0
     pending_compression = 0.0
     pending_signature = 0.0
-    block_lipschitz = 1.0
     records = []
     k = 0
 
@@ -491,7 +490,6 @@ def propagate(model: SnnModel, points, cfg: PropagationConfig):
         if isinstance(layer, Activation):
             if mixture is not None:
                 reduce_to_atoms(layer.kind)
-            block_lipschitz = layer.lipschitz
             blocks = atoms.locations  # elementwise, blocks need no reshaping
             atoms = DiscreteDistribution(layer.apply(blocks), atoms.weights)
         elif isinstance(layer, Dropout):
@@ -525,14 +523,10 @@ def propagate(model: SnnModel, points, cfg: PropagationConfig):
                 mixture = GaussianMixture(mixture.weights, comps)
             else:
                 atoms = _atoms_through_deterministic(atoms, layer, d)
-            acc = spectral * (block_lipschitz * acc
-                              + block_lipschitz * pending_compression
-                              + pending_signature)
+            acc = spectral * (acc + pending_compression + pending_signature)
             records.append(LedgerRecord(k, spectral, pending_signature,
-                                        pending_compression, block_lipschitz,
-                                        acc))
+                                        pending_compression, acc))
             pending_compression = pending_signature = 0.0
-            block_lipschitz = 1.0
 
     ledger = BoundLedger(tuple(records), d)
     return (mixture if mixture is not None else atoms), ledger

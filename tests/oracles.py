@@ -9,7 +9,8 @@ from-scratch fixed point driven by quadrature, and the full dropout-mask
 expansion by enumerating every mask.  The batched Gaussian W2 cost matrix
 is checked against the per-pair formula it replaced, which shares
 ``psd_sqrt`` with the library.  Exact W2 between atom sets and stratified
-mixture samples serve as references for the compression bounds.
+mixture samples serve as references for the compression bounds.  Grid
+allocation is checked against the branch-and-bound search it replaced.
 """
 
 import itertools
@@ -261,6 +262,47 @@ def quad_lloyd_quantizer(n, tol=1e-12, max_iters=200000):
         val, _ = integrate.quad(lambda z: (z - c[i]) ** 2 * npdf(z), lo, hi, limit=200)
         w2sq += val
     return c, w2sq
+
+
+def allocate_grid_search_oracle(eigenvalues, budget, table):
+    """Grid sizes by the depth-first branch-and-bound search that
+    ``allocate_grid`` once ran.
+
+    Axes below the degeneracy threshold are dropped; the search visits the
+    nonincreasing tuples in lexicographically decreasing order, adds each
+    axis cost left to right, prunes a branch once its partial sum reaches
+    the best total, and keeps the first strict minimum.
+    """
+    from wassnet.config import TOL
+
+    lam = np.asarray(eigenvalues, dtype=float)
+    if lam[0] <= 0.0:
+        return ()
+    lam_active = lam[lam > TOL.eig_clip_rtol * lam[0]]
+    r = int(lam_active.size)
+    w2 = [q.w2sq for q in table.entries]
+    best_obj = math.inf
+    best = ()
+    sizes = [1] * r
+
+    def descend(axis, cap, prod, partial):
+        nonlocal best_obj, best
+        if axis == r:
+            if partial < best_obj:
+                best_obj = partial
+                best = tuple(sizes)
+            return
+        if partial >= best_obj:
+            return  # remaining axes only add strictly positive cost
+        limit = min(cap, budget // prod)
+        for n in range(limit, 0, -1):
+            sizes[axis] = n
+            descend(axis + 1, n, prod * n,
+                    partial + lam_active[axis] * w2[n - 1])
+        sizes[axis] = 1
+
+    descend(0, int(budget), 1, 0.0)
+    return best
 
 
 def mc_mean_se(values):

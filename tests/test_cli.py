@@ -474,7 +474,10 @@ class TestReport:
         assert cells[0].endswith("model_1_16_1_tanh.json")
         assert cells[1] == "5" and cells[2] == "4" and cells[3] == "5"
         assert cells[4] == ""  # no empirical value recorded
-        assert float(cells[5]) > 0.0
+        # the formal column is the audited absolute bound, not the ratio
+        artifact = json.loads(Path(out_ledger).read_text())
+        assert cells[5] == f"{artifact['ledger']['final_bound']:.6g}"
+        assert cells[5] != f"{artifact['relative_formal_bound']:.6g}"
 
     def test_three_budgets_formal_nonincreasing(self, tmp_path, table_file,
                                                 capsys):
@@ -538,6 +541,58 @@ class TestReport:
         assert code == 3
         assert "forged.json" in err
         assert out == ""
+
+    @pytest.mark.parametrize("formal_bound", [1e-9, "abc", None])
+    def test_forged_formal_bound_rejected(self, tmp_path, table_file, capsys,
+                                          formal_bound):
+        _, out_ledger, _ = _approximate(tmp_path, table_file, capsys,
+                                        budget=4)
+        artifact = json.loads(Path(out_ledger).read_text())
+        artifact["formal_bound"] = formal_bound
+        forged = tmp_path / "forged.json"
+        forged.write_text(json.dumps(artifact))
+        code, out, err = run_cli(["report", "--ledger", str(forged)], capsys)
+        assert code == 3
+        assert "forged.json" in err and "formal_bound" in err
+        assert out == ""
+
+    def test_forged_relative_bound_not_rendered(self, tmp_path, table_file,
+                                                capsys):
+        _, out_ledger, _ = _approximate(tmp_path, table_file, capsys,
+                                        budget=4)
+        artifact = json.loads(Path(out_ledger).read_text())
+        artifact["relative_formal_bound"] = 1e-9
+        forged = tmp_path / "forged.json"
+        forged.write_text(json.dumps(artifact))
+        code, out, _ = run_cli(["report", "--ledger", str(forged)], capsys)
+        assert code == 0
+        cells = [c.strip() for c in out.splitlines()[2].strip("|").split("|")]
+        assert cells[5] == f"{artifact['formal_bound']:.6g}"
+        assert "1e-09" not in out
+
+    @pytest.mark.parametrize("wrapped", [True, False])
+    def test_older_artifact_with_lipschitz_key_replays(self, tmp_path,
+                                                       table_file, capsys,
+                                                       wrapped):
+        # artifacts written before the always-1 Lipschitz slot was removed
+        # store "lipschitz": 1.0 in every ledger record
+        _, out_ledger, _ = _approximate(tmp_path, table_file, capsys,
+                                        budget=4)
+        artifact = json.loads(Path(out_ledger).read_text())
+        for rec in artifact["ledger"]["records"]:
+            assert "lipschitz" not in rec
+            rec["lipschitz"] = 1.0
+        older = tmp_path / "older.json"
+        older.write_text(json.dumps(artifact if wrapped
+                                    else artifact["ledger"]))
+        code, out, _ = run_cli(["report", "--ledger", str(older)], capsys)
+        assert code == 0
+        cells = [c.strip() for c in out.splitlines()[2].strip("|").split("|")]
+        assert cells[5] == f"{artifact['formal_bound']:.6g}"
+
+    def test_format_flag_removed(self, capsys):
+        code, _, _ = run_cli(["report", "--format", "md"], capsys)
+        assert code == 2
 
     def test_tampered_record_rejected(self, tmp_path, table_file, capsys):
         _, out_ledger, _ = _approximate(tmp_path, table_file, capsys,

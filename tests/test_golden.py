@@ -10,7 +10,9 @@ relative.  The second case has two tanh hidden layers, so it runs
 LP.  The third has ReLU hidden layers, each followed by ``Dropout(0.9)``,
 so it also runs the ReLU signature refinement (which leaves this
 case's bound unchanged) and the truncated dropout expansion; it was
-recorded before that expansion moved into ``compress_dropout``.
+recorded before that expansion moved into ``compress_dropout``.  The
+always-1.0 ``lipschitz`` key left the ledger records by deletion from the
+file, not by re-recording, so the independently recorded terms stay.
 
 ``tests/data/golden_tune.json`` holds the report of a short ``tune`` run,
 recorded before the assignment solve started from reduced costs and
@@ -102,7 +104,7 @@ def test_propagate_matches_golden(case, table):
     for got, ref in zip(ledger["records"], want["ledger"]["records"]):
         assert got["k"] == ref["k"]
         for term in ("spectral_term", "signature_term", "compression_term",
-                     "lipschitz", "accumulated"):
+                     "accumulated"):
             assert math.isclose(got[term], ref[term], rel_tol=LEDGER_RTOL,
                                 abs_tol=0.0), (name, got["k"], term)
 

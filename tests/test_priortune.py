@@ -114,21 +114,19 @@ class TestPriorParams:
         with pytest.raises(ParseError):
             PriorParams(np.array([800.0]))  # exp overflows
         with pytest.raises(ParseError):
-            PriorParams(np.array([0.0]), granularity="global")
-        with pytest.raises(ParseError):
             PriorParams(np.zeros((0,)))
 
     def test_roundtrip(self):
-        p = PriorParams(np.array([0.5, -1.0]), "layer", False)
+        p = PriorParams(np.array([0.5, -1.0]), False)
         back = PriorParams.from_dict(p.to_dict())
         assert np.array_equal(back.log_variances, p.log_variances)
-        assert back.granularity == "layer"
         assert back.include_biases is False
+        assert set(p.to_dict()) == {"log_variances", "include_biases"}
 
     def test_with_values_preserves_flags(self):
-        p = PriorParams(np.array([0.0]), "parameter", False)
+        p = PriorParams(np.array([0.0]), False)
         q = p.with_values(np.array([1.0]))
-        assert q.granularity == "parameter" and q.include_biases is False
+        assert q.include_biases is False
 
 
 class TestParameterPlumbing:
@@ -138,12 +136,10 @@ class TestParameterPlumbing:
 
     def test_group_counts(self):
         template = self._template()
-        assert params_for_template(template).size == 4
+        params = params_for_template(template)
+        assert params.size == 4 and params.include_biases is True
+        assert np.array_equal(params.log_variances, np.zeros(4))
         assert params_for_template(template, include_biases=False).size == 2
-        # per-parameter: 4 + 4 weights/biases, then 4 + 1
-        assert params_for_template(template, "parameter").size == 13
-        assert params_for_template(template, "parameter",
-                                   include_biases=False).size == 8
 
     def test_apply_sets_exponentiated_variances(self):
         template = self._template()
@@ -162,15 +158,6 @@ class TestParameterPlumbing:
         model = apply_params(template, params)
         assert np.allclose(model.layers[0].bias_var,
                            template.layers[0].bias_var, atol=0)
-
-    def test_per_parameter_granularity_reshapes(self):
-        template = SnnModel(1, (_zero_mean_layer(1, 2),))
-        values = np.log([1.0, 2.0, 3.0, 4.0])
-        model = apply_params(template,
-                             PriorParams(values, "parameter"))
-        assert np.allclose(model.layers[0].weight_var.ravel(), [1.0, 2.0],
-                           atol=1e-15)
-        assert np.allclose(model.layers[0].bias_var, [3.0, 4.0], atol=1e-15)
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ParseError):
@@ -333,8 +320,6 @@ class TestTune:
         with pytest.raises(ParseError):
             tune(scalar_template, target, cfg, steps=2, step_size=0.0)
         with pytest.raises(ParseError):
-            tune(scalar_template, target, cfg, steps=2, grad_clip=0.0)
-        with pytest.raises(ParseError):
             tune(scalar_template, target, cfg, steps=2, seed=-1)
         with pytest.raises(ParseError):
             tune(scalar_template, "target", cfg, steps=2)
@@ -343,6 +328,20 @@ class TestTune:
                                                np.zeros(1), np.ones(1)),))
         with pytest.raises(ParseError):
             tune(biased, target, cfg, steps=1)
+
+    def test_gradient_is_clipped(self, cfg, scalar_template, monkeypatch):
+        # slope 1000 in the one log-variance: the step uses TOL.grad_clip
+        monkeypatch.setattr(
+            "wassnet.priortune.tune_loss",
+            lambda params, *args: LossParts(
+                5000.0 + 1000.0 * params.log_variances[0],
+                5000.0 + 1000.0 * params.log_variances[0], 0.0))
+        target = GpTarget(0.5, 1.0, np.array([[1.0], [0.0]]))
+        report = tune(scalar_template, target, cfg, steps=1, step_size=0.1,
+                      include_biases=False, eval_samples=10, eval_batches=2)
+        assert not report.reverted
+        assert math.isclose(report.params.log_variances[0],
+                            -0.1 * TOL.grad_clip, rel_tol=1e-12)
 
     def test_non_finite_initial_loss_blames_block(self, cfg, scalar_template,
                                                   monkeypatch):

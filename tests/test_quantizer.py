@@ -22,7 +22,8 @@ from wassnet.quantizer import (
 )
 from wassnet.stats import standard_truncated_moments
 
-from oracles import sample_stratified, semidiscrete_w2_lp
+from oracles import (allocate_grid_search_oracle, sample_stratified,
+                     semidiscrete_w2_lp)
 
 # frozen values from an independent quadrature-driven fixed point (tol 1e-12)
 N2_LOC = 0.7978845608028654          # sqrt(2/pi)
@@ -185,6 +186,28 @@ class TestAllocateGrid:
         assert math.prod(sizes) <= budget
         objective = sum(lam[i] * w2[n] for i, n in enumerate(sizes))
         assert abs(objective - best) < 1e-12 * max(1.0, best)
+
+    @pytest.mark.parametrize("spectrum", ["spread", "tied", "zero_tail",
+                                          "wide_range"])
+    def test_returns_search_oracle_tuples(self, table, spectrum):
+        # exact tuple equality, ties included: the enumeration must keep
+        # the branch-and-bound search's left-to-right sums and first minimum
+        rng = np.random.default_rng(sum(map(ord, spectrum)))
+        for _ in range(25):
+            r = int(rng.integers(1, 65))
+            if spectrum == "tied":
+                lam = rng.choice([0.25, 1.0, 4.0], size=r)
+            elif spectrum == "wide_range":
+                lam = np.exp(rng.uniform(-30.0, 3.0, size=r))
+            else:
+                lam = rng.uniform(0.01, 10.0, size=r)
+            if spectrum == "zero_tail":
+                lam = np.sort(lam)[::-1]
+                lam[int(rng.integers(0, r)):] = 0.0
+            lam = np.sort(lam)[::-1]
+            budget = int(rng.integers(1, table.n_max + 1))
+            assert allocate_grid(lam, budget, table) == \
+                allocate_grid_search_oracle(lam, budget, table), (lam, budget)
 
     def test_invalid_inputs(self, table):
         with pytest.raises(ParseError):

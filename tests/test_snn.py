@@ -530,8 +530,8 @@ class TestPropagate:
 class TestLedger:
     def _ledger(self):
         records = (
-            LedgerRecord(1, 2.0, 0.0, 0.0, 1.0, 0.0),
-            LedgerRecord(2, 1.5, 0.4, 0.2, 1.0, 1.5 * (0.0 + 0.2 + 0.4)),
+            LedgerRecord(1, 2.0, 0.0, 0.0, 0.0),
+            LedgerRecord(2, 1.5, 0.4, 0.2, 1.5 * (0.0 + 0.2 + 0.4)),
         )
         return BoundLedger(records, 1)
 
@@ -541,8 +541,8 @@ class TestLedger:
 
     def test_audit_detects_tampering(self):
         records = (
-            LedgerRecord(1, 2.0, 0.5, 0.0, 1.0, 1.0),
-            LedgerRecord(2, 1.5, 0.4, 0.2, 1.0, 99.0),
+            LedgerRecord(1, 2.0, 0.5, 0.0, 1.0),
+            LedgerRecord(2, 1.5, 0.4, 0.2, 99.0),
         )
         with pytest.raises(ParseError, match="k=2"):
             BoundLedger(records, 1).audit()
@@ -554,11 +554,22 @@ class TestLedger:
         assert back.input_set_size == 1
         assert back.to_dict() == ledger.to_dict()
 
+    def test_older_ledger_with_lipschitz_key_replays(self):
+        # ledgers written before the always-1 Lipschitz slot was removed
+        # store "lipschitz": 1.0 in every record
+        ledger = self._ledger()
+        old = ledger.to_dict()
+        for rec in old["records"]:
+            rec["lipschitz"] = 1.0
+        back = BoundLedger.from_dict(old)
+        assert back.records == ledger.records
+        assert back.audit() == old["final_bound"]
+
     def test_record_rejects_negative_terms(self):
         with pytest.raises(ParseError):
-            LedgerRecord(1, -1.0, 0.0, 0.0, 1.0, 0.0)
+            LedgerRecord(1, -1.0, 0.0, 0.0, 0.0)
         with pytest.raises(ParseError):
-            LedgerRecord(1, 1.0, 0.0, 0.0, 1.0, np.inf)
+            LedgerRecord(1, 1.0, 0.0, 0.0, np.inf)
 
     def test_empty_ledger_bound_is_zero(self):
         assert BoundLedger((), 1).final_bound == 0.0
@@ -573,6 +584,8 @@ class TestLedger:
         assert d["input_set_size"] == 1
         assert d["final_bound"] == ledger.final_bound
         assert [r["k"] for r in d["records"]] == [1, 2]
+        assert set(d["records"][0]) == {"k", "spectral_term", "signature_term",
+                                        "compression_term", "accumulated"}
         assert d["records"][0]["accumulated"] == 0.0
         assert d["records"][1]["signature_term"] > 0.0
 
