@@ -14,8 +14,8 @@ from .stats import (DiscreteDistribution, EigenBasis, Gaussian,
                     gaussian_w2_sq_matrix, mixture_second_moment, psd_sqrt,
                     standard_truncated_moments, symmetric_eig)
 from .quantizer import (ComponentCells, Quantizer1D, QuantizerTable,
-                        Signature, activation_signature_w2_bound,
-                        allocate_grid, build_table, signature_of_gaussian,
+                        activation_signature_w2_bound, allocate_grid,
+                        build_table, signature_of_gaussian,
                         signature_of_mixture, solve_quantizer_1d)
 from .transport import (TransportPlan, empirical_w2, mw2, relative_w2,
                         solve_discrete_ot)

@@ -134,7 +134,7 @@ def _relative_or_none(value: float, reference):
 
 
 def cmd_quantizer_build(args) -> int:
-    table = build_table(args.max_n, tol=args.tol)
+    table = build_table(args.max_n)
     table.save(args.out)
     _log(f"wrote quantizer table with entries 1..{table.n_max} to {args.out}")
     return _EXIT_OK
@@ -263,15 +263,13 @@ def cmd_report(args) -> int:
             "d": ledger["input_set_size"],
             "budget": meta.get("budget"),
             "m": meta.get("m"),
-            "empirical": meta.get("empirical"),
             "formal": final_bound,
         })
-    print("| model | D | budget | M | empirical | formal |")
-    print("| --- | --- | --- | --- | --- | --- |")
+    print("| model | D | budget | M | formal |")
+    print("| --- | --- | --- | --- | --- |")
     for row in rows:
         cells = [_format_cell(row[k])
-                 for k in ("model", "d", "budget", "m", "empirical",
-                           "formal")]
+                 for k in ("model", "d", "budget", "m", "formal")]
         print("| " + " | ".join(cells) + " |")
     return _EXIT_OK
 
@@ -286,8 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quantizer-build",
                        help="build the 1-D quantizer lookup table")
     p.add_argument("--max-n", type=_positive_int, required=True)
-    p.add_argument("--tol", type=_positive_float,
-                   default=TOL.fixed_point_tol)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_quantizer_build)
 

@@ -257,7 +257,6 @@ class TuneReport:
     relative_formal: float
     beta: float
     step_size: float
-    step_decay: float
     reverted: bool
 
     def __post_init__(self):
@@ -286,7 +285,6 @@ class TuneReport:
             "relative_formal": self.relative_formal,
             "beta": self.beta,
             "step_size": self.step_size,
-            "step_decay": self.step_decay,
             "reverted": self.reverted,
         }
 
@@ -301,8 +299,7 @@ class TuneReport:
                               float(d["relative_empirical"]),
                               float(d["relative_empirical_se"]),
                               float(d["relative_formal"]), float(d["beta"]),
-                              float(d["step_size"]), float(d["step_decay"]),
-                              bool(d["reverted"]))
+                              float(d["step_size"]), bool(d["reverted"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed tune report: {exc}") from exc
 
@@ -431,6 +428,5 @@ def tune(template: SnnModel, target: GpTarget, cfg: PropagationConfig,
         relative_formal=relative_w2(final.mw2_term + final.bound_term, gp),
         beta=float(beta),
         step_size=float(step_size),
-        step_decay=TOL.step_decay,
         reverted=reverted,
     )

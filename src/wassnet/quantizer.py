@@ -21,9 +21,9 @@ from scipy.special import ndtri
 from .config import TOL
 from .errors import FixedPointError, NumericalError, ParseError
 from .stats import (
+    DiscreteDistribution,
     Gaussian,
     _readonly,
-    _simplex_weights,
     _std_pdf,
     as_mixture,
     standard_truncated_moments,
@@ -33,7 +33,6 @@ __all__ = [
     "Quantizer1D",
     "QuantizerTable",
     "ComponentCells",
-    "Signature",
     "solve_quantizer_1d",
     "build_table",
     "allocate_grid",
@@ -51,13 +50,11 @@ __all__ = [
 class Quantizer1D:
     """Optimal N-point quantizer of N(0,1).
 
-    ``locations`` are strictly increasing and symmetric about zero;
-    ``w2sq`` is the squared 2-Wasserstein distortion between N(0,1) and the
-    induced atom distribution (cell-mass weights at the locations).
+    ``locations`` are strictly increasing and symmetric about zero; the
+    cells and the distortion ``w2sq`` are derived from them.
     """
 
     locations: np.ndarray
-    w2sq: float
 
     def __post_init__(self):
         loc = np.asarray(self.locations, dtype=float)
@@ -67,10 +64,7 @@ class Quantizer1D:
             raise ParseError("locations must be finite")
         if loc.size > 1 and not np.all(np.diff(loc) > 0):
             raise ParseError("locations must be strictly increasing")
-        if not self.w2sq >= 0.0:
-            raise ParseError("w2sq must be nonnegative")
         object.__setattr__(self, "locations", _readonly(loc))
-        object.__setattr__(self, "w2sq", float(self.w2sq))
 
     @property
     def size(self) -> int:
@@ -81,15 +75,21 @@ class Quantizer1D:
         """Read-only ``(lo, hi, mass, mean, var)`` of :func:`_centroid_map`."""
         return tuple(_readonly(a) for a in _centroid_map(self.locations))
 
+    @functools.cached_property
+    def w2sq(self) -> float:
+        """Squared 2-Wasserstein distortion between N(0,1) and the induced
+        atom distribution (cell-mass weights at the locations)."""
+        _, _, mass, mean, var = self.cells
+        return float(np.sum(mass * (var + np.square(mean - self.locations))))
+
     def to_dict(self) -> dict:
-        return {"locations": [float(v) for v in self.locations],
-                "w2sq": float(self.w2sq)}
+        return {"locations": [float(v) for v in self.locations]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Quantizer1D":
+        """An entry from its locations; a stored ``w2sq`` is ignored."""
         try:
-            return cls(np.asarray(data["locations"], dtype=float),
-                       float(data["w2sq"]))
+            return cls(np.asarray(data["locations"], dtype=float))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed quantizer entry: {exc}") from exc
 
@@ -187,8 +187,6 @@ def solve_quantizer_1d(n: int,
         raise ParseError("tol must be positive")
     if max_iters < 1:
         raise ParseError("max_iters must be at least 1")
-    if n == 1:
-        return Quantizer1D(np.array([0.0]), 1.0)
 
     loc = ndtri((np.arange(n) + 0.5) / n)
     loc = _newton_accelerate(loc, target=max(0.25 * tol, 5e-16))
@@ -207,11 +205,9 @@ def solve_quantizer_1d(n: int,
             residual=delta,
         )
 
-    _, _, mass, mean, var = _centroid_map(loc)
-    w2sq = float(np.sum(mass * (var + np.square(mean - loc))))
     if not np.all(np.diff(loc) > 0):
         raise NumericalError(f"quantizer locations collapsed for N={n}")
-    return Quantizer1D(loc, w2sq)
+    return Quantizer1D(loc)
 
 
 @dataclass(frozen=True)
@@ -219,8 +215,6 @@ class QuantizerTable:
     """Immutable lookup table of optimal quantizers for N = 1..n_max."""
 
     entries: tuple
-    tol: float
-    max_iters: int
 
     def __post_init__(self):
         if len(self.entries) < 1:
@@ -247,13 +241,13 @@ class QuantizerTable:
     def to_dict(self) -> dict:
         return {
             "version": 1,
-            "tol": float(self.tol),
-            "max_iters": int(self.max_iters),
             "entries": {str(q.size): q.to_dict() for q in self.entries},
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "QuantizerTable":
+        """A table from its entries' locations; the ``w2sq``, ``tol`` and
+        ``max_iters`` keys of older files are ignored."""
         try:
             if int(data["version"]) != 1:
                 raise ParseError(
@@ -267,8 +261,7 @@ class QuantizerTable:
                     raise ParseError(
                         f"quantizer table keys must be contiguous; missing {n}")
                 entries.append(Quantizer1D.from_dict(raw[key]))
-            return cls(tuple(entries), float(data["tol"]),
-                       int(data.get("max_iters", TOL.fixed_point_max_iters)))
+            return cls(tuple(entries))
         except ParseError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -289,23 +282,10 @@ class QuantizerTable:
         return cls.from_dict(data)
 
 
-def build_table(n_max: int = TOL.table_n_max,
-                tol: float = TOL.fixed_point_tol,
-                max_iters: int = TOL.fixed_point_max_iters) -> QuantizerTable:
+def build_table(n_max: int = TOL.table_n_max) -> QuantizerTable:
     """Build the quantizer lookup table for sizes 1..n_max."""
-    if n_max < 1:
-        raise ParseError("n_max must be at least 1")
-    entries = []
-    prev = math.inf
-    for n in range(1, int(n_max) + 1):
-        q = solve_quantizer_1d(n, tol=tol, max_iters=max_iters)
-        if not q.w2sq < prev:
-            raise NumericalError(
-                f"quantizer distortion failed to decrease at N={n}: "
-                f"{q.w2sq} >= {prev}")
-        prev = q.w2sq
-        entries.append(q)
-    return QuantizerTable(tuple(entries), tol=tol, max_iters=int(max_iters))
+    return QuantizerTable(tuple(solve_quantizer_1d(n)
+                                for n in range(1, int(n_max) + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +360,7 @@ class ComponentCells:
     pruned cells whose mass was reassigned to this atom.
     """
 
+    weight: float               # the component's mixture weight
     offset: np.ndarray          # (n,) component mean
     transform: np.ndarray       # (n, r) eigvecs * sqrt(eigvals) over grid axes
     eigenvalues: np.ndarray     # (n,) all eigenvalues, nonincreasing
@@ -411,53 +392,20 @@ class ComponentCells:
                      + np.sum(self.prune_penalty))
 
 
-@dataclass(frozen=True)
-class Signature:
-    """Weighted atoms approximating a distribution, with their cell data.
+def _w2_bound(cells) -> float:
+    """Upper bound on W2 between a mixture and its signature.
 
-    Atoms are grouped by generating mixture component in component order;
-    ``cells`` holds one :class:`ComponentCells` per component, aligned with
-    the atom blocks.
+    Couples every component with its own cell block:
+    ``sqrt(sum_i pi_i * cells[i].w2sq_total)``.
     """
-
-    locations: np.ndarray
-    weights: np.ndarray
-    component_weights: np.ndarray
-    cells: tuple
-
-    def __post_init__(self):
-        loc = np.asarray(self.locations, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        if loc.ndim != 2 or loc.shape[0] < 1:
-            raise ParseError("signature locations must be a (M, n) array")
-        if w.shape != (loc.shape[0],):
-            raise ParseError("signature weights must match atom count")
-        object.__setattr__(self, "locations", _readonly(loc))
-        object.__setattr__(self, "weights", _simplex_weights(w, "signature"))
-        object.__setattr__(
-            self, "component_weights",
-            _readonly(np.asarray(self.component_weights, dtype=float)))
-        if sum(c.size for c in self.cells) != loc.shape[0]:
-            raise ParseError("cell blocks must cover exactly all atoms")
-
-    @property
-    def size(self) -> int:
-        return int(self.locations.shape[0])
-
-    @property
-    def w2_bound(self) -> float:
-        """Upper bound on W2 to the generating mixture.
-
-        Couples every component with its own cell block:
-        ``sqrt(sum_i pi_i * cells[i].w2sq_total)``.
-        """
-        w2sq = np.array([c.w2sq_total for c in self.cells])
-        return float(math.sqrt(max(0.0, float(
-            np.dot(self.component_weights, w2sq)))))
+    w2sq = np.dot([c.weight for c in cells], [c.w2sq_total for c in cells])
+    return float(math.sqrt(max(0.0, float(w2sq))))
 
 
-def _component_grid(g: Gaussian, budget: int, table: QuantizerTable):
-    """Grid signature of a single Gaussian: ``(locations, weights, cells)``."""
+def _component_grid(g: Gaussian, weight: float, budget: int,
+                    table: QuantizerTable):
+    """Grid signature of a single Gaussian of mixture weight ``weight``:
+    ``(locations, weights, cells)``."""
     basis = g.eigen()
     lam = basis.eigenvalues
     sizes = allocate_grid(lam, budget, table)
@@ -517,7 +465,7 @@ def _component_grid(g: Gaussian, budget: int, table: QuantizerTable):
     weights = weights / total
     locations = g.mean + centers[keep] @ transform.T
     cells = ComponentCells(
-        offset=g.mean, transform=transform, eigenvalues=lam,
+        weight=weight, offset=g.mean, transform=transform, eigenvalues=lam,
         grid_sizes=sizes,
         lo=lo[keep], hi=hi[keep], centers=centers[keep],
         cell_mass=mass[keep], distortion=cond[keep],
@@ -530,52 +478,47 @@ def signature_of_gaussian(g: Gaussian, budget: int, table: QuantizerTable):
     """Signature of a Gaussian on the optimal eigen-aligned grid.
 
     The one-component :func:`signature_of_mixture`.  Returns
-    ``(signature, w2sq_exact)``; ``w2sq_exact`` is the exact squared
-    2-Wasserstein distance between ``g`` and the signature (not a bound): the
+    ``(atoms, w2sq_exact)``; ``w2sq_exact`` is the exact squared
+    2-Wasserstein distance between ``g`` and the atoms (not a bound): the
     eigenvalue-weighted sum of the 1-D quantizer distortions plus the
     variance of the pinned axes.  Zero covariance yields a single atom at
     the mean with distance zero.
     """
     if not isinstance(g, Gaussian):
         raise ParseError("signature_of_gaussian expects a Gaussian")
-    sig, _ = signature_of_mixture(g, budget, table)
-    cc = sig.cells[0]
+    atoms, _, (cc,) = signature_of_mixture(g, budget, table)
     lam = cc.eigenvalues
     r = len(cc.grid_sizes)
     w2sq_exact = float(lam[r:].sum())
     for lam_l, n_l in zip(lam[:r], cc.grid_sizes):
         w2sq_exact += float(lam_l) * table.get(n_l).w2sq
-    return sig, w2sq_exact
+    return atoms, w2sq_exact
 
 
 def signature_of_mixture(g, budget_per_component: int, table: QuantizerTable):
     """Union of per-component grid signatures with a W2 upper bound.
 
-    Atom weights are the component weights times the in-component cell
-    masses; the bound couples every component with its own signature:
-    ``w2_bound = sqrt(sum_i pi_i * w2sq_i)``.  Zero-weight components
-    contribute neither atoms nor bound mass.
+    Returns ``(atoms, w2_bound, cells)``.  Atom weights are the component
+    weights times the in-component cell masses, and ``cells`` holds one
+    :class:`ComponentCells` per component, aligned with the atom blocks in
+    component order.  The bound couples every component with its own
+    signature: ``w2_bound = sqrt(sum_i pi_i * w2sq_i)``.  Zero-weight
+    components contribute neither atoms nor bound mass.
     """
     gm = as_mixture(g)
     blocks = []
-    comp_w = []
     cells = []
     for pi, comp in zip(gm.weights, gm.components):
         if pi <= 0.0:
             continue
-        loc_i, w_i, cells_i = _component_grid(comp, budget_per_component,
-                                              table)
+        loc_i, w_i, cells_i = _component_grid(comp, float(pi),
+                                              budget_per_component, table)
         blocks.append((loc_i, pi * w_i))
-        comp_w.append(float(pi))
         cells.append(cells_i)
-    locations = np.concatenate([b[0] for b in blocks], axis=0)
-    weights = np.concatenate([b[1] for b in blocks])
-    sig = Signature(
-        locations, weights,
-        component_weights=np.asarray(comp_w),
-        cells=tuple(cells),
-    )
-    return sig, sig.w2_bound
+    atoms = DiscreteDistribution(np.concatenate([b[0] for b in blocks]),
+                                 np.concatenate([b[1] for b in blocks]))
+    cells = tuple(cells)
+    return atoms, _w2_bound(cells), cells
 
 
 # ---------------------------------------------------------------------------
@@ -629,9 +572,9 @@ def _refined_component_w2sq(cc: ComponentCells) -> float:
     return float(np.sum(per_cell))
 
 
-def activation_signature_w2_bound(sig: Signature, activation: str) -> float:
-    """Upper bound on W2 between activation pushforwards of the signature's
-    generating mixture and the signature.
+def activation_signature_w2_bound(cells, activation: str) -> float:
+    """Upper bound on W2 between activation pushforwards of a mixture and
+    its signature, given the signature's ``cells``.
 
     With the global Lipschitz constant 1 (ReLU and tanh) the plain signature
     bound applies.  For ReLU the bound is refined: cells certified to lie in
@@ -641,12 +584,12 @@ def activation_signature_w2_bound(sig: Signature, activation: str) -> float:
     if activation not in _ACTIVATIONS:
         raise ParseError(
             f"unknown activation {activation!r}; expected one of {_ACTIVATIONS}")
-    unrefined = sig.w2_bound
+    unrefined = _w2_bound(cells)
     if activation == "tanh":
         return unrefined
 
     total = 0.0
-    for pi, cc in zip(sig.component_weights, sig.cells):
-        total += float(pi) * _refined_component_w2sq(cc)
+    for cc in cells:
+        total += cc.weight * _refined_component_w2sq(cc)
     refined = math.sqrt(max(0.0, total))
     return float(min(refined, unrefined))

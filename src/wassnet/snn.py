@@ -475,15 +475,14 @@ def propagate(model: SnnModel, points, cfg: PropagationConfig):
                 f"signature would hold up to {predicted} atoms, above the cap "
                 f"{TOL.atom_cap}; lower the signature budget or the "
                 "compression size")
-        sig, plain_bound = signature_of_mixture(
+        atoms, plain_bound, cells = signature_of_mixture(
             res.compressed, cfg.signature_budget, cfg.table)
         if activation_kind is None:
             delta = plain_bound
         else:
-            delta = activation_signature_w2_bound(sig, activation_kind)
+            delta = activation_signature_w2_bound(cells, activation_kind)
         pending_compression += res.w2_bound
         pending_signature += delta
-        atoms = DiscreteDistribution(sig.locations, sig.weights)
         mixture = None
 
     for layer in model.layers:

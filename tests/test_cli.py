@@ -111,7 +111,7 @@ class TestQuantizerBuild:
     def test_entries_strictly_decreasing(self, tmp_path, capsys):
         out = str(tmp_path / "t8.json")
         code, _, _ = run_cli(["quantizer-build", "--max-n", "8",
-                              "--tol", "1e-12", "--out", out], capsys)
+                              "--out", out], capsys)
         assert code == 0
         table = QuantizerTable.load(out)
         w2sq = [table.get(n).w2sq for n in range(1, 9)]
@@ -132,8 +132,30 @@ class TestQuantizerBuild:
              "--out", str(tmp_path / "no" / "such" / "dir.json")], capsys)
         assert code != 0
 
+    def test_tol_flag_removed(self, tmp_path, capsys):
+        code, _, _ = run_cli(["quantizer-build", "--max-n", "2",
+                              "--tol", "1e-12",
+                              "--out", str(tmp_path / "t.json")], capsys)
+        assert code == 2
+
 
 class TestApproximate:
+    def test_parent_format_table_matches_rebuilt(self, tmp_path, capsys):
+        # a table file that still stores w2sq, tol and max_iters reads
+        # through the CLI and gives the run of a fresh build
+        rebuilt = str(tmp_path / "t16.json")
+        code, _, _ = run_cli(["quantizer-build", "--max-n", "16",
+                              "--out", rebuilt], capsys)
+        assert code == 0
+        runs = []
+        for tag, table in (("old", str(DATA / "table_parent_16.json")),
+                           ("new", rebuilt)):
+            out_gmm, out_ledger, out = _approximate(tmp_path, table, capsys,
+                                                    tag=tag)
+            runs.append((Path(out_gmm).read_bytes(),
+                         Path(out_ledger).read_bytes(), out))
+        assert runs[0] == runs[1]
+
     def test_deterministic_model_zero_bound(self, tmp_path, det_model_file,
                                             table_file, capsys):
         points = tmp_path / "pt.json"
@@ -460,8 +482,8 @@ class TestReport:
         code, out, _ = run_cli(["report"], capsys)
         assert code == 0
         lines = out.splitlines()
-        assert lines == ["| model | D | budget | M | empirical | formal |",
-                         "| --- | --- | --- | --- | --- | --- |"]
+        assert lines == ["| model | D | budget | M | formal |",
+                         "| --- | --- | --- | --- | --- |"]
 
     def test_single_ledger_row(self, tmp_path, table_file, capsys):
         _, out_ledger, _ = _approximate(tmp_path, table_file, capsys,
@@ -473,11 +495,11 @@ class TestReport:
         cells = [c.strip() for c in lines[2].strip("|").split("|")]
         assert cells[0].endswith("model_1_16_1_tanh.json")
         assert cells[1] == "5" and cells[2] == "4" and cells[3] == "5"
-        assert cells[4] == ""  # no empirical value recorded
         # the formal column is the audited absolute bound, not the ratio
         artifact = json.loads(Path(out_ledger).read_text())
-        assert cells[5] == f"{artifact['ledger']['final_bound']:.6g}"
-        assert cells[5] != f"{artifact['relative_formal_bound']:.6g}"
+        assert len(cells) == 5
+        assert cells[4] == f"{artifact['ledger']['final_bound']:.6g}"
+        assert cells[4] != f"{artifact['relative_formal_bound']:.6g}"
 
     def test_three_budgets_formal_nonincreasing(self, tmp_path, table_file,
                                                 capsys):
@@ -489,23 +511,9 @@ class TestReport:
         code, out, _ = run_cli(["report", "--ledger", *ledgers], capsys)
         assert code == 0
         rows = out.splitlines()[2:]
-        formal = [float(r.strip("|").split("|")[5]) for r in rows]
+        formal = [float(r.strip("|").split("|")[4]) for r in rows]
         assert len(formal) == 3
         assert formal[0] >= formal[1] >= formal[2]
-
-    def test_empirical_column_rendered_when_present(self, tmp_path,
-                                                    table_file, capsys):
-        _, out_ledger, _ = _approximate(tmp_path, table_file, capsys,
-                                        budget=4)
-        artifact = json.loads(Path(out_ledger).read_text())
-        artifact["empirical"] = 0.25
-        annotated = tmp_path / "annotated.json"
-        annotated.write_text(json.dumps(artifact))
-        code, out, _ = run_cli(["report", "--ledger", str(annotated)],
-                               capsys)
-        assert code == 0
-        cells = [c.strip() for c in out.splitlines()[2].strip("|").split("|")]
-        assert cells[4] == "0.25"
 
     def test_malformed_ledger_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -524,7 +532,7 @@ class TestReport:
         code, out, _ = run_cli(["report", "--ledger", str(bare)], capsys)
         assert code == 0
         cells = [c.strip() for c in out.splitlines()[2].strip("|").split("|")]
-        assert cells[5] == f"{ledger['final_bound']:.6g}"
+        assert cells[4] == f"{ledger['final_bound']:.6g}"
 
     @pytest.mark.parametrize("wrapped", [True, False])
     @pytest.mark.parametrize("final_bound", [1e-9, "abc", None, True])
@@ -567,7 +575,7 @@ class TestReport:
         code, out, _ = run_cli(["report", "--ledger", str(forged)], capsys)
         assert code == 0
         cells = [c.strip() for c in out.splitlines()[2].strip("|").split("|")]
-        assert cells[5] == f"{artifact['formal_bound']:.6g}"
+        assert cells[4] == f"{artifact['formal_bound']:.6g}"
         assert "1e-09" not in out
 
     @pytest.mark.parametrize("wrapped", [True, False])
@@ -588,7 +596,7 @@ class TestReport:
         code, out, _ = run_cli(["report", "--ledger", str(older)], capsys)
         assert code == 0
         cells = [c.strip() for c in out.splitlines()[2].strip("|").split("|")]
-        assert cells[5] == f"{artifact['formal_bound']:.6g}"
+        assert cells[4] == f"{artifact['formal_bound']:.6g}"
 
     def test_format_flag_removed(self, capsys):
         code, _, _ = run_cli(["report", "--format", "md"], capsys)

@@ -12,13 +12,16 @@ so it also runs the ReLU signature refinement (which leaves this
 case's bound unchanged) and the truncated dropout expansion; it was
 recorded before that expansion moved into ``compress_dropout``.  The
 always-1.0 ``lipschitz`` key left the ledger records by deletion from the
-file, not by re-recording, so the independently recorded terms stay.
+file, not by re-recording, so the independently recorded terms stay.  The
+first case's mixture was re-recorded once, alone, when signature weights
+stopped being normalized a second time: its ten weights moved by at most
+2.1e-16 relative, and its ledger did not move.
 
 ``tests/data/golden_tune.json`` holds the report of a short ``tune`` run,
 recorded before the assignment solve started from reduced costs and
 before ``sample_network`` batched its forward pass.  Its
 ``relative_empirical`` passes through both, so the report must reproduce
-exactly.
+exactly.  The constant ``step_decay`` key left it by deletion from the file.
 
 Regenerate (only on purpose, after a deliberate change of the numbers) with
 ``PYTHONPATH=src python3 tests/test_golden.py``.

@@ -360,21 +360,28 @@ class TestTuneReport:
         history = (LossParts(1.0, 0.9, 10.0),)
         params = PriorParams(np.array([0.0]))
         return TuneReport(history, params, 1.0, 0.5, 0.4, 0.01, 0.6,
-                          0.01, 0.05, 0.99, False)
+                          0.01, 0.05, False)
 
     def test_roundtrip(self):
         report = self._report()
         back = TuneReport.from_dict(report.to_dict())
         assert back.to_dict() == report.to_dict()
 
+    def test_older_report_with_step_decay_loads(self):
+        # reports written while the constant step decay was stored
+        report = self._report()
+        older = dict(report.to_dict(), step_decay=0.99)
+        assert "step_decay" not in report.to_dict()
+        assert TuneReport.from_dict(older).to_dict() == report.to_dict()
+
     def test_validation(self):
         params = PriorParams(np.array([0.0]))
         with pytest.raises(ParseError):
             TuneReport((), params, 1.0, 0.5, 0.4, 0.01, 0.6, 0.01, 0.05,
-                       0.99, False)
+                       False)
         with pytest.raises(ParseError):
             TuneReport((LossParts(np.inf, 0.0, 0.0),), params, 1.0, 0.5,
-                       0.4, 0.01, 0.6, 0.01, 0.05, 0.99, False)
+                       0.4, 0.01, 0.6, 0.01, 0.05, False)
         with pytest.raises(ParseError):
             TuneReport((LossParts(1.0, 0.9, 10.0),), params, np.nan, 0.5,
-                       0.4, 0.01, 0.6, 0.01, 0.05, 0.99, False)
+                       0.4, 0.01, 0.6, 0.01, 0.05, False)

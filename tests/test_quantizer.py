@@ -1,17 +1,19 @@
 """Tests for 1-D quantizers, grid allocation, and Gaussian/mixture signatures."""
 
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wassnet import Gaussian, GaussianMixture, mixture_second_moment
+from wassnet import (DiscreteDistribution, Gaussian, GaussianMixture,
+                     mixture_second_moment)
 from wassnet.errors import FixedPointError, ParseError
 from wassnet.quantizer import (
     Quantizer1D,
     QuantizerTable,
-    Signature,
     _centroid_map,
     activation_signature_w2_bound,
     allocate_grid,
@@ -31,6 +33,13 @@ N2_W2SQ = 1.0 - 2.0 / math.pi        # 0.36338022763241865
 N4_LOCS = (0.45278003, 1.51041761)
 N4_W2SQ = 0.117481847829329
 N8_W2SQ = 0.034547760788504
+
+DATA = Path(__file__).parent / "data"
+# written by ``wassnet quantizer-build --max-n 16`` when entries still
+# stored their w2sq and tables their tol and max_iters
+PARENT_TABLE = DATA / "table_parent_16.json"
+# the same file with entry 2's w2sq forged to 0.5, which still decreases
+FORGED_TABLE = DATA / "table_parent_16_forged_w2sq.json"
 
 
 class TestSolveQuantizer1D:
@@ -112,8 +121,10 @@ class TestQuantizerTable:
         tab.save(path)
         back = QuantizerTable.load(path)
         assert back.n_max == tab.n_max
-        assert back.tol == tab.tol
-        assert back.max_iters == tab.max_iters
+        # a table file holds only the entries' locations
+        data = json.loads(path.read_text())
+        assert set(data) == {"version", "entries"}
+        assert all(set(e) == {"locations"} for e in data["entries"].values())
         for n in range(1, 9):
             assert back.get(n).locations.tolist() == tab.get(n).locations.tolist()
             assert back.get(n).w2sq == tab.get(n).w2sq
@@ -142,10 +153,36 @@ class TestQuantizerTable:
                                   if k != "2"})
         with pytest.raises(ParseError):
             QuantizerTable.from_dict(gap)
-        swapped = dict(data, entries=dict(data["entries"]))
-        swapped["entries"]["2"] = dict(swapped["entries"]["2"], w2sq=2.0)
+        # entry 2 at +-5 derives a w2sq of about 18, above entry 1's 1.0
+        forged = dict(data, entries=dict(data["entries"]))
+        forged["entries"]["2"] = {"locations": [-5.0, 5.0]}
         with pytest.raises(ParseError):
-            QuantizerTable.from_dict(swapped)
+            QuantizerTable.from_dict(forged)
+
+    def test_parent_format_table_loads_with_derived_w2sq(self):
+        stored = json.loads(PARENT_TABLE.read_text())
+        assert {"tol", "max_iters"} <= set(stored)
+        tab = QuantizerTable.load(PARENT_TABLE)
+        built = build_table(16)
+        assert tab.n_max == 16
+        for n in range(1, 17):
+            entry = stored["entries"][str(n)]
+            assert tab.get(n).locations.tolist() == entry["locations"]
+            assert tab.get(n).w2sq == entry["w2sq"]
+            assert tab.get(n).w2sq == built.get(n).w2sq
+
+    def test_forged_w2sq_is_ignored(self):
+        forged = json.loads(FORGED_TABLE.read_text())
+        assert forged["entries"]["2"]["w2sq"] == 0.5
+        tab = QuantizerTable.load(FORGED_TABLE)
+        clean = QuantizerTable.load(PARENT_TABLE)
+        assert tab.get(2).w2sq == clean.get(2).w2sq
+        g = Gaussian(np.array([3.0]), np.array([4.0]))
+        for budget in (2, 3, 16):
+            got, got_w2sq = signature_of_gaussian(g, budget, tab)
+            want, want_w2sq = signature_of_gaussian(g, budget, clean)
+            assert got.to_dict() == want.to_dict()
+            assert got_w2sq == want_w2sq
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
@@ -285,10 +322,10 @@ class TestSignatureOfGaussian:
         rng = np.random.default_rng(7)
         for dim in (1, 2, 3):
             g = random_full_gaussian(rng, dim)
-            sig, exact = signature_of_gaussian(g, 18, table)
-            cell_sum = sig.cells[0].w2sq_total
-            assert abs(cell_sum - exact) < 1e-9 * max(1.0, exact)
-            assert abs(sig.w2_bound - math.sqrt(exact)) < 1e-9
+            _, exact = signature_of_gaussian(g, 18, table)
+            _, bound, (cc,) = signature_of_mixture(g, 18, table)
+            assert abs(cc.w2sq_total - exact) < 1e-9 * max(1.0, exact)
+            assert abs(bound - math.sqrt(exact)) < 1e-9
 
     def test_exactness_against_empirical_ot(self, table):
         rng = np.random.default_rng(42)
@@ -308,21 +345,23 @@ class TestSignatureOfGaussian:
                "rank_deficient": u @ u.T, "zero": np.zeros(3)}[kind]
         g = Gaussian(rng.normal(size=3), cov)
         for budget in (1, 5, 12):
-            sig_g, w2sq = signature_of_gaussian(g, budget, table)
-            sig_m, bound = signature_of_mixture(
+            atoms_g, w2sq = signature_of_gaussian(g, budget, table)
+            atoms_d, bound_d, (cg,) = signature_of_mixture(g, budget, table)
+            atoms_m, bound, (cm,) = signature_of_mixture(
                 GaussianMixture(np.array([1.0]), (g,)), budget, table)
-            for name in ("locations", "weights", "component_weights"):
-                assert (getattr(sig_g, name).tobytes()
-                        == getattr(sig_m, name).tobytes())
-            cg, cm = sig_g.cells[0], sig_m.cells[0]
+            for name in ("locations", "weights"):
+                assert (getattr(atoms_g, name).tobytes()
+                        == getattr(atoms_m, name).tobytes()
+                        == getattr(atoms_d, name).tobytes())
             for name in ("offset", "transform", "eigenvalues", "lo", "hi",
                          "centers", "cell_mass", "distortion",
                          "prune_penalty"):
                 assert getattr(cg, name).tobytes() == getattr(cm, name).tobytes()
+            assert cg.weight == cm.weight == 1.0
             assert cg.grid_sizes == cm.grid_sizes
             assert cg.pruned_mass == cm.pruned_mass
             assert cg.pinned_exact_zero == cm.pinned_exact_zero
-            assert sig_g.w2_bound == bound
+            assert bound_d == bound
             # closed form: eigenvalue-weighted 1-D distortions plus the
             # pinned-axis variance
             r = len(cg.grid_sizes)
@@ -332,37 +371,45 @@ class TestSignatureOfGaussian:
                 exact += float(lam_l) * table.get(n_l).w2sq
             assert w2sq == exact
 
+    @staticmethod
+    def _far_table(far, larger=()):
+        """A synthetic table whose 3-point entry sits at ``(-far, 0, far)``.
+
+        Its distortion is about 1, so the 1- and 2-point entries sit off
+        their optima (at 5 and at +-3, distortions 26 and about 5.2) for
+        the derived distortions to decrease and the allocation to prefer
+        the 3-point entry.
+        """
+        return QuantizerTable((
+            Quantizer1D(np.array([5.0])),
+            Quantizer1D(np.array([-3.0, 3.0])),
+            Quantizer1D(np.array([-far, 0.0, far])),
+        ) + tuple(Quantizer1D(loc) for loc in larger))
+
     def test_pruning_reassigns_negligible_cells(self):
-        # a synthetic table whose 3-point entry has far-out cells drives the
-        # outer cell masses below the pruning floor
-        fake = QuantizerTable((
-            Quantizer1D(np.array([0.0]), 1.0),
-            Quantizer1D(np.array([-N2_LOC, N2_LOC]), N2_W2SQ),
-            Quantizer1D(np.array([-17.0, 0.0, 17.0]), 0.3),
-        ), tol=1e-12, max_iters=10)
-        sig, _ = signature_of_gaussian(Gaussian(np.zeros(1), np.ones(1)),
-                                       3, fake)
-        assert sig.size == 1
-        assert sig.locations[0, 0] == 0.0
-        assert abs(float(sig.weights.sum()) - 1.0) < 1e-15
-        assert sig.cells[0].pruned_mass > 0.0
+        # far-out 3-point cells drive the outer cell masses below the
+        # pruning floor
+        fake = self._far_table(17.0)
+        atoms, _, (cc,) = signature_of_mixture(
+            Gaussian(np.zeros(1), np.ones(1)), 3, fake)
+        assert cc.grid_sizes == (3,)
+        assert atoms.size == 1
+        assert atoms.locations[0, 0] == 0.0
+        assert abs(float(atoms.weights.sum()) - 1.0) < 1e-15
+        assert cc.pruned_mass > 0.0
         # the surviving cell still accounts for (essentially) all variance
-        assert sig.cells[0].w2sq_total >= 0.999
+        assert cc.w2sq_total >= 0.999
 
     def test_pruning_penalty_is_the_exact_box_distortion(self):
         # 2-D grid of a 3-point entry with one far cell per side: the four
-        # corner cells fall below the floor; the larger entries are barely
-        # better than N=3, so the allocation picks the (3, 3) grid
+        # corner cells fall below the floor; every size tuple within the
+        # budget other than (3, 3) has an axis on the costly 1- or 2-point
+        # entry, so the allocation picks the (3, 3) grid
         real = build_table(9)
-        fake = QuantizerTable((
-            Quantizer1D(np.array([0.0]), 1.0),
-            Quantizer1D(np.array([-N2_LOC, N2_LOC]), N2_W2SQ),
-            Quantizer1D(np.array([-10.0, 0.0, 10.0]), 0.3),
-        ) + tuple(Quantizer1D(real.get(n).locations, 0.3 - 1e-3 * (n - 3))
-                  for n in range(4, 10)), tol=1e-12, max_iters=10)
+        fake = self._far_table(10.0, (real.get(n).locations
+                                      for n in range(4, 10)))
         g = Gaussian(np.array([1.0, -1.0]), np.array([4.0, 1.0]))
-        sig, _ = signature_of_gaussian(g, 9, fake)
-        cc = sig.cells[0]
+        sig, _, (cc,) = signature_of_mixture(g, 9, fake)
         assert cc.grid_sizes == (3, 3) and sig.size < 9
         lam = cc.eigenvalues
         q = fake.get(3)
@@ -389,7 +436,7 @@ class TestSignatureOfMixture:
         g = random_full_gaussian(np.random.default_rng(3), 2)
         gm = GaussianMixture(np.array([1.0]), (g,))
         sig_g, w2sq = signature_of_gaussian(g, 9, table)
-        sig_m, bound = signature_of_mixture(gm, 9, table)
+        sig_m, bound, _ = signature_of_mixture(gm, 9, table)
         np.testing.assert_allclose(sig_m.locations, sig_g.locations)
         np.testing.assert_allclose(sig_m.weights, sig_g.weights)
         assert abs(bound - math.sqrt(w2sq)) < 1e-9
@@ -399,7 +446,7 @@ class TestSignatureOfMixture:
             np.array([0.5, 0.5]),
             (Gaussian(np.array([-5.0]), np.array([1.0])),
              Gaussian(np.array([5.0]), np.array([1.0]))))
-        sig, bound = signature_of_mixture(gm, 2, table)
+        sig, bound, cells = signature_of_mixture(gm, 2, table)
         assert sig.size == 4
         expected = sorted([-5.0 - N2_LOC, -5.0 + N2_LOC,
                            5.0 - N2_LOC, 5.0 + N2_LOC])
@@ -407,14 +454,20 @@ class TestSignatureOfMixture:
                                    atol=1e-12)
         np.testing.assert_allclose(sig.weights, 0.25, atol=1e-15)
         assert abs(bound * bound - N2_W2SQ) < 1e-12
+        # one cell block per component, carrying its mixture weight; the
+        # bound is derived from the blocks
+        assert [c.weight for c in cells] == [0.5, 0.5]
+        assert [c.size for c in cells] == [2, 2]
+        assert bound == math.sqrt(0.5 * cells[0].w2sq_total
+                                  + 0.5 * cells[1].w2sq_total)
 
     def test_zero_weight_component_contributes_nothing(self, table):
         gm = GaussianMixture(
             np.array([1.0, 0.0]),
             (Gaussian(np.array([0.0]), np.array([1.0])),
              Gaussian(np.array([99.0]), np.array([1.0]))))
-        sig, bound = signature_of_mixture(gm, 2, table)
-        assert sig.size == 2
+        sig, bound, cells = signature_of_mixture(gm, 2, table)
+        assert sig.size == 2 and len(cells) == 1 and cells[0].weight == 1.0
         assert np.max(np.abs(sig.locations)) < 5.0
         assert abs(bound * bound - N2_W2SQ) < 1e-12
 
@@ -424,7 +477,7 @@ class TestSignatureOfMixture:
             np.array([0.5, 0.5]),
             (Gaussian(np.array([-5.0]), np.array([1.0])),
              Gaussian(np.array([5.0]), np.array([1.0]))))
-        sig, bound = signature_of_mixture(gm, 2, table)
+        sig, bound, _ = signature_of_mixture(gm, 2, table)
         w2 = np.array([semidiscrete_w2_lp(sample_stratified(gm, 1000, rng),
                                           sig.locations, sig.weights)
                        for _ in range(5)])
@@ -432,8 +485,7 @@ class TestSignatureOfMixture:
         assert bound >= w2.mean() - 3.0 * se
 
     def _conditional_mc_check(self, gm, budget, table, rng, n_samples=200_000):
-        sig, _ = signature_of_mixture(gm, budget, table)
-        cc = sig.cells[0]
+        sig, _, (cc,) = signature_of_mixture(gm, budget, table)
         comp = gm.components[0]
         x = comp.sample(n_samples, rng)
         r = cc.transform.shape[1]
@@ -488,6 +540,40 @@ class TestSignatureOfMixture:
             assert bounds[-1] < eps
 
 
+class TestSignatureContainer:
+    def test_validation(self, table):
+        # signature atoms are a DiscreteDistribution: weights off the
+        # simplex and locations not shaped (M, n) are rejected
+        with pytest.raises(ParseError):  # sums to 0.9
+            DiscreteDistribution(np.zeros((2, 1)), np.array([0.6, 0.3]))
+        with pytest.raises(ParseError):
+            DiscreteDistribution(np.zeros((2, 1)), np.array([1.2, -0.2]))
+        with pytest.raises(ParseError):  # not (M, n)
+            DiscreteDistribution(np.zeros((2,)), np.array([1.0]))
+        with pytest.raises(ParseError):  # three atoms, two weights
+            DiscreteDistribution(np.zeros((3, 1)), np.full(2, 0.5))
+        # the cell blocks cover exactly the atoms, in component order, and
+        # each block carries its component's weight
+        gm = GaussianMixture(
+            np.array([0.3, 0.7]),
+            (Gaussian(np.zeros(1), np.ones(1)),
+             Gaussian(np.array([4.0]), np.array([2.0]))))
+        atoms, bound, cells = signature_of_mixture(gm, 3, table)
+        assert isinstance(atoms, DiscreteDistribution)
+        assert sum(c.size for c in cells) == atoms.size
+        start = 0
+        for pi, c in zip(gm.weights, cells):
+            assert c.weight == pi
+            block = atoms.weights[start:start + c.size]
+            assert abs(block.sum() - pi) < 1e-12
+            start += c.size
+        # the bound is derived from the cell blocks
+        assert bound == math.sqrt(float(np.dot(
+            [c.weight for c in cells], [c.w2sq_total for c in cells])))
+        _, one_bound, (cc,) = signature_of_mixture(gm.components[0], 2, table)
+        assert one_bound == math.sqrt(cc.w2sq_total)
+
+
 class TestActivationRefinement:
     def _mix(self, mean, var):
         return GaussianMixture(
@@ -496,20 +582,20 @@ class TestActivationRefinement:
 
     def test_tanh_equals_unrefined(self, table):
         gm = self._mix([-10.0], [0.01])
-        sig, bound = signature_of_mixture(gm, 2, table)
-        assert activation_signature_w2_bound(sig, "tanh") == bound
+        _, bound, cells = signature_of_mixture(gm, 2, table)
+        assert activation_signature_w2_bound(cells, "tanh") == bound
 
     def test_relu_dead_zone_vanishes(self, table):
         gm = self._mix([-10.0], [0.01])
-        sig, bound = signature_of_mixture(gm, 2, table)
-        refined = activation_signature_w2_bound(sig, "relu")
+        _, bound, cells = signature_of_mixture(gm, 2, table)
+        refined = activation_signature_w2_bound(cells, "relu")
         assert 0.0 <= refined < 1e-4
         assert refined < bound
 
     def test_relu_active_zone_keeps_bound(self, table):
         gm = self._mix([10.0], [0.01])
-        sig, bound = signature_of_mixture(gm, 2, table)
-        assert activation_signature_w2_bound(sig, "relu") == bound
+        _, bound, cells = signature_of_mixture(gm, 2, table)
+        assert activation_signature_w2_bound(cells, "relu") == bound
 
     def test_refined_never_exceeds_unrefined(self, table):
         rng = np.random.default_rng(37)
@@ -517,8 +603,8 @@ class TestActivationRefinement:
             gm = GaussianMixture(
                 np.array([0.5, 0.5]),
                 (random_full_gaussian(rng, 2), random_full_gaussian(rng, 2)))
-            sig, bound = signature_of_mixture(gm, 8, table)
-            refined = activation_signature_w2_bound(sig, "relu")
+            _, bound, cells = signature_of_mixture(gm, 8, table)
+            refined = activation_signature_w2_bound(cells, "relu")
             assert refined <= bound + 1e-15
 
     def test_mixed_components_refine_partially(self, table):
@@ -526,36 +612,16 @@ class TestActivationRefinement:
             np.array([0.5, 0.5]),
             (Gaussian(np.array([-20.0, -20.0]), 0.01 * np.eye(2)),
              Gaussian(np.array([3.0, 3.0]), np.eye(2))))
-        sig, bound = signature_of_mixture(gm, 4, table)
-        refined = activation_signature_w2_bound(sig, "relu")
+        _, bound, cells = signature_of_mixture(gm, 4, table)
+        refined = activation_signature_w2_bound(cells, "relu")
         # the negative component's mass drops out; the active one remains
-        active_part = math.sqrt(0.5 * sig.cells[1].w2sq_total)
+        active_part = math.sqrt(0.5 * cells[1].w2sq_total)
         assert refined < bound
         assert abs(refined - active_part) < 1e-6
 
     def test_unknown_activation_rejected(self, table):
         gm = self._mix([0.0], [1.0])
-        sig, _ = signature_of_mixture(gm, 2, table)
+        _, _, cells = signature_of_mixture(gm, 2, table)
         with pytest.raises(ParseError):
-            activation_signature_w2_bound(sig, "gelu")
+            activation_signature_w2_bound(cells, "gelu")
 
-
-class TestSignatureContainer:
-    def test_validation(self, table):
-        def signature(locations, weights, cells=()):
-            return Signature(locations, weights, np.array([1.0]), cells)
-
-        with pytest.raises(ParseError):
-            signature(np.zeros((2, 1)), np.array([0.6, 0.3]))  # sums to 0.9
-        with pytest.raises(ParseError):
-            signature(np.zeros((2, 1)), np.array([1.2, -0.2]))
-        with pytest.raises(ParseError):
-            signature(np.zeros((2,)), np.array([1.0]))  # not (M, n)
-        # one cell block of two atoms cannot cover three
-        sig, _ = signature_of_gaussian(
-            Gaussian(np.zeros(1), np.ones(1)), 2, table)
-        with pytest.raises(ParseError):
-            signature(np.zeros((3, 1)), np.full(3, 1 / 3), sig.cells)
-        # the bound is derived from the cell blocks
-        ok = signature(sig.locations, sig.weights, sig.cells)
-        assert ok.w2_bound == math.sqrt(sig.cells[0].w2sq_total)

@@ -13,6 +13,7 @@ import pytest
 
 from wassnet import snn
 from wassnet.errors import ParseError
+from wassnet.quantizer import _w2_bound
 from wassnet.snn import (Activation, BoundLedger, DeterministicLinear,
                          Dropout, LedgerRecord, PropagationConfig, SnnModel,
                          StochasticLinear, expected_spectral_bound,
@@ -452,7 +453,7 @@ class TestPropagate:
         refined = [propagate(m, x, c)[1].final_bound for m, x, c, _ in cases]
         # the same propagations charging the plain signature bound instead
         monkeypatch.setattr(snn, "activation_signature_w2_bound",
-                            lambda sig, activation: sig.w2_bound)
+                            lambda cells, activation: _w2_bound(cells))
         plain = [propagate(m, x, c)[1].final_bound for m, x, c, _ in cases]
         for r, p, (_, _, _, bites) in zip(refined, plain, cases):
             assert r <= p + 1e-12
