@@ -428,7 +428,11 @@ def symmetric_eig(cov: np.ndarray) -> EigenBasis:
 
 def psd_sqrt(cov: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via clipped eigendecomposition."""
-    basis = symmetric_eig(cov)
+    return _root_of(symmetric_eig(cov))
+
+
+def _root_of(basis: EigenBasis) -> np.ndarray:
+    """The symmetrised root ``V diag(sqrt(lambda)) V^T`` of a decomposition."""
     root = (basis.eigenvectors * np.sqrt(basis.eigenvalues)) @ basis.eigenvectors.T
     return 0.5 * (root + root.T)
 
@@ -437,52 +441,124 @@ def psd_sqrt(cov: np.ndarray) -> np.ndarray:
 # Wasserstein and moments
 # ---------------------------------------------------------------------------
 
+class GaussianW2Costs:
+    """Squared 2-Wasserstein distances between two lists of Gaussians,
+    computed exactly only where asked.
+
+    Entry ``(i, j)`` of ``values`` is ``W2^2(p_i, q_j) = |m_i - m_j|^2
+    + tr(S_i + S_j - 2 (S_i^1/2 S_j S_i^1/2)^1/2)`` where ``exact[i, j]``
+    is set, and a lower bound on it elsewhere.  Construction makes the
+    free entries exact: identical pairs (equal means and equal
+    covariances, whatever their storage) are exactly 0, and two diagonal
+    covariances commute, so their pair costs ``|m_i - m_j|^2
+    + |sqrt(s_i) - sqrt(s_j)|^2``.  Every other entry starts at
+    ``|m_i - m_j|^2``, which :meth:`tighten` raises to the spectral bound
+    and :meth:`price` replaces by the exact cost.
+
+    Each row component is decomposed once (``Gaussian.eigen``: one
+    :func:`symmetric_eig` of a full covariance, a sort of a diagonal one),
+    which yields both its spectrum and its root ``S_i^1/2``, equal to
+    :func:`psd_sqrt` of its full covariance.  An exact entry is computed
+    row by row: the products of the root with the row's requested column
+    covariances are symmetrised and decomposed together, one stacked
+    ``eigh`` when they are dense (see :func:`_psd_root_traces`), and the
+    fidelity term is the trace of the clipped root ``V diag(sqrt(max(
+    lambda, 0))) V^T``.  The value of an entry does not depend on which
+    other entries are priced with it.  Degenerate covariances are fine; a
+    product with an eigenvalue below ``-eig_clip_rtol * max|lambda|`` (a
+    covariance that is not PSD within tolerance) raises
+    :class:`NumericalError`.
+    """
+
+    def __init__(self, ps, qs):
+        ps, qs = tuple(ps), tuple(qs)
+        if len({g.dim for g in ps + qs}) > 1:
+            raise ParseError("dimension mismatch")
+        self._ps, self._qs = ps, qs
+        p_mean = np.stack([g.mean for g in ps])
+        q_mean = np.stack([g.mean for g in qs])
+        self._mean_sq = np.sum(
+            np.square(p_mean[:, None, :] - q_mean[None, :, :]), axis=-1)
+        self.values = self._mean_sq.copy()
+        p_diag = np.array([g.is_diagonal for g in ps])
+        q_diag = np.array([g.is_diagonal for g in qs])
+        p_idx, q_idx = np.flatnonzero(p_diag), np.flatnonzero(q_diag)
+        if p_idx.size and q_idx.size:
+            p_sd = np.sqrt(np.stack([ps[i].cov for i in p_idx]))
+            q_sd = np.sqrt(np.stack([qs[j].cov for j in q_idx]))
+            self.values[np.ix_(p_idx, q_idx)] += np.sum(
+                np.square(p_sd[:, None, :] - q_sd[None, :, :]), axis=-1)
+        same = np.all(p_mean[:, None, :] == q_mean[None, :, :], axis=-1)
+        for i, j in zip(*np.nonzero(same)):
+            same[i, j] = np.array_equal(ps[i].full_cov(), qs[j].full_cov())
+        self.values[same] = 0.0
+        self.exact = (p_diag[:, None] & q_diag[None, :]) | same
+        self._bases = {}
+        self._q_cov = self._q_tr = None
+
+    def _basis(self, i: int) -> EigenBasis:
+        if i not in self._bases:
+            self._bases[i] = self._ps[i].eigen()
+        return self._bases[i]
+
+    def tighten(self) -> None:
+        """Raise every entry that is not exact to the spectral lower bound.
+
+        ``L_ij = |m_i - m_j|^2 + sum_k (sqrt(a_k) - sqrt(b_k))^2``, where
+        ``a`` and ``b`` are the eigenvalues of ``S_i`` and ``S_j`` in
+        nonincreasing order.  Proof that ``L_ij <= W2^2(p_i, q_j)``: with
+        ``X = S_j^1/2 S_i^1/2`` the inner matrix is ``S_i^1/2 S_j S_i^1/2
+        = X^T X``, so the fidelity ``tr((X^T X)^1/2)`` is the nuclear norm
+        ``sum_k sigma_k(X)``.  The singular values of a product are weakly
+        majorized by the products of the factors' singular values (Bhatia,
+        *Matrix Analysis*, IV.2.5), so ``sum_k sigma_k(X) <= sum_k
+        sigma_k(S_j^1/2) sigma_k(S_i^1/2) = sum_k sqrt(a_k b_k)``.  With
+        ``tr S_i = sum_k a_k`` and ``tr S_j = sum_k b_k`` the closed form
+        is therefore at least ``|m_i - m_j|^2 + sum_k (a_k + b_k
+        - 2 sqrt(a_k b_k))``, which is ``L_ij``.  Equality holds when the
+        two covariances share an eigenbasis that lists both spectra in
+        the same order, for instance two diagonal covariances whose
+        entries are sorted alike.  The row spectra come from the same
+        decompositions as the roots that :meth:`price` uses.
+        """
+        rows = np.sqrt(np.stack([self._basis(i).eigenvalues
+                                 for i in range(len(self._ps))]))
+        cols = np.sqrt(np.stack([g.eigen().eigenvalues for g in self._qs]))
+        bound = self._mean_sq + np.sum(
+            np.square(rows[:, None, :] - cols[None, :, :]), axis=-1)
+        np.copyto(self.values, bound, where=~self.exact)
+
+    def price(self, mask: np.ndarray) -> None:
+        """Make every entry under the boolean ``mask`` exact."""
+        todo = mask & ~self.exact
+        if not np.any(todo):
+            return
+        if self._q_cov is None:
+            self._q_cov = np.stack([g.full_cov() for g in self._qs])
+            self._q_tr = np.array([g.cov_trace() for g in self._qs])
+        for i in np.flatnonzero(np.any(todo, axis=1)):
+            js = np.flatnonzero(todo[i])
+            sa = _root_of(self._basis(i))
+            inner = sa @ self._q_cov[js] @ sa
+            inner = 0.5 * (inner + np.swapaxes(inner, 1, 2))
+            fidelity = _psd_root_traces(inner)
+            self.values[i, js] = np.maximum(self._mean_sq[i, js] + (
+                self._ps[i].cov_trace() + self._q_tr[js] - 2.0 * fidelity),
+                0.0)
+        self.exact |= todo
+
+
 def gaussian_w2_sq_matrix(ps, qs) -> np.ndarray:
     """Closed-form squared 2-Wasserstein distances between two lists of Gaussians.
 
-    Entry ``(i, j)`` is ``W2^2(p_i, q_j) = |m_i - m_j|^2
-    + tr(S_i + S_j - 2 (S_i^1/2 S_j S_i^1/2)^1/2)``.  Each row component's
-    root ``S_i^1/2`` is taken once; its products with every column
-    covariance are symmetrised and decomposed together, one stacked
-    ``eigh`` call per row when they are dense (see :func:`_psd_root_traces`),
-    and the fidelity term is the trace of the clipped root
-    ``V diag(sqrt(max(lambda, 0))) V^T``.  Diagonal pairs use the commuting
-    shortcut and identical pairs are exactly 0.  Degenerate covariances are
-    fine; a product with an eigenvalue below ``-eig_clip_rtol * max|lambda|``
-    (a covariance that is not PSD within tolerance) raises
-    :class:`NumericalError`.
+    The all-pairs case of :class:`GaussianW2Costs`, which holds the
+    formula: one square root per row component, one stacked ``eigh`` per
+    row, the commuting shortcut for diagonal pairs and an exact 0 for
+    identical ones.
     """
-    ps, qs = tuple(ps), tuple(qs)
-    if len({g.dim for g in ps + qs}) > 1:
-        raise ParseError("dimension mismatch")
-    p_mean = np.stack([g.mean for g in ps])
-    q_mean = np.stack([g.mean for g in qs])
-    out = np.sum(np.square(p_mean[:, None, :] - q_mean[None, :, :]), axis=-1)
-    p_diag = np.array([g.is_diagonal for g in ps])
-    q_diag = np.array([g.is_diagonal for g in qs])
-    same = (p_diag[:, None] == q_diag[None, :]) \
-        & np.all(p_mean[:, None, :] == q_mean[None, :, :], axis=-1)
-    for i, j in zip(*np.nonzero(same)):
-        same[i, j] = np.array_equal(ps[i].cov, qs[j].cov)
-    p_idx, q_idx = np.flatnonzero(p_diag), np.flatnonzero(q_diag)
-    if p_idx.size and q_idx.size:
-        p_sd = np.sqrt(np.stack([ps[i].cov for i in p_idx]))
-        q_sd = np.sqrt(np.stack([qs[j].cov for j in q_idx]))
-        out[np.ix_(p_idx, q_idx)] += np.sum(
-            np.square(p_sd[:, None, :] - q_sd[None, :, :]), axis=-1)
-    full = ~(p_diag[:, None] & q_diag[None, :]) & ~same
-    if np.any(full):
-        q_cov = np.stack([g.full_cov() for g in qs])
-        q_tr = np.array([g.cov_trace() for g in qs])
-        for i in np.flatnonzero(np.any(full, axis=1)):
-            js = np.flatnonzero(full[i])
-            sa = psd_sqrt(ps[i].full_cov())
-            inner = sa @ q_cov[js] @ sa
-            inner = 0.5 * (inner + np.swapaxes(inner, 1, 2))
-            fidelity = _psd_root_traces(inner)
-            out[i, js] += ps[i].cov_trace() + q_tr[js] - 2.0 * fidelity
-    out[same] = 0.0
-    return np.maximum(out, 0.0)
+    costs = GaussianW2Costs(ps, qs)
+    costs.price(np.ones_like(costs.exact))
+    return costs.values
 
 
 def _psd_root_traces(mats: np.ndarray) -> np.ndarray:
@@ -514,10 +590,10 @@ def _psd_root_traces(mats: np.ndarray) -> np.ndarray:
 def gaussian_w2(a: Gaussian, b: Gaussian) -> float:
     """Closed-form 2-Wasserstein distance between Gaussians.
 
-    The one-pair case of :func:`gaussian_w2_sq_matrix`, which holds the
-    formula: one square root of ``S_a``, one ``eigh`` of the symmetrised
-    ``S_a^1/2 S_b S_a^1/2``, the commuting shortcut for diagonal pairs and
-    an exact 0 for identical ones.
+    The one-pair case of :func:`gaussian_w2_sq_matrix`: one square root of
+    ``S_a``, one ``eigh`` of the symmetrised ``S_a^1/2 S_b S_a^1/2``, the
+    commuting shortcut for diagonal pairs and an exact 0 for identical
+    ones.
     """
     return math.sqrt(float(gaussian_w2_sq_matrix((a,), (b,))[0, 0]))
 

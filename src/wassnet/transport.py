@@ -19,8 +19,8 @@ from scipy.sparse import coo_array
 
 from .config import TOL
 from .errors import NumericalError, ParseError
-from .stats import as_mixture, gaussian_w2_sq_matrix, \
-    mixture_second_moment, _readonly
+from .stats import GaussianW2Costs, as_mixture, mixture_second_moment, \
+    _readonly
 
 __all__ = [
     "TransportPlan",
@@ -141,20 +141,39 @@ def _pairwise_sq_dists(xs, ys):
 def mw2(p, q):
     """Mixture-level W2 upper bound: transport over pairwise Gaussian W2^2.
 
-    Returns ``(distance, plan)``.  The cost matrix comes from
-    :func:`gaussian_w2_sq_matrix` in one pass: one square root per
-    component of ``p`` and one stacked ``eigh`` per row.  The coupling set
-    is restricted to mixtures of the given components, so the value always
-    upper-bounds the true W2 between the mixtures and vanishes iff the
-    component-wise coupling can be made perfect (in particular
-    mw2(p, p) = 0).
+    Returns ``(distance, plan)`` with the full ``(N, m)`` plan.  The
+    coupling set is restricted to mixtures of the given components, so the
+    value always upper-bounds the true W2 between the mixtures and
+    vanishes iff the component-wise coupling can be made perfect (in
+    particular mw2(p, p) = 0).
+
+    A vertex plan uses at most ``N + m - 1`` of the ``N m`` arcs, so exact
+    Gaussian costs are computed only where the plan needs them (delayed
+    pricing).  Every arc starts at a cheap lower bound ``L <= C`` on its
+    exact cost ``C`` (:meth:`GaussianW2Costs.tighten`); identical and
+    diagonal pairs start exact.  Each row's and each column's cheapest arc
+    is priced exactly, and the transportation LP is solved on ``C~``: ``C``
+    where priced and ``L`` elsewhere.  While the plan's support holds an
+    arc that is not priced, those arcs are priced and the LP solved again.
+    At the end ``C~ <= C`` entrywise gives ``opt(C~) <= opt(C) <= <P, C>
+    = <P, C~> = opt(C~)``, so the plan ``P`` is optimal for the exact
+    costs and the value is the full-matrix MW2.  Each priced entry is
+    computed as :func:`gaussian_w2_sq_matrix` computes it.
     """
     pm = as_mixture(p)
     qm = as_mixture(q)
     if pm.dim != qm.dim:
         raise ParseError("mixtures must share the ambient dimension")
-    cost = gaussian_w2_sq_matrix(pm.components, qm.components)
-    plan = solve_discrete_ot(cost, pm.weights, qm.weights)
+    costs = GaussianW2Costs(pm.components, qm.components)
+    costs.tighten()
+    first = np.zeros_like(costs.exact)
+    first[np.arange(pm.size), np.argmin(costs.values, axis=1)] = True
+    first[np.argmin(costs.values, axis=0), np.arange(qm.size)] = True
+    costs.price(first)
+    plan = solve_discrete_ot(costs.values, pm.weights, qm.weights)
+    while not np.all(costs.exact[plan.plan > 0.0]):
+        costs.price(plan.plan > 0.0)
+        plan = solve_discrete_ot(costs.values, pm.weights, qm.weights)
     return math.sqrt(max(plan.cost, 0.0)), plan
 
 

@@ -8,7 +8,8 @@ the 1-d Gaussian W2 by quantile coupling, the scalar quantizer by a
 from-scratch fixed point driven by quadrature, and the full dropout-mask
 expansion by enumerating every mask.  The batched Gaussian W2 cost matrix
 is checked against the per-pair formula it replaced, which shares
-``psd_sqrt`` with the library.  Exact W2 between atom sets and stratified
+``psd_sqrt`` with the library, and the delayed-pricing MW2 against full
+pricing of every pair.  Exact W2 between atom sets and stratified
 mixture samples serve as references for the compression bounds.  Grid
 allocation is checked against the branch-and-bound search it replaced.
 """
@@ -53,13 +54,13 @@ def gaussian_w2_pair_oracle(a, b):
     ``|m_a - m_b|^2 + tr(S_a + S_b - 2 (S_a^1/2 S_b S_a^1/2)^1/2)`` with
     both roots taken by the library's ``psd_sqrt`` (block-split, sorted,
     clipped eigendecomposition), one pair at a time, an exact 0 for
-    identical Gaussians and the commuting shortcut for two diagonal
-    covariances.
+    identical Gaussians (equal means and full covariances, whatever the
+    storage) and the commuting shortcut for two diagonal covariances.
     """
     from wassnet.stats import psd_sqrt
 
-    if (a.is_diagonal == b.is_diagonal and np.array_equal(a.mean, b.mean)
-            and np.array_equal(a.cov, b.cov)):
+    if (np.array_equal(a.mean, b.mean)
+            and np.array_equal(a.full_cov(), b.full_cov())):
         return 0.0
     dm2 = float(np.sum(np.square(a.mean - b.mean)))
     if a.is_diagonal and b.is_diagonal:
@@ -68,6 +69,21 @@ def gaussian_w2_pair_oracle(a, b):
     inner = sa @ b.full_cov() @ sa
     cross = psd_sqrt(0.5 * (inner + inner.T))
     return dm2 + (a.cov_trace() + b.cov_trace() - 2.0 * float(np.trace(cross)))
+
+
+def mw2_full_oracle(p, q):
+    """MW2 by full pricing: every Gaussian W2^2 cost, then one LP.
+
+    The cost matrix is the library's all-pairs ``gaussian_w2_sq_matrix``
+    and the LP its ``solve_discrete_ot``; returns ``(distance, plan)``.
+    """
+    from wassnet.stats import as_mixture, gaussian_w2_sq_matrix
+    from wassnet.transport import solve_discrete_ot
+
+    pm, qm = as_mixture(p), as_mixture(q)
+    cost = gaussian_w2_sq_matrix(pm.components, qm.components)
+    plan = solve_discrete_ot(cost, pm.weights, qm.weights)
+    return math.sqrt(max(plan.cost, 0.0)), plan
 
 
 def sample_network_oracle(model, points, n_samples, seed):

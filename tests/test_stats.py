@@ -13,7 +13,7 @@ from wassnet import (Gaussian, GaussianMixture, NumericalError, ParseError,
                      gaussian_w2, gaussian_w2_sq_matrix, mixture_second_moment,
                      psd_sqrt, standard_truncated_moments, symmetric_eig)
 from wassnet.quantizer import _active_mask
-from wassnet.stats import _symmetric_blocks
+from wassnet.stats import GaussianW2Costs, _symmetric_blocks
 
 from oracles import (gaussian_w2_pair_oracle, quad_truncated_moments,
                      quantile_coupling_w2_1d)
@@ -280,6 +280,53 @@ class TestGaussianW2SqMatrix:
         with pytest.raises(ParseError):
             gaussian_w2_sq_matrix((Gaussian([0.0], [1.0]),),
                                   (Gaussian([0.0, 0.0], [1.0, 1.0]),))
+
+
+class TestSpectralLowerBound:
+    """``GaussianW2Costs.tighten`` against the exact costs of ``price``."""
+
+    @staticmethod
+    def _lower_and_exact(ps, qs):
+        costs = GaussianW2Costs(ps, qs)
+        costs.tighten()
+        lower = costs.values.copy()
+        costs.price(np.ones_like(costs.exact))
+        scale = np.add.outer([g.cov_trace() for g in ps],
+                             [g.cov_trace() for g in qs])
+        return lower, costs.values, scale
+
+    def test_below_exact_cost(self):
+        rng = np.random.default_rng(43)
+        kinds = KINDS + ("full_stored_diag",)
+        strict = 0
+        for _ in range(60):
+            dim = int(rng.integers(1, 7))
+            ps, qs = ([mixed_component(rng, dim, k) if k in KINDS else
+                       Gaussian(rng.normal(size=dim),
+                                np.diag(rng.uniform(0.05, 2.0, size=dim)))
+                       for k in rng.choice(kinds, size=n)]
+                      for n in rng.integers(1, 5, size=2))
+            lower, exact, scale = self._lower_and_exact(ps, qs)
+            assert np.all(lower <= exact + 1e-12 * scale)
+            strict += int(np.sum(lower < exact - 1e-6 * scale))
+        assert strict > 0  # the bound is not the exact cost in general
+
+    def test_exact_for_diagonal_and_codiagonalizable_pairs(self):
+        # covariances sharing an eigenbasis that lists both spectra in the
+        # same order: the diagonal matrices (stored full, so the commuting
+        # shortcut does not apply) and one rotated basis
+        rng = np.random.default_rng(47)
+        for dim in range(1, 7):
+            basis = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+            order = rng.permutation(dim)
+            for rot in (np.eye(dim), basis):
+                a, b = (np.sort(rng.uniform(0.05, 2.0, size=dim))[order]
+                        for _ in range(2))
+                p = Gaussian(rng.normal(size=dim), rot @ np.diag(a) @ rot.T)
+                q = Gaussian(rng.normal(size=dim), rot @ np.diag(b) @ rot.T)
+                lower, exact, scale = self._lower_and_exact((p,), (q,))
+                np.testing.assert_allclose(lower, exact, rtol=0.0,
+                                           atol=1e-12 * scale[0, 0])
 
 
 class TestMixtureSecondMoment:

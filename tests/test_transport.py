@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wassnet import Gaussian, GaussianMixture
+from wassnet import Gaussian, GaussianMixture, compress_gmm, stats
 from wassnet.errors import ParseError
+from wassnet.stats import gaussian_w2_sq_matrix
 from wassnet.transport import (
     TransportPlan,
     empirical_w2,
@@ -18,7 +19,8 @@ from wassnet.transport import (
 )
 
 from oracles import (assignment_oracle, discrete_w2, lp_transport_oracle,
-                     stratified_w2_batches, vertex_enumeration_oracle)
+                     mw2_full_oracle, stratified_w2_batches,
+                     vertex_enumeration_oracle)
 
 
 def _random_instance(rng, max_side=8, max_cells=None):
@@ -246,6 +248,85 @@ class TestMw2:
         with pytest.raises(ParseError):
             mw2(Gaussian(np.zeros(1), np.ones(1)),
                 Gaussian(np.zeros(2), np.ones(2)))
+
+    @staticmethod
+    def _component(rng, dim, kind):
+        mean = rng.normal(scale=2.0, size=dim)
+        if kind == "diag":
+            return Gaussian(mean, rng.uniform(0.05, 2.0, size=dim))
+        if kind == "atom":
+            return Gaussian(mean, np.zeros(dim))
+        rank = dim if kind == "full" else int(rng.integers(0, dim))
+        f = rng.normal(size=(dim, rank))
+        return Gaussian(mean, f @ f.T)
+
+    def test_matches_full_pricing_oracle(self):
+        rng = np.random.default_rng(53)
+        kinds = ("full", "diag", "rank_deficient", "atom")
+        sizes = [(1, 1), (1, 6), (12, 1)] + [
+            (int(n), int(m)) for n, m in zip(rng.integers(1, 13, size=60),
+                                             rng.integers(1, 7, size=60))]
+        for n, m in sizes:
+            dim = int(rng.integers(1, 5))
+            ps, qs = ([self._component(rng, dim, kinds[int(k)])
+                       for k in rng.integers(0, len(kinds), size=size)]
+                      for size in (n, m))
+            # duplicated components, within a mixture and across the two
+            if n > 1:
+                ps[-1] = ps[0]
+            if m > 1:
+                qs[-1] = ps[int(rng.integers(n))]
+            p, q = (GaussianMixture(w / w.sum(), comps) for w, comps in
+                    ((rng.random(n) + 0.1, ps), (rng.random(m) + 0.1, qs)))
+            value, plan = mw2(p, q)
+            expected, _ = mw2_full_oracle(p, q)
+            assert math.isclose(value, expected, rel_tol=1e-12, abs_tol=0.0)
+            assert plan.plan.shape == (n, m)
+            np.testing.assert_allclose(plan.plan.sum(axis=1), p.weights,
+                                       rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(plan.plan.sum(axis=0), q.weights,
+                                       rtol=0.0, atol=1e-12)
+            assert mw2(p, p)[0] == 0.0
+
+    def test_identical_pair_is_zero_whatever_the_storage(self):
+        # equal means and covariances, stored once as a variance vector and
+        # once as a full matrix: an eigh of S^1/2 S S^1/2 gave 2.1e-8
+        rng = np.random.default_rng(0)
+        v = rng.random(2) + 0.1
+        mean = rng.normal(size=2)
+        a, b = Gaussian(mean, v), Gaussian(mean, np.diag(v))
+        assert mw2(a, b)[0] == 0.0
+        assert mw2(b, a)[0] == 0.0
+        assert np.all(gaussian_w2_sq_matrix((a, b), (b, a)) == 0.0)
+
+    def test_prices_only_what_the_plan_needs(self, monkeypatch):
+        # 40 full components in 5 separated clusters: the plan needs at
+        # most N + m - 1 arcs, so exact costs on every arc would be waste
+        rng = np.random.default_rng(61)
+        centers = rng.normal(scale=50.0, size=(5, 3))
+        comps = []
+        for k in range(40):
+            f = rng.normal(size=(3, 3))
+            comps.append(Gaussian(centers[k % 5] + rng.normal(size=3),
+                                  f @ f.T + 0.1 * np.eye(3)))
+        w = rng.random(40) + 0.1
+        g = GaussianMixture(w / w.sum(), tuple(comps))
+        priced = []
+        real = stats._psd_root_traces
+
+        def counting(mats):
+            priced.append(len(mats))
+            return real(mats)
+
+        monkeypatch.setattr(stats, "_psd_root_traces", counting)
+        result = compress_gmm(g, 5, seed=0)
+        n, m = g.size, result.compressed.size
+        assert m == 5
+        assert 0 < sum(priced) <= 2 * (n + m - 1)
+        assert sum(priced) < n * m
+        monkeypatch.undo()
+        expected, _ = mw2_full_oracle(g, result.compressed)
+        assert math.isclose(result.w2_bound, expected, rel_tol=1e-12)
 
 
 class TestDiscreteW2:
