@@ -34,6 +34,14 @@ class Tolerances:
     empirical_cost_cap: int = 4_000_000
     # propagation aborts if a mixture/atom set would exceed this size
     atom_cap: int = 100_000
+    # propagation aborts before a stochastic layer whose pushed covariances
+    # (A components of (D n)^2 doubles, A n doubles for D = 1) would exceed
+    # this many bytes.  256 MiB is 10x the largest shipped input (26 MB:
+    # 8 components of 640^2 doubles at the second layer of the 1-64-64-1
+    # D10 ladder row; the benchmark's largest is 19 MB, one wide first
+    # layer), and a 1-128-128-1 net at D = 20 pushes its first layer
+    # (52 MB) but stops before its second (up to 10 x 52 MB)
+    cov_bytes_cap: int = 2 ** 28
     # GP Gram matrices get this relative diagonal jitter before Cholesky
     gp_jitter: float = 1e-10
     # Lloyd clustering stops after this many sweeps at the latest

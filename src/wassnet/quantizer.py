@@ -23,6 +23,7 @@ from .errors import FixedPointError, NumericalError, ParseError
 from .stats import (
     DiscreteDistribution,
     Gaussian,
+    _eigen_bases,
     _readonly,
     _std_pdf,
     as_mixture,
@@ -503,14 +504,17 @@ def signature_of_mixture(g, budget_per_component: int, table: QuantizerTable):
     :class:`ComponentCells` per component, aligned with the atom blocks in
     component order.  The bound couples every component with its own
     signature: ``w2_bound = sqrt(sum_i pi_i * w2sq_i)``.  Zero-weight
-    components contribute neither atoms nor bound mass.
+    components contribute neither atoms nor bound mass.  The components
+    are decomposed together (:func:`~wassnet.stats._eigen_bases`), and
+    those decomposed before, for instance as ``mw2`` columns, are reused.
     """
     gm = as_mixture(g)
+    live = [(pi, comp) for pi, comp in zip(gm.weights, gm.components)
+            if pi > 0.0]
+    _eigen_bases([comp for _, comp in live])
     blocks = []
     cells = []
-    for pi, comp in zip(gm.weights, gm.components):
-        if pi <= 0.0:
-            continue
+    for pi, comp in live:
         loc_i, w_i, cells_i = _component_grid(comp, float(pi),
                                               budget_per_component, table)
         blocks.append((loc_i, pi * w_i))

@@ -370,15 +370,48 @@ def expected_spectral_bound(layer, d: int) -> float:
     return math.sqrt(d) * (s * frob + s * spec)
 
 
+def _push_atoms(locations: np.ndarray, layer: StochasticLinear, d: int):
+    """Exact output moments of a stochastic affine layer at ``A`` points.
+
+    ``locations`` is ``(A, d * n_in)``, each row ``d`` input blocks
+    (block-major).  One weight draw is shared by all blocks of a point, so
+    outputs of the same neuron correlate across blocks: ``cov[(a,i),(b,i)]
+    = s^2 (sum_j var_ij x_aj x_bj + bias_var_i)``, while different neurons
+    are independent (mean-field), which leaves a direct sum of ``n_out``
+    ``d x d`` blocks.  All points go through one matmul and one einsum.
+    Returns means ``(A, d * n_out)`` and, for ``d = 1``, variances
+    ``(A, n_out)``, else covariances ``(A, d * n_out, d * n_out)``: the
+    arguments of :meth:`Gaussian.stack`.
+    """
+    s = layer.scale
+    n_atoms, n_out = locations.shape[0], layer.n_out
+    blocks = locations.reshape(n_atoms, d, layer.n_in)
+    mean = (s * (blocks @ layer.weight_mean.T + layer.bias_mean)).reshape(
+        n_atoms, d * n_out)
+    if d == 1:
+        var = s * s * (np.square(blocks) @ layer.weight_var.T
+                       + layer.bias_var)
+        return mean, var.reshape(n_atoms, n_out)
+    # per-neuron block covariance x_a diag(v_i) x_b^T + bias_var_i, which
+    # Gaussian.stack symmetrises
+    cross = np.einsum("kaj,ij,kbj->kiab", blocks, layer.weight_var, blocks)
+    cross = s * s * (cross + layer.bias_var[:, None, None])
+    cov = np.zeros((n_atoms, d * n_out, d * n_out))
+    i = np.arange(n_out)
+    # entry (a n_out + i, b n_out + i) of atom k is block (k, i, a, b)
+    cov.reshape(n_atoms, d, n_out, d, n_out)[:, :, i, :, i] = \
+        np.moveaxis(cross, 1, 0)
+    return mean, cov
+
+
 def push_point_through_stochastic_linear(point, layer: StochasticLinear,
                                          d: int = 1) -> Gaussian:
     """Exact output Gaussian of a stochastic affine layer at a stacked point.
 
-    ``point`` stacks ``d`` input blocks (block-major).  One weight draw is
-    shared by all blocks, so outputs of the same neuron correlate across
-    blocks: ``cov[(a,i),(b,i)] = s^2 (sum_j var_ij x_aj x_bj + bias_var_i)``
-    while different neurons are independent (mean-field).  ``d = 1`` returns
-    a diagonal Gaussian.
+    ``point`` stacks ``d`` input blocks (block-major).  The one-point case
+    of the stacked push that :func:`propagate` runs on all atoms of a layer
+    at once: outputs of the same neuron correlate across blocks, different
+    neurons are independent, and ``d = 1`` returns a diagonal Gaussian.
     """
     point = np.asarray(point, dtype=float).reshape(-1)
     if not isinstance(layer, StochasticLinear):
@@ -387,23 +420,7 @@ def push_point_through_stochastic_linear(point, layer: StochasticLinear,
         raise ParseError(
             f"point has {point.shape[0]} entries, expected {d} blocks "
             f"of {layer.n_in}")
-    s = layer.scale
-    blocks = point.reshape(d, layer.n_in)
-    mean = s * (blocks @ layer.weight_mean.T + layer.bias_mean)
-    if d == 1:
-        var = s * s * (np.square(blocks[0]) @ layer.weight_var.T
-                       + layer.bias_var)
-        return Gaussian(mean.reshape(-1), var)
-    # per-neuron block covariance: x_a diag(v_i) x_b^T + bias_var_i
-    n_out = layer.n_out
-    cross = np.einsum("aj,ij,bj->iab", blocks, layer.weight_var, blocks)
-    cov = np.zeros((d * n_out, d * n_out))
-    a_idx = np.repeat(np.arange(d), d)
-    b_idx = np.tile(np.arange(d), d)
-    i = np.arange(n_out)[:, None]
-    cov[a_idx * n_out + i, b_idx * n_out + i] = \
-        s * s * (cross[:, a_idx, b_idx] + layer.bias_var[:, None])
-    return Gaussian(mean.reshape(-1), 0.5 * (cov + cov.T))
+    return Gaussian.stack(*_push_atoms(point[None], layer, d))[0]
 
 
 def _atoms_through_deterministic(atoms: DiscreteDistribution,
@@ -444,7 +461,9 @@ def propagate(model: SnnModel, points, cfg: PropagationConfig):
     truncated with its closed-form bound.  All bounds compose through the
     ledger recursion; both supported activations (and the identity) have
     Lipschitz constant 1, which is what lets dropout- and compression-errors
-    share one ledger slot.
+    share one ledger slot.  A stochastic linear layer pushes all atoms at
+    once; if their covariances would take more than ``TOL.cov_bytes_cap``
+    bytes, :class:`ParseError` is raised before they are allocated.
     """
     if not isinstance(model, SnnModel):
         raise ParseError("propagate expects an SnnModel")
@@ -511,9 +530,15 @@ def propagate(model: SnnModel, points, cfg: PropagationConfig):
             if isinstance(layer, StochasticLinear):
                 if mixture is not None:
                     reduce_to_atoms()
-                comps = tuple(
-                    push_point_through_stochastic_linear(loc, layer, d)
-                    for loc in atoms.locations)
+                width = d * layer.n_out
+                cov_bytes = 8 * atoms.size * width * (width if d > 1 else 1)
+                if cov_bytes > TOL.cov_bytes_cap:
+                    raise ParseError(
+                        f"layer {k} would hold {cov_bytes} bytes of "
+                        f"covariance for {atoms.size} components, above the "
+                        f"cap {TOL.cov_bytes_cap}; lower the signature "
+                        "budget, the compression size or the input count")
+                comps = Gaussian.stack(*_push_atoms(atoms.locations, layer, d))
                 mixture = GaussianMixture(atoms.weights, comps)
                 atoms = None
             elif mixture is not None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr
@@ -31,6 +32,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` from fields that are
+    already validated and read-only, without running ``__post_init__``."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def _simplex_weights(w: np.ndarray, what: str) -> np.ndarray:
@@ -52,6 +62,66 @@ def _simplex_weights(w: np.ndarray, what: str) -> np.ndarray:
 # domain types
 # ---------------------------------------------------------------------------
 
+def _symmetrised(mats: np.ndarray) -> np.ndarray:
+    """``(S + S^T) / 2`` of each matrix in a ``(K, n, n)`` stack, read-only.
+
+    Every entry must be finite, and each matrix symmetric within
+    ``cov_symmetry_rtol * max(max|S|, 1)``; otherwise :class:`ParseError`.
+    Needs one scratch array of the stack's size, which becomes the result.
+    """
+    flat = (len(mats), mats.shape[1] * mats.shape[2])
+    rows = mats.reshape(flat)
+    # max|S| per matrix without an |S| temporary
+    scale = np.maximum(rows.max(axis=1, initial=0.0),
+                       -rows.min(axis=1, initial=0.0))
+    if not np.isfinite(scale).all():
+        raise ParseError("covariance must be finite")
+    mats_t = mats.swapaxes(1, 2)
+    out = mats - mats_t
+    np.abs(out, out=out)
+    asym = out.reshape(flat).max(axis=1, initial=0.0)
+    if (asym > TOL.cov_symmetry_rtol * np.maximum(scale, 1.0)).any():
+        raise ParseError("covariance is not symmetric within tolerance")
+    np.add(mats, mats_t, out=out)
+    out *= 0.5
+    out.setflags(write=False)
+    return out
+
+
+def _validated(means: np.ndarray, covs: np.ndarray):
+    """Checked, read-only copies of stacked Gaussian parameters.
+
+    ``means`` is ``(K, n)``; ``covs`` holds ``K`` variance vectors
+    ``(K, n)`` or ``K`` matrices ``(K, n, n)``.  Every entry must be finite.
+    Matrices are symmetrised by :func:`_symmetrised`; a variance below
+    ``-eig_clip_rtol * max(max v, 1)`` of its vector raises and smaller
+    negatives are clipped to 0.
+    """
+    if not np.isfinite(means).all():
+        raise ParseError("mean must be finite")
+    k, n = means.shape
+    if covs.ndim == 2:
+        if covs.shape != (k, n):
+            raise ParseError("variance vector length does not match mean")
+        scale = covs.max(axis=1, initial=0.0)
+        if not np.isfinite(scale).all():
+            raise ParseError("covariance must be finite")
+        floor = -TOL.eig_clip_rtol * np.maximum(scale, 1.0)
+        if (covs < floor[:, None]).any():
+            raise ParseError("negative variance beyond tolerance")
+        covs = np.maximum(covs, 0.0)
+        covs.setflags(write=False)
+    elif covs.ndim == 3:
+        if covs.shape != (k, n, n):
+            raise ParseError("covariance shape does not match mean")
+        covs = _symmetrised(covs)
+    else:
+        raise ParseError("cov must be a variance vector or a square matrix")
+    means = np.array(means, dtype=float)
+    means.setflags(write=False)
+    return means, covs
+
+
 @dataclass(frozen=True)
 class Gaussian:
     """Multivariate normal with full or diagonal covariance.
@@ -59,44 +129,39 @@ class Gaussian:
     ``cov`` is a 1-d variance vector (diagonal variant) or a full symmetric
     positive-semidefinite matrix.  Symmetry is required within a relative
     tolerance and then enforced exactly; tiny negative variances are clipped
-    to zero.
+    to zero.  :meth:`stack` builds many Gaussians with the same checks at
+    once.  The eigendecomposition is computed once per Gaussian and cached
+    (:meth:`eigen`).
     """
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = _readonly(np.atleast_1d(self.mean))
-        cov = np.array(self.cov, dtype=float)
+        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         if mean.ndim != 1:
             raise ParseError("mean must be a vector")
-        if not np.all(np.isfinite(mean)):
-            raise ParseError("mean must be finite")
-        n = mean.shape[0]
-        if cov.ndim == 1:
-            if cov.shape[0] != n:
-                raise ParseError("variance vector length does not match mean")
-            scale = float(np.max(cov, initial=0.0))
-            if not math.isfinite(scale):
-                raise ParseError("covariance must be finite")
-            floor = -TOL.eig_clip_rtol * max(scale, 1.0)
-            if np.any(cov < floor):
-                raise ParseError("negative variance beyond tolerance")
-            cov = np.maximum(cov, 0.0)
-        elif cov.ndim == 2:
-            if cov.shape != (n, n):
-                raise ParseError("covariance shape does not match mean")
-            scale = float(np.max(np.abs(cov), initial=0.0))
-            if not math.isfinite(scale):
-                raise ParseError("covariance must be finite")
-            asym = float(np.max(np.abs(cov - cov.T), initial=0.0))
-            if asym > TOL.cov_symmetry_rtol * max(scale, 1.0):
-                raise ParseError("covariance is not symmetric within tolerance")
-            cov = 0.5 * (cov + cov.T)
-        else:
-            raise ParseError("cov must be a variance vector or a square matrix")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", _readonly(cov))
+        cov = np.asarray(self.cov, dtype=float)
+        means, covs = _validated(mean[None], cov[None])
+        object.__setattr__(self, "mean", means[0])
+        object.__setattr__(self, "cov", covs[0])
+
+    @staticmethod
+    def stack(means, covs) -> tuple:
+        """One Gaussian per row of ``means``, checked as the constructor
+        checks one.
+
+        ``covs`` holds variance vectors ``(K, n)`` or covariance matrices
+        ``(K, n, n)``.  Every check and the symmetrisation of the
+        constructor run once over the whole stack, and the Gaussians share
+        its read-only storage.
+        """
+        means = np.asarray(means, dtype=float)
+        if means.ndim != 2:
+            raise ParseError("means must be a (K, n) array")
+        means, covs = _validated(means, np.asarray(covs, dtype=float))
+        return tuple(_trusted(Gaussian, mean=m, cov=c)
+                     for m, c in zip(means, covs))
 
     @property
     def dim(self) -> int:
@@ -113,13 +178,20 @@ class Gaussian:
         return float(np.sum(self.cov) if self.is_diagonal else np.trace(self.cov))
 
     def eigen(self) -> "EigenBasis":
+        """Sorted, clipped eigendecomposition of ``cov``; the same object
+        on every call.  :func:`_eigen_bases` fills it for many Gaussians
+        in one stacked decomposition."""
+        return self._basis
+
+    @cached_property
+    def _basis(self) -> "EigenBasis":
         if self.is_diagonal:
             order = np.argsort(-self.cov, kind="stable")
             lam = self.cov[order]
             vecs = np.zeros((self.dim, self.dim))
             vecs[order, np.arange(self.dim)] = 1.0
             return EigenBasis(lam, vecs)
-        return symmetric_eig(self.cov)
+        return _eigen_stack([self.cov])[0]
 
     def factor(self) -> np.ndarray:
         """Matrix ``F`` with ``cov = F F^T`` (columns span the support)."""
@@ -272,9 +344,8 @@ def as_mixture(g) -> GaussianMixture:
     if isinstance(g, GaussianMixture):
         return g
     if isinstance(g, DiscreteDistribution):
-        zero = np.zeros(g.dim)
-        return GaussianMixture(g.weights, tuple(Gaussian(loc, zero)
-                                                for loc in g.locations))
+        return GaussianMixture(g.weights, Gaussian.stack(
+            g.locations, np.zeros((g.size, g.dim))))
     return GaussianMixture(np.array([1.0]), (g,))
 
 
@@ -362,26 +433,43 @@ def _symmetric_blocks(a: np.ndarray):
             for s in np.unique(block_size)]
 
 
-def _block_eigh(stack: np.ndarray, pattern: np.ndarray):
-    """Eigendecomposition of stacked symmetric matrices, block by block.
+def _pattern_groups(mats):
+    """The matrices of a sequence grouped by sparsity pattern.
 
-    Every matrix in ``stack`` must be zero wherever ``pattern`` is.  Each
-    block of the pattern (:func:`_symmetric_blocks`) is decomposed on its
-    own, one stacked ``eigh`` call per block size.  Returns the unsorted
-    eigenvalues, one row per matrix, and ``(idx, vecs)`` per block size:
-    the ``(k, s)`` block indices and the ``(len(stack), k, s, s)``
-    eigenvectors.
+    Returns ``(sel, pattern)`` per distinct pattern, in order of first
+    appearance: the indices of the matrices that are nonzero exactly where
+    ``pattern`` is.
     """
-    lam = np.empty(stack.shape[:2])
+    groups = {}
+    for k, m in enumerate(mats):
+        pattern = m != 0.0
+        key = np.packbits(pattern).tobytes()
+        groups.setdefault(key, (pattern, []))[1].append(k)
+    return [(sel, pattern) for pattern, sel in groups.values()]
+
+
+def _block_eigh(mats, pattern: np.ndarray):
+    """Eigendecomposition of equal-size symmetric matrices, block by block.
+
+    Every matrix in ``mats`` (a sequence of 2-d arrays) must be zero
+    wherever ``pattern`` is.  Each block of the pattern
+    (:func:`_symmetric_blocks`) is decomposed on its own, one stacked
+    ``eigh`` call per block size; only the blocks are copied out of the
+    matrices.  Returns the unsorted eigenvalues, one row per matrix, and
+    ``(idx, vecs)`` per block size: the ``(k, s)`` block indices and the
+    ``(len(mats), k, s, s)`` eigenvectors.
+    """
+    lam = np.empty((len(mats), pattern.shape[0]))
     blocks = []
     try:
         for idx in _symmetric_blocks(pattern):
-            w, v = np.linalg.eigh(stack[:, idx[:, :, None], idx[:, None, :]])
+            ix = (idx[:, :, None], idx[:, None, :])
+            w, v = np.linalg.eigh(np.stack([m[ix] for m in mats]))
             lam[:, idx] = w
             blocks.append((idx, v))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}",
-                             payload=stack) from exc
+                             payload=mats) from exc
     return lam, blocks
 
 
@@ -391,11 +479,64 @@ def _clip_negative(lam: np.ndarray, payload) -> np.ndarray:
     A negative eigenvalue below ``-eig_clip_rtol * max|lambda|`` of its matrix
     raises :class:`NumericalError` with ``payload`` attached.
     """
-    scale = np.max(np.abs(lam), axis=-1, keepdims=True, initial=0.0)
-    if np.any(lam < -TOL.eig_clip_rtol * scale):
+    scale = np.abs(lam).max(axis=-1, keepdims=True, initial=0.0)
+    if (lam < -TOL.eig_clip_rtol * scale).any():
         raise NumericalError("matrix has a negative eigenvalue beyond tolerance",
                              payload=payload)
     return np.maximum(lam, 0.0)
+
+
+def _eigen_stack(mats):
+    """Sorted, clipped eigendecompositions of equal-size symmetric matrices.
+
+    ``mats`` is a sequence of ``K`` exactly symmetric ``(n, n)`` arrays.
+    The matrices are grouped by sparsity pattern (:func:`_pattern_groups`)
+    and each group goes through one :func:`_block_eigh`, so a pattern is
+    split into its blocks once however many matrices share it.  Each
+    matrix's block spectra are then merged on their own: eigenvalues
+    nonincreasing by a stable sort, and negatives within ``eig_clip_rtol *
+    max|lambda|`` of zero clipped to 0 (anything more negative raises
+    :class:`NumericalError`).  A matrix decomposes the same, bit for bit,
+    in any stack, since every ``eigh`` call sees the same blocks.  Returns
+    one :class:`EigenBasis` per matrix, views into read-only ``(K, n)``
+    eigenvalues and ``(K, n, n)`` eigenvectors; each matrix of eigenvectors
+    is column-major (the layout that sorting the columns by fancy indexing
+    gave, which later matrix products round by).
+    """
+    n = mats[0].shape[0]
+    lam = np.empty((len(mats), n))
+    vecs = np.zeros((len(mats), n, n)).transpose(0, 2, 1)
+    for sel, pattern in _pattern_groups(mats):
+        group = [mats[k] for k in sel]
+        w, blocks = _block_eigh(group, pattern)
+        order = np.argsort(-w, axis=1, kind="stable")
+        rank = np.argsort(order, axis=1)  # sorted column of each eigenpair
+        lam[sel] = _clip_negative(w[np.arange(len(sel))[:, None], order],
+                                  payload=group)
+        rows = np.asarray(sel)[:, None, None, None]
+        for idx, v in blocks:
+            # entry p of block eigenvector q lands in row idx[p] of the
+            # sorted column rank[idx[q]]
+            vecs[rows, idx[None, :, :, None], rank[:, idx][:, :, None, :]] = v
+    lam.setflags(write=False)
+    vecs.setflags(write=False)
+    return [_trusted(EigenBasis, eigenvalues=l, eigenvectors=v)
+            for l, v in zip(lam, vecs)]
+
+
+def _eigen_bases(gs) -> list:
+    """``g.eigen()`` of each Gaussian of a common dimension in ``gs``.
+
+    The full covariances not decomposed yet go through one
+    :func:`_eigen_stack` call, and each result is cached on its Gaussian
+    (the slot of ``Gaussian._basis``), so later ``eigen()`` calls return it.
+    """
+    todo = list({id(g): g for g in gs if not g.is_diagonal
+                 and "_basis" not in vars(g)}.values())
+    if todo:
+        for g, basis in zip(todo, _eigen_stack([g.cov for g in todo])):
+            vars(g)["_basis"] = basis
+    return [g.eigen() for g in gs]
 
 
 def symmetric_eig(cov: np.ndarray) -> EigenBasis:
@@ -403,27 +544,14 @@ def symmetric_eig(cov: np.ndarray) -> EigenBasis:
 
     Eigenvalues are returned nonincreasing.  Negative eigenvalues within
     ``eig_clip_rtol * max|lambda|`` of zero are clipped to 0; anything more
-    negative raises :class:`NumericalError` with the matrix attached.
+    negative raises :class:`NumericalError` with the matrix attached.  The
+    one-matrix case of :func:`_eigen_stack`, after the checks and the exact
+    symmetrisation of :func:`_symmetrised`.
     """
     a = np.asarray(cov, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ParseError("expected a square matrix")
-    n = a.shape[0]
-    asym = float(np.max(np.abs(a - a.T), initial=0.0))
-    scale0 = float(np.max(np.abs(a), initial=0.0))
-    if asym > TOL.cov_symmetry_rtol * max(scale0, 1.0):
-        raise ParseError("matrix is not symmetric within tolerance")
-    a = 0.5 * (a + a.T)
-    lam, blocks = _block_eigh(a[None], a)
-    lam = lam[0]
-    vecs = np.zeros((n, n))
-    for idx, v in blocks:
-        vecs[idx[:, :, None], idx[:, None, :]] = v[0]
-    order = np.argsort(-lam, kind="stable")
-    lam = lam[order]
-    vecs = vecs[:, order]
-    lam = _clip_negative(lam, payload=a)
-    return EigenBasis(lam, vecs)
+    return _eigen_stack(_symmetrised(a[None]))[0]
 
 
 def psd_sqrt(cov: np.ndarray) -> np.ndarray:
@@ -455,10 +583,14 @@ class GaussianW2Costs:
     ``|m_i - m_j|^2``, which :meth:`tighten` raises to the spectral bound
     and :meth:`price` replaces by the exact cost.
 
-    Each row component is decomposed once (``Gaussian.eigen``: one
-    :func:`symmetric_eig` of a full covariance, a sort of a diagonal one),
-    which yields both its spectrum and its root ``S_i^1/2``, equal to
-    :func:`psd_sqrt` of its full covariance.  An exact entry is computed
+    Each component is decomposed once and keeps its decomposition
+    (``Gaussian.eigen``: a sort of a diagonal covariance, an eigenbasis of
+    a full one).  :meth:`tighten` decomposes all row and column components
+    it finds undecomposed in one stacked call (:func:`_eigen_bases`), which
+    splits each sparsity pattern into its blocks once, not once per
+    component.  A row's decomposition yields both its spectrum and its
+    root ``S_i^1/2``, equal to :func:`psd_sqrt` of its full covariance.
+    An exact entry is computed
     row by row: the products of the root with the row's requested column
     covariances are symmetrised and decomposed together, one stacked
     ``eigh`` when they are dense (see :func:`_psd_root_traces`), and the
@@ -493,13 +625,7 @@ class GaussianW2Costs:
             same[i, j] = np.array_equal(ps[i].full_cov(), qs[j].full_cov())
         self.values[same] = 0.0
         self.exact = (p_diag[:, None] & q_diag[None, :]) | same
-        self._bases = {}
         self._q_cov = self._q_tr = None
-
-    def _basis(self, i: int) -> EigenBasis:
-        if i not in self._bases:
-            self._bases[i] = self._ps[i].eigen()
-        return self._bases[i]
 
     def tighten(self) -> None:
         """Raise every entry that is not exact to the spectral lower bound.
@@ -521,9 +647,9 @@ class GaussianW2Costs:
         entries are sorted alike.  The row spectra come from the same
         decompositions as the roots that :meth:`price` uses.
         """
-        rows = np.sqrt(np.stack([self._basis(i).eigenvalues
-                                 for i in range(len(self._ps))]))
-        cols = np.sqrt(np.stack([g.eigen().eigenvalues for g in self._qs]))
+        lam = np.stack([b.eigenvalues
+                        for b in _eigen_bases(self._ps + self._qs)])
+        rows, cols = np.split(np.sqrt(lam), [len(self._ps)])
         bound = self._mean_sq + np.sum(
             np.square(rows[:, None, :] - cols[None, :, :]), axis=-1)
         np.copyto(self.values, bound, where=~self.exact)
@@ -538,7 +664,7 @@ class GaussianW2Costs:
             self._q_tr = np.array([g.cov_trace() for g in self._qs])
         for i in np.flatnonzero(np.any(todo, axis=1)):
             js = np.flatnonzero(todo[i])
-            sa = _root_of(self._basis(i))
+            sa = _root_of(self._ps[i].eigen())
             inner = sa @ self._q_cov[js] @ sa
             inner = 0.5 * (inner + np.swapaxes(inner, 1, 2))
             fidelity = _psd_root_traces(inner)
@@ -565,23 +691,19 @@ def _psd_root_traces(mats: np.ndarray) -> np.ndarray:
     """``tr(M^1/2)`` of each symmetric PSD matrix ``M`` in a stack.
 
     Matrices with the same sparsity pattern are decomposed together by
-    :func:`_block_eigh`, as :func:`symmetric_eig` decomposes one matrix; a
-    stack of dense matrices is one ``eigh`` call.
+    :func:`_block_eigh`, as :func:`_eigen_stack` decomposes them; a stack
+    of dense matrices is one ``eigh`` call.
     The split keeps exact zeros exact instead of turning them into rounding
     noise that the square root would amplify.  The trace is that of the
     root ``V diag(sqrt(max(lambda, 0))) V^T``.  An eigenvalue below
     ``-eig_clip_rtol * max|lambda|`` of its matrix raises
     :class:`NumericalError`.
     """
-    nonzero = mats != 0.0
-    groups = {}
-    for k, pattern in enumerate(nonzero):
-        groups.setdefault(np.packbits(pattern).tobytes(), []).append(k)
     out = np.empty(len(mats))
-    for sel in groups.values():
-        stack = mats[sel]
-        lam, blocks = _block_eigh(stack, nonzero[sel[0]])
-        root = np.sqrt(_clip_negative(lam, payload=stack))
+    for sel, pattern in _pattern_groups(mats):
+        group = [mats[k] for k in sel]
+        lam, blocks = _block_eigh(group, pattern)
+        root = np.sqrt(_clip_negative(lam, payload=group))
         out[sel] = sum(np.sum(np.square(v) * root[:, idx][..., None, :],
                               axis=(1, 2, 3)) for idx, v in blocks)
     return out

@@ -9,9 +9,11 @@ from-scratch fixed point driven by quadrature, and the full dropout-mask
 expansion by enumerating every mask.  The batched Gaussian W2 cost matrix
 is checked against the per-pair formula it replaced, which shares
 ``psd_sqrt`` with the library, and the delayed-pricing MW2 against full
-pricing of every pair.  Exact W2 between atom sets and stratified
-mixture samples serve as references for the compression bounds.  Grid
-allocation is checked against the branch-and-bound search it replaced.
+pricing of every pair.  The stacked stochastic-linear push is checked
+against the per-point construction it replaced.  Exact W2 between atom
+sets and stratified mixture samples serve as references for the
+compression bounds.  Grid allocation is checked against the
+branch-and-bound search it replaced.
 """
 
 import itertools
@@ -84,6 +86,32 @@ def mw2_full_oracle(p, q):
     cost = gaussian_w2_sq_matrix(pm.components, qm.components)
     plan = solve_discrete_ot(cost, pm.weights, qm.weights)
     return math.sqrt(max(plan.cost, 0.0)), plan
+
+
+def push_point_oracle(point, layer, d=1):
+    """Output Gaussian of a stochastic linear layer at one stacked point,
+    by the per-point construction the stacked push replaced: a variance
+    vector for ``d = 1``, else the dense ``(d n_out)^2`` covariance filled
+    entry by entry, symmetrised and passed to the public constructor."""
+    from wassnet.stats import Gaussian
+
+    point = np.asarray(point, dtype=float).reshape(-1)
+    s = layer.scale
+    blocks = point.reshape(d, layer.n_in)
+    mean = s * (blocks @ layer.weight_mean.T + layer.bias_mean)
+    if d == 1:
+        var = s * s * (np.square(blocks[0]) @ layer.weight_var.T
+                       + layer.bias_var)
+        return Gaussian(mean.reshape(-1), var)
+    n_out = layer.n_out
+    cross = np.einsum("aj,ij,bj->iab", blocks, layer.weight_var, blocks)
+    cov = np.zeros((d * n_out, d * n_out))
+    a_idx = np.repeat(np.arange(d), d)
+    b_idx = np.tile(np.arange(d), d)
+    i = np.arange(n_out)[:, None]
+    cov[a_idx * n_out + i, b_idx * n_out + i] = \
+        s * s * (cross[:, a_idx, b_idx] + layer.bias_var[:, None])
+    return Gaussian(mean.reshape(-1), 0.5 * (cov + cov.T))
 
 
 def sample_network_oracle(model, points, n_samples, seed):

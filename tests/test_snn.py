@@ -6,12 +6,15 @@ checked against empirical 2-Wasserstein estimates between exact network
 samples and samples of the returned approximation.
 """
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from wassnet import snn
+from wassnet.config import TOL
 from wassnet.errors import ParseError
 from wassnet.quantizer import _w2_bound
 from wassnet.snn import (Activation, BoundLedger, DeterministicLinear,
@@ -19,10 +22,11 @@ from wassnet.snn import (Activation, BoundLedger, DeterministicLinear,
                          StochasticLinear, expected_spectral_bound,
                          propagate, push_point_through_stochastic_linear,
                          sample_network)
-from wassnet.stats import DiscreteDistribution, GaussianMixture
+from wassnet.stats import (DiscreteDistribution, Gaussian, GaussianMixture,
+                           _eigen_bases)
 from wassnet.transport import empirical_w2
 
-from oracles import mc_mean_se, sample_network_oracle
+from oracles import mc_mean_se, push_point_oracle, sample_network_oracle
 
 
 def _vi_net(rng, widths, activation="tanh", weight_var=0.3, bias_var=0.1,
@@ -264,6 +268,41 @@ class TestPushPoint:
         assert g.full_cov()[0, 1] == 0.0
         assert g.full_cov()[0, 3] == 0.0
 
+    @pytest.mark.parametrize("ntk", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_stacked_push_matches_per_point_oracle(self, d, ntk):
+        # duplicate atoms, an atom with two equal blocks, and the zero
+        # atom: with zero bias variance on some neurons its blocks vanish
+        # and the covariance pattern splits further than n_out blocks
+        rng = np.random.default_rng(10 * d + ntk)
+        n_in, n_out = 3, 5
+        bias_var = rng.uniform(0.05, 0.3, n_out)
+        bias_var[::2] = 0.0
+        layer = StochasticLinear(rng.normal(size=(n_out, n_in)),
+                                 rng.uniform(0.0, 0.5, (n_out, n_in)),
+                                 rng.normal(size=n_out), bias_var,
+                                 ntk_scaling=ntk)
+        locs = rng.normal(size=(6, d * n_in))
+        locs[3] = locs[1]
+        locs[4, n_in:] = np.tile(locs[4, :n_in], d - 1)
+        locs[5] = 0.0
+        if d > 1:
+            locs[2, :n_in] = 0.0  # one zero block in an atom
+        comps = Gaussian.stack(*snn._push_atoms(locs, layer, d))
+        bases = _eigen_bases(comps)
+        for k, (g, basis) in enumerate(zip(comps, bases)):
+            want = push_point_oracle(locs[k], layer, d)
+            assert g.is_diagonal == want.is_diagonal == (d == 1)
+            assert np.array_equal(g.mean, want.mean)
+            assert np.array_equal(g.cov, want.cov)
+            one = want.eigen()  # decomposed on its own
+            assert np.array_equal(basis.eigenvalues, one.eigenvalues)
+            assert np.array_equal(basis.eigenvectors, one.eigenvectors)
+            assert basis is g.eigen()
+            single = push_point_through_stochastic_linear(locs[k], layer, d)
+            assert np.array_equal(single.mean, want.mean)
+            assert np.array_equal(single.cov, want.cov)
+
     def test_dimension_mismatch(self):
         layer = StochasticLinear(np.ones((1, 2)), np.ones((1, 2)),
                                  np.zeros(1), np.zeros(1))
@@ -502,6 +541,53 @@ class TestPropagate:
                                 compression_size=131_072, seed=0)
         with pytest.raises(ParseError, match="cap"):
             propagate(model, np.array([[1.0]]), cfg)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_covariance_cap_counts_the_pushed_bytes(self, table, d,
+                                                     monkeypatch):
+        # the pre-flight count is exactly the size of the largest pushed
+        # covariance stack: a cap at that size passes, one byte less fails
+        rng = np.random.default_rng(5)
+        model = _vi_net(rng, (1, 6, 6, 1))
+        points = np.linspace(-1.0, 1.0, d)[:, None]
+        cfg = PropagationConfig(table=table, signature_budget=4,
+                                compression_size=2, seed=0)
+        sizes = []
+        real = snn._push_atoms
+
+        def recording(locations, layer, d):
+            mean, cov = real(locations, layer, d)
+            sizes.append(cov.nbytes)
+            return mean, cov
+
+        monkeypatch.setattr(snn, "_push_atoms", recording)
+        propagate(model, points, cfg)
+        top = max(sizes)
+        assert top > sizes[0]  # the largest stack is a later layer's
+        monkeypatch.setattr(snn, "TOL",
+                            dataclasses.replace(TOL, cov_bytes_cap=top))
+        propagate(model, points, cfg)
+        monkeypatch.setattr(snn, "TOL",
+                            dataclasses.replace(TOL, cov_bytes_cap=top - 1))
+        with pytest.raises(ParseError, match="cap"):
+            propagate(model, points, cfg)
+
+    def test_covariance_cap_rejects_before_allocating(self, table):
+        # 100 points through a width-400 layer: one pushed covariance of
+        # (100 * 400)^2 doubles is 12.8 GB
+        rng = np.random.default_rng(6)
+        model = _vi_net(rng, (1, 400, 1))
+        points = np.linspace(-1.0, 1.0, 100)[:, None]
+        assert 8 * (100 * 400) ** 2 > TOL.cov_bytes_cap
+        cfg = PropagationConfig(table=table)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="cap"):
+                propagate(model, points, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_invalid_inputs(self, table):
         rng = np.random.default_rng(1)

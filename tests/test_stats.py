@@ -13,7 +13,8 @@ from wassnet import (Gaussian, GaussianMixture, NumericalError, ParseError,
                      gaussian_w2, gaussian_w2_sq_matrix, mixture_second_moment,
                      psd_sqrt, standard_truncated_moments, symmetric_eig)
 from wassnet.quantizer import _active_mask
-from wassnet.stats import GaussianW2Costs, _symmetric_blocks
+from wassnet.stats import (GaussianW2Costs, _eigen_bases, _eigen_stack,
+                           _symmetric_blocks)
 
 from oracles import (gaussian_w2_pair_oracle, quad_truncated_moments,
                      quantile_coupling_w2_1d)
@@ -432,9 +433,49 @@ class TestSymmetricEig:
         with pytest.raises(ParseError):
             symmetric_eig(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    def test_rejects_nonfinite(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ParseError):
+                symmetric_eig(np.array([[1.0, bad], [bad, 1.0]]))
+
     def test_rejects_indefinite(self):
         with pytest.raises(NumericalError):
             symmetric_eig(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_stacked_decomposition_matches_one_matrix_path(self):
+        # one stack mixing sparsity patterns: interleaved blocks, the same
+        # pattern twice, dense, diagonal, zero, rank-deficient and with
+        # tied eigenvalues across blocks; each matrix must decompose as
+        # symmetric_eig decomposes it alone, in value and in layout
+        # (column-major eigenvectors, which later products round by)
+        rng = np.random.default_rng(41)
+        n = 6
+        mats = []
+        for blocks in ((np.array([0, 2, 4]), np.array([1, 3]), np.array([5])),
+                       (np.array([0, 2, 4]), np.array([1, 3]), np.array([5])),
+                       (np.array([0, 3, 4]), np.array([1, 2, 5])),
+                       (np.arange(n),),
+                       tuple(np.array([i]) for i in range(n))):
+            cov = np.zeros((n, n))
+            for idx in blocks:
+                f = rng.normal(size=(len(idx), max(1, len(idx) - 1)))
+                cov[np.ix_(idx, idx)] = f @ f.T
+            mats.append(0.5 * (cov + cov.T))
+        mats.append(np.zeros((n, n)))
+        tied = np.zeros((n, n))
+        tied[np.ix_([0, 1], [0, 1])] = [[2.0, 1.0], [1.0, 2.0]]
+        tied[np.ix_([2, 3], [2, 3])] = [[2.0, 1.0], [1.0, 2.0]]
+        mats.append(tied)
+        order = rng.permutation(len(mats))
+        mats = [mats[k] for k in order]
+        for m, basis in zip(mats, _eigen_stack(mats)):
+            one = symmetric_eig(m)
+            assert np.array_equal(basis.eigenvalues, one.eigenvalues)
+            assert np.array_equal(basis.eigenvectors, one.eigenvectors)
+            assert basis.eigenvectors.flags.f_contiguous
+            assert one.eigenvectors.flags.f_contiguous
+            assert not basis.eigenvalues.flags.writeable
+            assert not basis.eigenvectors.flags.writeable
 
     def test_psd_sqrt(self):
         rng = np.random.default_rng(29)
@@ -472,6 +513,80 @@ class TestContainers:
             Gaussian([0.0, 0.0], np.array([[1.0, 0.5], [0.1, 1.0]]))
         with pytest.raises(ParseError):
             Gaussian([0.0], [-1.0])
+
+    def test_eigen_is_cached(self):
+        rng = np.random.default_rng(43)
+        for g in (random_gaussian(rng, 3), random_gaussian(rng, 3, True)):
+            assert g.eigen() is g.eigen()
+            assert _eigen_bases([g, g])[1] is g.eigen()
+        a, b = random_gaussian(rng, 4), random_gaussian(rng, 4)
+        bases = _eigen_bases([a, b, a])
+        assert bases[0] is bases[2] is a.eigen()
+        assert bases[1] is b.eigen()
+
+    def test_stack_matches_constructor(self):
+        # full matrices asymmetric within tolerance, variance vectors with
+        # negatives within the floor: the stack stores what the
+        # constructor stores, read-only and detached from the input
+        rng = np.random.default_rng(47)
+        k, n = 5, 4
+        means = rng.normal(size=(k, n))
+        f = rng.normal(size=(k, n, n))
+        full = f @ np.swapaxes(f, 1, 2)
+        full[:, 0, 1] += 1e-14
+        diag = rng.uniform(0.0, 2.0, (k, n))
+        diag[:, 0] = -1e-12
+        for covs in (full, diag):
+            before = covs.copy()
+            stacked = Gaussian.stack(means, covs)
+            assert len(stacked) == k
+            for m, c, g in zip(means, covs, stacked):
+                want = Gaussian(m, c)
+                assert g.is_diagonal == want.is_diagonal == (covs.ndim == 2)
+                assert np.array_equal(g.mean, want.mean)
+                assert np.array_equal(g.cov, want.cov)
+                assert not g.mean.flags.writeable
+                assert not g.cov.flags.writeable
+            assert np.array_equal(covs, before)
+            means[0, 0] += 1.0
+            assert stacked[0].mean[0] != means[0, 0]
+
+    def test_stack_rejects_what_the_constructor_rejects(self):
+        good_m, good_c = np.zeros(2), np.eye(2)
+        bad = [
+            (np.zeros(2), np.array([[1.0, 0.5], [0.1, 1.0]])),  # asymmetric
+            (np.zeros(2), np.array([[1.0, np.nan], [np.nan, 1.0]])),
+            (np.zeros(2), np.array([[np.inf, 0.0], [0.0, 1.0]])),
+            (np.zeros(2), np.array([[-np.inf, 0.0], [0.0, 1.0]])),
+            (np.array([np.nan, 0.0]), np.eye(2)),
+            (np.zeros(2), np.eye(3)),  # shape mismatch
+            (np.zeros(2), np.ones((2, 3))),
+        ]
+        bad_diag = [
+            (np.zeros(2), np.array([-1.0, 1.0])),  # negative variance
+            (np.zeros(2), np.array([np.nan, 1.0])),
+            (np.zeros(2), np.array([np.inf, 1.0])),
+            (np.array([0.0, np.inf]), np.ones(2)),
+            (np.zeros(2), np.ones(3)),  # length mismatch
+        ]
+        for (m, c), (gm, gc) in ([(case, (good_m, good_c)) for case in bad]
+                                 + [(case, (good_m, np.ones(2)))
+                                    for case in bad_diag]):
+            with pytest.raises(ParseError):
+                Gaussian(m, c)
+            if c.shape != gc.shape:
+                with pytest.raises(ParseError):
+                    Gaussian.stack(m[None], c[None])
+                continue
+            with pytest.raises(ParseError):
+                Gaussian.stack(np.stack([gm, m, gm]), np.stack([gc, c, gc]))
+        assert Gaussian.stack(np.zeros((0, 2)), np.zeros((0, 2, 2))) == ()
+        with pytest.raises(ParseError):
+            Gaussian.stack(np.zeros(2), np.eye(2)[None])  # means not (K, n)
+        with pytest.raises(ParseError):
+            Gaussian.stack(np.zeros((2, 2)), np.eye(2)[None])  # K mismatch
+        with pytest.raises(ParseError):
+            Gaussian.stack(np.zeros((1, 2)), np.zeros((1, 2, 2, 2)))
 
     def test_mixture_moments_match_sampling(self):
         rng = np.random.default_rng(31)

@@ -1,13 +1,14 @@
 """Tests for exact discrete optimal transport, MW2, and empirical W2."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wassnet import Gaussian, GaussianMixture, compress_gmm, stats
+from wassnet import Gaussian, GaussianMixture, compress_gmm, snn, stats
 from wassnet.errors import ParseError
 from wassnet.stats import gaussian_w2_sq_matrix
 from wassnet.transport import (
@@ -327,6 +328,47 @@ class TestMw2:
         monkeypatch.undo()
         expected, _ = mw2_full_oracle(g, result.compressed)
         assert math.isclose(result.w2_bound, expected, rel_tol=1e-12)
+
+    def test_splits_each_component_pattern_once(self, monkeypatch):
+        # 40 components pushed through one stochastic layer share one
+        # block pattern (8 neurons x 3 points); their decompositions in
+        # mw2 split it once, not once per row.  The compressed columns are
+        # merged clusters, so every product that pricing decomposes is
+        # dense, which needs no split
+        rng = np.random.default_rng(67)
+        layer = snn.StochasticLinear(rng.normal(size=(8, 2)),
+                                     np.full((8, 2), 0.05), np.zeros(8),
+                                     np.full(8, 0.05))
+        locs = rng.normal(size=(40, 3 * 2))
+        w = rng.random(40) + 0.1
+
+        def pushed():  # fresh Gaussians, none decomposed yet
+            return GaussianMixture(w / w.sum(), Gaussian.stack(
+                *snn._push_atoms(locs, layer, 3)))
+
+        res = compress_gmm(pushed(), 5, seed=0)
+        assert np.all(np.bincount(res.cluster_assignment) > 1)
+        g = pushed()
+        compressed = GaussianMixture(res.compressed.weights, tuple(
+            Gaussian(c.mean, c.cov) for c in res.compressed.components))
+        split = Counter()
+        real = stats._symmetric_blocks
+
+        def counting(pattern):
+            split[np.packbits(pattern != 0.0).tobytes()] += 1
+            return real(pattern)
+
+        monkeypatch.setattr(stats, "_symmetric_blocks", counting)
+        mw2(g, compressed)
+        row_pattern = np.packbits(g.components[0].cov != 0.0).tobytes()
+        dense = np.packbits(np.ones((24, 24), dtype=bool)).tobytes()
+        assert split[row_pattern] == 1
+        assert set(split) == {row_pattern, dense}
+        # the dense pattern: once for the columns, once per priced row
+        assert split[dense] <= 1 + g.size + compressed.size
+        monkeypatch.undo()
+        expected, _ = mw2_full_oracle(g, compressed)
+        assert mw2(g, compressed)[0] == expected
 
 
 class TestDiscreteW2:
