@@ -300,6 +300,27 @@ def _active_mask(eigenvalues: np.ndarray) -> np.ndarray:
     return eigenvalues > TOL.eig_clip_rtol * eigenvalues[0]
 
 
+@functools.lru_cache(maxsize=None)
+def _factor_tuples(budget: int, depth: int) -> np.ndarray:
+    """Every nonincreasing tuple of ``depth`` positive integers with product
+    at most ``budget``, one per row in lexicographically decreasing order.
+
+    The factors >= 2 of each tuple are grown one axis at a time and padded
+    with ones.  Read-only: :func:`allocate_grid` shares it across calls.
+    """
+    found, frontier = [], [()]
+    while frontier:
+        found += frontier
+        frontier = [t + (n,) for t in frontier if len(t) < depth
+                    for n in range(2, min(t[-1] if t else budget,
+                                          budget // math.prod(t)) + 1)]
+    tuples = np.array(sorted((t + (1,) * (depth - len(t)) for t in found),
+                             reverse=True), dtype=int)
+    tuples = tuples.reshape(len(found), depth)  # (1, 0) for depth 0
+    tuples.setflags(write=False)
+    return tuples
+
+
 def allocate_grid(eigenvalues, budget: int, table: QuantizerTable) -> tuple:
     """Exact minimizer of sum_j lambda_j * w2sq(N_j) subject to prod N_j <= budget.
 
@@ -308,7 +329,8 @@ def allocate_grid(eigenvalues, budget: int, table: QuantizerTable) -> tuple:
     trailing axes below the degeneracy threshold are pinned at one point and
     excluded from the search.  The search scores all nonincreasing
     integer factor tuples with product at most ``budget`` (an exchange
-    argument shows some optimum is nonincreasing when the eigenvalues are),
+    argument shows some optimum is nonincreasing when the eigenvalues are;
+    :func:`_factor_tuples` enumerates them once per budget and depth),
     summing each objective left to right over the axes, and breaks
     objective ties toward the lexicographically largest tuple, i.e. more
     points on the larger-eigenvalue axes.
@@ -330,15 +352,11 @@ def allocate_grid(eigenvalues, budget: int, table: QuantizerTable) -> tuple:
     r = int(lam_active.size)
     if r == 0:
         return ()
-    # factors >= 2 of every tuple, grown one axis at a time
-    found, frontier = [], [()]
-    while frontier:
-        found += frontier
-        frontier = [t + (n,) for t in frontier if len(t) < r
-                    for n in range(2, min(t[-1] if t else budget,
-                                          budget // math.prod(t)) + 1)]
-    sizes = np.array(sorted((t + (1,) * (r - len(t)) for t in found),
-                            reverse=True))
+    # at most log2(budget) factors exceed 1; the other axes take one point
+    tuples = _factor_tuples(int(budget),
+                            min(r, int(budget).bit_length() - 1))
+    sizes = np.ones((len(tuples), r), dtype=int)
+    sizes[:, :tuples.shape[1]] = tuples
     w2 = np.array([q.w2sq for q in table.entries[:budget]])
     objective = np.cumsum(lam_active * w2[sizes - 1], axis=1)[:, -1]
     return tuple(int(n) for n in sizes[int(np.argmin(objective))])
@@ -417,12 +435,10 @@ def _component_grid(g: Gaussian, weight: float, budget: int,
     transform = basis.eigenvectors[:, :r] * np.sqrt(lam_r)
 
     # sizes are nonincreasing, so the multi-point axes form a prefix; the
-    # single-point axes keep index 0, which np.indices cannot give directly
-    # past 64 axes
+    # single-point tail is one cell per axis, filled in one step
     n_multi = sum(n_l > 1 for n_l in sizes)
     m_cells = math.prod(sizes)
-    idx = np.zeros((r, m_cells), dtype=int)
-    idx[:n_multi] = np.indices(sizes[:n_multi]).reshape(n_multi, m_cells)
+    idx = np.indices(sizes[:n_multi]).reshape(n_multi, m_cells)
     mass = np.ones(m_cells)
     centers = np.empty((m_cells, r))
     lo = np.empty((m_cells, r))
@@ -430,7 +446,7 @@ def _component_grid(g: Gaussian, weight: float, budget: int,
     means = np.empty((m_cells, r))
     variances = np.empty((m_cells, r))
     cond = np.full(m_cells, pinned_sum)
-    for l, n_l in enumerate(sizes):
+    for l, n_l in enumerate(sizes[:n_multi]):
         q = table.get(n_l)
         lo_l, hi_l, mass_l, mean_l, var_l = q.cells
         sel = idx[l]
@@ -442,6 +458,19 @@ def _component_grid(g: Gaussian, weight: float, budget: int,
         variances[:, l] = var_l[sel]
         cond += lam_r[l] * (variances[:, l]
                             + np.square(means[:, l] - centers[:, l]))
+    if n_multi < r:
+        # the one cell of N(0,1) has mass exactly 1, so mass is unchanged;
+        # the tail's terms still join cond one axis at a time, left to right
+        one = table.get(1)
+        lo_1, hi_1, _, mean_1, var_1 = one.cells
+        tail = np.s_[:, n_multi:]
+        centers[tail], lo[tail], hi[tail] = one.locations[0], lo_1[0], hi_1[0]
+        means[tail], variances[tail] = mean_1[0], var_1[0]
+        terms = lam_r[n_multi:] * (var_1[0]
+                                   + np.square(mean_1[0] - one.locations[0]))
+        cond = np.cumsum(np.column_stack(
+            (cond, np.broadcast_to(terms, (m_cells, r - n_multi)))),
+            axis=1)[:, -1]
 
     keep = mass >= TOL.cell_mass_prune
     if not np.any(keep):

@@ -569,6 +569,15 @@ def _root_of(basis: EigenBasis) -> np.ndarray:
 # Wasserstein and moments
 # ---------------------------------------------------------------------------
 
+# Bytes of products that one stack of GaussianW2Costs.price holds: 4 MiB,
+# 1/64 of TOL.cov_bytes_cap.  A stack holds 128 products of 64^2 doubles,
+# the largest matrices of the deep benchmark (D n <= 64), whose largest
+# round on seeds 1-3 prices 65 pairs; the 640^2 products of the 1-64-64-1
+# D10 ladder row (3.3 MB each) are priced one at a time.  Building and
+# decomposing a stack keeps about four stacks' worth alive.
+_PRICE_STACK_BYTES = TOL.cov_bytes_cap // 64
+
+
 class GaussianW2Costs:
     """Squared 2-Wasserstein distances between two lists of Gaussians,
     computed exactly only where asked.
@@ -590,11 +599,11 @@ class GaussianW2Costs:
     splits each sparsity pattern into its blocks once, not once per
     component.  A row's decomposition yields both its spectrum and its
     root ``S_i^1/2``, equal to :func:`psd_sqrt` of its full covariance.
-    An exact entry is computed
-    row by row: the products of the root with the row's requested column
-    covariances are symmetrised and decomposed together, one stacked
-    ``eigh`` when they are dense (see :func:`_psd_root_traces`), and the
-    fidelity term is the trace of the clipped root ``V diag(sqrt(max(
+    :meth:`price` computes the exact entries of a round together: the
+    products ``S_i^1/2 S_j S_i^1/2`` of all requested pairs are built and
+    symmetrised as one stack, bounded in bytes, and decomposed by one
+    :func:`_psd_root_traces` call (one ``eigh`` per sparsity pattern);
+    the fidelity term is the trace of the clipped root ``V diag(sqrt(max(
     lambda, 0))) V^T``.  The value of an entry does not depend on which
     other entries are priced with it.  Degenerate covariances are fine; a
     product with an eigenvalue below ``-eig_clip_rtol * max|lambda|`` (a
@@ -625,7 +634,7 @@ class GaussianW2Costs:
             same[i, j] = np.array_equal(ps[i].full_cov(), qs[j].full_cov())
         self.values[same] = 0.0
         self.exact = (p_diag[:, None] & q_diag[None, :]) | same
-        self._q_cov = self._q_tr = None
+        self._q_cov = self._q_tr = self._p_tr = None
 
     def tighten(self) -> None:
         """Raise every entry that is not exact to the spectral lower bound.
@@ -655,32 +664,59 @@ class GaussianW2Costs:
         np.copyto(self.values, bound, where=~self.exact)
 
     def price(self, mask: np.ndarray) -> None:
-        """Make every entry under the boolean ``mask`` exact."""
+        """Make every entry under the boolean ``mask`` exact.
+
+        The requested pairs are priced in row-major order, in stacks of at
+        most ``_PRICE_STACK_BYTES`` of products (at least one product per
+        stack): one :func:`_psd_root_traces` call per stack.  A row's root
+        is taken once, and held only while the stacks holding its pairs
+        are built.
+        """
         todo = mask & ~self.exact
         if not np.any(todo):
             return
         if self._q_cov is None:
             self._q_cov = np.stack([g.full_cov() for g in self._qs])
             self._q_tr = np.array([g.cov_trace() for g in self._qs])
-        for i in np.flatnonzero(np.any(todo, axis=1)):
-            js = np.flatnonzero(todo[i])
-            sa = _root_of(self._ps[i].eigen())
-            inner = sa @ self._q_cov[js] @ sa
-            inner = 0.5 * (inner + np.swapaxes(inner, 1, 2))
-            fidelity = _psd_root_traces(inner)
-            self.values[i, js] = np.maximum(self._mean_sq[i, js] + (
-                self._ps[i].cov_trace() + self._q_tr[js] - 2.0 * fidelity),
-                0.0)
+            self._p_tr = np.array([g.cov_trace() for g in self._ps])
+        rows, cols = np.nonzero(todo)
+        fidelity = np.empty(rows.size)
+        step = max(1, _PRICE_STACK_BYTES // self._q_cov[0].nbytes)
+        roots = {}
+        for lo in range(0, rows.size, step):
+            r, c = rows[lo:lo + step], cols[lo:lo + step]
+            # a row cut by the stack boundary keeps its root
+            roots = {i: roots[i] if i in roots
+                     else _root_of(self._ps[i].eigen())
+                     for i in np.unique(r).tolist()}
+            fidelity[lo:lo + step] = _psd_root_traces(
+                self._products([roots[i] for i in r.tolist()], c))
+        self.values[rows, cols] = np.maximum(self._mean_sq[rows, cols] + (
+            self._p_tr[rows] + self._q_tr[cols] - 2.0 * fidelity), 0.0)
         self.exact |= todo
+
+    def _products(self, roots, cols) -> np.ndarray:
+        """The symmetrised ``S_i^1/2 S_j S_i^1/2`` of each root in ``roots``
+        and column in ``cols``, as one stack.
+
+        Three stacks of the result's size are alive at most; the stacked
+        roots become the result.
+        """
+        sa = np.stack(roots)
+        inner = np.matmul(np.matmul(sa, self._q_cov[cols]), sa)
+        np.add(inner, inner.swapaxes(1, 2), out=sa)
+        sa *= 0.5
+        return sa
 
 
 def gaussian_w2_sq_matrix(ps, qs) -> np.ndarray:
     """Closed-form squared 2-Wasserstein distances between two lists of Gaussians.
 
     The all-pairs case of :class:`GaussianW2Costs`, which holds the
-    formula: one square root per row component, one stacked ``eigh`` per
-    row, the commuting shortcut for diagonal pairs and an exact 0 for
-    identical ones.
+    formula: one square root per row component, the products of all pairs
+    decomposed as one stack (one ``eigh`` per sparsity pattern, in stacks
+    bounded in bytes), the commuting shortcut for diagonal pairs and an
+    exact 0 for identical ones.
     """
     costs = GaussianW2Costs(ps, qs)
     costs.price(np.ones_like(costs.exact))

@@ -8,12 +8,14 @@ the 1-d Gaussian W2 by quantile coupling, the scalar quantizer by a
 from-scratch fixed point driven by quadrature, and the full dropout-mask
 expansion by enumerating every mask.  The batched Gaussian W2 cost matrix
 is checked against the per-pair formula it replaced, which shares
-``psd_sqrt`` with the library, and the delayed-pricing MW2 against full
-pricing of every pair.  The stacked stochastic-linear push is checked
+``psd_sqrt`` with the library, the stacked pricing of exact costs against
+the row-by-row pricing it replaced, and the delayed-pricing MW2 against
+full pricing of every pair.  The stacked stochastic-linear push is checked
 against the per-point construction it replaced.  Exact W2 between atom
 sets and stratified mixture samples serve as references for the
 compression bounds.  Grid allocation is checked against the
-branch-and-bound search it replaced.
+branch-and-bound search it replaced, and a component's grid signature
+against the per-axis loop it replaced.
 """
 
 import itertools
@@ -71,6 +73,31 @@ def gaussian_w2_pair_oracle(a, b):
     inner = sa @ b.full_cov() @ sa
     cross = psd_sqrt(0.5 * (inner + inner.T))
     return dm2 + (a.cov_trace() + b.cov_trace() - 2.0 * float(np.trace(cross)))
+
+
+def price_by_rows_oracle(costs, mask):
+    """``GaussianW2Costs.price`` by the row-by-row loop it once ran: one
+    root and one ``_psd_root_traces`` call per row with an entry to price.
+
+    Makes every entry of ``costs`` under the boolean ``mask`` exact.
+    """
+    from wassnet.stats import _psd_root_traces, _root_of
+
+    todo = mask & ~costs.exact
+    if not np.any(todo):
+        return
+    q_cov = np.stack([g.full_cov() for g in costs._qs])
+    q_tr = np.array([g.cov_trace() for g in costs._qs])
+    for i in np.flatnonzero(np.any(todo, axis=1)):
+        js = np.flatnonzero(todo[i])
+        sa = _root_of(costs._ps[i].eigen())
+        inner = sa @ q_cov[js] @ sa
+        inner = 0.5 * (inner + np.swapaxes(inner, 1, 2))
+        fidelity = _psd_root_traces(inner)
+        costs.values[i, js] = np.maximum(costs._mean_sq[i, js] + (
+            costs._ps[i].cov_trace() + q_tr[js] - 2.0 * fidelity),
+            0.0)
+    costs.exact |= todo
 
 
 def mw2_full_oracle(p, q):
@@ -347,6 +374,84 @@ def allocate_grid_search_oracle(eigenvalues, budget, table):
 
     descend(0, int(budget), 1, 0.0)
     return best
+
+
+def component_grid_oracle(g, weight, budget, table):
+    """Grid signature of a single Gaussian of mixture weight ``weight``:
+    ``(locations, weights, cells)``, by the per-axis loop that
+    ``quantizer._component_grid`` once ran: every axis, single-point or
+    not, gathers its quantizer cells and adds its distortion term in its
+    own pass."""
+    from wassnet.config import TOL
+    from wassnet.errors import NumericalError
+    from wassnet.quantizer import ComponentCells, allocate_grid
+
+    basis = g.eigen()
+    lam = basis.eigenvalues
+    sizes = allocate_grid(lam, budget, table)
+    r = len(sizes)
+    pinned_sum = float(lam[r:].sum())
+    pinned_exact_zero = bool(np.all(lam[r:] == 0.0))
+    lam_r = lam[:r]
+    transform = basis.eigenvectors[:, :r] * np.sqrt(lam_r)
+
+    # sizes are nonincreasing, so the multi-point axes form a prefix; the
+    # single-point axes keep index 0, which np.indices cannot give directly
+    # past 64 axes
+    n_multi = sum(n_l > 1 for n_l in sizes)
+    m_cells = math.prod(sizes)
+    idx = np.zeros((r, m_cells), dtype=int)
+    idx[:n_multi] = np.indices(sizes[:n_multi]).reshape(n_multi, m_cells)
+    mass = np.ones(m_cells)
+    centers = np.empty((m_cells, r))
+    lo = np.empty((m_cells, r))
+    hi = np.empty((m_cells, r))
+    means = np.empty((m_cells, r))
+    variances = np.empty((m_cells, r))
+    cond = np.full(m_cells, pinned_sum)
+    for l, n_l in enumerate(sizes):
+        q = table.get(n_l)
+        lo_l, hi_l, mass_l, mean_l, var_l = q.cells
+        sel = idx[l]
+        mass *= mass_l[sel]
+        centers[:, l] = q.locations[sel]
+        lo[:, l] = lo_l[sel]
+        hi[:, l] = hi_l[sel]
+        means[:, l] = mean_l[sel]
+        variances[:, l] = var_l[sel]
+        cond += lam_r[l] * (variances[:, l]
+                            + np.square(means[:, l] - centers[:, l]))
+
+    keep = mass >= TOL.cell_mass_prune
+    if not np.any(keep):
+        raise NumericalError("all signature cells fell below the mass floor")
+    weights = mass[keep].copy()
+    prune_penalty = np.zeros(weights.size)
+    pruned_mass = 0.0
+    if not np.all(keep):
+        kept_centers = centers[keep]
+        for c_idx in np.flatnonzero(~keep):
+            d2 = np.sum(lam_r * np.square(kept_centers - centers[c_idx]),
+                        axis=1)
+            j = int(np.argmin(d2))
+            # exact conditional distortion of sending this cell to atom j
+            pen = float(np.sum(lam_r * (variances[c_idx] + np.square(
+                means[c_idx] - kept_centers[j])))) + pinned_sum
+            weights[j] += mass[c_idx]
+            prune_penalty[j] += mass[c_idx] * pen
+            pruned_mass += float(mass[c_idx])
+
+    total = float(weights.sum())
+    weights = weights / total
+    locations = g.mean + centers[keep] @ transform.T
+    cells = ComponentCells(
+        weight=weight, offset=g.mean, transform=transform, eigenvalues=lam,
+        grid_sizes=sizes,
+        lo=lo[keep], hi=hi[keep], centers=centers[keep],
+        cell_mass=mass[keep], distortion=cond[keep],
+        prune_penalty=prune_penalty, pruned_mass=pruned_mass,
+        pinned_exact_zero=pinned_exact_zero)
+    return locations, weights, cells
 
 
 def mc_mean_se(values):

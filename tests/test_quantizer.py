@@ -1,5 +1,6 @@
 """Tests for 1-D quantizers, grid allocation, and Gaussian/mixture signatures."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -12,9 +13,12 @@ from wassnet import (DiscreteDistribution, Gaussian, GaussianMixture,
                      mixture_second_moment)
 from wassnet.errors import FixedPointError, ParseError
 from wassnet.quantizer import (
+    ComponentCells,
     Quantizer1D,
     QuantizerTable,
     _centroid_map,
+    _component_grid,
+    _factor_tuples,
     activation_signature_w2_bound,
     allocate_grid,
     build_table,
@@ -24,8 +28,8 @@ from wassnet.quantizer import (
 )
 from wassnet.stats import standard_truncated_moments
 
-from oracles import (allocate_grid_search_oracle, sample_stratified,
-                     semidiscrete_w2_lp)
+from oracles import (allocate_grid_search_oracle, component_grid_oracle,
+                     sample_stratified, semidiscrete_w2_lp)
 
 # frozen values from an independent quadrature-driven fixed point (tol 1e-12)
 N2_LOC = 0.7978845608028654          # sqrt(2/pi)
@@ -246,6 +250,19 @@ class TestAllocateGrid:
             assert allocate_grid(lam, budget, table) == \
                 allocate_grid_search_oracle(lam, budget, table), (lam, budget)
 
+    def test_enumeration_shared_across_calls(self, table):
+        # the tuples depend on the budget and on at most log2(budget)
+        # axes, so spectra of 5 and of 40 active axes share them
+        _factor_tuples.cache_clear()
+        lam = np.linspace(3.0, 1.0, 40)
+        assert allocate_grid(lam, 10, table) == \
+            allocate_grid_search_oracle(lam, 10, table)
+        assert allocate_grid(lam[:5], 10, table) == \
+            allocate_grid_search_oracle(lam[:5], 10, table)
+        info = _factor_tuples.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert not _factor_tuples(10, 3).flags.writeable
+
     def test_invalid_inputs(self, table):
         with pytest.raises(ParseError):
             allocate_grid(np.array([]), 4, table)
@@ -429,6 +446,60 @@ class TestSignatureOfGaussian:
         assert pruned > 0.0
         assert cc.prune_penalty.tobytes() == penalty.tobytes()
         assert cc.pruned_mass == pruned
+
+
+class TestComponentGrid:
+    """``_component_grid`` against the per-axis loop it replaced, bit for
+    bit, on grids with no, some and only single-point axes."""
+
+    @staticmethod
+    def _assert_same(g, budget, table):
+        got = _component_grid(g, 0.25, budget, table)
+        want = component_grid_oracle(g, 0.25, budget, table)
+        for a, b in zip(got[:2], want[:2]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        for field in dataclasses.fields(ComponentCells):
+            a, b = getattr(got[2], field.name), getattr(want[2], field.name)
+            if isinstance(a, np.ndarray):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), \
+                    field.name
+            else:
+                assert a == b, field.name
+        return got[2]
+
+    def test_matches_per_axis_loop(self, table):
+        rng = np.random.default_rng(97)
+        u = rng.normal(size=(7, 2))
+        cases = [
+            (Gaussian(np.zeros(1), np.ones(1)), 12, (12,)),
+            (Gaussian(np.ones(2), np.array([1.0, 0.9])), 12, (4, 3)),
+            (Gaussian(rng.normal(size=3), np.array([4.0, 1.0, 0.5])), 1,
+             (1, 1, 1)),
+            (Gaussian(rng.normal(size=7), u @ u.T), 10, None),
+            (Gaussian(rng.normal(size=4), np.zeros(4)), 10, ()),
+            (Gaussian(rng.normal(size=4), np.array([2.0, 0.0, 1.0, 0.0])),
+             6, None),
+        ] + [(random_full_gaussian(rng, dim), budget, None)
+             for dim, budget in ((6, 10), (40, 10), (40, 1), (12, 32))]
+        seen = set()
+        for g, budget, sizes in cases:
+            cells = self._assert_same(g, budget, table)
+            n = cells.grid_sizes
+            assert sizes is None or n == sizes
+            seen.add((any(k > 1 for k in n), any(k == 1 for k in n)))
+        assert seen == {(True, False), (True, True), (False, True),
+                        (False, False)}
+
+    def test_matches_per_axis_loop_with_pruned_cells(self):
+        # far-out 3-point cells fall below the pruning floor, and the
+        # table's 1-point entry sits at 5, off the origin
+        real = build_table(9)
+        fake = TestSignatureOfGaussian._far_table(
+            10.0, (real.get(n).locations for n in range(4, 10)))
+        g = Gaussian(np.array([1.0, -1.0, 0.5, 2.0]),
+                     np.array([4.0, 1.0, 0.02, 0.01]))
+        cells = self._assert_same(g, 9, fake)
+        assert cells.grid_sizes == (3, 3, 1, 1) and cells.pruned_mass > 0.0
 
 
 class TestSignatureOfMixture:

@@ -12,12 +12,13 @@ from scipy.sparse.csgraph import connected_components
 from wassnet import (Gaussian, GaussianMixture, NumericalError, ParseError,
                      gaussian_w2, gaussian_w2_sq_matrix, mixture_second_moment,
                      psd_sqrt, standard_truncated_moments, symmetric_eig)
+from wassnet import stats
 from wassnet.quantizer import _active_mask
 from wassnet.stats import (GaussianW2Costs, _eigen_bases, _eigen_stack,
                            _symmetric_blocks)
 
-from oracles import (gaussian_w2_pair_oracle, quad_truncated_moments,
-                     quantile_coupling_w2_1d)
+from oracles import (gaussian_w2_pair_oracle, price_by_rows_oracle,
+                     quad_truncated_moments, quantile_coupling_w2_1d)
 
 
 def random_gaussian(rng, dim, diagonal=False, degenerate=False):
@@ -328,6 +329,121 @@ class TestSpectralLowerBound:
                 lower, exact, scale = self._lower_and_exact((p,), (q,))
                 np.testing.assert_allclose(lower, exact, rtol=0.0,
                                            atol=1e-12 * scale[0, 0])
+
+
+class TestStackedPrice:
+    """``GaussianW2Costs.price`` against the row-by-row pricing it
+    replaced: the same bits, however the mask is split into calls and the
+    pairs into stacks."""
+
+    @staticmethod
+    def _components(rng, n, m, dim):
+        kinds = KINDS + ("atom",)
+        ps, qs = ([Gaussian(rng.normal(size=dim), np.zeros(dim))
+                   if k == "atom" else mixed_component(rng, dim, k)
+                   for k in rng.choice(kinds, size=size)]
+                  for size in (n, m))
+        # identical pairs, also across storages
+        ps[-1] = qs[0]
+        d = qs[-1]
+        ps[0] = Gaussian(d.mean, d.full_cov()) if d.is_diagonal else d
+        return ps, qs
+
+    @staticmethod
+    def _both(ps, qs, masks, oracle_masks=None):
+        """Values and exactness flags after pricing ``masks`` one call
+        each, and after the oracle prices ``oracle_masks`` (by default
+        the same calls)."""
+        got, want = GaussianW2Costs(ps, qs), GaussianW2Costs(ps, qs)
+        for costs in (got, want):
+            costs.tighten()
+        for mask in masks:
+            got.price(mask)
+        for mask in masks if oracle_masks is None else oracle_masks:
+            price_by_rows_oracle(want, mask)
+        return got, want
+
+    @staticmethod
+    def _assert_equal(got, want):
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.exact, want.exact)
+
+    def test_all_pairs_and_random_masks(self):
+        rng = np.random.default_rng(71)
+        for _ in range(40):
+            n, m = (int(k) for k in rng.integers(2, 8, size=2))
+            ps, qs = self._components(rng, n, m, int(rng.integers(1, 7)))
+            full = np.ones((n, m), dtype=bool)
+            self._assert_equal(*self._both(ps, qs, [full]))
+            masks = [rng.random((n, m)) < 0.4 for _ in range(3)]
+            self._assert_equal(*self._both(ps, qs, masks))
+
+    def test_split_into_calls_as_one_call(self):
+        # an entry's value does not depend on which entries are priced
+        # with it
+        rng = np.random.default_rng(73)
+        for _ in range(20):
+            ps, qs = self._components(rng, 6, 5, 4)
+            parts = [rng.random((6, 5)) < 0.3 for _ in range(4)]
+            union = np.logical_or.reduce(parts)
+            self._assert_equal(*self._both(ps, qs, parts, [union]))
+            self._assert_equal(*self._both(ps, qs, [union], parts))
+
+    def test_stacks_stay_within_the_byte_bound(self, monkeypatch):
+        # 160^2 products are 200 KiB each, so the 21 pairs of a 3 x 7
+        # round take two stacks of the 4 MiB bound; a bound of three 6 x 6
+        # products cuts rows across stacks
+        rng = np.random.default_rng(79)
+        real = stats._psd_root_traces
+        big = ([mixed_component(rng, 160, k)
+                for k in ("full", "rank_deficient", "blocks", "full",
+                          "blocks", "full", "diag")[:size]]
+               for size in (3, 7))
+        small = self._components(rng, 5, 4, 6)
+        for (ps, qs), bound in ((big, stats._PRICE_STACK_BYTES),
+                                (small, 3 * 6 * 6 * 8)):
+            sizes = []
+
+            def recording(mats):
+                sizes.append(len(mats))
+                assert mats.nbytes <= bound
+                return real(mats)
+
+            monkeypatch.setattr(stats, "_PRICE_STACK_BYTES", bound)
+            monkeypatch.setattr(stats, "_psd_root_traces", recording)
+            got, want = GaussianW2Costs(ps, qs), GaussianW2Costs(ps, qs)
+            got.price(np.ones_like(got.exact))
+            monkeypatch.undo()
+            assert len(sizes) > 1
+            assert sum(sizes) == int(np.sum(~want.exact))
+            price_by_rows_oracle(want, np.ones_like(want.exact))
+            self._assert_equal(got, want)
+
+    @pytest.mark.parametrize("bound", [None, 3 * 5 * 5 * 8])
+    def test_one_root_per_row(self, monkeypatch, bound):
+        # one stack for the whole round under the default bound; under a
+        # bound of three products, a row cut by a stack boundary keeps its
+        # root
+        rng = np.random.default_rng(83)
+        ps, qs = self._components(rng, 6, 5, 5)
+        costs = GaussianW2Costs(ps, qs)
+        todo = ~costs.exact
+        rooted, stacks = [], []
+        real_root, real_traces = stats._root_of, stats._psd_root_traces
+        monkeypatch.setattr(stats, "_root_of",
+                            lambda b: rooted.append(id(b)) or real_root(b))
+        monkeypatch.setattr(stats, "_psd_root_traces",
+                            lambda mats: stacks.append(len(mats))
+                            or real_traces(mats))
+        if bound is not None:
+            monkeypatch.setattr(stats, "_PRICE_STACK_BYTES", bound)
+        costs.price(np.ones_like(todo))
+        assert sorted(rooted) == sorted(
+            {id(ps[i].eigen()) for i in np.flatnonzero(todo.any(axis=1))})
+        if bound is None:
+            assert stacks == [int(todo.sum())]
+        else:
+            assert max(stacks) == 3 and sum(stacks) == int(todo.sum())
 
 
 class TestMixtureSecondMoment:

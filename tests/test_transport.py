@@ -358,17 +358,50 @@ class TestMw2:
             split[np.packbits(pattern != 0.0).tobytes()] += 1
             return real(pattern)
 
+        rounds = []
+        real_price = stats.GaussianW2Costs.price
+
+        def price(costs, mask):
+            rounds.append(bool(np.any(mask & ~costs.exact)))
+            return real_price(costs, mask)
+
         monkeypatch.setattr(stats, "_symmetric_blocks", counting)
+        monkeypatch.setattr(stats.GaussianW2Costs, "price", price)
         mw2(g, compressed)
         row_pattern = np.packbits(g.components[0].cov != 0.0).tobytes()
         dense = np.packbits(np.ones((24, 24), dtype=bool)).tobytes()
         assert split[row_pattern] == 1
         assert set(split) == {row_pattern, dense}
-        # the dense pattern: once for the columns, once per priced row
-        assert split[dense] <= 1 + g.size + compressed.size
+        # the dense pattern: once for the columns, once per price round
+        assert split[dense] <= 1 + sum(rounds)
         monkeypatch.undo()
         expected, _ = mw2_full_oracle(g, compressed)
         assert mw2(g, compressed)[0] == expected
+
+    def test_one_stack_against_a_one_component_target(self, monkeypatch):
+        # tune_loss prices a network mixture against its GP target, one
+        # Gaussian: every row prices its one arc in the first round, and
+        # the whole column goes through one decomposition call
+        rng = np.random.default_rng(89)
+        layer = snn.StochasticLinear(rng.normal(size=(4, 1)),
+                                     np.full((4, 1), 0.05), np.zeros(4),
+                                     np.full(4, 0.05))
+        locs = rng.normal(size=(12, 3))
+        w = rng.random(12) + 0.1
+        net = GaussianMixture(w / w.sum(), Gaussian.stack(
+            *snn._push_atoms(locs, layer, 3)))
+        f = rng.normal(size=(12, 12))
+        gp = Gaussian(np.zeros(12), f @ f.T)
+        calls = []
+        real = stats._psd_root_traces
+        monkeypatch.setattr(stats, "_psd_root_traces",
+                            lambda mats: calls.append(len(mats))
+                            or real(mats))
+        value, _ = mw2(net, gp)
+        assert calls == [net.size]
+        monkeypatch.undo()
+        expected, _ = mw2_full_oracle(net, gp)
+        assert value == expected
 
 
 class TestDiscreteW2:
