@@ -1,11 +1,13 @@
 """Exact discrete optimal transport, mixture-level W2 bounds, empirical W2.
 
 The transportation LP is solved exactly (vertex solutions, no
-regularization) by the HiGHS dual simplex; problems with a single row or
-column have only the product plan and skip the solver.  The solver backs
-both the MW2 distance between Gaussian mixtures and empirical W2 estimates
-between sample clouds.  Equal-size uniform empirical problems take the
-assignment-problem fast path.
+regularization) by one ``scipy.optimize.milp`` call without integrality,
+which HiGHS (1.12 in scipy 1.17) solves with its serial dual simplex;
+problems with a single row or column have only the product plan and skip
+the solver.  The solver backs both the MW2 distance between Gaussian
+mixtures and empirical W2 estimates between sample clouds.  Equal-size
+uniform empirical problems take the assignment-problem fast path, and in
+one dimension the sorted matching.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
-from scipy.sparse import coo_array
+from scipy.optimize import LinearConstraint, linear_sum_assignment, milp
+from scipy.sparse import csc_array
 
 from .config import TOL
 from .errors import NumericalError, ParseError
@@ -70,20 +72,38 @@ def _validate_marginals(cost, a, b):
     return cost, np.maximum(a, 0.0), np.maximum(b, 0.0)
 
 
-def _transport_lp(cost, a, b):
-    """Vertex optimum of the balanced transportation LP by HiGHS dual simplex.
+def _constraint_matrix(m, n):
+    """Row-sum then column-sum equality rows over the flat plan, in CSC.
 
-    The last column constraint is implied by the others and is left out.
+    Column ``k = i n + j`` holds a 1 in row ``i`` and, unless ``j = n - 1``,
+    a 1 in row ``m + j``: the last column-sum row is implied by the others
+    and is left out.  Built from index arithmetic, with sorted int32 row
+    indices (``m n`` stays far below 2**30 under the empirical entry cap).
+    """
+    cols = np.arange(n)
+    indptr = np.empty(m * n + 1, dtype=np.int32)
+    indptr[:-1] = (np.arange(m)[:, None] * (2 * n - 1) + 2 * cols).ravel()
+    indptr[-1] = m * (2 * n - 1)
+    indices = np.empty((m, 2 * n - 1), dtype=np.int32)
+    indices[:, 0::2] = np.arange(m)[:, None]
+    indices[:, 1::2] = m + cols[:-1]
+    return csc_array((np.ones(indices.size), indices.ravel(), indptr),
+                     shape=(m + n - 1, m * n))
+
+
+def _transport_lp(cost, a, b):
+    """Vertex optimum of the balanced transportation LP by HiGHS.
+
+    ``milp`` without integrality passes the LP straight to HiGHS under its
+    default options (``solver="choose"``, ``simplex_strategy=1``), which
+    solve an LP by the serial dual simplex ("EKK dual simplex solver -
+    serial" in the HiGHS log).  The simplex ends on a basic solution, so
+    the plan is a vertex of the transportation polytope.
     """
     m, n = cost.shape
-    var = np.arange(m * n)
-    a_eq = coo_array((np.ones(2 * m * n),
-                      (np.concatenate([var // n, m + var % n]),
-                       np.concatenate([var, var]))),
-                     shape=(m + n, m * n)).tocsr()[:-1]
-    res = linprog(cost.ravel(), A_eq=a_eq,
-                  b_eq=np.concatenate([a, b[:-1]]), bounds=(0.0, None),
-                  method="highs-ds")
+    rhs = np.concatenate([a, b[:-1]])
+    res = milp(cost.ravel(), constraints=LinearConstraint(
+        _constraint_matrix(m, n), rhs, rhs))
     if res.status != 0:
         raise NumericalError(f"transportation LP failed: {res.message}")
     return np.maximum(res.x, 0.0).reshape(m, n)
@@ -97,8 +117,9 @@ def solve_discrete_ot(cost, a, b) -> TransportPlan:
     Zero-mass atoms are removed before the solve and reinserted as zero
     rows/columns.  A reduced problem with one row or one column has the
     product plan ``outer(a, b) / sum(a)`` as its only feasible point, which
-    is returned in closed form; any other is solved by the HiGHS dual
-    simplex, which ends on a basic (vertex) solution.
+    is returned in closed form; any other goes to HiGHS through ``milp``
+    and is solved by its serial dual simplex, which ends on a basic
+    (vertex) solution.
     """
     cost, a, b = _validate_marginals(cost, a, b)
     rows = np.flatnonzero(a > 0.0)
@@ -187,9 +208,22 @@ def empirical_w2(xs, ys) -> float:
     Volgenant apply before augmenting: a dual warm start.  Every
     permutation's cost moves by the same constant, so the optimal
     permutations do not change, and the value is recomputed from direct
-    differences on the returned permutation.  Unequal counts go through
-    the transportation LP.  Instances whose cost matrix would exceed the
-    configured entry cap are rejected with advice to subsample.
+    differences on the returned permutation.
+
+    In one dimension the sorted matching is an optimal permutation and no
+    cost matrix is built (monotone rearrangement; Santambrogio 2015,
+    Section 2.2).  For ``x1 <= x2`` and ``y1 <= y2``,
+    ``(x1 - y2)^2 + (x2 - y1)^2 - (x1 - y1)^2 - (x2 - y2)^2 =
+    2 (x2 - x1)(y2 - y1) >= 0``, so swapping the partners of two crossing
+    pairs never raises the cost and removes at least one inversion of the
+    permutation; from any optimal permutation, finitely many swaps reach
+    the one that pairs the k-th smallest x with the k-th smallest y, which
+    is therefore optimal too.  Its value is computed as on the assignment
+    path, from direct differences in row order.
+
+    Unequal counts go through the transportation LP.  Instances whose cost
+    matrix would exceed the configured entry cap are rejected with advice
+    to subsample.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -202,15 +236,22 @@ def empirical_w2(xs, ys) -> float:
         raise ParseError(
             f"cost matrix would hold {n * m} entries, above the cap "
             f"{TOL.empirical_cost_cap}; subsample the inputs")
-    cost = _pairwise_sq_dists(xs, ys)
     if n == m:
         # uniform equal marginals: the optimum is a permutation
-        cost -= cost.min(axis=1)[:, None]
-        cost -= cost.min(axis=0)[None, :]
-        rows, cols = linear_sum_assignment(cost)
+        if xs.shape[1] == 1:
+            rows = np.arange(n)
+            cols = np.empty(n, dtype=np.intp)
+            cols[np.argsort(xs[:, 0], kind="stable")] = np.argsort(
+                ys[:, 0], kind="stable")
+        else:
+            cost = _pairwise_sq_dists(xs, ys)
+            cost -= cost.min(axis=1)[:, None]
+            cost -= cost.min(axis=0)[None, :]
+            rows, cols = linear_sum_assignment(cost)
         sq = np.sum(np.square(xs[rows] - ys[cols]), axis=1)
         return math.sqrt(float(sq.mean()))
-    plan = solve_discrete_ot(cost, np.full(n, 1.0 / n), np.full(m, 1.0 / m))
+    plan = solve_discrete_ot(_pairwise_sq_dists(xs, ys), np.full(n, 1.0 / n),
+                             np.full(m, 1.0 / m))
     # re-evaluate the objective with direct differences on the plan support,
     # which is exact where the expanded cost form carries rounding noise
     ii, jj = np.nonzero(plan.plan)

@@ -15,7 +15,9 @@ against the per-point construction it replaced.  Exact W2 between atom
 sets and stratified mixture samples serve as references for the
 compression bounds.  Grid allocation is checked against the
 branch-and-bound search it replaced, and a component's grid signature
-against the per-axis loop it replaced.
+against the per-axis loop it replaced.  The ``milp`` transportation LP is
+checked against the ``linprog`` call it replaced, and the sorted matching
+of one-dimensional empirical W2 against the assignment path.
 """
 
 import itertools
@@ -271,6 +273,43 @@ def vertex_enumeration_oracle(cost, a, b, tol=1e-12):
     if not math.isfinite(best):
         raise RuntimeError("no feasible basis found")
     return best
+
+
+def transport_lp_linprog_oracle(cost, a, b):
+    """The library's ``_transport_lp`` as it was, on ``linprog``.
+
+    Vertex optimum of the balanced transportation LP by HiGHS dual simplex.
+
+    The last column constraint is implied by the others and is left out.
+    """
+    from scipy.sparse import coo_array
+    from wassnet.errors import NumericalError
+
+    m, n = cost.shape
+    var = np.arange(m * n)
+    a_eq = coo_array((np.ones(2 * m * n),
+                      (np.concatenate([var // n, m + var % n]),
+                       np.concatenate([var, var]))),
+                     shape=(m + n, m * n)).tocsr()[:-1]
+    res = optimize.linprog(cost.ravel(), A_eq=a_eq,
+                           b_eq=np.concatenate([a, b[:-1]]),
+                           bounds=(0.0, None), method="highs-ds")
+    if res.status != 0:
+        raise NumericalError(f"transportation LP failed: {res.message}")
+    return np.maximum(res.x, 0.0).reshape(m, n)
+
+
+def empirical_w2_assignment_oracle(xs, ys):
+    """Equal-count ``empirical_w2`` by the warm-started assignment path,
+    which the library takes in every dimension but one."""
+    from wassnet.transport import _pairwise_sq_dists
+
+    cost = _pairwise_sq_dists(xs, ys)
+    cost -= cost.min(axis=1)[:, None]
+    cost -= cost.min(axis=0)[None, :]
+    rows, cols = optimize.linear_sum_assignment(cost)
+    sq = np.sum(np.square(xs[rows] - ys[cols]), axis=1)
+    return math.sqrt(float(sq.mean()))
 
 
 def assignment_oracle(cost):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wassnet import Gaussian, GaussianMixture, compress_gmm, snn, stats
+from wassnet import (Gaussian, GaussianMixture, compress_gmm, snn, stats,
+                     transport)
 from wassnet.errors import ParseError
 from wassnet.stats import gaussian_w2_sq_matrix
 from wassnet.transport import (
@@ -19,8 +20,10 @@ from wassnet.transport import (
     solve_discrete_ot,
 )
 
-from oracles import (assignment_oracle, discrete_w2, lp_transport_oracle,
-                     mw2_full_oracle, stratified_w2_batches,
+from oracles import (_transport_constraints, assignment_oracle, discrete_w2,
+                     empirical_w2_assignment_oracle, lp_transport_oracle,
+                     mw2_full_oracle, sample_stratified,
+                     stratified_w2_batches, transport_lp_linprog_oracle,
                      vertex_enumeration_oracle)
 
 
@@ -181,6 +184,55 @@ class TestSolveDiscreteOt:
         assert abs(plan.cost - ref) <= 1e-9
         # vertex plans have at most M + N - 1 strictly positive entries
         assert int(np.count_nonzero(plan.plan > 1e-13)) <= a.size + b.size - 1
+
+    def test_constraint_matrix_matches_oracle(self):
+        for m, n in ((2, 2), (2, 7), (8, 5), (5, 8), (64, 5), (40, 39)):
+            got = transport._constraint_matrix(m, n)
+            assert got.format == "csc"
+            np.testing.assert_array_equal(
+                got.toarray(), _transport_constraints(m, n)[:-1].toarray())
+
+    def test_matches_parent_linprog_path(self, monkeypatch):
+        # the milp solve must return the very plan linprog(highs-ds) did,
+        # also on the degenerate vertices that mw2 and compression pose
+        rng = np.random.default_rng(101)
+        instances = []
+        for shape in [(64, 5), (5, 64), (20, 20)] * 10 + [None] * 70:
+            m, n = shape or rng.integers(2, 13, size=2)
+            a, b = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n))
+            instances.append((rng.random((m, n)) * 10.0, a, b))
+        for _ in range(80):
+            # rows grouped into clusters, one column per cluster holding
+            # the cluster's mass, as compress_gmm couples a mixture to its
+            # compression
+            m, n = int(rng.integers(4, 65)), int(rng.integers(2, 6))
+            labels = np.concatenate([np.arange(n),
+                                     rng.integers(0, n, size=m - n)])
+            a = rng.dirichlet(np.ones(m))
+            b = np.bincount(labels, weights=a, minlength=n)
+            pts = rng.normal(size=(m, 2))
+            centres = np.stack([a[labels == k] @ pts[labels == k] / b[k]
+                                for k in range(n)])
+            cost = np.sum((pts[:, None] - centres[None]) ** 2, axis=-1)
+            instances.append((cost + rng.random((m, n)) * 0.01, a, b))
+        for _ in range(60):
+            # tied costs and zero-mass atoms
+            m, n = rng.integers(2, 10, size=2)
+            a, b = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n))
+            a[rng.random(m) < 0.3] = 0.0
+            b[rng.random(n) < 0.3] = 0.0
+            a[0] += 1.0 - a.sum()
+            b[-1] += 1.0 - b.sum()
+            cost = rng.integers(0, 3, size=(m, n)).astype(float)
+            instances.append((cost, a, b))
+        assert len(instances) >= 200
+        new = [solve_discrete_ot(*inst) for inst in instances]
+        monkeypatch.setattr(transport, "_transport_lp",
+                            transport_lp_linprog_oracle)
+        for got, inst in zip(new, instances):
+            ref = solve_discrete_ot(*inst)
+            np.testing.assert_array_equal(got.plan, ref.plan)
+            assert got.cost == ref.cost
 
 
 class TestMw2:
@@ -481,6 +533,22 @@ class TestEmpiricalW2:
                 ref = math.sqrt(assignment_oracle(cost))
                 assert math.isclose(empirical_w2(xs, ys), ref, rel_tol=1e-12,
                                     abs_tol=0.0), (n, kind, d)
+
+    def test_one_dimension_sorted_matching_matches_assignment_path(self):
+        # bit-identical values, on 1-d mixtures with overlapping and with
+        # well separated modes
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            p, q = (GaussianMixture(
+                rng.dirichlet(np.ones(k)),
+                tuple(Gaussian(rng.normal(scale=3.0, size=1),
+                               rng.uniform(0.05, 2.0, size=1))
+                      for _ in range(k)))
+                for k in rng.integers(1, 5, size=2))
+            xs = sample_stratified(p, 1000, rng)
+            ys = sample_stratified(q, 1000, rng)
+            assert empirical_w2(xs, ys) == \
+                empirical_w2_assignment_oracle(xs, ys)
 
     def test_cost_cap_exceeded_rejected(self):
         xs = np.zeros((2001, 1))
