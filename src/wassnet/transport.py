@@ -1,13 +1,18 @@
 """Exact discrete optimal transport, mixture-level W2 bounds, empirical W2.
 
 The transportation LP is solved exactly (vertex solutions, no
-regularization) by one ``scipy.optimize.milp`` call without integrality,
-which HiGHS (1.12 in scipy 1.17) solves with its serial dual simplex;
-problems with a single row or column have only the product plan and skip
-the solver.  The solver backs both the MW2 distance between Gaussian
-mixtures and empirical W2 estimates between sample clouds.  Equal-size
-uniform empirical problems take the assignment-problem fast path, and in
-one dimension the sorted matching.
+regularization).  Problems with a single row or column have only the
+product plan.  Otherwise the nearest-column plan, which sends each row's
+whole mass to its cheapest column, is taken whenever its column sums
+match the column marginal within the marginal tolerance: every plan with
+the given row sums costs at least ``sum_i a_i min_j c_ij``, and this plan
+attains that bound, so it is optimal; its support has one arc per row, a
+forest, so it is a vertex.  Only when it is infeasible does one
+``scipy.optimize.milp`` call without integrality run, which HiGHS (1.12 in
+scipy 1.17) solves with its serial dual simplex.  The solver backs both
+the MW2 distance between Gaussian mixtures and empirical W2 estimates
+between sample clouds.  Equal-size uniform empirical problems take the
+assignment-problem fast path, and in one dimension the sorted matching.
 """
 
 from __future__ import annotations
@@ -117,9 +122,18 @@ def solve_discrete_ot(cost, a, b) -> TransportPlan:
     Zero-mass atoms are removed before the solve and reinserted as zero
     rows/columns.  A reduced problem with one row or one column has the
     product plan ``outer(a, b) / sum(a)`` as its only feasible point, which
-    is returned in closed form; any other goes to HiGHS through ``milp``
-    and is solved by its serial dual simplex, which ends on a basic
-    (vertex) solution.
+    is returned in closed form.
+
+    Otherwise the nearest-column plan, which holds ``a_i`` at
+    ``(i, argmin_j c_ij)`` (ties go to the lowest column index), is
+    returned when its column sums match ``b`` within the marginal
+    tolerance (1e-9 per column), the same check every returned plan
+    passes, so it may miss ``b`` by no more than an LP plan may.  Any plan
+    with row sums ``a`` costs ``sum_ij P_ij c_ij >= sum_i a_i min_j c_ij``,
+    which this plan attains, so it is optimal; its support has one arc per
+    row, a forest, so it is a vertex.  Only when it is infeasible does the
+    problem go to HiGHS through ``milp``, whose serial dual simplex ends on
+    a basic (vertex) solution.
     """
     cost, a, b = _validate_marginals(cost, a, b)
     rows = np.flatnonzero(a > 0.0)
@@ -134,7 +148,13 @@ def solve_discrete_ot(cost, a, b) -> TransportPlan:
     if rows.size == 1 or cols.size == 1:
         sub_plan = np.outer(sub_a, sub_b) / sub_a.sum()
     else:
-        sub_plan = _transport_lp(sub_cost, sub_a, sub_b)
+        nearest = np.argmin(sub_cost, axis=1)
+        if np.allclose(np.bincount(nearest, sub_a, cols.size), sub_b,
+                       rtol=0.0, atol=TOL.marginal_atol):
+            sub_plan = np.zeros_like(sub_cost)
+            sub_plan[np.arange(rows.size), nearest] = sub_a
+        else:
+            sub_plan = _transport_lp(sub_cost, sub_a, sub_b)
     plan = np.zeros_like(cost)
     plan[np.ix_(rows, cols)] = sub_plan
     if not np.allclose(plan.sum(axis=1), a, rtol=0.0, atol=TOL.marginal_atol):
@@ -174,8 +194,10 @@ def mw2(p, q):
     exact cost ``C`` (:meth:`GaussianW2Costs.tighten`); identical and
     diagonal pairs start exact.  Each row's and each column's cheapest arc
     is priced exactly, and the transportation LP is solved on ``C~``: ``C``
-    where priced and ``L`` elsewhere.  While the plan's support holds an
-    arc that is not priced, those arcs are priced and the LP solved again.
+    where priced and ``L`` elsewhere (:func:`solve_discrete_ot`: the LP
+    runs only when the plan that sends each row to its cheapest column of
+    ``C~`` is infeasible).  While the plan's support holds an arc that is
+    not priced, those arcs are priced and the LP solved again.
     At the end ``C~ <= C`` entrywise gives ``opt(C~) <= opt(C) <= <P, C>
     = <P, C~> = opt(C~)``, so the plan ``P`` is optimal for the exact
     costs and the value is the full-matrix MW2.  Each priced entry is
@@ -219,11 +241,12 @@ def empirical_w2(xs, ys) -> float:
     permutation; from any optimal permutation, finitely many swaps reach
     the one that pairs the k-th smallest x with the k-th smallest y, which
     is therefore optimal too.  Its value is computed as on the assignment
-    path, from direct differences in row order.
+    path, from direct differences in row order.  This path builds no cost
+    matrix, so the entry cap below does not apply to it.
 
-    Unequal counts go through the transportation LP.  Instances whose cost
-    matrix would exceed the configured entry cap are rejected with advice
-    to subsample.
+    Unequal counts go through the transportation LP.  Other instances
+    whose cost matrix would exceed the configured entry cap are rejected
+    with advice to subsample.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -232,13 +255,14 @@ def empirical_w2(xs, ys) -> float:
     if xs.shape[1] != ys.shape[1]:
         raise ParseError("sample sets must share the ambient dimension")
     n, m = xs.shape[0], ys.shape[0]
-    if n * m > TOL.empirical_cost_cap:
+    sorted_matching = n == m and xs.shape[1] == 1
+    if n * m > TOL.empirical_cost_cap and not sorted_matching:
         raise ParseError(
             f"cost matrix would hold {n * m} entries, above the cap "
             f"{TOL.empirical_cost_cap}; subsample the inputs")
     if n == m:
         # uniform equal marginals: the optimum is a permutation
-        if xs.shape[1] == 1:
+        if sorted_matching:
             rows = np.arange(n)
             cols = np.empty(n, dtype=np.intp)
             cols[np.argsort(xs[:, 0], kind="stable")] = np.argsort(

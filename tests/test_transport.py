@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from wassnet import (Gaussian, GaussianMixture, compress_gmm, snn, stats,
                      transport)
+from wassnet.config import TOL
 from wassnet.errors import ParseError
 from wassnet.stats import gaussian_w2_sq_matrix
 from wassnet.transport import (
@@ -69,6 +70,45 @@ class TestTransportPlan:
         plan = solve_discrete_ot(np.array([[3.0]]), [1.0], [1.0])
         with pytest.raises(ValueError):
             plan.plan[0, 0] = 0.0
+
+
+_TRANSPORT_LP = transport._transport_lp
+
+
+def _count_lp_calls(monkeypatch):
+    """Route ``_transport_lp`` through a counter; returns the call list."""
+    calls = []
+
+    def counting(cost, a, b):
+        calls.append(cost.shape)
+        return _TRANSPORT_LP(cost, a, b)
+
+    monkeypatch.setattr(transport, "_transport_lp", counting)
+    return calls
+
+
+def _cluster_instance(rng, spread=0.0):
+    """Rows grouped into clusters and one column per cluster holding the
+    cluster's mass, as compress_gmm couples a mixture to its compression;
+    ``spread`` moves the clusters apart along the diagonal."""
+    m, n = int(rng.integers(4, 65)), int(rng.integers(2, 6))
+    labels = np.concatenate([np.arange(n), rng.integers(0, n, size=m - n)])
+    a = rng.dirichlet(np.ones(m))
+    b = np.bincount(labels, weights=a, minlength=n)
+    pts = rng.normal(size=(m, 2)) + spread * labels[:, None]
+    centres = np.stack([a[labels == k] @ pts[labels == k] / b[k]
+                        for k in range(n)])
+    cost = np.sum((pts[:, None] - centres[None]) ** 2, axis=-1)
+    return cost + rng.random((m, n)) * 0.01, a, b
+
+
+def _positive_subproblem(cost, a, b):
+    """The LP that solve_discrete_ot poses: zero-mass atoms removed, the
+    column mass balanced on its largest atom."""
+    rows, cols = np.flatnonzero(a > 0.0), np.flatnonzero(b > 0.0)
+    sub_a, sub_b = a[rows], b[cols].copy()
+    sub_b[int(np.argmax(sub_b))] += float(sub_a.sum() - sub_b.sum())
+    return cost[np.ix_(rows, cols)], sub_a, sub_b
 
 
 class TestSolveDiscreteOt:
@@ -192,7 +232,7 @@ class TestSolveDiscreteOt:
             np.testing.assert_array_equal(
                 got.toarray(), _transport_constraints(m, n)[:-1].toarray())
 
-    def test_matches_parent_linprog_path(self, monkeypatch):
+    def test_matches_parent_linprog_path(self):
         # the milp solve must return the very plan linprog(highs-ds) did,
         # also on the degenerate vertices that mw2 and compression pose
         rng = np.random.default_rng(101)
@@ -202,19 +242,7 @@ class TestSolveDiscreteOt:
             a, b = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n))
             instances.append((rng.random((m, n)) * 10.0, a, b))
         for _ in range(80):
-            # rows grouped into clusters, one column per cluster holding
-            # the cluster's mass, as compress_gmm couples a mixture to its
-            # compression
-            m, n = int(rng.integers(4, 65)), int(rng.integers(2, 6))
-            labels = np.concatenate([np.arange(n),
-                                     rng.integers(0, n, size=m - n)])
-            a = rng.dirichlet(np.ones(m))
-            b = np.bincount(labels, weights=a, minlength=n)
-            pts = rng.normal(size=(m, 2))
-            centres = np.stack([a[labels == k] @ pts[labels == k] / b[k]
-                                for k in range(n)])
-            cost = np.sum((pts[:, None] - centres[None]) ** 2, axis=-1)
-            instances.append((cost + rng.random((m, n)) * 0.01, a, b))
+            instances.append(_cluster_instance(rng))
         for _ in range(60):
             # tied costs and zero-mass atoms
             m, n = rng.integers(2, 10, size=2)
@@ -226,13 +254,76 @@ class TestSolveDiscreteOt:
             cost = rng.integers(0, 3, size=(m, n)).astype(float)
             instances.append((cost, a, b))
         assert len(instances) >= 200
-        new = [solve_discrete_ot(*inst) for inst in instances]
-        monkeypatch.setattr(transport, "_transport_lp",
-                            transport_lp_linprog_oracle)
-        for got, inst in zip(new, instances):
-            ref = solve_discrete_ot(*inst)
-            np.testing.assert_array_equal(got.plan, ref.plan)
-            assert got.cost == ref.cost
+        # most cluster instances never reach the LP (their nearest-column
+        # plan is feasible), so both LP paths are compared directly on the
+        # positive-mass subproblem that solve_discrete_ot would pose
+        solved = 0
+        for inst in instances:
+            sub = _positive_subproblem(*inst)
+            if min(sub[0].shape) < 2:
+                continue  # the closed-form product plan, no LP
+            np.testing.assert_array_equal(transport._transport_lp(*sub),
+                                          transport_lp_linprog_oracle(*sub))
+            solved += 1
+        assert solved >= 200
+
+    def test_nearest_column_plan_skips_the_lp(self, monkeypatch):
+        # separated clusters, one column per cluster holding the cluster's
+        # mass: each row's cheapest column is its own cluster, so the plan
+        # that sends each row there is feasible and optimal
+        lp_calls = _count_lp_calls(monkeypatch)
+        rng = np.random.default_rng(103)
+        for _ in range(200):
+            cost, a, b = _cluster_instance(rng, spread=50.0)
+            got = solve_discrete_ot(cost, a, b)
+            assert lp_calls == []
+            assert np.all(np.count_nonzero(got.plan, axis=1) == 1)
+            np.testing.assert_array_equal(
+                got.plan[np.arange(a.size), np.argmin(cost, axis=1)], a)
+            np.testing.assert_allclose(got.plan.sum(axis=0), b, rtol=0.0,
+                                       atol=1e-15)
+            lower = float(a @ cost.min(axis=1))
+            highs = _TRANSPORT_LP(cost, a, b)
+            assert math.isclose(got.cost, lower, rel_tol=1e-12)
+            assert math.isclose(got.cost, float(np.sum(highs * cost)),
+                                rel_tol=1e-12)
+            assert abs(got.cost - lp_transport_oracle(cost, a, b)) <= 1e-9
+
+    def test_infeasible_nearest_column_plan_runs_the_lp(self, monkeypatch):
+        lp_calls = _count_lp_calls(monkeypatch)
+        rng = np.random.default_rng(107)
+        for k in range(100):
+            m, n = (int(v) for v in rng.integers(2, 9, size=2))
+            a, b = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n))
+            cost = rng.random((m, n)) + 0.1
+            # every row's cheapest column is column 0, which cannot take
+            # all the mass
+            cost[:, 0] = 0.0
+            got = solve_discrete_ot(cost, a, b)
+            assert len(lp_calls) == k + 1
+            assert abs(got.cost - lp_transport_oracle(cost, a, b)) <= 1e-9
+            np.testing.assert_allclose(got.plan.sum(axis=0), b, rtol=0.0,
+                                       atol=1e-9)
+
+    def test_nearest_column_ties_go_to_the_lowest_index(self, monkeypatch):
+        lp_calls = _count_lp_calls(monkeypatch)
+        rng = np.random.default_rng(109)
+        ties = 0
+        for _ in range(100):
+            m, n = (int(v) for v in rng.integers(2, 9, size=2))
+            cost = rng.integers(0, 3, size=(m, n)).astype(float)
+            a = rng.dirichlet(np.ones(m))
+            lowest = np.array([np.flatnonzero(row == row.min())[0]
+                               for row in cost])
+            ties += int(np.sum(np.sum(cost == cost.min(axis=1)[:, None],
+                                      axis=1) > 1))
+            b = np.bincount(lowest, weights=a, minlength=n)
+            got = solve_discrete_ot(cost, a, b)
+            np.testing.assert_array_equal(got.plan[np.arange(m), lowest], a)
+            assert np.all(np.count_nonzero(got.plan, axis=1) == 1)
+            assert abs(got.cost - lp_transport_oracle(cost, a, b)) <= 1e-9
+        assert lp_calls == []
+        assert ties >= 100
 
 
 class TestMw2:
@@ -352,9 +443,9 @@ class TestMw2:
         assert mw2(b, a)[0] == 0.0
         assert np.all(gaussian_w2_sq_matrix((a, b), (b, a)) == 0.0)
 
-    def test_prices_only_what_the_plan_needs(self, monkeypatch):
-        # 40 full components in 5 separated clusters: the plan needs at
-        # most N + m - 1 arcs, so exact costs on every arc would be waste
+    @staticmethod
+    def _five_clusters():
+        """40 full components in 5 separated clusters."""
         rng = np.random.default_rng(61)
         centers = rng.normal(scale=50.0, size=(5, 3))
         comps = []
@@ -363,7 +454,12 @@ class TestMw2:
             comps.append(Gaussian(centers[k % 5] + rng.normal(size=3),
                                   f @ f.T + 0.1 * np.eye(3)))
         w = rng.random(40) + 0.1
-        g = GaussianMixture(w / w.sum(), tuple(comps))
+        return GaussianMixture(w / w.sum(), tuple(comps))
+
+    def test_prices_only_what_the_plan_needs(self, monkeypatch):
+        # 40 full components in 5 separated clusters: the plan needs at
+        # most N + m - 1 arcs, so exact costs on every arc would be waste
+        g = self._five_clusters()
         priced = []
         real = stats._psd_root_traces
 
@@ -377,6 +473,19 @@ class TestMw2:
         assert m == 5
         assert 0 < sum(priced) <= 2 * (n + m - 1)
         assert sum(priced) < n * m
+        monkeypatch.undo()
+        expected, _ = mw2_full_oracle(g, result.compressed)
+        assert math.isclose(result.w2_bound, expected, rel_tol=1e-12)
+
+    def test_nearest_plan_skips_the_solver(self, monkeypatch):
+        # each component's cheapest compressed column is its own
+        # cluster's, and that plan is feasible, so no pricing round
+        # reaches the LP
+        g = self._five_clusters()
+        lp_calls = _count_lp_calls(monkeypatch)
+        result = compress_gmm(g, 5, seed=0)
+        assert result.compressed.size == 5
+        assert lp_calls == []
         monkeypatch.undo()
         expected, _ = mw2_full_oracle(g, result.compressed)
         assert math.isclose(result.w2_bound, expected, rel_tol=1e-12)
@@ -551,10 +660,26 @@ class TestEmpiricalW2:
                 empirical_w2_assignment_oracle(xs, ys)
 
     def test_cost_cap_exceeded_rejected(self):
-        xs = np.zeros((2001, 1))
-        ys = np.zeros((2001, 1))
+        xs = np.zeros((2001, 2))
+        ys = np.zeros((2001, 2))
         with pytest.raises(ParseError, match="subsample"):
             empirical_w2(xs, ys)
+
+    def test_one_dimension_above_the_cost_cap(self, monkeypatch):
+        # the sorted matching builds no cost matrix, so the entry cap
+        # does not apply to it
+        def refuse(*args):
+            raise AssertionError("built or solved an assignment problem")
+
+        monkeypatch.setattr(transport, "_pairwise_sq_dists", refuse)
+        monkeypatch.setattr(transport, "linear_sum_assignment", refuse)
+        rng = np.random.default_rng(14)
+        xs = rng.normal(size=(2001, 1))
+        ys = rng.normal(loc=1.0, scale=2.0, size=(2001, 1))
+        assert xs.size * ys.size > TOL.empirical_cost_cap
+        expected = math.sqrt(float(np.mean(
+            (np.sort(xs[:, 0]) - np.sort(ys[:, 0])) ** 2)))
+        assert math.isclose(empirical_w2(xs, ys), expected, rel_tol=1e-12)
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ParseError):
