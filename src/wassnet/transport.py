@@ -4,7 +4,8 @@ The transportation LP is solved exactly (vertex solutions, no
 regularization).  Problems with a single row or column have only the
 product plan.  Otherwise the nearest-column plan, which sends each row's
 whole mass to its cheapest column, is taken whenever its column sums
-match the column marginal within the marginal tolerance: every plan with
+match the column marginal to rounding (``4 M eps`` times the total mass
+for ``M`` rows, not the looser marginal tolerance): every plan with
 the given row sums costs at least ``sum_i a_i min_j c_ij``, and this plan
 attains that bound, so it is optimal; its support has one arc per row, a
 forest, so it is a vertex.  Only when it is infeasible does one
@@ -126,9 +127,11 @@ def solve_discrete_ot(cost, a, b) -> TransportPlan:
 
     Otherwise the nearest-column plan, which holds ``a_i`` at
     ``(i, argmin_j c_ij)`` (ties go to the lowest column index), is
-    returned when its column sums match ``b`` within the marginal
-    tolerance (1e-9 per column), the same check every returned plan
-    passes, so it may miss ``b`` by no more than an LP plan may.  Any plan
+    returned when its column sums match ``b`` to rounding, within
+    ``4 M eps sum(a)`` per column for ``M`` positive rows: the error of
+    summing the same masses in another order.  The marginal tolerance
+    (1e-9) would be too loose here, since an atom lighter than it could
+    then sit in a column that cannot take it.  Any plan
     with row sums ``a`` costs ``sum_ij P_ij c_ij >= sum_i a_i min_j c_ij``,
     which this plan attains, so it is optimal; its support has one arc per
     row, a forest, so it is a vertex.  Only when it is infeasible does the
@@ -149,8 +152,11 @@ def solve_discrete_ot(cost, a, b) -> TransportPlan:
         sub_plan = np.outer(sub_a, sub_b) / sub_a.sum()
     else:
         nearest = np.argmin(sub_cost, axis=1)
-        if np.allclose(np.bincount(nearest, sub_a, cols.size), sub_b,
-                       rtol=0.0, atol=TOL.marginal_atol):
+        # feasible to rounding only: a looser check would let an atom
+        # lighter than the tolerance sit in a column that cannot take it
+        rounding = 4.0 * rows.size * np.finfo(float).eps * sub_a.sum()
+        if np.all(np.abs(np.bincount(nearest, sub_a, cols.size) - sub_b)
+                  <= rounding):
             sub_plan = np.zeros_like(sub_cost)
             sub_plan[np.arange(rows.size), nearest] = sub_a
         else:

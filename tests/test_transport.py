@@ -232,7 +232,7 @@ class TestSolveDiscreteOt:
             np.testing.assert_array_equal(
                 got.toarray(), _transport_constraints(m, n)[:-1].toarray())
 
-    def test_matches_parent_linprog_path(self):
+    def test_matches_parent_linprog_path(self, monkeypatch):
         # the milp solve must return the very plan linprog(highs-ds) did,
         # also on the degenerate vertices that mw2 and compression pose
         rng = np.random.default_rng(101)
@@ -254,18 +254,32 @@ class TestSolveDiscreteOt:
             cost = rng.integers(0, 3, size=(m, n)).astype(float)
             instances.append((cost, a, b))
         assert len(instances) >= 200
-        # most cluster instances never reach the LP (their nearest-column
-        # plan is feasible), so both LP paths are compared directly on the
-        # positive-mass subproblem that solve_discrete_ot would pose
-        solved = 0
+        # an instance whose nearest-column plan is feasible never reaches
+        # the LP, so both LP paths are compared directly on the
+        # positive-mass subproblem that solve_discrete_ot would pose; where
+        # solve_discrete_ot does reach the LP, it must pose that very one
+        posed = []
+
+        def recording(*args):
+            posed.append(args)
+            return _TRANSPORT_LP(*args)
+
+        monkeypatch.setattr(transport, "_transport_lp", recording)
+        solved = checked = 0
         for inst in instances:
             sub = _positive_subproblem(*inst)
+            posed.clear()
+            solve_discrete_ot(*inst)
+            if posed:
+                for got, want in zip(posed[0], sub):
+                    np.testing.assert_array_equal(got, want)
+                checked += 1
             if min(sub[0].shape) < 2:
                 continue  # the closed-form product plan, no LP
-            np.testing.assert_array_equal(transport._transport_lp(*sub),
+            np.testing.assert_array_equal(_TRANSPORT_LP(*sub),
                                           transport_lp_linprog_oracle(*sub))
             solved += 1
-        assert solved >= 200
+        assert solved >= 200 and checked >= 100
 
     def test_nearest_column_plan_skips_the_lp(self, monkeypatch):
         # separated clusters, one column per cluster holding the cluster's
@@ -304,6 +318,21 @@ class TestSolveDiscreteOt:
             assert abs(got.cost - lp_transport_oracle(cost, a, b)) <= 1e-9
             np.testing.assert_allclose(got.plan.sum(axis=0), b, rtol=0.0,
                                        atol=1e-9)
+
+    def test_nearest_plan_needs_exact_feasibility(self, monkeypatch):
+        # the third atom's cheapest column is already full; it is lighter
+        # than the marginal tolerance, so only an exact feasibility check
+        # sends it to the LP, which charges it the far column
+        lp_calls = _count_lp_calls(monkeypatch)
+        cost = np.array([[0.0, 1e6], [1e6, 0.0], [0.0, 1e6]])
+        a = np.array([0.5, 0.5 - 5e-10, 5e-10])
+        b = np.array([0.5, 0.5])
+        got = solve_discrete_ot(cost, a, b)
+        assert lp_calls == [(3, 2)]
+        highs = _TRANSPORT_LP(cost, a, b)
+        np.testing.assert_array_equal(got.plan, highs)
+        assert got.cost == float(np.sum(highs * cost))
+        assert math.isclose(got.cost, 5e-4, rel_tol=1e-6)
 
     def test_nearest_column_ties_go_to_the_lowest_index(self, monkeypatch):
         lp_calls = _count_lp_calls(monkeypatch)
