@@ -11,6 +11,10 @@ LP.  The third has ReLU hidden layers, each followed by ``Dropout(0.9)``,
 so it also runs the ReLU signature refinement (which leaves this
 case's bound unchanged) and the truncated dropout expansion; it was
 recorded before that expansion moved into ``compress_dropout``.  The
+fourth runs the second net on one input point, so its first layer pushes
+diagonal Gaussians and ``mw2`` compares diagonal pairs; it was recorded
+while ``Gaussian`` still stored a diagonal covariance as its variance
+vector and priced diagonal pairs by their commuting closed form.  The
 always-1.0 ``lipschitz`` key left the ledger records by deletion from the
 file, not by re-recording, so the independently recorded terms stay.  The
 first case's mixture was re-recorded once, alone, when signature weights
@@ -78,6 +82,8 @@ def _cases():
          np.linspace(-1.0, 1.0, 3).reshape(-1, 1), 10, 5, 3),
         ("relu_dropout_1_8_8_1/seed_7", _two_layer("relu", keep_prob=0.9),
          np.linspace(-1.0, 1.0, 3).reshape(-1, 1), 10, 5, 3),
+        ("tanh_1_8_8_1/seed_7/D1", _two_layer("tanh"), np.array([[0.5]]),
+         10, 5, 3),
     )
 
 
@@ -121,6 +127,9 @@ def test_two_layer_case_exercises_compression():
     # free and the whole k=2 compression term is the dropout bound
     records = _golden()["relu_dropout_1_8_8_1/seed_7"]["ledger"]["records"]
     assert records[1]["k"] == 2 and records[1]["compression_term"] > 0.0
+    # the one-point case compresses diagonal Gaussians
+    records = _golden()["tanh_1_8_8_1/seed_7/D1"]["ledger"]["records"]
+    assert any(r["compression_term"] > 0.0 for r in records)
 
 
 def _tune_report(table):
