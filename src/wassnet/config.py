@@ -35,7 +35,7 @@ class Tolerances:
     # propagation aborts if a mixture/atom set would exceed this size
     atom_cap: int = 100_000
     # propagation aborts before a stochastic layer whose pushed covariances
-    # (A components of (D n)^2 doubles, A n doubles for D = 1) would exceed
+    # (A components of (D n)^2 doubles, for every D) would exceed
     # this many bytes.  256 MiB is 10x the largest shipped input (26 MB:
     # 8 components of 640^2 doubles at the second layer of the 1-64-64-1
     # D10 ladder row; the benchmark's largest is 19 MB, one wide first

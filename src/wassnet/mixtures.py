@@ -123,7 +123,7 @@ def _moment_matched(mixture, assign, cluster_ids):
         for i in member:
             d = means[i] - mu
             cov += mixture.weights[i] * (
-                mixture.components[i].full_cov() + np.outer(d, d))
+                mixture.components[i].cov + np.outer(d, d))
         comps.append(Gaussian(mu, cov / mass))
         masses.append(mass)
     return GaussianMixture(np.asarray(masses), tuple(comps))

@@ -381,7 +381,9 @@ def _push_atoms(locations: np.ndarray, layer: StochasticLinear, d: int):
     ``d x d`` blocks.  All points go through one matmul and one einsum.
     Returns means ``(A, d * n_out)`` and, for ``d = 1``, variances
     ``(A, n_out)``, else covariances ``(A, d * n_out, d * n_out)``: the
-    arguments of :meth:`Gaussian.stack`.
+    arguments of :meth:`Gaussian.stack`, which lays variances out as
+    diagonal matrices.  The ``d = 1`` variances come from one matmul, not
+    the einsum, whose other summation order would move them by a few ulps.
     """
     s = layer.scale
     n_atoms, n_out = locations.shape[0], layer.n_out
@@ -411,7 +413,8 @@ def push_point_through_stochastic_linear(point, layer: StochasticLinear,
     ``point`` stacks ``d`` input blocks (block-major).  The one-point case
     of the stacked push that :func:`propagate` runs on all atoms of a layer
     at once: outputs of the same neuron correlate across blocks, different
-    neurons are independent, and ``d = 1`` returns a diagonal Gaussian.
+    neurons are independent, and ``d = 1`` returns a Gaussian with a
+    diagonal covariance matrix.
     """
     point = np.asarray(point, dtype=float).reshape(-1)
     if not isinstance(layer, StochasticLinear):
@@ -436,7 +439,7 @@ def _gaussian_through_deterministic(g: Gaussian, layer: DeterministicLinear,
                                     d: int) -> Gaussian:
     w = np.kron(np.eye(d), layer.weight)
     mean = w @ g.mean + np.tile(layer.bias, d)
-    cov = w @ g.full_cov() @ w.T
+    cov = w @ g.cov @ w.T
     return Gaussian(mean, 0.5 * (cov + cov.T))
 
 
@@ -531,7 +534,7 @@ def propagate(model: SnnModel, points, cfg: PropagationConfig):
                 if mixture is not None:
                     reduce_to_atoms()
                 width = d * layer.n_out
-                cov_bytes = 8 * atoms.size * width * (width if d > 1 else 1)
+                cov_bytes = 8 * atoms.size * width * width
                 if cov_bytes > TOL.cov_bytes_cap:
                     raise ParseError(
                         f"layer {k} would hold {cov_bytes} bytes of "

@@ -7,10 +7,10 @@ closed-form 2-Wasserstein distance between Gaussians, and mixture second
 moments.
 
 All values are immutable after construction and safe to share across threads.
-Covariances may be stored full (2-d array) or diagonal (1-d variance vector);
-degenerate (rank-deficient) covariances are first-class citizens because the
-propagation pipeline produces them routinely, e.g. for duplicated input
-points.
+A Gaussian stores its covariance as a matrix; a 1-d variance vector is
+accepted as the input form of a diagonal one.  Degenerate (rank-deficient)
+covariances are first-class citizens because the propagation pipeline
+produces them routinely, e.g. for duplicated input points.
 """
 
 from __future__ import annotations
@@ -91,11 +91,13 @@ def _symmetrised(mats: np.ndarray) -> np.ndarray:
 def _validated(means: np.ndarray, covs: np.ndarray):
     """Checked, read-only copies of stacked Gaussian parameters.
 
-    ``means`` is ``(K, n)``; ``covs`` holds ``K`` variance vectors
-    ``(K, n)`` or ``K`` matrices ``(K, n, n)``.  Every entry must be finite.
-    Matrices are symmetrised by :func:`_symmetrised`; a variance below
-    ``-eig_clip_rtol * max(max v, 1)`` of its vector raises and smaller
-    negatives are clipped to 0.
+    ``means`` is ``(K, n)``; ``covs`` holds ``K`` matrices ``(K, n, n)`` or
+    ``K`` variance vectors ``(K, n)``, the input form of diagonal matrices.
+    Every entry must be finite.  Matrices are symmetrised by
+    :func:`_symmetrised`.  A variance below ``-eig_clip_rtol * max(max v,
+    1)`` of its vector raises, smaller negatives are clipped to 0, and each
+    vector is laid out as its diagonal matrix, which is exactly symmetric.
+    Returns the means and the ``(K, n, n)`` matrices.
     """
     if not np.isfinite(means).all():
         raise ParseError("mean must be finite")
@@ -109,7 +111,9 @@ def _validated(means: np.ndarray, covs: np.ndarray):
         floor = -TOL.eig_clip_rtol * np.maximum(scale, 1.0)
         if (covs < floor[:, None]).any():
             raise ParseError("negative variance beyond tolerance")
-        covs = np.maximum(covs, 0.0)
+        var = np.maximum(covs, 0.0)
+        covs = np.zeros((k, n, n))
+        covs[:, np.arange(n), np.arange(n)] = var
         covs.setflags(write=False)
     elif covs.ndim == 3:
         if covs.shape != (k, n, n):
@@ -124,13 +128,15 @@ def _validated(means: np.ndarray, covs: np.ndarray):
 
 @dataclass(frozen=True)
 class Gaussian:
-    """Multivariate normal with full or diagonal covariance.
+    """Multivariate normal ``N(mean, cov)``.
 
-    ``cov`` is a 1-d variance vector (diagonal variant) or a full symmetric
-    positive-semidefinite matrix.  Symmetry is required within a relative
-    tolerance and then enforced exactly; tiny negative variances are clipped
-    to zero.  :meth:`stack` builds many Gaussians with the same checks at
-    once.  The eigendecomposition is computed once per Gaussian and cached
+    ``cov`` is stored as a symmetric positive-semidefinite matrix.  It may
+    be given as a 1-d variance vector, which is stored as its diagonal
+    matrix: the form a mean-field layer yields at one input point.
+    Symmetry is required within a relative tolerance and then enforced
+    exactly; tiny negative variances are clipped to zero.  :meth:`stack`
+    builds many Gaussians with the same checks at once.  The
+    eigendecomposition is computed once per Gaussian and cached
     (:meth:`eigen`).
     """
 
@@ -151,10 +157,10 @@ class Gaussian:
         """One Gaussian per row of ``means``, checked as the constructor
         checks one.
 
-        ``covs`` holds variance vectors ``(K, n)`` or covariance matrices
-        ``(K, n, n)``.  Every check and the symmetrisation of the
-        constructor run once over the whole stack, and the Gaussians share
-        its read-only storage.
+        ``covs`` holds covariance matrices ``(K, n, n)`` or variance vectors
+        ``(K, n)``, which become diagonal matrices.  Every check and the
+        symmetrisation of the constructor run once over the whole stack,
+        and the Gaussians share its read-only storage.
         """
         means = np.asarray(means, dtype=float)
         if means.ndim != 2:
@@ -167,15 +173,8 @@ class Gaussian:
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    @property
-    def is_diagonal(self) -> bool:
-        return self.cov.ndim == 1
-
-    def full_cov(self) -> np.ndarray:
-        return np.diag(self.cov) if self.is_diagonal else np.array(self.cov)
-
     def cov_trace(self) -> float:
-        return float(np.sum(self.cov) if self.is_diagonal else np.trace(self.cov))
+        return float(np.trace(self.cov))
 
     def eigen(self) -> "EigenBasis":
         """Sorted, clipped eigendecomposition of ``cov``; the same object
@@ -185,33 +184,28 @@ class Gaussian:
 
     @cached_property
     def _basis(self) -> "EigenBasis":
-        if self.is_diagonal:
-            order = np.argsort(-self.cov, kind="stable")
-            lam = self.cov[order]
-            vecs = np.zeros((self.dim, self.dim))
-            vecs[order, np.arange(self.dim)] = 1.0
-            return EigenBasis(lam, vecs)
         return _eigen_stack([self.cov])[0]
 
     def factor(self) -> np.ndarray:
         """Matrix ``F`` with ``cov = F F^T`` (columns span the support)."""
-        if self.is_diagonal:
-            return np.diag(np.sqrt(self.cov))
         basis = self.eigen()
         keep = basis.eigenvalues > 0.0
         return basis.eigenvectors[:, keep] * np.sqrt(basis.eigenvalues[keep])
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        if self.is_diagonal:
-            z = rng.standard_normal((n, self.dim))
-            return self.mean + z * np.sqrt(self.cov)
         f = self.factor()
         z = rng.standard_normal((n, f.shape[1]))
         return self.mean + z @ f.T
 
     def to_dict(self) -> dict:
-        cov = {"diag": self.cov.tolist()} if self.is_diagonal \
-            else {"full": self.cov.tolist()}
+        """The mean, and the covariance as ``{"diag": variances}`` when it
+        is diagonal, else as ``{"full": rows}``."""
+        variances = np.diagonal(self.cov)
+        # diagonal: no nonzero entry off the diagonal
+        if np.count_nonzero(self.cov) == np.count_nonzero(variances):
+            cov = {"diag": variances.tolist()}
+        else:
+            cov = {"full": self.cov.tolist()}
         return {"mean": self.mean.tolist(), "cov": cov}
 
     @staticmethod
@@ -269,7 +263,7 @@ class GaussianMixture:
         out = np.zeros((self.dim, self.dim))
         for w, c in zip(self.weights, self.components):
             d = c.mean - m_bar
-            out += w * (c.full_cov() + np.outer(d, d))
+            out += w * (c.cov + np.outer(d, d))
         return 0.5 * (out + out.T)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -339,13 +333,16 @@ def as_mixture(g) -> GaussianMixture:
     """A Gaussian, mixture or atom set as a Gaussian mixture.
 
     Mixtures pass through, a Gaussian becomes a one-component mixture, and
-    an atom set a zero-covariance mixture with one component per atom.
+    an atom set a zero-covariance mixture with one component per atom; its
+    components share one read-only zero matrix.
     """
     if isinstance(g, GaussianMixture):
         return g
     if isinstance(g, DiscreteDistribution):
-        return GaussianMixture(g.weights, Gaussian.stack(
-            g.locations, np.zeros((g.size, g.dim))))
+        zero = np.zeros((g.dim, g.dim))
+        zero.setflags(write=False)
+        return GaussianMixture(g.weights, tuple(
+            _trusted(Gaussian, mean=m, cov=zero) for m in g.locations))
     return GaussianMixture(np.array([1.0]), (g,))
 
 
@@ -527,12 +524,11 @@ def _eigen_stack(mats):
 def _eigen_bases(gs) -> list:
     """``g.eigen()`` of each Gaussian of a common dimension in ``gs``.
 
-    The full covariances not decomposed yet go through one
-    :func:`_eigen_stack` call, and each result is cached on its Gaussian
-    (the slot of ``Gaussian._basis``), so later ``eigen()`` calls return it.
+    The covariances not decomposed yet go through one :func:`_eigen_stack`
+    call, and each result is cached on its Gaussian (the slot of
+    ``Gaussian._basis``), so later ``eigen()`` calls return it.
     """
-    todo = list({id(g): g for g in gs if not g.is_diagonal
-                 and "_basis" not in vars(g)}.values())
+    todo = list({id(g): g for g in gs if "_basis" not in vars(g)}.values())
     if todo:
         for g, basis in zip(todo, _eigen_stack([g.cov for g in todo])):
             vars(g)["_basis"] = basis
@@ -586,19 +582,17 @@ class GaussianW2Costs:
     + tr(S_i + S_j - 2 (S_i^1/2 S_j S_i^1/2)^1/2)`` where ``exact[i, j]``
     is set, and a lower bound on it elsewhere.  Construction makes the
     free entries exact: identical pairs (equal means and equal
-    covariances, whatever their storage) are exactly 0, and two diagonal
-    covariances commute, so their pair costs ``|m_i - m_j|^2
-    + |sqrt(s_i) - sqrt(s_j)|^2``.  Every other entry starts at
+    covariances) are exactly 0.  Every other entry starts at
     ``|m_i - m_j|^2``, which :meth:`tighten` raises to the spectral bound
     and :meth:`price` replaces by the exact cost.
 
     Each component is decomposed once and keeps its decomposition
-    (``Gaussian.eigen``: a sort of a diagonal covariance, an eigenbasis of
-    a full one).  :meth:`tighten` decomposes all row and column components
-    it finds undecomposed in one stacked call (:func:`_eigen_bases`), which
-    splits each sparsity pattern into its blocks once, not once per
-    component.  A row's decomposition yields both its spectrum and its
-    root ``S_i^1/2``, equal to :func:`psd_sqrt` of its full covariance.
+    (``Gaussian.eigen``).  :meth:`tighten` decomposes all row and column
+    components it finds undecomposed in one stacked call
+    (:func:`_eigen_bases`), which splits each sparsity pattern into its
+    blocks once, not once per component; a diagonal covariance splits into
+    1x1 blocks.  A row's decomposition yields both its spectrum and its
+    root ``S_i^1/2``, equal to :func:`psd_sqrt` of its covariance.
     :meth:`price` computes the exact entries of a round together: the
     products ``S_i^1/2 S_j S_i^1/2`` of all requested pairs are built and
     symmetrised as one stack, bounded in bytes, and decomposed by one
@@ -621,19 +615,11 @@ class GaussianW2Costs:
         self._mean_sq = np.sum(
             np.square(p_mean[:, None, :] - q_mean[None, :, :]), axis=-1)
         self.values = self._mean_sq.copy()
-        p_diag = np.array([g.is_diagonal for g in ps])
-        q_diag = np.array([g.is_diagonal for g in qs])
-        p_idx, q_idx = np.flatnonzero(p_diag), np.flatnonzero(q_diag)
-        if p_idx.size and q_idx.size:
-            p_sd = np.sqrt(np.stack([ps[i].cov for i in p_idx]))
-            q_sd = np.sqrt(np.stack([qs[j].cov for j in q_idx]))
-            self.values[np.ix_(p_idx, q_idx)] += np.sum(
-                np.square(p_sd[:, None, :] - q_sd[None, :, :]), axis=-1)
         same = np.all(p_mean[:, None, :] == q_mean[None, :, :], axis=-1)
         for i, j in zip(*np.nonzero(same)):
-            same[i, j] = np.array_equal(ps[i].full_cov(), qs[j].full_cov())
+            same[i, j] = np.array_equal(ps[i].cov, qs[j].cov)
         self.values[same] = 0.0
-        self.exact = (p_diag[:, None] & q_diag[None, :]) | same
+        self.exact = same
         self._q_cov = self._q_tr = self._p_tr = None
 
     def tighten(self) -> None:
@@ -676,7 +662,7 @@ class GaussianW2Costs:
         if not np.any(todo):
             return
         if self._q_cov is None:
-            self._q_cov = np.stack([g.full_cov() for g in self._qs])
+            self._q_cov = np.stack([g.cov for g in self._qs])
             self._q_tr = np.array([g.cov_trace() for g in self._qs])
             self._p_tr = np.array([g.cov_trace() for g in self._ps])
         rows, cols = np.nonzero(todo)
@@ -715,8 +701,7 @@ def gaussian_w2_sq_matrix(ps, qs) -> np.ndarray:
     The all-pairs case of :class:`GaussianW2Costs`, which holds the
     formula: one square root per row component, the products of all pairs
     decomposed as one stack (one ``eigh`` per sparsity pattern, in stacks
-    bounded in bytes), the commuting shortcut for diagonal pairs and an
-    exact 0 for identical ones.
+    bounded in bytes), and an exact 0 for identical pairs.
     """
     costs = GaussianW2Costs(ps, qs)
     costs.price(np.ones_like(costs.exact))
@@ -749,9 +734,8 @@ def gaussian_w2(a: Gaussian, b: Gaussian) -> float:
     """Closed-form 2-Wasserstein distance between Gaussians.
 
     The one-pair case of :func:`gaussian_w2_sq_matrix`: one square root of
-    ``S_a``, one ``eigh`` of the symmetrised ``S_a^1/2 S_b S_a^1/2``, the
-    commuting shortcut for diagonal pairs and an exact 0 for identical
-    ones.
+    ``S_a``, one ``eigh`` of the symmetrised ``S_a^1/2 S_b S_a^1/2``, and an
+    exact 0 for identical Gaussians.
     """
     return math.sqrt(float(gaussian_w2_sq_matrix((a,), (b,))[0, 0]))
 

@@ -197,10 +197,10 @@ def mw2(p, q):
     A vertex plan uses at most ``N + m - 1`` of the ``N m`` arcs, so exact
     Gaussian costs are computed only where the plan needs them (delayed
     pricing).  Every arc starts at a cheap lower bound ``L <= C`` on its
-    exact cost ``C`` (:meth:`GaussianW2Costs.tighten`); identical and
-    diagonal pairs start exact.  Each row's and each column's cheapest arc
-    is priced exactly, and the transportation LP is solved on ``C~``: ``C``
-    where priced and ``L`` elsewhere (:func:`solve_discrete_ot`: the LP
+    exact cost ``C`` (:meth:`GaussianW2Costs.tighten`); identical pairs
+    start exact.  Each row's and each column's cheapest arc is priced
+    exactly, and the transportation LP is solved on ``C~``: ``C`` where
+    priced and ``L`` elsewhere (:func:`solve_discrete_ot`: the LP
     runs only when the plan that sends each row to its cheapest column of
     ``C~`` is infeasible).  While the plan's support holds an arc that is
     not priced, those arcs are priced and the LP solved again.

@@ -368,9 +368,10 @@ class TestMw2:
     @pytest.mark.parametrize("field,value", [
         ("weights", ["x"]), ("mean", ["a"]), ("mean", [[0.1], [0.2, 0.3]]),
         ("diag", ["v"]), ("weights", [math.nan, math.nan]),
-        ("mean", [math.nan, 0.0]), ("diag", [math.inf, 0.5])],
+        ("mean", [math.nan, 0.0]), ("diag", [math.inf, 0.5]),
+        ("diag", [-1.0, 0.5])],
         ids=["weights-string", "mean-string", "mean-ragged", "diag-string",
-             "weights-nan", "mean-nan", "diag-inf"])
+             "weights-nan", "mean-nan", "diag-inf", "diag-negative"])
     def test_malformed_numeric_mixture_json(self, tmp_path, capsys, field,
                                             value):
         data = json.loads((DATA / "gmm_pair_a.json").read_text())

@@ -40,6 +40,13 @@ class TestDiscreteDistribution:
         assert d.size == 2 and d.dim == 2
         mixture = as_mixture(d)
         np.testing.assert_array_equal(mixture.weights, d.weights)
+        # the components share one read-only zero matrix
+        zero = mixture.components[0].cov
+        assert zero.shape == (2, 2) and not np.any(zero)
+        assert not zero.flags.writeable
+        assert all(c.cov is zero for c in mixture.components)
+        np.testing.assert_array_equal(
+            np.stack([c.mean for c in mixture.components]), d.locations)
         assert mixture_second_moment(mixture) == pytest.approx(
             0.25 * 1 + 0.75 * 4)
 

@@ -81,19 +81,19 @@ class TestGpRealize:
     def test_single_point_unit_variance(self):
         g = gp_realize(GpTarget(0.5, 1.0, np.array([[0.3]])))
         assert g.dim == 1
-        assert g.full_cov()[0, 0] == pytest.approx(1.0 + TOL.gp_jitter,
+        assert g.cov[0, 0] == pytest.approx(1.0 + TOL.gp_jitter,
                                                    abs=1e-16)
         assert np.all(g.mean == 0.0)
 
     def test_coincident_points_give_rank_one_plus_jitter(self):
         g = gp_realize(GpTarget(0.5, 1.0, np.array([[0.3], [0.3]])))
-        eigenvalues = np.sort(np.linalg.eigvalsh(g.full_cov()))
+        eigenvalues = np.sort(np.linalg.eigvalsh(g.cov))
         assert eigenvalues[0] == pytest.approx(TOL.gp_jitter, rel=1e-3)
         assert eigenvalues[1] == pytest.approx(2.0, rel=1e-9)
 
     def test_large_lengthscale_saturates_off_diagonals(self):
         g = gp_realize(GpTarget(1e8, 3.0, np.array([[0.0], [1.0], [2.0]])))
-        assert np.allclose(g.full_cov(), 3.0, atol=1e-6)
+        assert np.allclose(g.cov, 3.0, atol=1e-6)
 
     def test_escalation_failure_raises(self, monkeypatch):
         target = GpTarget(0.5, 1.0, np.array([[0.0]]))

@@ -209,9 +209,8 @@ class TestPushPoint:
                                  np.array([0.3]), np.array([0.1]))
         g = push_point_through_stochastic_linear(np.array([1.0, 2.0]), layer)
         assert g.mean[0] == pytest.approx(2.0 - 2.0 + 0.3, abs=1e-15)
-        assert np.diag(g.full_cov())[0] == pytest.approx(0.5 + 1.0 + 0.1,
-                                                         abs=1e-15)
-        assert g.is_diagonal
+        assert g.cov[0, 0] == pytest.approx(0.5 + 1.0 + 0.1, abs=1e-15)
+        assert g.cov.shape == (1, 1)
 
     def test_zero_variance_gives_point_mass(self):
         layer = StochasticLinear(np.array([[1.0, 1.0], [1.0, -1.0]]),
@@ -219,7 +218,7 @@ class TestPushPoint:
                                  np.zeros(2))
         g = push_point_through_stochastic_linear(np.array([2.0, 3.0]), layer)
         assert np.allclose(g.mean, [5.5, -1.0], atol=0)
-        assert np.all(np.diag(g.full_cov()) == 0.0)
+        assert np.all(g.cov == 0.0)
 
     def test_scaled_layer_scales_bias_too(self):
         layer = StochasticLinear(np.array([[2.0, -1.0, 0.0, 0.0]]),
@@ -229,7 +228,7 @@ class TestPushPoint:
             np.array([1.0, 2.0, 0.0, 0.0]), layer)
         s = 0.5
         assert g.mean[0] == pytest.approx(s * 1.0, abs=1e-15)
-        assert np.diag(g.full_cov())[0] == pytest.approx(
+        assert g.cov[0, 0] == pytest.approx(
             s * s * (0.25 * 5.0 + 0.36), abs=1e-15)
 
     def test_duplicate_blocks_are_perfectly_correlated(self):
@@ -238,7 +237,7 @@ class TestPushPoint:
                                  np.array([0.3]), np.array([0.1]))
         g = push_point_through_stochastic_linear(
             np.array([1.0, 2.0, 1.0, 2.0]), layer, d=2)
-        cov = g.full_cov()
+        cov = g.cov
         assert cov[0, 0] == pytest.approx(1.6, abs=1e-15)
         assert cov[0, 1] == pytest.approx(cov[0, 0], abs=1e-15)
         assert g.mean[0] == g.mean[1]
@@ -262,11 +261,11 @@ class TestPushPoint:
         mc_cov = np.cov(z.T)
         # mean SE is sqrt(var/n); covariance entries fluctuate at O(1/sqrt(n))
         assert np.allclose(mc_mean, g.mean, atol=4 * np.sqrt(
-            np.diag(g.full_cov()).max() / n) * 3)
-        assert np.allclose(mc_cov, g.full_cov(), atol=0.05)
+            np.diag(g.cov).max() / n) * 3)
+        assert np.allclose(mc_cov, g.cov, atol=0.05)
         # different neurons are exactly independent
-        assert g.full_cov()[0, 1] == 0.0
-        assert g.full_cov()[0, 3] == 0.0
+        assert g.cov[0, 1] == 0.0
+        assert g.cov[0, 3] == 0.0
 
     @pytest.mark.parametrize("ntk", [False, True])
     @pytest.mark.parametrize("d", [1, 2, 4])
@@ -288,13 +287,15 @@ class TestPushPoint:
         locs[5] = 0.0
         if d > 1:
             locs[2, :n_in] = 0.0  # one zero block in an atom
-        comps = Gaussian.stack(*snn._push_atoms(locs, layer, d))
+        means, covs = snn._push_atoms(locs, layer, d)
+        comps = Gaussian.stack(means, covs)
         bases = _eigen_bases(comps)
         for k, (g, basis) in enumerate(zip(comps, bases)):
             want = push_point_oracle(locs[k], layer, d)
-            assert g.is_diagonal == want.is_diagonal == (d == 1)
             assert np.array_equal(g.mean, want.mean)
             assert np.array_equal(g.cov, want.cov)
+            if d == 1:  # variances, stored as the clipped diagonal matrix
+                assert np.array_equal(g.cov, np.diag(np.maximum(covs[k], 0.0)))
             one = want.eigen()  # decomposed on its own
             assert np.array_equal(basis.eigenvalues, one.eigenvalues)
             assert np.array_equal(basis.eigenvectors, one.eigenvectors)
@@ -344,8 +345,7 @@ class TestPropagate:
         assert isinstance(approx, GaussianMixture)
         assert approx.size == 1
         assert approx.components[0].mean[0] == pytest.approx(0.3, abs=1e-15)
-        assert np.diag(approx.components[0].full_cov())[0] == pytest.approx(
-            1.6, abs=1e-15)
+        assert approx.components[0].cov[0, 0] == pytest.approx(1.6, abs=1e-15)
         assert ledger.final_bound == 0.0
 
     def test_deterministic_map_of_gaussian_stays_exact(self, table):
@@ -364,7 +364,7 @@ class TestPropagate:
         w = dl.weight
         assert np.allclose(g.mean, w @ np.array([2.0, 4.0]) + dl.bias,
                            atol=1e-12)
-        assert np.allclose(g.full_cov(), w @ inner_var @ w.T, atol=1e-12)
+        assert np.allclose(g.cov, w @ inner_var @ w.T, atol=1e-12)
 
     def test_activation_before_first_linear_is_exact(self, table):
         layer = StochasticLinear(np.array([[1.0, 1.0]]), np.zeros((1, 2)),
@@ -545,22 +545,27 @@ class TestPropagate:
     @pytest.mark.parametrize("d", [1, 2])
     def test_covariance_cap_counts_the_pushed_bytes(self, table, d,
                                                      monkeypatch):
-        # the pre-flight count is exactly the size of the largest pushed
-        # covariance stack: a cap at that size passes, one byte less fails
+        # the pre-flight count is exactly the size of the largest
+        # (A, D n, D n) covariance stack that pushed Gaussians share (for
+        # D = 1 too, whose variances are stored as diagonal matrices): a
+        # cap at that size passes, one byte less fails
         rng = np.random.default_rng(5)
         model = _vi_net(rng, (1, 6, 6, 1))
         points = np.linspace(-1.0, 1.0, d)[:, None]
         cfg = PropagationConfig(table=table, signature_budget=4,
                                 compression_size=2, seed=0)
         sizes = []
-        real = snn._push_atoms
+        real = Gaussian.stack
 
-        def recording(locations, layer, d):
-            mean, cov = real(locations, layer, d)
-            sizes.append(cov.nbytes)
-            return mean, cov
+        def recording(means, covs):
+            comps = real(means, covs)
+            shared = comps[0].cov.base
+            assert shared.shape == (len(comps),) + comps[0].cov.shape
+            assert all(g.cov.base is shared for g in comps)
+            sizes.append(shared.nbytes)
+            return comps
 
-        monkeypatch.setattr(snn, "_push_atoms", recording)
+        monkeypatch.setattr(Gaussian, "stack", staticmethod(recording))
         propagate(model, points, cfg)
         top = max(sizes)
         assert top > sizes[0]  # the largest stack is a later layer's
@@ -588,6 +593,21 @@ class TestPropagate:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+    def test_covariance_cap_counts_one_point_matrices(self, table,
+                                                      monkeypatch):
+        # one point through a width-6000 layer: its variances take 48 KB,
+        # but the diagonal matrix that stores them takes 288 MB
+        rng = np.random.default_rng(6)
+        model = _vi_net(rng, (1, 6000, 1))
+        assert 8 * 6000 ** 2 > TOL.cov_bytes_cap
+
+        def no_push(*args):
+            raise AssertionError("pushed past the covariance cap")
+
+        monkeypatch.setattr(snn, "_push_atoms", no_push)
+        with pytest.raises(ParseError, match="cap"):
+            propagate(model, np.array([[0.5]]), PropagationConfig(table=table))
 
     def test_invalid_inputs(self, table):
         rng = np.random.default_rng(1)

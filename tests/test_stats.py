@@ -17,8 +17,9 @@ from wassnet.quantizer import _active_mask
 from wassnet.stats import (GaussianW2Costs, _eigen_bases, _eigen_stack,
                            _symmetric_blocks)
 
-from oracles import (gaussian_w2_pair_oracle, price_by_rows_oracle,
-                     quad_truncated_moments, quantile_coupling_w2_1d)
+from oracles import (gaussian_w2_pair_oracle, is_diagonal_matrix,
+                     price_by_rows_oracle, quad_truncated_moments,
+                     quantile_coupling_w2_1d)
 
 
 def random_gaussian(rng, dim, diagonal=False, degenerate=False):
@@ -243,16 +244,18 @@ class TestGaussianW2SqMatrix:
             ps, qs = ([mixed_component(rng, dim, KINDS[int(k)])
                        for k in rng.integers(0, len(KINDS), size=n)]
                       for n in rng.integers(1, 6, size=2))
-            # duplicates: a column repeated as a row, and a diagonal row
-            # repeated as a column in the full form
+            # duplicates: a column repeated as a row, and a row rebuilt
+            # from its mean and covariance as a column
             ps.append(qs[int(rng.integers(len(qs)))])
             d = ps[int(rng.integers(len(ps)))]
-            qs.append(Gaussian(d.mean, d.full_cov()) if d.is_diagonal else d)
+            qs.append(Gaussian(d.mean, d.cov))
             cost = gaussian_w2_sq_matrix(ps, qs)
             oracle = np.array([[max(gaussian_w2_pair_oracle(a, b), 0.0)
                                 for b in qs] for a in ps])
             np.testing.assert_allclose(cost, oracle, rtol=1e-12, atol=1e-12)
-            seen |= {(a.is_diagonal, b.is_diagonal) for a in ps for b in qs}
+            # the oracle prices diagonal pairs by their commuting closed form
+            seen |= {(is_diagonal_matrix(a.cov), is_diagonal_matrix(b.cov))
+                     for a in ps for b in qs}
         assert seen == {(True, True), (True, False), (False, True),
                         (False, False)}
 
@@ -299,14 +302,11 @@ class TestSpectralLowerBound:
 
     def test_below_exact_cost(self):
         rng = np.random.default_rng(43)
-        kinds = KINDS + ("full_stored_diag",)
         strict = 0
         for _ in range(60):
             dim = int(rng.integers(1, 7))
-            ps, qs = ([mixed_component(rng, dim, k) if k in KINDS else
-                       Gaussian(rng.normal(size=dim),
-                                np.diag(rng.uniform(0.05, 2.0, size=dim)))
-                       for k in rng.choice(kinds, size=n)]
+            ps, qs = ([mixed_component(rng, dim, k)
+                       for k in rng.choice(KINDS, size=n)]
                       for n in rng.integers(1, 5, size=2))
             lower, exact, scale = self._lower_and_exact(ps, qs)
             assert np.all(lower <= exact + 1e-12 * scale)
@@ -315,8 +315,7 @@ class TestSpectralLowerBound:
 
     def test_exact_for_diagonal_and_codiagonalizable_pairs(self):
         # covariances sharing an eigenbasis that lists both spectra in the
-        # same order: the diagonal matrices (stored full, so the commuting
-        # shortcut does not apply) and one rotated basis
+        # same order: the diagonal matrices and one rotated basis
         rng = np.random.default_rng(47)
         for dim in range(1, 7):
             basis = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
@@ -343,10 +342,10 @@ class TestStackedPrice:
                    if k == "atom" else mixed_component(rng, dim, k)
                    for k in rng.choice(kinds, size=size)]
                   for size in (n, m))
-        # identical pairs, also across storages
+        # identical pairs, also between distinct objects
         ps[-1] = qs[0]
         d = qs[-1]
-        ps[0] = Gaussian(d.mean, d.full_cov()) if d.is_diagonal else d
+        ps[0] = Gaussian(d.mean, d.cov)
         return ps, qs
 
     @staticmethod
@@ -603,17 +602,25 @@ class TestSymmetricEig:
 
 class TestContainers:
     def test_gaussian_roundtrip(self):
-        g = Gaussian([0.1, -0.2], np.array([[1.0, 0.3], [0.3, 2.0]]))
-        again = Gaussian.from_dict(json.loads(json.dumps(g.to_dict())))
-        np.testing.assert_array_equal(again.mean, g.mean)
-        np.testing.assert_array_equal(again.cov, g.cov)
+        # a diagonal matrix is written as its variances, any other in full
+        for cov, form in ((np.array([[1.0, 0.3], [0.3, 2.0]]), "full"),
+                          (np.diag([1.0, 0.0]), "diag"),
+                          (np.array([1.0, 2.0]), "diag"),
+                          (np.zeros((2, 2)), "diag")):
+            g = Gaussian([0.1, -0.2], cov)
+            d = g.to_dict()
+            assert list(d["cov"]) == [form]
+            again = Gaussian.from_dict(json.loads(json.dumps(d)))
+            np.testing.assert_array_equal(again.mean, g.mean)
+            np.testing.assert_array_equal(again.cov, g.cov)
+            assert again.cov.shape == (2, 2)
 
     def test_mixture_roundtrip(self):
         mix = GaussianMixture([0.25, 0.75],
                               (Gaussian([0.0], [1.0]), Gaussian([2.0], [0.5])))
         again = GaussianMixture.from_dict(json.loads(json.dumps(mix.to_dict())))
         np.testing.assert_array_equal(again.weights, mix.weights)
-        assert again.components[1].cov[0] == 0.5
+        assert again.components[1].cov[0, 0] == 0.5
 
     def test_mixture_validation(self):
         g = Gaussian([0.0], [1.0])
@@ -658,9 +665,10 @@ class TestContainers:
             assert len(stacked) == k
             for m, c, g in zip(means, covs, stacked):
                 want = Gaussian(m, c)
-                assert g.is_diagonal == want.is_diagonal == (covs.ndim == 2)
                 assert np.array_equal(g.mean, want.mean)
                 assert np.array_equal(g.cov, want.cov)
+                if covs.ndim == 2:  # stored as the clipped diagonal matrix
+                    assert np.array_equal(g.cov, np.diag(np.maximum(c, 0.0)))
                 assert not g.mean.flags.writeable
                 assert not g.cov.flags.writeable
             assert np.array_equal(covs, before)
