@@ -14,6 +14,9 @@ scipy 1.17) solves with its serial dual simplex.  The solver backs both
 the MW2 distance between Gaussian mixtures and empirical W2 estimates
 between sample clouds.  Equal-size uniform empirical problems take the
 assignment-problem fast path, and in one dimension the sorted matching.
+The assignment solver is given a cost matrix shifted by row and column
+potentials (minimum reductions, then a few Sinkhorn scaling sweeps): a
+dual warm start that changes no optimal permutation.
 """
 
 from __future__ import annotations
@@ -37,6 +40,12 @@ __all__ = [
     "empirical_w2",
     "relative_w2",
 ]
+
+# dual warm start of the assignment path (see empirical_w2): the number of
+# Sinkhorn scaling sweeps and the entropic scale as a share of the mean
+# reduced cost
+_SINKHORN_SWEEPS = 10
+_SINKHORN_EPS_SHARE = 0.05
 
 
 @dataclass(frozen=True)
@@ -226,17 +235,82 @@ def mw2(p, q):
     return math.sqrt(max(plan.cost, 0.0)), plan
 
 
+def _subtract_minima(cost):
+    """Subtract the row minima and then the column minima, in place.
+
+    Afterwards every entry is nonnegative and every row and every column
+    holds a zero (each row's zero lies in a column whose minimum is 0).
+    """
+    cost -= cost.min(axis=1)[:, None]
+    cost -= cost.min(axis=0)
+
+
+def _sinkhorn_potentials(cost):
+    """Row and column potentials ``(f, g)`` from a few Sinkhorn sweeps.
+
+    ``cost`` must be nonnegative with a zero in every row and column.  With
+    ``eps = _SINKHORN_EPS_SHARE * mean(cost)`` and ``K = exp(-cost / eps)``
+    (built in place in one buffer, freed on return), each sweep sets
+    ``u = 1 / (K v)`` and then ``v = 1 / (K^T u)`` from ``v = 1``; the
+    potentials are ``f = eps log u`` and ``g = eps log v``.  Returns None
+    when ``eps`` is not a positive float whose reciprocal is finite (all
+    costs zero, or too small or too large to scale), or when a potential
+    is not finite.  Every row and column of ``K`` holds a 1 and no entry
+    exceeds 1, so a sweep widens the range of ``v`` by at most a factor
+    ``n`` at either end: after ten sweeps ``u`` and ``v`` lie within
+    ``n^(+-11)``, far inside the float range.
+    """
+    with np.errstate(over="ignore"):
+        eps = _SINKHORN_EPS_SHARE * float(cost.mean())
+    if not (0.0 < eps < math.inf and math.isfinite(1.0 / eps)):
+        return None
+    kernel = np.multiply(cost, -1.0 / eps)
+    np.exp(kernel, out=kernel)
+    v = np.ones(cost.shape[1])
+    for _ in range(_SINKHORN_SWEEPS):
+        u = 1.0 / (kernel @ v)
+        v = 1.0 / (u @ kernel)
+    f = eps * np.log(u)
+    g = eps * np.log(v)
+    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
+        return None
+    return f, g
+
+
 def empirical_w2(xs, ys) -> float:
     """Exact W2 between the uniform empirical measures of two sample sets.
 
     Equal sample counts reduce to an assignment problem, solved exactly by
     scipy's shortest augmenting path method.  That method starts from zero
-    dual potentials, so the cost matrix first has its row minima and then
-    its column minima subtracted in place, the reduction Jonker and
-    Volgenant apply before augmenting: a dual warm start.  Every
-    permutation's cost moves by the same constant, so the optimal
-    permutations do not change, and the value is recomputed from direct
-    differences on the returned permutation.
+    dual potentials and does no reduction of its own, so it is given a
+    cost matrix already shifted by good potentials, the dual warm start of
+    Jonker and Volgenant (1987).  The squared distances first have their
+    row minima and then their column minima subtracted in place.  Then
+    ``_SINKHORN_SWEEPS`` (10) Sinkhorn scaling sweeps at the entropic scale
+    ``eps = _SINKHORN_EPS_SHARE`` (0.05) times the mean reduced cost give
+    row potentials ``f_i = eps log u_i`` and column potentials
+    ``g_j = eps log v_j`` (Cuturi 2013; :func:`_sinkhorn_potentials`),
+    which are subtracted from row ``i`` and column ``j``, and the row and
+    then column minima are subtracted once more.
+
+    Why the optimum is unchanged: every shift subtracts ``a_i`` from row
+    ``i`` and ``b_j`` from column ``j``, and a permutation ``s`` uses each
+    row and each column exactly once, so its cost
+    ``sum_i c_{i s(i)}`` becomes ``sum_i c_{i s(i)} - sum_i a_i -
+    sum_j b_j``: every permutation's cost moves by the same constant, and
+    the set of optimal permutations is the same for the shifted matrix.
+    This needs neither converged nor dual-feasible potentials, so the
+    Sinkhorn sweeps only have to be close enough to shorten the search.
+    In floating point each shifted entry is rounded, as the minimum
+    reductions alone already round it, so only permutations whose costs
+    tie to within that rounding can be told apart differently.
+    The final reduction leaves every entry nonnegative with a zero in
+    every row and column.  When ``eps`` is not a positive float with a
+    finite reciprocal (for example every reduced cost is zero) or some
+    potential is not finite, the Sinkhorn shift is skipped and the matrix
+    reduced by the minima alone is solved.  The Sinkhorn kernel is one
+    extra ``(n, n)`` buffer, freed before the solve.  The value is
+    recomputed from direct differences on the returned permutation.
 
     In one dimension the sorted matching is an optimal permutation and no
     cost matrix is built (monotone rearrangement; Santambrogio 2015,
@@ -275,8 +349,12 @@ def empirical_w2(xs, ys) -> float:
                 ys[:, 0], kind="stable")
         else:
             cost = _pairwise_sq_dists(xs, ys)
-            cost -= cost.min(axis=1)[:, None]
-            cost -= cost.min(axis=0)[None, :]
+            _subtract_minima(cost)
+            potentials = _sinkhorn_potentials(cost)
+            if potentials is not None:
+                cost -= potentials[0][:, None]
+                cost -= potentials[1]
+                _subtract_minima(cost)
             rows, cols = linear_sum_assignment(cost)
         sq = np.sum(np.square(xs[rows] - ys[cols]), axis=1)
         return math.sqrt(float(sq.mean()))

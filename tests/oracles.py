@@ -307,8 +307,12 @@ def transport_lp_linprog_oracle(cost, a, b):
 
 
 def empirical_w2_assignment_oracle(xs, ys):
-    """Equal-count ``empirical_w2`` by the warm-started assignment path,
-    which the library takes in every dimension but one."""
+    """Equal-count ``empirical_w2`` by the assignment path with the row and
+    column minimum reductions only, and no Sinkhorn shift.
+
+    This is the path the library took before its Sinkhorn dual warm start;
+    it is kept unchanged as the reference that warm start must match.
+    """
     from wassnet.transport import _pairwise_sq_dists
 
     cost = _pairwise_sq_dists(xs, ys)

@@ -12,6 +12,7 @@ from wassnet import (Gaussian, GaussianMixture, compress_gmm, snn, stats,
                      transport)
 from wassnet.config import TOL
 from wassnet.errors import ParseError
+from wassnet.priortune import gp_realize, parse_gp_spec
 from wassnet.stats import gaussian_w2_sq_matrix
 from wassnet.transport import (
     TransportPlan,
@@ -687,6 +688,95 @@ class TestEmpiricalW2:
             ys = sample_stratified(q, 1000, rng)
             assert empirical_w2(xs, ys) == \
                 empirical_w2_assignment_oracle(xs, ys)
+
+    def test_dual_warm_start_matches_parent_path(self):
+        # the Sinkhorn shift leaves the optimal permutation alone: equal
+        # values to the bit against the minimum-reduction path, on the
+        # shapes tune-prior's final evaluation and criterion 5 solve
+        rng = np.random.default_rng(16)
+
+        def zero_mean(n_in, n_out, var):
+            return snn.StochasticLinear(
+                np.zeros((n_out, n_in)), np.full((n_out, n_in), var),
+                np.zeros(n_out), np.full(n_out, var), ntk_scaling=True)
+
+        templates = (
+            lambda v: snn.SnnModel(1, (zero_mean(1, 8, v),
+                                       snn.Activation("tanh"),
+                                       zero_mean(8, 1, v))),
+            lambda v: snn.SnnModel(1, (zero_mean(1, 16, v),
+                                       snn.Activation("relu"),
+                                       zero_mean(16, 16, v),
+                                       snn.Activation("relu"),
+                                       zero_mean(16, 1, v))))
+        for k, n_points in enumerate((6, 10, 8, 7)):
+            model = templates[k % 2](float(rng.uniform(0.3, 3.0)))
+            points = rng.uniform(-1.0, 1.0, size=(n_points, 1))
+            gp = gp_realize(parse_gp_spec("rbf:ls=0.5,var=1.0", points))
+            xs = snn.sample_network(model, points, 1000, k)
+            ys = gp.sample(1000, rng)
+            assert empirical_w2(xs, ys) == \
+                empirical_w2_assignment_oracle(xs, ys), (k, n_points)
+        for dim in (2, 3, 2, 3):
+            p, q = (GaussianMixture(
+                rng.dirichlet(np.ones(k)),
+                tuple(Gaussian(rng.normal(scale=2.0, size=dim),
+                               a @ a.T + 0.2 * np.eye(dim))
+                      for a in rng.normal(size=(k, dim, dim))))
+                for k in rng.integers(1, 5, size=2))
+            xs = sample_stratified(p, 1000, rng)
+            ys = sample_stratified(q, 1000, rng)
+            assert empirical_w2(xs, ys) == \
+                empirical_w2_assignment_oracle(xs, ys), dim
+
+    @pytest.mark.parametrize("case", ["identical", "duplicates", "two",
+                                      "tiny", "huge", "outlier"])
+    def test_dual_warm_start_degenerate_inputs(self, case):
+        # RuntimeWarnings are errors under the test settings, so these
+        # also check that the Sinkhorn sweeps neither overflow nor divide
+        # by zero
+        rng = np.random.default_rng(17)
+        xs = rng.normal(size=(200, 3))
+        ys = rng.normal(size=(200, 3)) + 0.5
+        if case == "identical":
+            # every reduced cost is zero: eps = 0 skips the shift
+            xs = np.tile(rng.normal(size=3), (200, 1))
+            ys = np.tile(rng.normal(size=3), (200, 1))
+        elif case == "duplicates":
+            xs = np.repeat(xs[:50], 4, axis=0)
+            ys = np.concatenate([xs[rng.permutation(200)[:100]], ys[:100]])
+        elif case == "two":
+            xs, ys = xs[:2], ys[:2]
+        elif case == "tiny":
+            xs, ys = 1e-150 * xs, 1e-150 * ys
+        elif case == "huge":
+            xs, ys = 1e150 * xs, 1e150 * ys
+        else:
+            # the outlier's row of the kernel is 0 but for its zero cost
+            xs[0] = 1e4
+        assert empirical_w2(xs, ys) == empirical_w2_assignment_oracle(xs, ys)
+
+    def test_assignment_solver_gets_reduced_costs(self, monkeypatch):
+        # after the shift the solver sees a finite nonnegative matrix with
+        # a zero in every row and every column
+        seen = []
+        solve = transport.linear_sum_assignment
+
+        def recording(cost):
+            seen.append(np.array(cost))
+            return solve(cost)
+
+        monkeypatch.setattr(transport, "linear_sum_assignment", recording)
+        rng = np.random.default_rng(18)
+        for d in (2, 6):
+            xs = rng.normal(size=(300, d))
+            empirical_w2(xs, 2.0 * rng.normal(size=(300, d)) + 1.0)
+        empirical_w2(np.ones((20, 3)), np.zeros((20, 3)))
+        assert len(seen) == 3
+        for cost in seen:
+            assert np.all(np.isfinite(cost)) and np.all(cost >= 0.0)
+            assert np.all(np.any(cost == 0.0, axis=1))
+            assert np.all(np.any(cost == 0.0, axis=0))
 
     def test_cost_cap_exceeded_rejected(self):
         xs = np.zeros((2001, 2))
