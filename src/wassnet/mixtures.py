@@ -106,27 +106,31 @@ def _lloyd_assign(means, weights, centers, max_iters):
 
 
 def _moment_matched(mixture, assign, cluster_ids):
-    """Replace each cluster by the Gaussian matching its mass, mean, cov."""
-    comps = []
-    masses = []
+    """Replace each cluster by the Gaussian matching its mass, mean, cov.
+
+    A singleton cluster keeps its component object; the merged Gaussians
+    are built by one :meth:`Gaussian.stack`.
+    """
+    members = [np.flatnonzero(assign == j) for j in cluster_ids]
+    masses = np.array([float(mixture.weights[m].sum()) for m in members])
     means = np.stack([c.mean for c in mixture.components])
-    for j in cluster_ids:
-        member = np.flatnonzero(assign == j)
-        w = mixture.weights[member]
-        mass = float(w.sum())
+    merged_means, merged_covs = [], []
+    for member, mass in zip(members, masses):
         if member.size == 1:
-            comps.append(mixture.components[int(member[0])])
-            masses.append(mass)
             continue
-        mu = (w @ means[member]) / mass
+        mu = (mixture.weights[member] @ means[member]) / mass
         cov = np.zeros((mixture.dim, mixture.dim))
         for i in member:
             d = means[i] - mu
             cov += mixture.weights[i] * (
                 mixture.components[i].cov + np.outer(d, d))
-        comps.append(Gaussian(mu, cov / mass))
-        masses.append(mass)
-    return GaussianMixture(np.asarray(masses), tuple(comps))
+        merged_means.append(mu)
+        merged_covs.append(cov / mass)
+    merged = iter(Gaussian.stack(merged_means, merged_covs)
+                  if merged_means else ())
+    comps = tuple(mixture.components[int(m[0])] if m.size == 1
+                  else next(merged) for m in members)
+    return GaussianMixture(masses, comps)
 
 
 def compress_gmm(g, m: int, seed: int) -> CompressionResult:
@@ -137,6 +141,10 @@ def compress_gmm(g, m: int, seed: int) -> CompressionResult:
     by mass-weighted Lloyd iterations (converged assignments or 200 rounds),
     each cluster is replaced by its moment-matched Gaussian, and the returned
     bound is the mixture-level transport bound between input and result.
+    The cluster map is handed to :func:`mw2` as a candidate plan: moment
+    matching gives each cluster its members' mass, so the plan is feasible
+    to rounding, and it is taken without an LP whenever dual potentials
+    certify it optimal.
     """
     g = as_mixture(g)
     if not (isinstance(m, (int, np.integer)) and m >= 1):
@@ -151,7 +159,7 @@ def compress_gmm(g, m: int, seed: int) -> CompressionResult:
     relabel = {j: k for k, j in enumerate(cluster_ids)}
     compact = np.array([relabel[j] for j in assign], dtype=int)
     compressed = _moment_matched(g, assign, cluster_ids)
-    bound, _ = mw2(g, compressed)
+    bound, _ = mw2(g, compressed, assignment=compact)
     return CompressionResult(compressed, bound, compact)
 
 

@@ -4,7 +4,9 @@ Gaussian, Gaussian-mixture and atom-set containers with one coercion of all
 three to a mixture, moments of the standard normal truncated to intervals,
 symmetric eigendecomposition with negative-eigenvalue clipping, the
 closed-form 2-Wasserstein distance between Gaussians, and mixture second
-moments.
+moments.  Covariances are decomposed into eigenvectors once each, for their
+roots and spectra; the fidelity term of a Gaussian W2 needs only the
+eigenvalues of a product, so it computes no eigenvectors.
 
 All values are immutable after construction and safe to share across threads.
 A Gaussian stores its covariance as a matrix; a 1-d variance vector is
@@ -445,7 +447,7 @@ def _pattern_groups(mats):
     return [(sel, pattern) for pattern, sel in groups.values()]
 
 
-def _block_eigh(mats, pattern: np.ndarray):
+def _block_eigh(mats, pattern: np.ndarray, vectors: bool = True):
     """Eigendecomposition of equal-size symmetric matrices, block by block.
 
     Every matrix in ``mats`` (a sequence of 2-d arrays) must be zero
@@ -454,16 +456,21 @@ def _block_eigh(mats, pattern: np.ndarray):
     ``eigh`` call per block size; only the blocks are copied out of the
     matrices.  Returns the unsorted eigenvalues, one row per matrix, and
     ``(idx, vecs)`` per block size: the ``(k, s)`` block indices and the
-    ``(len(mats), k, s, s)`` eigenvectors.
+    ``(len(mats), k, s, s)`` eigenvectors.  With ``vectors=False`` each
+    block size takes one ``eigvalsh`` call instead and the list is empty.
     """
     lam = np.empty((len(mats), pattern.shape[0]))
     blocks = []
     try:
         for idx in _symmetric_blocks(pattern):
             ix = (idx[:, :, None], idx[:, None, :])
-            w, v = np.linalg.eigh(np.stack([m[ix] for m in mats]))
+            stack = np.stack([m[ix] for m in mats])
+            if vectors:
+                w, v = np.linalg.eigh(stack)
+                blocks.append((idx, v))
+            else:
+                w = np.linalg.eigvalsh(stack)
             lam[:, idx] = w
-            blocks.append((idx, v))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}",
                              payload=mats) from exc
@@ -595,10 +602,13 @@ class GaussianW2Costs:
     root ``S_i^1/2``, equal to :func:`psd_sqrt` of its covariance.
     :meth:`price` computes the exact entries of a round together: the
     products ``S_i^1/2 S_j S_i^1/2`` of all requested pairs are built and
-    symmetrised as one stack, bounded in bytes, and decomposed by one
-    :func:`_psd_root_traces` call (one ``eigh`` per sparsity pattern);
-    the fidelity term is the trace of the clipped root ``V diag(sqrt(max(
-    lambda, 0))) V^T``.  The value of an entry does not depend on which
+    symmetrised as one stack, bounded in bytes, and handed to one
+    :func:`_psd_root_traces` call, which computes only their eigenvalues
+    (one ``eigvalsh`` per block size of each sparsity pattern); the
+    fidelity term is ``sum_k sqrt(max(lambda_k, 0))``, the trace of the
+    clipped root.  Pricing decomposes no product into eigenvectors: only
+    the row components' decompositions, which give their roots, carry
+    eigenvectors.  The value of an entry does not depend on which
     other entries are priced with it.  Degenerate covariances are fine; a
     product with an eigenvalue below ``-eig_clip_rtol * max|lambda|`` (a
     covariance that is not PSD within tolerance) raises
@@ -699,9 +709,10 @@ def gaussian_w2_sq_matrix(ps, qs) -> np.ndarray:
     """Closed-form squared 2-Wasserstein distances between two lists of Gaussians.
 
     The all-pairs case of :class:`GaussianW2Costs`, which holds the
-    formula: one square root per row component, the products of all pairs
-    decomposed as one stack (one ``eigh`` per sparsity pattern, in stacks
-    bounded in bytes), and an exact 0 for identical pairs.
+    formula: one square root per row component, the eigenvalues of the
+    products of all pairs as one stack (one ``eigvalsh`` per block size
+    of each sparsity pattern, in stacks bounded in bytes), and an exact 0
+    for identical pairs.
     """
     costs = GaussianW2Costs(ps, qs)
     costs.price(np.ones_like(costs.exact))
@@ -711,22 +722,23 @@ def gaussian_w2_sq_matrix(ps, qs) -> np.ndarray:
 def _psd_root_traces(mats: np.ndarray) -> np.ndarray:
     """``tr(M^1/2)`` of each symmetric PSD matrix ``M`` in a stack.
 
-    Matrices with the same sparsity pattern are decomposed together by
-    :func:`_block_eigh`, as :func:`_eigen_stack` decomposes them; a stack
-    of dense matrices is one ``eigh`` call.
-    The split keeps exact zeros exact instead of turning them into rounding
-    noise that the square root would amplify.  The trace is that of the
-    root ``V diag(sqrt(max(lambda, 0))) V^T``.  An eigenvalue below
+    Matrices with the same sparsity pattern go through one
+    :func:`_block_eigh` with the blocks :func:`_eigen_stack` would use,
+    but only their eigenvalues are computed: one ``eigvalsh`` call per
+    block size, so a stack of dense matrices is one call.  The split keeps
+    exact zeros exact instead of turning them into rounding noise that the
+    square root would amplify.  The root ``V diag(sqrt(max(lambda, 0)))
+    V^T`` has trace ``sum_k sqrt(max(lambda_k, 0))``, since ``V`` is
+    orthogonal and a trace is invariant under a change of basis; that sum
+    is returned, and no eigenvector is formed.  An eigenvalue below
     ``-eig_clip_rtol * max|lambda|`` of its matrix raises
     :class:`NumericalError`.
     """
     out = np.empty(len(mats))
     for sel, pattern in _pattern_groups(mats):
         group = [mats[k] for k in sel]
-        lam, blocks = _block_eigh(group, pattern)
-        root = np.sqrt(_clip_negative(lam, payload=group))
-        out[sel] = sum(np.sum(np.square(v) * root[:, idx][..., None, :],
-                              axis=(1, 2, 3)) for idx, v in blocks)
+        lam, _ = _block_eigh(group, pattern, vectors=False)
+        out[sel] = np.sqrt(_clip_negative(lam, payload=group)).sum(axis=1)
     return out
 
 
@@ -734,8 +746,8 @@ def gaussian_w2(a: Gaussian, b: Gaussian) -> float:
     """Closed-form 2-Wasserstein distance between Gaussians.
 
     The one-pair case of :func:`gaussian_w2_sq_matrix`: one square root of
-    ``S_a``, one ``eigh`` of the symmetrised ``S_a^1/2 S_b S_a^1/2``, and an
-    exact 0 for identical Gaussians.
+    ``S_a``, the eigenvalues of the symmetrised ``S_a^1/2 S_b S_a^1/2``, and
+    an exact 0 for identical Gaussians.
     """
     return math.sqrt(float(gaussian_w2_sq_matrix((a,), (b,))[0, 0]))
 

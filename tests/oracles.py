@@ -8,9 +8,11 @@ the 1-d Gaussian W2 by quantile coupling, the scalar quantizer by a
 from-scratch fixed point driven by quadrature, and the full dropout-mask
 expansion by enumerating every mask.  The batched Gaussian W2 cost matrix
 is checked against the per-pair formula it replaced, which shares
-``psd_sqrt`` with the library, the stacked pricing of exact costs against
-the row-by-row pricing it replaced, and the delayed-pricing MW2 against
-full pricing of every pair.  The stacked stochastic-linear push is checked
+``psd_sqrt`` and the per-matrix root trace with the library, the stacked
+pricing of exact costs against the row-by-row pricing it replaced, and the
+delayed-pricing MW2 against full pricing of every pair.  The
+eigenvalue-only root trace is checked against the eigenvector-weighted
+trace it replaced.  The stacked stochastic-linear push is checked
 against the per-point construction it replaced.  Exact W2 between atom
 sets and stratified mixture samples serve as references for the
 compression bounds.  Grid allocation is checked against the
@@ -60,17 +62,22 @@ def is_diagonal_matrix(cov):
 
 
 def gaussian_w2_pair_oracle(a, b):
-    """Squared Gaussian W2 by the per-pair formula: two square roots per pair.
+    """Squared Gaussian W2 by the per-pair formula, one pair at a time.
 
     ``|m_a - m_b|^2 + tr(S_a + S_b - 2 (S_a^1/2 S_b S_a^1/2)^1/2)`` with
-    both roots taken by the library's ``psd_sqrt`` (block-split, sorted,
-    clipped eigendecomposition), one pair at a time, an exact 0 for
+    ``S_a^1/2`` taken by the library's ``psd_sqrt`` (block-split, sorted,
+    clipped eigendecomposition) and the trace of the outer root by its
+    ``_psd_root_traces`` on the one symmetrised product, an exact 0 for
     identical Gaussians (equal means and covariances) and, when both
     covariances are diagonal matrices, the commuting closed form
     ``|m_a - m_b|^2 + |sqrt(s_a) - sqrt(s_b)|^2`` of their diagonals, which
-    the library prices by ``eigh`` like any other pair.
+    the library prices from eigenvalues like any other pair.  The trace
+    is the library's because eigenvalues computed alone and with their
+    eigenvectors round differently (about 1e-7 absolute on rank-deficient
+    products, where the square root amplifies rounding); the independent
+    check of that trace is :func:`root_trace_by_eigenvectors_oracle`.
     """
-    from wassnet.stats import psd_sqrt
+    from wassnet.stats import _psd_root_traces, psd_sqrt
 
     if np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov):
         return 0.0
@@ -80,8 +87,30 @@ def gaussian_w2_pair_oracle(a, b):
             np.sqrt(np.diagonal(a.cov)) - np.sqrt(np.diagonal(b.cov)))))
     sa = psd_sqrt(a.cov)
     inner = sa @ b.cov @ sa
-    cross = psd_sqrt(0.5 * (inner + inner.T))
-    return dm2 + (a.cov_trace() + b.cov_trace() - 2.0 * float(np.trace(cross)))
+    cross = float(_psd_root_traces((0.5 * (inner + inner.T))[None])[0])
+    return dm2 + (a.cov_trace() + b.cov_trace() - 2.0 * cross)
+
+
+def root_trace_by_eigenvectors_oracle(mats):
+    """``tr(M^1/2)`` of each matrix in a stack by the eigenvector-weighted
+    sum the library computed before it took eigenvalues alone.
+
+    Each sparsity pattern is split into blocks and decomposed, eigenvectors
+    included, by the library's ``_block_eigh``; the trace of ``V diag(
+    sqrt(max(lambda, 0))) V^T`` is summed entry by entry as
+    ``sum_ab V_ab^2 sqrt(lambda_b)``, so it rests on the computed
+    eigenvectors as well as the eigenvalues.
+    """
+    from wassnet.stats import _block_eigh, _clip_negative, _pattern_groups
+
+    out = np.empty(len(mats))
+    for sel, pattern in _pattern_groups(mats):
+        group = [mats[k] for k in sel]
+        lam, blocks = _block_eigh(group, pattern)
+        root = np.sqrt(_clip_negative(lam, payload=group))
+        out[sel] = sum(np.sum(np.square(v) * root[:, idx][..., None, :],
+                              axis=(1, 2, 3)) for idx, v in blocks)
+    return out
 
 
 def price_by_rows_oracle(costs, mask):

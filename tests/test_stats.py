@@ -19,7 +19,8 @@ from wassnet.stats import (GaussianW2Costs, _eigen_bases, _eigen_stack,
 
 from oracles import (gaussian_w2_pair_oracle, is_diagonal_matrix,
                      price_by_rows_oracle, quad_truncated_moments,
-                     quantile_coupling_w2_1d)
+                     quantile_coupling_w2_1d,
+                     root_trace_by_eigenvectors_oracle)
 
 
 def random_gaussian(rng, dim, diagonal=False, degenerate=False):
@@ -443,6 +444,107 @@ class TestStackedPrice:
             assert stacks == [int(todo.sum())]
         else:
             assert max(stacks) == 3 and sum(stacks) == int(todo.sum())
+
+
+    def test_price_computes_no_eigenvectors(self, monkeypatch):
+        # the rows' roots come from decompositions tighten() already made;
+        # the products need their eigenvalues only
+        rng = np.random.default_rng(89)
+        ps, qs = self._components(rng, 5, 4, 6)
+        got = GaussianW2Costs(ps, qs)
+        got.tighten()
+        real = np.linalg.eigvalsh
+        calls = []
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("price called np.linalg.eigh")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: calls.append(a.shape) or real(a))
+        got.price(np.ones_like(got.exact))
+        monkeypatch.undo()
+        assert calls
+        _, want = self._both(ps, qs, [np.ones_like(got.exact)])
+        self._assert_equal(got, want)
+
+
+class TestRootTraces:
+    """``_psd_root_traces``, which sums the roots of the eigenvalues,
+    against the eigenvector-weighted trace it replaced."""
+
+    @staticmethod
+    def _stack(rng, kind, n):
+        """One to five ``n x n`` PSD matrices of one kind at scales 1e-3
+        to 1e3: ``full`` has every eigenvalue in [1, 10] times the scale,
+        ``blocks`` is ``full`` with exact zeros between interleaved blocks
+        of one pattern, and ``rank_deficient`` has rank below ``n``."""
+        k = int(rng.integers(1, 6))
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, size=(k, 1, 1))
+        if kind == "rank_deficient":
+            f = rng.normal(size=(k, n, int(rng.integers(0, n))))
+            return scale * (f @ f.swapaxes(1, 2))
+        if kind == "blocks":
+            lab = rng.integers(0, 3, size=n)
+            q = np.stack([_block_orthogonal(rng, lab) for _ in range(k)])
+        else:
+            q = np.linalg.qr(rng.normal(size=(k, n, n)))[0]
+        lam = rng.uniform(1.0, 10.0, size=(k, 1, n))
+        mats = (q * lam) @ q.swapaxes(1, 2)
+        return scale * 0.5 * (mats + mats.swapaxes(1, 2))
+
+    @pytest.mark.parametrize("kind", ["full", "blocks"])
+    def test_well_conditioned_stacks_agree_to_1e_12(self, kind):
+        rng = np.random.default_rng(97)
+        for _ in range(100):
+            mats = self._stack(rng, kind, int(rng.integers(1, 17)))
+            np.testing.assert_allclose(
+                stats._psd_root_traces(mats),
+                root_trace_by_eigenvectors_oracle(mats), rtol=1e-12,
+                atol=0.0)
+
+    def test_rank_deficient_within_the_root_perturbation_bound(self):
+        """Both traces within ``2 n sqrt(delta) + 1e-12 tr``, where
+        ``delta = n eps |M|_2``.
+
+        LAPACK's symmetric eigensolvers are backward stable: the computed
+        eigenvalues are the exact ones of ``M + E`` with ``|E|_2`` of
+        order ``n eps |M|_2``, taken here as ``delta``, so by Weyl's
+        inequality each lies within ``delta`` of an exact eigenvalue
+        ``lambda_k``, in sorted order.  Clipping at 0 is 1-Lipschitz and
+        ``|sqrt(x) - sqrt(y)| <= sqrt(|x - y|)`` for ``x, y >= 0``, so
+        each clipped root lies within ``sqrt(delta)`` of ``sqrt(
+        lambda_k)``, and a sum of ``n`` roots within ``n sqrt(delta)`` of
+        ``tr(M^1/2)``.  The eigenvector-weighted trace weighs root ``b``
+        by ``sum_a V_ab^2``, which is 1 to working precision for
+        orthonormal computed eigenvectors, so it obeys the same bound up
+        to a relative rounding term.  The two traces are then within
+        twice the bound of each other.  Where ``M`` is singular the
+        square root turns an eigenvalue error of order ``eps`` into a
+        trace error of order ``sqrt(eps)``, which is why the relative
+        test above needs well-conditioned matrices.
+        """
+        rng = np.random.default_rng(101)
+        eps = np.finfo(float).eps
+        for _ in range(200):
+            n = int(rng.integers(1, 17))
+            mats = self._stack(rng, "rank_deficient", n)
+            got = stats._psd_root_traces(mats)
+            want = root_trace_by_eigenvectors_oracle(mats)
+            delta = n * eps * np.linalg.norm(mats, ord=2, axis=(1, 2))
+            assert np.all(np.abs(got - want)
+                          <= 2.0 * n * np.sqrt(delta) + 1e-12 * want)
+
+
+def _block_orthogonal(rng, labels):
+    """A random orthogonal matrix that is zero between indices of
+    different labels: an orthogonal block per label."""
+    q = np.zeros((labels.size, labels.size))
+    for lab in np.unique(labels):
+        idx = np.flatnonzero(labels == lab)
+        q[np.ix_(idx, idx)] = np.linalg.qr(
+            rng.normal(size=(idx.size, idx.size)))[0]
+    return q
 
 
 class TestMixtureSecondMoment:

@@ -88,11 +88,33 @@ def _count_lp_calls(monkeypatch):
     return calls
 
 
+_CERTIFIES = transport._certifies
+
+
+def _record_verdicts(monkeypatch):
+    """Route ``_certifies`` through a recorder; returns its verdicts."""
+    verdicts = []
+
+    def recording(cost, targets):
+        verdicts.append(_CERTIFIES(cost, targets))
+        return verdicts[-1]
+
+    monkeypatch.setattr(transport, "_certifies", recording)
+    return verdicts
+
+
 def _cluster_instance(rng, spread=0.0):
+    """:func:`_labelled_cluster_instance` without the labels."""
+    return _labelled_cluster_instance(rng, spread)[:3]
+
+
+def _labelled_cluster_instance(rng, spread=0.0):
     """Rows grouped into clusters and one column per cluster holding the
     cluster's mass, as compress_gmm couples a mixture to its compression;
-    ``spread`` moves the clusters apart along the diagonal."""
+    ``spread`` moves the clusters apart along the diagonal.  Returns
+    ``(cost, a, b, labels)``, ``labels`` the cluster of each row."""
     m, n = int(rng.integers(4, 65)), int(rng.integers(2, 6))
+    m = max(m, n)  # every cluster holds a row
     labels = np.concatenate([np.arange(n), rng.integers(0, n, size=m - n)])
     a = rng.dirichlet(np.ones(m))
     b = np.bincount(labels, weights=a, minlength=n)
@@ -100,7 +122,7 @@ def _cluster_instance(rng, spread=0.0):
     centres = np.stack([a[labels == k] @ pts[labels == k] / b[k]
                         for k in range(n)])
     cost = np.sum((pts[:, None] - centres[None]) ** 2, axis=-1)
-    return cost + rng.random((m, n)) * 0.01, a, b
+    return cost + rng.random((m, n)) * 0.01, a, b, labels
 
 
 def _positive_subproblem(cost, a, b):
@@ -356,6 +378,120 @@ class TestSolveDiscreteOt:
         assert ties >= 100
 
 
+class TestAssignmentCertificate:
+    """``solve_discrete_ot`` with an ``assignment``: the one-arc-per-row
+    plan is returned without the LP only when it is feasible to rounding
+    and dual potentials prove it optimal."""
+
+    # every row's cheapest column is column 0, which takes only half the
+    # mass; moving row i to column 1 costs i + 1 more, so rows 0 and 1
+    # belong there
+    COST = np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0], [0.0, 4.0]])
+    A = np.full(4, 0.25)
+    B = np.array([0.5, 0.5])
+
+    def test_optimal_assignment_skips_the_lp(self, monkeypatch):
+        lp_calls = _count_lp_calls(monkeypatch)
+        got = solve_discrete_ot(self.COST, self.A, self.B,
+                                assignment=np.array([1, 1, 0, 0]))
+        assert lp_calls == []
+        np.testing.assert_array_equal(
+            got.plan, [[0.0, 0.25], [0.0, 0.25], [0.25, 0.0], [0.25, 0.0]])
+        assert got.cost == 0.75
+
+    def test_non_optimal_assignment_is_refused(self, monkeypatch):
+        # rows 1 and 2 in column 1 is feasible, but swapping rows 0 and 2
+        # saves 0.5: W_01 + W_10 = 1 - 3 < 0
+        lp_calls = _count_lp_calls(monkeypatch)
+        got = solve_discrete_ot(self.COST, self.A, self.B,
+                                assignment=np.array([0, 1, 1, 0]))
+        assert lp_calls == [(4, 2)]
+        assert got.cost == pytest.approx(0.75, rel=1e-12)
+        assert abs(got.cost - lp_transport_oracle(
+            self.COST, self.A, self.B)) <= 1e-12
+
+    def test_negative_three_cycle_is_refused(self, monkeypatch):
+        # the identity assignment is feasible and every two-column swap
+        # costs more (each two-cycle of W has length 1), but moving mass
+        # around the cycle 0 -> 1 -> 2 -> 0 saves (its length is -3), so
+        # only a test over longer cycles refuses it
+        lp_calls = _count_lp_calls(monkeypatch)
+        cost = np.array([[5.0, 4.0, 7.0], [7.0, 5.0, 4.0], [4.0, 7.0, 5.0]])
+        a = np.array([0.2, 0.3, 0.5])
+        assert not transport._certifies(cost, np.arange(3))
+        got = solve_discrete_ot(cost, a, a, assignment=np.arange(3))
+        assert lp_calls == [(3, 3)]
+        assert got.cost < float(a @ np.diagonal(cost))
+        assert abs(got.cost - lp_transport_oracle(cost, a, a)) <= 1e-12
+
+    def test_cluster_maps_are_certified_or_solved(self, monkeypatch):
+        # overlapping clusters: where the nearest-column plan is
+        # infeasible, a cluster map either comes back as its own plan,
+        # certified, or goes to the LP; the value is the LP optimum
+        # either way
+        lp_calls = _count_lp_calls(monkeypatch)
+        verdicts = _record_verdicts(monkeypatch)
+        rng = np.random.default_rng(113)
+        counts = Counter()
+        for _ in range(150):
+            cost, a, b, labels = _labelled_cluster_instance(rng, spread=3.0)
+            lp_calls.clear()
+            verdicts.clear()
+            got = solve_discrete_ot(cost, a, b, assignment=labels)
+            assert abs(got.cost - lp_transport_oracle(cost, a, b)) <= 1e-9
+            assert len(lp_calls) == verdicts.count(False)
+            if verdicts == [True]:
+                np.testing.assert_array_equal(
+                    got.plan[np.arange(a.size), labels], a)
+                assert np.all(np.count_nonzero(got.plan, axis=1) == 1)
+            counts.update(verdicts)
+        assert counts[True] >= 20 and counts[False] >= 10
+
+    def test_assignment_off_the_column_marginal_is_refused(self,
+                                                          monkeypatch):
+        # the optimal map of COST with a little mass moved between the
+        # columns: column sums off by 1e-12, far above rounding
+        lp_calls = _count_lp_calls(monkeypatch)
+        b = self.B + np.array([1e-12, -1e-12])
+        got = solve_discrete_ot(self.COST, self.A, b,
+                                assignment=np.array([1, 1, 0, 0]))
+        assert lp_calls == [(4, 2)]
+        np.testing.assert_allclose(got.plan.sum(axis=0), b, rtol=0.0,
+                                   atol=1e-15)
+        # a map that leaves a column of positive mass empty
+        got = solve_discrete_ot(self.COST, self.A, self.B,
+                                assignment=np.array([0, 0, 0, 0]))
+        assert len(lp_calls) == 2
+        assert got.cost == pytest.approx(0.75, rel=1e-12)
+
+    def test_zero_mass_rows_and_columns(self, monkeypatch):
+        lp_calls = _count_lp_calls(monkeypatch)
+        # a zero-mass row, assigned to a zero-mass column, is dropped
+        cost = np.zeros((5, 3))
+        cost[:4, :2] = self.COST
+        a = np.append(self.A, 0.0)
+        b = np.append(self.B, 0.0)
+        got = solve_discrete_ot(cost, a, b,
+                                assignment=np.array([1, 1, 0, 0, 2]))
+        assert lp_calls == []
+        assert got.cost == 0.75
+        assert np.all(got.plan[4] == 0.0) and np.all(got.plan[:, 2] == 0.0)
+        # a row of positive mass assigned to a zero-mass column refuses
+        # the map
+        got = solve_discrete_ot(cost, a, b,
+                                assignment=np.array([1, 1, 0, 2, 2]))
+        assert lp_calls == [(4, 2)]
+        assert got.cost == pytest.approx(0.75, rel=1e-12)
+
+    @pytest.mark.parametrize("assignment", [
+        np.array([1, 1, 0]), np.array([1, 1, 0, 2]), np.array([1, 1, 0, -1]),
+        np.array([1.0, 1.0, 0.0, 0.0]), np.array([[1, 1, 0, 0]])])
+    def test_invalid_assignment_rejected(self, assignment):
+        with pytest.raises(ParseError):
+            solve_discrete_ot(self.COST, self.A, self.B,
+                              assignment=assignment)
+
+
 class TestMw2:
     def test_identical_mixture_is_exactly_zero(self):
         g = GaussianMixture(
@@ -519,6 +655,33 @@ class TestMw2:
         monkeypatch.undo()
         expected, _ = mw2_full_oracle(g, result.compressed)
         assert math.isclose(result.w2_bound, expected, rel_tol=1e-12)
+
+    def test_compress_gmm_certifies_its_own_plan(self, monkeypatch):
+        # overlapping components: the nearest-column plan of C~ is
+        # infeasible, and where dual potentials certify the cluster map
+        # no pricing round reaches the LP; the value is the fully priced
+        # MW2 whether or not they do
+        lp_calls = _count_lp_calls(monkeypatch)
+        verdicts = _record_verdicts(monkeypatch)
+        no_lp = with_lp = 0
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            comps = []
+            for _ in range(12):
+                f = rng.normal(size=(2, 2)) * rng.uniform(0.1, 2.0)
+                comps.append(Gaussian(rng.normal(size=2), f @ f.T))
+            w = rng.random(12) + 0.1
+            g = GaussianMixture(w / w.sum(), tuple(comps))
+            lp_calls.clear()
+            verdicts.clear()
+            result = compress_gmm(g, 3, seed=0)
+            assert len(lp_calls) == verdicts.count(False)
+            expected, _ = mw2_full_oracle(g, result.compressed)
+            assert math.isclose(result.w2_bound, expected, rel_tol=1e-12)
+            if verdicts and all(verdicts):
+                no_lp += 1
+            with_lp += bool(lp_calls)
+        assert no_lp >= 3 and with_lp >= 3
 
     def test_splits_each_component_pattern_once(self, monkeypatch):
         # 40 components pushed through one stochastic layer share one
