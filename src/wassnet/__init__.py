@@ -13,7 +13,7 @@ from .stats import (DiscreteDistribution, EigenBasis, Gaussian,
                     GaussianMixture, as_mixture, gaussian_w2,
                     gaussian_w2_sq_matrix, mixture_second_moment, psd_sqrt,
                     standard_truncated_moments, symmetric_eig)
-from .quantizer import (ComponentCells, Quantizer1D, QuantizerTable,
+from .quantizer import (Quantizer1D, QuantizerTable,
                         activation_signature_w2_bound, allocate_grid,
                         build_table, signature_of_gaussian,
                         signature_of_mixture, solve_quantizer_1d)

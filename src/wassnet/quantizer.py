@@ -4,7 +4,7 @@ Builds the optimal 1-D quantizers of N(0,1) by a centroid/boundary fixed
 point, persists them in a lookup table, allocates per-axis grid sizes under a
 total budget, and assembles eigen-aligned tensor-product signatures whose
 2-Wasserstein error is exactly computable (single Gaussian) or upper-bounded
-(mixtures), including an activation-aware refinement of the error bound.
+(mixtures), and carries that bound through a 1-Lipschitz activation.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .stats import (
 __all__ = [
     "Quantizer1D",
     "QuantizerTable",
-    "ComponentCells",
     "solve_quantizer_1d",
     "build_table",
     "allocate_grid",
@@ -368,34 +367,26 @@ def allocate_grid(eigenvalues, budget: int, table: QuantizerTable) -> tuple:
 
 @dataclass(frozen=True)
 class ComponentCells:
-    """Grid-cell metadata for one mixture component's signature block.
+    """Grid-cell data of one mixture component's signature block.
 
-    Cells live in the whitened eigen coordinates: the atom for cell ``i`` is
-    ``offset + transform @ centers[i]``, its Voronoi box is
-    ``[lo[i], hi[i]]`` per axis (extended reals), ``cell_mass`` is the
-    standard-normal product mass of the box, ``distortion`` the conditional
-    expectation E[||z - atom||^2 | z in cell] in the original metric, and
-    ``prune_penalty`` the absolute (mass-weighted) distortion contributed by
-    pruned cells whose mass was reassigned to this atom.
+    ``cell_mass`` is the standard-normal product mass of each kept cell,
+    ``distortion`` the conditional expectation E[||z - atom||^2 | z in
+    cell] in the original metric, and ``prune_penalty`` the absolute
+    (mass-weighted) distortion contributed by pruned cells whose mass was
+    reassigned to this atom.
     """
 
     weight: float               # the component's mixture weight
-    offset: np.ndarray          # (n,) component mean
-    transform: np.ndarray       # (n, r) eigvecs * sqrt(eigvals) over grid axes
     eigenvalues: np.ndarray     # (n,) all eigenvalues, nonincreasing
     grid_sizes: tuple           # per-axis point counts over grid axes
-    lo: np.ndarray              # (M, r) cell lower bounds, whitened coords
-    hi: np.ndarray              # (M, r) cell upper bounds
-    centers: np.ndarray         # (M, r) cell centers (1-D quantizer locations)
     cell_mass: np.ndarray       # (M,) own-cell standard-normal mass
     distortion: np.ndarray      # (M,) conditional squared distortion
     prune_penalty: np.ndarray   # (M,) absorbed mass-weighted distortion
     pruned_mass: float
-    pinned_exact_zero: bool     # all non-grid eigenvalues are exactly zero
 
     def __post_init__(self):
-        for name in ("offset", "transform", "eigenvalues", "lo", "hi",
-                     "centers", "cell_mass", "distortion", "prune_penalty"):
+        for name in ("eigenvalues", "cell_mass", "distortion",
+                     "prune_penalty"):
             object.__setattr__(self, name,
                                _readonly(np.asarray(getattr(self, name),
                                                     dtype=float)))
@@ -411,16 +402,6 @@ class ComponentCells:
                      + np.sum(self.prune_penalty))
 
 
-def _w2_bound(cells) -> float:
-    """Upper bound on W2 between a mixture and its signature.
-
-    Couples every component with its own cell block:
-    ``sqrt(sum_i pi_i * cells[i].w2sq_total)``.
-    """
-    w2sq = np.dot([c.weight for c in cells], [c.w2sq_total for c in cells])
-    return float(math.sqrt(max(0.0, float(w2sq))))
-
-
 def _component_grid(g: Gaussian, weight: float, budget: int,
                     table: QuantizerTable):
     """Grid signature of a single Gaussian of mixture weight ``weight``:
@@ -430,7 +411,6 @@ def _component_grid(g: Gaussian, weight: float, budget: int,
     sizes = allocate_grid(lam, budget, table)
     r = len(sizes)
     pinned_sum = float(lam[r:].sum())
-    pinned_exact_zero = bool(np.all(lam[r:] == 0.0))
     lam_r = lam[:r]
     transform = basis.eigenvectors[:, :r] * np.sqrt(lam_r)
 
@@ -441,19 +421,15 @@ def _component_grid(g: Gaussian, weight: float, budget: int,
     idx = np.indices(sizes[:n_multi]).reshape(n_multi, m_cells)
     mass = np.ones(m_cells)
     centers = np.empty((m_cells, r))
-    lo = np.empty((m_cells, r))
-    hi = np.empty((m_cells, r))
     means = np.empty((m_cells, r))
     variances = np.empty((m_cells, r))
     cond = np.full(m_cells, pinned_sum)
     for l, n_l in enumerate(sizes[:n_multi]):
         q = table.get(n_l)
-        lo_l, hi_l, mass_l, mean_l, var_l = q.cells
+        _, _, mass_l, mean_l, var_l = q.cells
         sel = idx[l]
         mass *= mass_l[sel]
         centers[:, l] = q.locations[sel]
-        lo[:, l] = lo_l[sel]
-        hi[:, l] = hi_l[sel]
         means[:, l] = mean_l[sel]
         variances[:, l] = var_l[sel]
         cond += lam_r[l] * (variances[:, l]
@@ -462,9 +438,9 @@ def _component_grid(g: Gaussian, weight: float, budget: int,
         # the one cell of N(0,1) has mass exactly 1, so mass is unchanged;
         # the tail's terms still join cond one axis at a time, left to right
         one = table.get(1)
-        lo_1, hi_1, _, mean_1, var_1 = one.cells
+        _, _, _, mean_1, var_1 = one.cells
         tail = np.s_[:, n_multi:]
-        centers[tail], lo[tail], hi[tail] = one.locations[0], lo_1[0], hi_1[0]
+        centers[tail] = one.locations[0]
         means[tail], variances[tail] = mean_1[0], var_1[0]
         terms = lam_r[n_multi:] * (var_1[0]
                                    + np.square(mean_1[0] - one.locations[0]))
@@ -495,47 +471,55 @@ def _component_grid(g: Gaussian, weight: float, budget: int,
     weights = weights / total
     locations = g.mean + centers[keep] @ transform.T
     cells = ComponentCells(
-        weight=weight, offset=g.mean, transform=transform, eigenvalues=lam,
-        grid_sizes=sizes,
-        lo=lo[keep], hi=hi[keep], centers=centers[keep],
+        weight=weight, eigenvalues=lam, grid_sizes=sizes,
         cell_mass=mass[keep], distortion=cond[keep],
-        prune_penalty=prune_penalty, pruned_mass=pruned_mass,
-        pinned_exact_zero=pinned_exact_zero)
+        prune_penalty=prune_penalty, pruned_mass=pruned_mass)
     return locations, weights, cells
 
 
 def signature_of_gaussian(g: Gaussian, budget: int, table: QuantizerTable):
     """Signature of a Gaussian on the optimal eigen-aligned grid.
 
-    The one-component :func:`signature_of_mixture`.  Returns
-    ``(atoms, w2sq_exact)``; ``w2sq_exact`` is the exact squared
-    2-Wasserstein distance between ``g`` and the atoms (not a bound): the
-    eigenvalue-weighted sum of the 1-D quantizer distortions plus the
-    variance of the pinned axes.  Zero covariance yields a single atom at
-    the mean with distance zero.
+    Returns ``(atoms, w2sq)``; the atoms are those of the one-component
+    :func:`signature_of_mixture`, and ``w2sq`` is the eigenvalue-weighted
+    sum of the 1-D quantizer distortions plus the variance of the pinned
+    axes.  When no cell is pruned, ``w2sq`` is the exact squared
+    2-Wasserstein distance between ``g`` and the atoms (not a bound): in
+    the eigen coordinates the squared metric is a sum over axes, so the
+    nearest point of the product grid is the per-axis nearest point, its
+    Voronoi cells are the products of the 1-D cells, and its Voronoi error
+    (attained by the atoms, which carry the cell masses) is the closed
+    form.  When cells fall below ``TOL.cell_mass_prune`` and their mass is
+    reassigned, ``w2sq`` is only a lower bound on W2^2 to the returned
+    atoms: any coupling costs at least the Voronoi error of the atoms'
+    locations, and those are a subset of the grid, whose Voronoi error is
+    no larger.  The certified bound is :func:`signature_of_mixture`'s,
+    which adds the pruned cells' penalty.  Zero covariance yields a single
+    atom at the mean with distance zero.
     """
     if not isinstance(g, Gaussian):
         raise ParseError("signature_of_gaussian expects a Gaussian")
-    atoms, _, (cc,) = signature_of_mixture(g, budget, table)
+    locations, weights, cc = _component_grid(g, 1.0, budget, table)
     lam = cc.eigenvalues
     r = len(cc.grid_sizes)
-    w2sq_exact = float(lam[r:].sum())
+    w2sq = float(lam[r:].sum())
     for lam_l, n_l in zip(lam[:r], cc.grid_sizes):
-        w2sq_exact += float(lam_l) * table.get(n_l).w2sq
-    return atoms, w2sq_exact
+        w2sq += float(lam_l) * table.get(n_l).w2sq
+    return DiscreteDistribution(locations, weights), w2sq
 
 
 def signature_of_mixture(g, budget_per_component: int, table: QuantizerTable):
-    """Union of per-component grid signatures with a W2 upper bound.
+    """Union of per-component grid signatures with a certified W2 upper bound.
 
-    Returns ``(atoms, w2_bound, cells)``.  Atom weights are the component
-    weights times the in-component cell masses, and ``cells`` holds one
-    :class:`ComponentCells` per component, aligned with the atom blocks in
-    component order.  The bound couples every component with its own
-    signature: ``w2_bound = sqrt(sum_i pi_i * w2sq_i)``.  Zero-weight
-    components contribute neither atoms nor bound mass.  The components
-    are decomposed together (:func:`~wassnet.stats._eigen_bases`), and
-    those decomposed before, for instance as ``mw2`` columns, are reused.
+    Returns ``(atoms, w2_bound)``.  Atom weights are the component weights
+    times the in-component cell masses, in component order.  The bound
+    couples every component with its own signature block (the
+    :class:`ComponentCells` of :func:`_component_grid`, pruned cells'
+    penalty included): ``w2_bound = sqrt(sum_i pi_i * w2sq_i)``.
+    Zero-weight components contribute neither atoms nor bound mass.  The
+    components are decomposed together (:func:`~wassnet.stats._eigen_bases`),
+    and those decomposed before, for instance as ``mw2`` columns, are
+    reused.
     """
     gm = as_mixture(g)
     live = [(pi, comp) for pi, comp in zip(gm.weights, gm.components)
@@ -550,79 +534,30 @@ def signature_of_mixture(g, budget_per_component: int, table: QuantizerTable):
         cells.append(cells_i)
     atoms = DiscreteDistribution(np.concatenate([b[0] for b in blocks]),
                                  np.concatenate([b[1] for b in blocks]))
-    cells = tuple(cells)
-    return atoms, _w2_bound(cells), cells
+    w2sq = np.dot([c.weight for c in cells], [c.w2sq_total for c in cells])
+    return atoms, float(math.sqrt(max(0.0, float(w2sq))))
 
 
 # ---------------------------------------------------------------------------
-# activation-aware refinement
+# activations
 # ---------------------------------------------------------------------------
 
 _ACTIVATIONS = ("relu", "tanh")
 
-# half-width of the standard-normal box holding all but negligible mass
-_ESSENTIAL_RADIUS = float(-ndtri(TOL.cell_mass_prune))
 
+def activation_signature_w2_bound(w2_bound: float, activation: str) -> float:
+    """W2 bound between the activation pushforwards of a mixture and of
+    its signature, given the signature's ``w2_bound``.
 
-def _refined_component_w2sq(cc: ComponentCells) -> float:
-    """Squared distortion with L=0 on cells essentially in the ReLU dead zone.
-
-    Clips every cell box to the essential standard-normal box of half-width
-    ``_ESSENTIAL_RADIUS``; a cell whose clipped image under the generating transform
-    lies in the nonpositive orthant (and whose atom is nonpositive) maps to
-    the ReLU constant region, so only its clipped-away tail distortion is
-    kept.  All other cells keep their full distortion.  The result never
-    exceeds the unrefined component distortion.
-    """
-    if not cc.pinned_exact_zero:
-        # positive variance off the grid axes: cell support is unbounded in
-        # those directions, so no cell can be certified dead
-        return cc.w2sq_total
-
-    lam_r = cc.eigenvalues[: cc.lo.shape[1]]
-    lo_c = np.maximum(cc.lo, -_ESSENTIAL_RADIUS)
-    hi_c = np.minimum(cc.hi, _ESSENTIAL_RADIUS)
-    valid = lo_c < hi_c
-    lo_c = np.where(valid, lo_c, 0.0)
-    hi_c = np.where(valid, hi_c, 0.0)
-    mass_c, mean_c, var_c = standard_truncated_moments(lo_c, hi_c)
-    mass_c = np.where(valid, mass_c, 0.0)
-    box_mass = np.prod(mass_c, axis=1)
-    inner = np.sum(lam_r * (var_c + np.square(mean_c - cc.centers)), axis=1)
-    clipped_abs = box_mass * inner  # E[||z-atom||^2 ; cell ∩ box]
-
-    a_neg = np.minimum(cc.transform, 0.0)
-    a_pos = np.maximum(cc.transform, 0.0)
-    upper = cc.offset + lo_c @ a_neg.T + hi_c @ a_pos.T  # (M, n)
-    atoms = cc.offset + cc.centers @ cc.transform.T
-    dead = (np.all(valid, axis=1)
-            & (np.max(upper, axis=1) <= 0.0)
-            & np.all(atoms <= 0.0, axis=1))
-
-    full_abs = cc.cell_mass * cc.distortion
-    tail_abs = np.maximum(full_abs - clipped_abs, 0.0)
-    per_cell = np.where(dead, tail_abs, full_abs) + cc.prune_penalty
-    return float(np.sum(per_cell))
-
-
-def activation_signature_w2_bound(cells, activation: str) -> float:
-    """Upper bound on W2 between activation pushforwards of a mixture and
-    its signature, given the signature's ``cells``.
-
-    With the global Lipschitz constant 1 (ReLU and tanh) the plain signature
-    bound applies.  For ReLU the bound is refined: cells certified to lie in
-    the dead zone (nonpositive orthant) contribute only their negligible-mass
-    tail.  The returned value never exceeds the unrefined bound.
+    An ``L``-Lipschitz map ``sigma`` sends every coupling of ``mu`` and
+    ``nu`` to a coupling of ``sigma#mu`` and ``sigma#nu`` whose cost is at
+    most ``L^2`` times as large, so ``W2(sigma#mu, sigma#nu) <= Lip(sigma)
+    * W2(mu, nu)`` (Villani, *Optimal Transport*, 2009).  ReLU and tanh
+    act elementwise and are 1-Lipschitz on each coordinate, so the
+    constant is 1 for both kinds and ``w2_bound`` is returned unchanged.
+    An unknown kind raises :class:`ParseError`.
     """
     if activation not in _ACTIVATIONS:
         raise ParseError(
             f"unknown activation {activation!r}; expected one of {_ACTIVATIONS}")
-    unrefined = _w2_bound(cells)
-    if activation == "tanh":
-        return unrefined
-
-    total = 0.0
-    for cc in cells:
-        total += cc.weight * _refined_component_w2sq(cc)
-    refined = math.sqrt(max(0.0, total))
-    return float(min(refined, unrefined))
+    return w2_bound

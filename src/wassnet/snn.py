@@ -459,14 +459,14 @@ def propagate(model: SnnModel, points, cfg: PropagationConfig):
     The first linear layer maps the deterministic input exactly.  Before any
     later stochastic linear, activation, or dropout layer acting on a
     mixture, the mixture is compressed (transport-bounded) and replaced by
-    its signature atoms (quantization-bounded, activation-aware); dropout
-    support growth beyond ``2^ceil(log2(compression_size))`` outcomes is
-    truncated with its closed-form bound.  All bounds compose through the
-    ledger recursion; both supported activations (and the identity) have
-    Lipschitz constant 1, which is what lets dropout- and compression-errors
-    share one ledger slot.  A stochastic linear layer pushes all atoms at
-    once; if their covariances would take more than ``TOL.cov_bytes_cap``
-    bytes, :class:`ParseError` is raised before they are allocated.
+    its signature atoms (quantization-bounded); dropout support growth
+    beyond ``2^ceil(log2(compression_size))`` outcomes is truncated with its
+    closed-form bound.  All bounds compose through the ledger recursion;
+    both supported activations (and the identity) have Lipschitz constant
+    1, which is what lets dropout- and compression-errors share one ledger
+    slot.  A stochastic linear layer pushes all atoms at once; if their
+    covariances would take more than ``TOL.cov_bytes_cap`` bytes,
+    :class:`ParseError` is raised before they are allocated.
     """
     if not isinstance(model, SnnModel):
         raise ParseError("propagate expects an SnnModel")
@@ -486,9 +486,10 @@ def propagate(model: SnnModel, points, cfg: PropagationConfig):
     records = []
     k = 0
 
-    def reduce_to_atoms(activation_kind=None):
-        """Compress the mixture and replace it by signature atoms."""
-        nonlocal mixture, atoms, pending_compression, pending_signature
+    def reduce_to_atoms():
+        """Compress the mixture, replace it by signature atoms and return
+        the signature's W2 bound."""
+        nonlocal mixture, atoms, pending_compression
         res = compress_gmm(mixture, cfg.compression_size,
                            _block_seed(cfg.seed, k))
         predicted = res.compressed.size * cfg.signature_budget
@@ -497,25 +498,22 @@ def propagate(model: SnnModel, points, cfg: PropagationConfig):
                 f"signature would hold up to {predicted} atoms, above the cap "
                 f"{TOL.atom_cap}; lower the signature budget or the "
                 "compression size")
-        atoms, plain_bound, cells = signature_of_mixture(
+        atoms, w2_bound = signature_of_mixture(
             res.compressed, cfg.signature_budget, cfg.table)
-        if activation_kind is None:
-            delta = plain_bound
-        else:
-            delta = activation_signature_w2_bound(cells, activation_kind)
         pending_compression += res.w2_bound
-        pending_signature += delta
         mixture = None
+        return w2_bound
 
     for layer in model.layers:
         if isinstance(layer, Activation):
             if mixture is not None:
-                reduce_to_atoms(layer.kind)
+                pending_signature += activation_signature_w2_bound(
+                    reduce_to_atoms(), layer.kind)
             blocks = atoms.locations  # elementwise, blocks need no reshaping
             atoms = DiscreteDistribution(layer.apply(blocks), atoms.weights)
         elif isinstance(layer, Dropout):
             if mixture is not None:
-                reduce_to_atoms()
+                pending_signature += reduce_to_atoms()
             n = atoms.dim // d
             mask_budget = 2 ** min(
                 n, max(0, int(math.ceil(math.log2(cfg.compression_size)))))
@@ -532,7 +530,7 @@ def propagate(model: SnnModel, points, cfg: PropagationConfig):
             spectral = expected_spectral_bound(layer, d)
             if isinstance(layer, StochasticLinear):
                 if mixture is not None:
-                    reduce_to_atoms()
+                    pending_signature += reduce_to_atoms()
                 width = d * layer.n_out
                 cov_bytes = 8 * atoms.size * width * width
                 if cov_bytes > TOL.cov_bytes_cap:

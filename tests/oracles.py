@@ -470,7 +470,6 @@ def component_grid_oracle(g, weight, budget, table):
     sizes = allocate_grid(lam, budget, table)
     r = len(sizes)
     pinned_sum = float(lam[r:].sum())
-    pinned_exact_zero = bool(np.all(lam[r:] == 0.0))
     lam_r = lam[:r]
     transform = basis.eigenvectors[:, :r] * np.sqrt(lam_r)
 
@@ -483,19 +482,15 @@ def component_grid_oracle(g, weight, budget, table):
     idx[:n_multi] = np.indices(sizes[:n_multi]).reshape(n_multi, m_cells)
     mass = np.ones(m_cells)
     centers = np.empty((m_cells, r))
-    lo = np.empty((m_cells, r))
-    hi = np.empty((m_cells, r))
     means = np.empty((m_cells, r))
     variances = np.empty((m_cells, r))
     cond = np.full(m_cells, pinned_sum)
     for l, n_l in enumerate(sizes):
         q = table.get(n_l)
-        lo_l, hi_l, mass_l, mean_l, var_l = q.cells
+        _, _, mass_l, mean_l, var_l = q.cells
         sel = idx[l]
         mass *= mass_l[sel]
         centers[:, l] = q.locations[sel]
-        lo[:, l] = lo_l[sel]
-        hi[:, l] = hi_l[sel]
         means[:, l] = mean_l[sel]
         variances[:, l] = var_l[sel]
         cond += lam_r[l] * (variances[:, l]
@@ -524,12 +519,9 @@ def component_grid_oracle(g, weight, budget, table):
     weights = weights / total
     locations = g.mean + centers[keep] @ transform.T
     cells = ComponentCells(
-        weight=weight, offset=g.mean, transform=transform, eigenvalues=lam,
-        grid_sizes=sizes,
-        lo=lo[keep], hi=hi[keep], centers=centers[keep],
+        weight=weight, eigenvalues=lam, grid_sizes=sizes,
         cell_mass=mass[keep], distortion=cond[keep],
-        prune_penalty=prune_penalty, pruned_mass=pruned_mass,
-        pinned_exact_zero=pinned_exact_zero)
+        prune_penalty=prune_penalty, pruned_mass=pruned_mass)
     return locations, weights, cells
 
 

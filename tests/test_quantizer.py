@@ -340,7 +340,8 @@ class TestSignatureOfGaussian:
         for dim in (1, 2, 3):
             g = random_full_gaussian(rng, dim)
             _, exact = signature_of_gaussian(g, 18, table)
-            _, bound, (cc,) = signature_of_mixture(g, 18, table)
+            _, bound = signature_of_mixture(g, 18, table)
+            _, _, cc = _component_grid(g, 1.0, 18, table)
             assert abs(cc.w2sq_total - exact) < 1e-9 * max(1.0, exact)
             assert abs(bound - math.sqrt(exact)) < 1e-9
 
@@ -363,28 +364,21 @@ class TestSignatureOfGaussian:
         g = Gaussian(rng.normal(size=3), cov)
         for budget in (1, 5, 12):
             atoms_g, w2sq = signature_of_gaussian(g, budget, table)
-            atoms_d, bound_d, (cg,) = signature_of_mixture(g, budget, table)
-            atoms_m, bound, (cm,) = signature_of_mixture(
+            atoms_d, bound_d = signature_of_mixture(g, budget, table)
+            atoms_m, bound = signature_of_mixture(
                 GaussianMixture(np.array([1.0]), (g,)), budget, table)
             for name in ("locations", "weights"):
                 assert (getattr(atoms_g, name).tobytes()
                         == getattr(atoms_m, name).tobytes()
                         == getattr(atoms_d, name).tobytes())
-            for name in ("offset", "transform", "eigenvalues", "lo", "hi",
-                         "centers", "cell_mass", "distortion",
-                         "prune_penalty"):
-                assert getattr(cg, name).tobytes() == getattr(cm, name).tobytes()
-            assert cg.weight == cm.weight == 1.0
-            assert cg.grid_sizes == cm.grid_sizes
-            assert cg.pruned_mass == cm.pruned_mass
-            assert cg.pinned_exact_zero == cm.pinned_exact_zero
             assert bound_d == bound
             # closed form: eigenvalue-weighted 1-D distortions plus the
             # pinned-axis variance
-            r = len(cg.grid_sizes)
-            lam = cg.eigenvalues
+            _, _, cc = _component_grid(g, 1.0, budget, table)
+            r = len(cc.grid_sizes)
+            lam = cc.eigenvalues
             exact = float(lam[r:].sum())
-            for lam_l, n_l in zip(lam[:r], cg.grid_sizes):
+            for lam_l, n_l in zip(lam[:r], cc.grid_sizes):
                 exact += float(lam_l) * table.get(n_l).w2sq
             assert w2sq == exact
 
@@ -407,8 +401,9 @@ class TestSignatureOfGaussian:
         # far-out 3-point cells drive the outer cell masses below the
         # pruning floor
         fake = self._far_table(17.0)
-        atoms, _, (cc,) = signature_of_mixture(
-            Gaussian(np.zeros(1), np.ones(1)), 3, fake)
+        g = Gaussian(np.zeros(1), np.ones(1))
+        atoms, _ = signature_of_mixture(g, 3, fake)
+        _, _, cc = _component_grid(g, 1.0, 3, fake)
         assert cc.grid_sizes == (3,)
         assert atoms.size == 1
         assert atoms.locations[0, 0] == 0.0
@@ -426,21 +421,26 @@ class TestSignatureOfGaussian:
         fake = self._far_table(10.0, (real.get(n).locations
                                       for n in range(4, 10)))
         g = Gaussian(np.array([1.0, -1.0]), np.array([4.0, 1.0]))
-        sig, _, (cc,) = signature_of_mixture(g, 9, fake)
+        sig, _ = signature_of_mixture(g, 9, fake)
+        _, _, cc = _component_grid(g, 1.0, 9, fake)
         assert cc.grid_sizes == (3, 3) and sig.size < 9
         lam = cc.eigenvalues
         q = fake.get(3)
         lo, hi, mass, _, _ = _centroid_map(q.locations)
+        cells = list(itertools.product(range(3), repeat=2))
+        kept = np.array([q.locations[[i, j]] for i, j in cells
+                         if mass[i] * mass[j] >= 1e-12])
+        assert len(kept) == sig.size
         penalty = np.zeros(sig.size)
         pruned = 0.0
-        for i, j in itertools.product(range(3), repeat=2):
+        for i, j in cells:
             cell_mass = mass[i] * mass[j]
             if cell_mass >= 1e-12:
                 continue
             c = q.locations[[i, j]]
-            k = int(np.argmin(np.sum(lam * np.square(cc.centers - c), axis=1)))
+            k = int(np.argmin(np.sum(lam * np.square(kept - c), axis=1)))
             _, mean, var = standard_truncated_moments(lo[[i, j]], hi[[i, j]])
-            pen = float(np.sum(lam * (var + np.square(mean - cc.centers[k]))))
+            pen = float(np.sum(lam * (var + np.square(mean - kept[k]))))
             penalty[k] += cell_mass * pen
             pruned += float(cell_mass)
         assert pruned > 0.0
@@ -507,7 +507,7 @@ class TestSignatureOfMixture:
         g = random_full_gaussian(np.random.default_rng(3), 2)
         gm = GaussianMixture(np.array([1.0]), (g,))
         sig_g, w2sq = signature_of_gaussian(g, 9, table)
-        sig_m, bound, _ = signature_of_mixture(gm, 9, table)
+        sig_m, bound = signature_of_mixture(gm, 9, table)
         np.testing.assert_allclose(sig_m.locations, sig_g.locations)
         np.testing.assert_allclose(sig_m.weights, sig_g.weights)
         assert abs(bound - math.sqrt(w2sq)) < 1e-9
@@ -517,7 +517,7 @@ class TestSignatureOfMixture:
             np.array([0.5, 0.5]),
             (Gaussian(np.array([-5.0]), np.array([1.0])),
              Gaussian(np.array([5.0]), np.array([1.0]))))
-        sig, bound, cells = signature_of_mixture(gm, 2, table)
+        sig, bound = signature_of_mixture(gm, 2, table)
         assert sig.size == 4
         expected = sorted([-5.0 - N2_LOC, -5.0 + N2_LOC,
                            5.0 - N2_LOC, 5.0 + N2_LOC])
@@ -527,6 +527,7 @@ class TestSignatureOfMixture:
         assert abs(bound * bound - N2_W2SQ) < 1e-12
         # one cell block per component, carrying its mixture weight; the
         # bound is derived from the blocks
+        cells = [_component_grid(c, 0.5, 2, table)[2] for c in gm.components]
         assert [c.weight for c in cells] == [0.5, 0.5]
         assert [c.size for c in cells] == [2, 2]
         assert bound == math.sqrt(0.5 * cells[0].w2sq_total
@@ -537,10 +538,13 @@ class TestSignatureOfMixture:
             np.array([1.0, 0.0]),
             (Gaussian(np.array([0.0]), np.array([1.0])),
              Gaussian(np.array([99.0]), np.array([1.0]))))
-        sig, bound, cells = signature_of_mixture(gm, 2, table)
-        assert sig.size == 2 and len(cells) == 1 and cells[0].weight == 1.0
+        sig, bound = signature_of_mixture(gm, 2, table)
+        assert sig.size == 2
         assert np.max(np.abs(sig.locations)) < 5.0
         assert abs(bound * bound - N2_W2SQ) < 1e-12
+        # the bound is the live component's block alone
+        _, _, cc = _component_grid(gm.components[0], 1.0, 2, table)
+        assert bound == math.sqrt(cc.w2sq_total)
 
     def test_bound_dominates_empirical_ot(self, table):
         rng = np.random.default_rng(17)
@@ -548,7 +552,7 @@ class TestSignatureOfMixture:
             np.array([0.5, 0.5]),
             (Gaussian(np.array([-5.0]), np.array([1.0])),
              Gaussian(np.array([5.0]), np.array([1.0]))))
-        sig, bound, _ = signature_of_mixture(gm, 2, table)
+        sig, bound = signature_of_mixture(gm, 2, table)
         w2 = np.array([semidiscrete_w2_lp(sample_stratified(gm, 1000, rng),
                                           sig.locations, sig.weights)
                        for _ in range(5)])
@@ -556,18 +560,19 @@ class TestSignatureOfMixture:
         assert bound >= w2.mean() - 3.0 * se
 
     def _conditional_mc_check(self, gm, budget, table, rng, n_samples=200_000):
-        sig, _, (cc,) = signature_of_mixture(gm, budget, table)
+        sig, _ = signature_of_mixture(gm, budget, table)
         comp = gm.components[0]
+        _, _, cc = _component_grid(comp, 1.0, budget, table)
         x = comp.sample(n_samples, rng)
-        r = cc.transform.shape[1]
+        sizes = cc.grid_sizes
+        r = len(sizes)
         basis = comp.eigen()
         whitened = (x - comp.mean) @ basis.eigenvectors[:, :r]
         whitened = whitened / np.sqrt(basis.eigenvalues[:r])
         # per-axis Voronoi index -> flat C-order cell id
-        sizes = cc.grid_sizes
         flat = np.zeros(x.shape[0], dtype=int)
         for l, n_l in enumerate(sizes):
-            edges = np.unique(cc.lo[:, l])[1:]  # drop -inf, keep boundaries
+            edges = table.get(n_l).cells[0][1:]  # drop -inf, keep boundaries
             flat = flat * n_l + np.searchsorted(edges, whitened[:, l])
         atoms = sig.locations
         d2 = np.sum(np.square(x - atoms[flat]), axis=1)
@@ -629,8 +634,10 @@ class TestSignatureContainer:
             np.array([0.3, 0.7]),
             (Gaussian(np.zeros(1), np.ones(1)),
              Gaussian(np.array([4.0]), np.array([2.0]))))
-        atoms, bound, cells = signature_of_mixture(gm, 3, table)
+        atoms, bound = signature_of_mixture(gm, 3, table)
         assert isinstance(atoms, DiscreteDistribution)
+        cells = [_component_grid(c, pi, 3, table)[2]
+                 for pi, c in zip(gm.weights, gm.components)]
         assert sum(c.size for c in cells) == atoms.size
         start = 0
         for pi, c in zip(gm.weights, cells):
@@ -641,58 +648,20 @@ class TestSignatureContainer:
         # the bound is derived from the cell blocks
         assert bound == math.sqrt(float(np.dot(
             [c.weight for c in cells], [c.w2sq_total for c in cells])))
-        _, one_bound, (cc,) = signature_of_mixture(gm.components[0], 2, table)
+        _, one_bound = signature_of_mixture(gm.components[0], 2, table)
+        _, _, cc = _component_grid(gm.components[0], 1.0, 2, table)
         assert one_bound == math.sqrt(cc.w2sq_total)
 
 
-class TestActivationRefinement:
-    def _mix(self, mean, var):
-        return GaussianMixture(
-            np.array([1.0]), (Gaussian(np.atleast_1d(np.asarray(mean, float)),
-                                       np.atleast_1d(np.asarray(var, float))),))
-
-    def test_tanh_equals_unrefined(self, table):
-        gm = self._mix([-10.0], [0.01])
-        _, bound, cells = signature_of_mixture(gm, 2, table)
-        assert activation_signature_w2_bound(cells, "tanh") == bound
-
-    def test_relu_dead_zone_vanishes(self, table):
-        gm = self._mix([-10.0], [0.01])
-        _, bound, cells = signature_of_mixture(gm, 2, table)
-        refined = activation_signature_w2_bound(cells, "relu")
-        assert 0.0 <= refined < 1e-4
-        assert refined < bound
-
-    def test_relu_active_zone_keeps_bound(self, table):
-        gm = self._mix([10.0], [0.01])
-        _, bound, cells = signature_of_mixture(gm, 2, table)
-        assert activation_signature_w2_bound(cells, "relu") == bound
-
-    def test_refined_never_exceeds_unrefined(self, table):
-        rng = np.random.default_rng(37)
-        for _ in range(10):
-            gm = GaussianMixture(
-                np.array([0.5, 0.5]),
-                (random_full_gaussian(rng, 2), random_full_gaussian(rng, 2)))
-            _, bound, cells = signature_of_mixture(gm, 8, table)
-            refined = activation_signature_w2_bound(cells, "relu")
-            assert refined <= bound + 1e-15
-
-    def test_mixed_components_refine_partially(self, table):
-        gm = GaussianMixture(
-            np.array([0.5, 0.5]),
-            (Gaussian(np.array([-20.0, -20.0]), 0.01 * np.eye(2)),
-             Gaussian(np.array([3.0, 3.0]), np.eye(2))))
-        _, bound, cells = signature_of_mixture(gm, 4, table)
-        refined = activation_signature_w2_bound(cells, "relu")
-        # the negative component's mass drops out; the active one remains
-        active_part = math.sqrt(0.5 * cells[1].w2sq_total)
-        assert refined < bound
-        assert abs(refined - active_part) < 1e-6
-
-    def test_unknown_activation_rejected(self, table):
-        gm = self._mix([0.0], [1.0])
-        _, _, cells = signature_of_mixture(gm, 2, table)
-        with pytest.raises(ParseError):
-            activation_signature_w2_bound(cells, "gelu")
-
+class TestActivationSignatureW2Bound:
+    @pytest.mark.parametrize("kind", ["relu", "tanh", "gelu"])
+    def test_passes_the_signature_bound_through(self, table, kind):
+        # both supported kinds are 1-Lipschitz; an unknown kind is rejected
+        gm = GaussianMixture(np.array([1.0]),
+                             (Gaussian(np.array([-10.0]), np.array([0.01])),))
+        _, bound = signature_of_mixture(gm, 2, table)
+        if kind == "gelu":
+            with pytest.raises(ParseError):
+                activation_signature_w2_bound(bound, kind)
+        else:
+            assert activation_signature_w2_bound(bound, kind) == bound
