@@ -665,3 +665,23 @@ class TestActivationSignatureW2Bound:
                 activation_signature_w2_bound(bound, kind)
         else:
             assert activation_signature_w2_bound(bound, kind) == bound
+
+
+class TestActivationRefinement:
+    """The ledger's ReLU step charges no more than the signature bound."""
+
+    def test_relu_active_zone_keeps_bound(self, table):
+        gm = GaussianMixture(np.array([1.0]),
+                             (Gaussian(np.array([10.0]), np.array([0.01])),))
+        _, bound = signature_of_mixture(gm, 2, table)
+        assert activation_signature_w2_bound(bound, "relu") == bound
+
+    def test_refined_never_exceeds_unrefined(self, table):
+        rng = np.random.default_rng(37)
+        for _ in range(10):
+            gm = GaussianMixture(
+                np.array([0.5, 0.5]),
+                (random_full_gaussian(rng, 2), random_full_gaussian(rng, 2)))
+            _, bound = signature_of_mixture(gm, 8, table)
+            refined = activation_signature_w2_bound(bound, "relu")
+            assert refined <= bound + 1e-15
