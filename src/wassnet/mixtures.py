@@ -144,7 +144,11 @@ def compress_gmm(g, m: int, seed: int) -> CompressionResult:
     The cluster map is handed to :func:`mw2` as a candidate plan: moment
     matching gives each cluster its members' mass, so the plan is feasible
     to rounding, and it is taken without an LP whenever dual potentials
-    certify it optimal.
+    certify it optimal.  The input mixture is the row side of ``mw2``, so
+    none of its components is decomposed; the compressed components are
+    the columns, and ``mw2`` decomposes those with an arc to price, where
+    the signature step finds them decomposed (``Gaussian.eigen``).  A
+    singleton cluster keeps its component object, which is a column too.
     """
     g = as_mixture(g)
     if not (isinstance(m, (int, np.integer)) and m >= 1):

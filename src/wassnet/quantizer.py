@@ -13,6 +13,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -238,6 +239,17 @@ class QuantizerTable:
                 f"quantizer size {n} outside table range 1..{self.n_max}")
         return self.entries[n - 1]
 
+    @functools.cached_property
+    def _w2sq(self) -> np.ndarray:
+        """Read-only ``w2sq`` of every entry, in size order."""
+        return _readonly([q.w2sq for q in self.entries])
+
+    @functools.cached_property
+    def _grids(self) -> dict:
+        """The :func:`_grid_template` of each grid built from this table,
+        by its multi-point sizes."""
+        return {}
+
     def to_dict(self) -> dict:
         return {
             "version": 1,
@@ -333,6 +345,7 @@ def allocate_grid(eigenvalues, budget: int, table: QuantizerTable) -> tuple:
     summing each objective left to right over the axes, and breaks
     objective ties toward the lexicographically largest tuple, i.e. more
     points on the larger-eigenvalue axes.
+    The table keeps the ``w2sq`` vector it reads.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.ndim != 1 or lam.size == 0:
@@ -356,7 +369,7 @@ def allocate_grid(eigenvalues, budget: int, table: QuantizerTable) -> tuple:
                             min(r, int(budget).bit_length() - 1))
     sizes = np.ones((len(tuples), r), dtype=int)
     sizes[:, :tuples.shape[1]] = tuples
-    w2 = np.array([q.w2sq for q in table.entries[:budget]])
+    w2 = table._w2sq[:budget]
     objective = np.cumsum(lam_active * w2[sizes - 1], axis=1)[:, -1]
     return tuple(int(n) for n in sizes[int(np.argmin(objective))])
 
@@ -402,29 +415,34 @@ class ComponentCells:
                      + np.sum(self.prune_penalty))
 
 
-def _component_grid(g: Gaussian, weight: float, budget: int,
-                    table: QuantizerTable):
-    """Grid signature of a single Gaussian of mixture weight ``weight``:
-    ``(locations, weights, cells)``."""
-    basis = g.eigen()
-    lam = basis.eigenvalues
-    sizes = allocate_grid(lam, budget, table)
-    r = len(sizes)
-    pinned_sum = float(lam[r:].sum())
-    lam_r = lam[:r]
-    transform = basis.eigenvectors[:, :r] * np.sqrt(lam_r)
+class _GridTemplate(NamedTuple):
+    """What a component's grid takes from the table and its grid sizes
+    alone; arrays are read-only, one row per cell and one column per
+    multi-point axis."""
 
-    # sizes are nonincreasing, so the multi-point axes form a prefix; the
-    # single-point tail is one cell per axis, filled in one step
-    n_multi = sum(n_l > 1 for n_l in sizes)
-    m_cells = math.prod(sizes)
-    idx = np.indices(sizes[:n_multi]).reshape(n_multi, m_cells)
+    mass: np.ndarray          # (M,) standard-normal product mass
+    centers: np.ndarray       # (M, a) cell locations
+    means: np.ndarray         # (M, a) cell means
+    variances: np.ndarray     # (M, a) cell variances
+    distortion: np.ndarray    # (M, a) var + (mean - centre)^2 per axis
+    keep: np.ndarray          # (M,) mass at or above the pruning floor
+    kept_centers: np.ndarray  # centers[keep]
+
+
+def _grid_template(table: QuantizerTable, sizes: tuple) -> _GridTemplate:
+    """The :class:`_GridTemplate` of the product grid of the multi-point
+    ``sizes``, built once per table and kept on it (``table._grids``), so
+    that it is freed with the table."""
+    template = table._grids.get(sizes)
+    if template is not None:
+        return template
+    n_multi, m_cells = len(sizes), math.prod(sizes)
+    idx = np.indices(sizes).reshape(n_multi, m_cells)
     mass = np.ones(m_cells)
-    centers = np.empty((m_cells, r))
-    means = np.empty((m_cells, r))
-    variances = np.empty((m_cells, r))
-    cond = np.full(m_cells, pinned_sum)
-    for l, n_l in enumerate(sizes[:n_multi]):
+    centers = np.empty((m_cells, n_multi))
+    means = np.empty((m_cells, n_multi))
+    variances = np.empty((m_cells, n_multi))
+    for l, n_l in enumerate(sizes):
         q = table.get(n_l)
         _, _, mass_l, mean_l, var_l = q.cells
         sel = idx[l]
@@ -432,30 +450,66 @@ def _component_grid(g: Gaussian, weight: float, budget: int,
         centers[:, l] = q.locations[sel]
         means[:, l] = mean_l[sel]
         variances[:, l] = var_l[sel]
-        cond += lam_r[l] * (variances[:, l]
-                            + np.square(means[:, l] - centers[:, l]))
-    if n_multi < r:
-        # the one cell of N(0,1) has mass exactly 1, so mass is unchanged;
-        # the tail's terms still join cond one axis at a time, left to right
-        one = table.get(1)
-        _, _, _, mean_1, var_1 = one.cells
-        tail = np.s_[:, n_multi:]
-        centers[tail] = one.locations[0]
-        means[tail], variances[tail] = mean_1[0], var_1[0]
-        terms = lam_r[n_multi:] * (var_1[0]
-                                   + np.square(mean_1[0] - one.locations[0]))
-        cond = np.cumsum(np.column_stack(
-            (cond, np.broadcast_to(terms, (m_cells, r - n_multi)))),
-            axis=1)[:, -1]
-
     keep = mass >= TOL.cell_mass_prune
+    keep.setflags(write=False)
+    template = _GridTemplate(
+        *(_readonly(a) for a in (mass, centers, means, variances,
+                                 variances + np.square(means - centers))),
+        keep, _readonly(centers[keep]))
+    table._grids[sizes] = template
+    return template
+
+
+def _with_tail(prefix: np.ndarray, value: float, r: int) -> np.ndarray:
+    """``prefix`` (one column per multi-point axis) padded with ``value``
+    to ``r`` columns, C-ordered."""
+    out = np.empty((prefix.shape[0], r))
+    out[:, :prefix.shape[1]] = prefix
+    out[:, prefix.shape[1]:] = value
+    return out
+
+
+def _component_grid(g: Gaussian, weight: float, budget: int,
+                    table: QuantizerTable):
+    """Grid signature of a single Gaussian of mixture weight ``weight``:
+    ``(locations, weights, cells)``.
+
+    Sizes are nonincreasing, so the multi-point axes form a prefix, whose
+    cells come from the table's :func:`_grid_template`; each single-point
+    axis has the one cell of N(0,1), of mass exactly 1.  The conditional
+    distortion of a cell sums the pinned variance and the eigenvalue-
+    weighted per-axis terms left to right.
+    """
+    basis = g.eigen()
+    lam = basis.eigenvalues
+    sizes = allocate_grid(lam, budget, table)
+    r = len(sizes)
+    pinned_sum = float(lam[r:].sum())
+    lam_r = lam[:r]
+    transform = basis.eigenvectors[:, :r] * np.sqrt(lam_r)
+    n_multi = sum(n_l > 1 for n_l in sizes)
+    t = _grid_template(table, sizes[:n_multi])
+    mass, keep = t.mass, t.keep
+    one = table.get(1)
+    _, _, _, mean_1, var_1 = one.cells
+    center_1 = one.locations[0]
+    terms = np.empty((mass.size, r + 1))
+    terms[:, 0] = pinned_sum
+    terms[:, 1:n_multi + 1] = lam_r[:n_multi] * t.distortion
+    terms[:, n_multi + 1:] = lam_r[n_multi:] * (
+        var_1[0] + np.square(mean_1[0] - center_1))
+    cond = np.cumsum(terms, axis=1)[:, -1]
+
     if not np.any(keep):
         raise NumericalError("all signature cells fell below the mass floor")
     weights = mass[keep].copy()
     prune_penalty = np.zeros(weights.size)
     pruned_mass = 0.0
+    kept_centers = _with_tail(t.kept_centers, center_1, r)
     if not np.all(keep):
-        kept_centers = centers[keep]
+        centers = _with_tail(t.centers, center_1, r)
+        means = _with_tail(t.means, mean_1[0], r)
+        variances = _with_tail(t.variances, var_1[0], r)
         for c_idx in np.flatnonzero(~keep):
             d2 = np.sum(lam_r * np.square(kept_centers - centers[c_idx]),
                         axis=1)
@@ -469,7 +523,7 @@ def _component_grid(g: Gaussian, weight: float, budget: int,
 
     total = float(weights.sum())
     weights = weights / total
-    locations = g.mean + centers[keep] @ transform.T
+    locations = g.mean + kept_centers @ transform.T
     cells = ComponentCells(
         weight=weight, eigenvalues=lam, grid_sizes=sizes,
         cell_mass=mass[keep], distortion=cond[keep],

@@ -11,6 +11,7 @@ cross-checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -85,6 +86,13 @@ class StochasticLinear:
     def scale(self) -> float:
         return 1.0 / math.sqrt(self.n_in) if self.ntk_scaling else 1.0
 
+    @functools.cached_property
+    def _norms(self) -> tuple:
+        """``(sqrt(sum of weight variances), ||weight_mean||_2)``, which
+        :func:`expected_spectral_bound` reads; kept on the layer."""
+        return (math.sqrt(float(np.sum(self.weight_var))),
+                float(np.linalg.norm(self.weight_mean, 2)))
+
 
 @dataclass(frozen=True)
 class DeterministicLinear:
@@ -110,6 +118,12 @@ class DeterministicLinear:
     @property
     def n_out(self) -> int:
         return self.weight.shape[0]
+
+    @functools.cached_property
+    def _spectral_norm(self) -> float:
+        """``||weight||_2``, which :func:`expected_spectral_bound` reads;
+        kept on the layer."""
+        return float(np.linalg.norm(self.weight, 2))
 
 
 @dataclass(frozen=True)
@@ -356,17 +370,17 @@ def expected_spectral_bound(layer, d: int) -> float:
     The root expected squared spectral norm is bounded by the Frobenius norm
     of the standard deviations plus the spectral norm of the mean (a
     translation argument); the ``sqrt(D)`` factor extends the bound to a
-    weight matrix shared across a stacked input set of size ``D``.
+    weight matrix shared across a stacked input set of size ``D``.  The
+    norms are computed once per layer object and kept on it.
     """
     if d < 1:
         raise ParseError("input-set size must be positive")
     if isinstance(layer, DeterministicLinear):
-        return math.sqrt(d) * float(np.linalg.norm(layer.weight, 2))
+        return math.sqrt(d) * layer._spectral_norm
     if not isinstance(layer, StochasticLinear):
         raise ParseError("spectral bounds apply to linear layers")
     s = layer.scale
-    frob = math.sqrt(float(np.sum(layer.weight_var)))
-    spec = float(np.linalg.norm(layer.weight_mean, 2))
+    frob, spec = layer._norms
     return math.sqrt(d) * (s * frob + s * spec)
 
 

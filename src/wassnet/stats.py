@@ -5,8 +5,11 @@ three to a mixture, moments of the standard normal truncated to intervals,
 symmetric eigendecomposition with negative-eigenvalue clipping, the
 closed-form 2-Wasserstein distance between Gaussians, and mixture second
 moments.  Covariances are decomposed into eigenvectors once each, for their
-roots and spectra; the fidelity term of a Gaussian W2 needs only the
-eigenvalues of a product, so it computes no eigenvectors.
+roots and spectra, and a sparsity pattern is split into its blocks once.
+A Gaussian W2 takes the root of one side only, the column side of a cost
+matrix (its fidelity term is symmetric in the pair), and the eigenvalues
+of a product, for which it computes no eigenvectors; its cheap lower
+bound reads only the diagonals of the two covariances.
 
 All values are immutable after construction and safe to share across threads.
 A Gaussian stores its covariance as a matrix; a 1-d variance vector is
@@ -17,6 +20,7 @@ produces them routinely, e.g. for duplicated input points.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -404,15 +408,29 @@ def standard_truncated_moments(lo, hi):
 def _symmetric_blocks(a: np.ndarray):
     """Connected components of the sparsity pattern, grouped by size.
 
-    Returns ``(k, s)`` index arrays, one per block size ``s``, each row one
-    block's indices in increasing order.  Exact zeros produced by mean-field
-    propagation make large covariances block-diagonal, which turns one
-    O(n^3) eigendecomposition into many small ones.
+    Returns a tuple of ``(k, s)`` index arrays, one per block size ``s``,
+    each row one block's indices in increasing order.  Exact zeros
+    produced by mean-field propagation make large covariances
+    block-diagonal, which turns one O(n^3) eigendecomposition into many
+    small ones.  A pattern with a zero
+    is split once and then looked up (:func:`_pattern_blocks`); the
+    returned arrays are read-only and shared between calls.
     """
-    n = a.shape[0]
     link = a != 0.0
     if np.all(link):
-        return [np.arange(n)[None, :]]
+        return (np.arange(a.shape[0])[None, :],)
+    return _pattern_blocks(a.shape[0], np.packbits(link).tobytes())
+
+
+# 32 patterns: a key holds n^2 bits, so the cache holds at most half the
+# bytes of one n x n covariance per dimension n.  A benchmark op meets a
+# handful of patterns, since the pushed components of a layer share one.
+@functools.lru_cache(maxsize=32)
+def _pattern_blocks(n: int, packed: bytes):
+    """The blocks of :func:`_symmetric_blocks` for the ``n x n`` pattern
+    whose bits ``np.packbits`` packed into ``packed``."""
+    link = np.unpackbits(np.frombuffer(packed, dtype=np.uint8),
+                         count=n * n).reshape(n, n).view(bool)
     # min-label propagation over the edges plus self-loops, with pointer
     # jumping; each node ends labelled by the lowest index in its block
     rows, cols = np.nonzero(link | np.eye(n, dtype=bool))
@@ -428,8 +446,11 @@ def _symmetric_blocks(a: np.ndarray):
     _, labels = np.unique(lab, return_inverse=True)
     order = np.argsort(labels, kind="stable")  # blocks contiguous, in order
     block_size = np.bincount(labels)[labels[order]]
-    return [order[block_size == s].reshape(-1, s)
-            for s in np.unique(block_size)]
+    blocks = tuple(order[block_size == s].reshape(-1, s)
+                   for s in np.unique(block_size))
+    for idx in blocks:
+        idx.setflags(write=False)
+    return blocks
 
 
 def _pattern_groups(mats):
@@ -577,7 +598,8 @@ def _root_of(basis: EigenBasis) -> np.ndarray:
 # the largest matrices of the deep benchmark (D n <= 64), whose largest
 # round on seeds 1-3 prices 65 pairs; the 640^2 products of the 1-64-64-1
 # D10 ladder row (3.3 MB each) are priced one at a time.  Building and
-# decomposing a stack keeps about four stacks' worth alive.
+# decomposing a stack keeps about three stacks' worth alive: the gathered
+# row covariances and column roots, and one product buffer.
 _PRICE_STACK_BYTES = TOL.cov_bytes_cap // 64
 
 
@@ -586,33 +608,39 @@ class GaussianW2Costs:
     computed exactly only where asked.
 
     Entry ``(i, j)`` of ``values`` is ``W2^2(p_i, q_j) = |m_i - m_j|^2
-    + tr(S_i + S_j - 2 (S_i^1/2 S_j S_i^1/2)^1/2)`` where ``exact[i, j]``
+    + tr(S_i + S_j - 2 (S_j^1/2 S_i S_j^1/2)^1/2)`` where ``exact[i, j]``
     is set, and a lower bound on it elsewhere.  Construction makes the
     free entries exact: identical pairs (equal means and equal
     covariances) are exactly 0.  Every other entry starts at
-    ``|m_i - m_j|^2``, which :meth:`tighten` raises to the spectral bound
+    ``|m_i - m_j|^2``, which :meth:`tighten` raises to the marginal bound
     and :meth:`price` replaces by the exact cost.
 
-    Each component is decomposed once and keeps its decomposition
-    (``Gaussian.eigen``).  :meth:`tighten` decomposes all row and column
-    components it finds undecomposed in one stacked call
-    (:func:`_eigen_bases`), which splits each sparsity pattern into its
-    blocks once, not once per component; a diagonal covariance splits into
-    1x1 blocks.  A row's decomposition yields both its spectrum and its
-    root ``S_i^1/2``, equal to :func:`psd_sqrt` of its covariance.
-    :meth:`price` computes the exact entries of a round together: the
-    products ``S_i^1/2 S_j S_i^1/2`` of all requested pairs are built and
-    symmetrised as one stack, bounded in bytes, and handed to one
-    :func:`_psd_root_traces` call, which computes only their eigenvalues
-    (one ``eigvalsh`` per block size of each sparsity pattern); the
-    fidelity term is ``sum_k sqrt(max(lambda_k, 0))``, the trace of the
-    clipped root.  Pricing decomposes no product into eigenvectors: only
-    the row components' decompositions, which give their roots, carry
-    eigenvectors.  The value of an entry does not depend on which
-    other entries are priced with it.  Degenerate covariances are fine; a
-    product with an eigenvalue below ``-eig_clip_rtol * max|lambda|`` (a
-    covariance that is not PSD within tolerance) raises
-    :class:`NumericalError`.
+    Only column components are decomposed, and only those with an entry
+    to price: the fidelity term is symmetric in the pair (see
+    :meth:`price`), so it is taken from the column side.  In
+    ``compress_gmm`` the columns are the few compressed components, whose
+    decompositions the signature step needs anyway, and the rows the many
+    pushed ones, which pricing never decomposes.  The columns go through
+    one stacked :func:`_eigen_bases` call, which splits each sparsity
+    pattern into its blocks once and caches each decomposition on its
+    Gaussian (``Gaussian.eigen``); a column's root ``S_j^1/2`` equals
+    :func:`psd_sqrt` of its covariance.  :meth:`tighten` reads only
+    diagonals.  :meth:`price` computes the exact entries of a round
+    together: the products ``S_j^1/2 S_i S_j^1/2`` of all requested
+    pairs are built and symmetrised as one stack, bounded in bytes, and
+    handed to one :func:`_psd_root_traces` call, which computes only
+    their eigenvalues (one ``eigvalsh`` per block size of each sparsity
+    pattern); the fidelity term is ``sum_k sqrt(max(lambda_k, 0))``, the
+    trace of the clipped root.  The value of an entry does not depend on
+    which other entries are priced with it.  Degenerate covariances are
+    fine.  A column that is not PSD within tolerance raises
+    :class:`NumericalError` when it is decomposed, and so does a product
+    with an eigenvalue below ``-eig_clip_rtol * max|lambda|``.  A row
+    covariance is checked only through its products: by Sylvester's law
+    of inertia a product with a nonsingular column root has as many
+    negative eigenvalues as the row, while a singular column root can
+    hide them, so callers holding outside input check it themselves (the
+    CLI decomposes every mixture it loads).
     """
 
     def __init__(self, ps, qs):
@@ -630,31 +658,32 @@ class GaussianW2Costs:
             same[i, j] = np.array_equal(ps[i].cov, qs[j].cov)
         self.values[same] = 0.0
         self.exact = same
-        self._q_cov = self._q_tr = self._p_tr = None
+        self._p_tr = np.array([g.cov_trace() for g in ps])
+        self._q_tr = np.array([g.cov_trace() for g in qs])
+        self._roots = {}
 
     def tighten(self) -> None:
-        """Raise every entry that is not exact to the spectral lower bound.
+        """Raise every entry that is not exact to the marginal lower bound.
 
-        ``L_ij = |m_i - m_j|^2 + sum_k (sqrt(a_k) - sqrt(b_k))^2``, where
-        ``a`` and ``b`` are the eigenvalues of ``S_i`` and ``S_j`` in
-        nonincreasing order.  Proof that ``L_ij <= W2^2(p_i, q_j)``: with
-        ``X = S_j^1/2 S_i^1/2`` the inner matrix is ``S_i^1/2 S_j S_i^1/2
-        = X^T X``, so the fidelity ``tr((X^T X)^1/2)`` is the nuclear norm
-        ``sum_k sigma_k(X)``.  The singular values of a product are weakly
-        majorized by the products of the factors' singular values (Bhatia,
-        *Matrix Analysis*, IV.2.5), so ``sum_k sigma_k(X) <= sum_k
-        sigma_k(S_j^1/2) sigma_k(S_i^1/2) = sum_k sqrt(a_k b_k)``.  With
-        ``tr S_i = sum_k a_k`` and ``tr S_j = sum_k b_k`` the closed form
-        is therefore at least ``|m_i - m_j|^2 + sum_k (a_k + b_k
-        - 2 sqrt(a_k b_k))``, which is ``L_ij``.  Equality holds when the
-        two covariances share an eigenbasis that lists both spectra in
-        the same order, for instance two diagonal covariances whose
-        entries are sorted alike.  The row spectra come from the same
-        decompositions as the roots that :meth:`price` uses.
+        ``L_ij = |m_i - m_j|^2 + sum_k (sqrt(S_i,kk) - sqrt(S_j,kk))^2``,
+        from the diagonals alone: no covariance is decomposed.  Proof that
+        ``L_ij <= W2^2(p_i, q_j)``: a coupling of ``X ~ p_i`` and ``Y ~
+        q_j`` couples each coordinate pair ``(X_k, Y_k)``, whose laws are
+        ``N(m_i,k, S_i,kk)`` and ``N(m_j,k, S_j,kk)``, and the squared
+        cost splits over coordinates, so ``E|X - Y|^2 = sum_k E(X_k -
+        Y_k)^2 >= sum_k W2^2(N(m_i,k, S_i,kk), N(m_j,k, S_j,kk))``.  In one
+        dimension ``W2^2(N(a, s), N(b, t)) = (a - b)^2 + (sqrt(s) -
+        sqrt(t))^2``, and summing over ``k`` gives ``L_ij``.  The bound is
+        exact for two diagonal covariances: their coordinates are
+        independent, so the product of the optimal 1-D couplings couples
+        the two Gaussians at cost ``L_ij``.  By Cauchy-Schwarz,
+        ``sum_k sqrt(S_i,kk S_j,kk) <= sqrt(tr S_i tr S_j)``, so ``L_ij``
+        is at least the trace bound ``|m_i - m_j|^2 + (sqrt(tr S_i) -
+        sqrt(tr S_j))^2``.
         """
-        lam = np.stack([b.eigenvalues
-                        for b in _eigen_bases(self._ps + self._qs)])
-        rows, cols = np.split(np.sqrt(lam), [len(self._ps)])
+        rows, cols = (np.sqrt(np.maximum(np.stack(
+            [np.diagonal(g.cov) for g in gs]), 0.0))
+            for gs in (self._ps, self._qs))
         bound = self._mean_sq + np.sum(
             np.square(rows[:, None, :] - cols[None, :, :]), axis=-1)
         np.copyto(self.values, bound, where=~self.exact)
@@ -662,54 +691,61 @@ class GaussianW2Costs:
     def price(self, mask: np.ndarray) -> None:
         """Make every entry under the boolean ``mask`` exact.
 
-        The requested pairs are priced in row-major order, in stacks of at
-        most ``_PRICE_STACK_BYTES`` of products (at least one product per
-        stack): one :func:`_psd_root_traces` call per stack.  A row's root
-        is taken once, and held only while the stacks holding its pairs
-        are built.
+        The fidelity of a pair is taken from the column side:
+        ``tr((S_i^1/2 S_j S_i^1/2)^1/2) = tr((S_j^1/2 S_i S_j^1/2)^1/2)``
+        (Bhatia, Jain & Lim, *On the Bures-Wasserstein distance between
+        positive definite matrices*, 2019).  Proof: with ``X = S_j^1/2
+        S_i^1/2``, the two inner matrices are ``X^T X`` and ``X X^T``.
+        Both have the squared singular values of ``X`` as their nonzero
+        eigenvalues, so the traces of their roots are both ``sum_k
+        sigma_k(X)``, the nuclear norm of ``X``.
+
+        Each column with an entry to price has its root taken once, from
+        its decomposition (one :func:`_eigen_bases` call for the columns
+        not rooted yet), and keeps it for later calls.  The requested pairs
+        are priced in row-major order, in stacks of at most
+        ``_PRICE_STACK_BYTES`` of products (at least one product per
+        stack): one :func:`_psd_root_traces` call per stack, whose
+        products are built from the row covariances of that stack only.
         """
         todo = mask & ~self.exact
         if not np.any(todo):
             return
-        if self._q_cov is None:
-            self._q_cov = np.stack([g.cov for g in self._qs])
-            self._q_tr = np.array([g.cov_trace() for g in self._qs])
-            self._p_tr = np.array([g.cov_trace() for g in self._ps])
         rows, cols = np.nonzero(todo)
+        new = [j for j in np.unique(cols).tolist() if j not in self._roots]
+        for j, basis in zip(new, _eigen_bases([self._qs[j] for j in new])):
+            self._roots[j] = _root_of(basis)
         fidelity = np.empty(rows.size)
-        step = max(1, _PRICE_STACK_BYTES // self._q_cov[0].nbytes)
-        roots = {}
+        step = max(1, _PRICE_STACK_BYTES // self._ps[0].cov.nbytes)
         for lo in range(0, rows.size, step):
-            r, c = rows[lo:lo + step], cols[lo:lo + step]
-            # a row cut by the stack boundary keeps its root
-            roots = {i: roots[i] if i in roots
-                     else _root_of(self._ps[i].eigen())
-                     for i in np.unique(r).tolist()}
             fidelity[lo:lo + step] = _psd_root_traces(
-                self._products([roots[i] for i in r.tolist()], c))
+                self._products(rows[lo:lo + step], cols[lo:lo + step]))
         self.values[rows, cols] = np.maximum(self._mean_sq[rows, cols] + (
             self._p_tr[rows] + self._q_tr[cols] - 2.0 * fidelity), 0.0)
         self.exact |= todo
 
-    def _products(self, roots, cols) -> np.ndarray:
-        """The symmetrised ``S_i^1/2 S_j S_i^1/2`` of each root in ``roots``
-        and column in ``cols``, as one stack.
+    def _products(self, rows, cols) -> np.ndarray:
+        """The symmetrised ``S_j^1/2 S_i S_j^1/2`` of each pair ``(i, j)``
+        of ``rows`` and ``cols``, as one stack.
 
-        Three stacks of the result's size are alive at most; the stacked
-        roots become the result.
+        Three stacks of the result's size are alive at most: the gathered
+        roots, the gathered row covariances and one product buffer, which
+        becomes the result.
         """
-        sa = np.stack(roots)
-        inner = np.matmul(np.matmul(sa, self._q_cov[cols]), sa)
-        np.add(inner, inner.swapaxes(1, 2), out=sa)
-        sa *= 0.5
-        return sa
+        roots = np.stack([self._roots[j] for j in cols.tolist()])
+        covs = np.stack([self._ps[i].cov for i in rows.tolist()])
+        half = np.matmul(roots, covs)
+        np.matmul(half, roots, out=covs)
+        np.add(covs, covs.swapaxes(1, 2), out=half)
+        half *= 0.5
+        return half
 
 
 def gaussian_w2_sq_matrix(ps, qs) -> np.ndarray:
     """Closed-form squared 2-Wasserstein distances between two lists of Gaussians.
 
     The all-pairs case of :class:`GaussianW2Costs`, which holds the
-    formula: one square root per row component, the eigenvalues of the
+    formula: one square root per column component, the eigenvalues of the
     products of all pairs as one stack (one ``eigvalsh`` per block size
     of each sparsity pattern, in stacks bounded in bytes), and an exact 0
     for identical pairs.
@@ -763,7 +799,7 @@ def gaussian_w2(a: Gaussian, b: Gaussian) -> float:
     """Closed-form 2-Wasserstein distance between Gaussians.
 
     The one-pair case of :func:`gaussian_w2_sq_matrix`: one square root of
-    ``S_a``, the eigenvalues of the symmetrised ``S_a^1/2 S_b S_a^1/2``, and
+    ``S_b``, the eigenvalues of the symmetrised ``S_b^1/2 S_a S_b^1/2``, and
     an exact 0 for identical Gaussians.
     """
     return math.sqrt(float(gaussian_w2_sq_matrix((a,), (b,))[0, 0]))

@@ -16,7 +16,10 @@ optimal.  Only when no such plan applies does one ``scipy.optimize.milp``
 call without integrality run, which HiGHS (1.12 in scipy 1.17) solves
 with its serial dual simplex.  The solver backs both
 the MW2 distance between Gaussian mixtures and empirical W2 estimates
-between sample clouds.  Equal-size uniform empirical problems take the
+between sample clouds.  MW2 prices its Gaussian costs lazily: unpriced
+arcs carry the W2 of the coordinate marginals, which reads only
+diagonals, and a priced arc roots its column component only, so
+``compress_gmm`` decomposes none of the components it compresses.  Equal-size uniform empirical problems take the
 assignment-problem fast path, and in one dimension the sorted matching.
 The assignment solver is given a cost matrix shifted by row and column
 potentials (minimum reductions, then a few Sinkhorn scaling sweeps): a
@@ -293,7 +296,8 @@ def mw2(p, q, *, assignment=None):
     A vertex plan uses at most ``N + m - 1`` of the ``N m`` arcs, so exact
     Gaussian costs are computed only where the plan needs them (delayed
     pricing).  Every arc starts at a cheap lower bound ``L <= C`` on its
-    exact cost ``C`` (:meth:`GaussianW2Costs.tighten`); identical pairs
+    exact cost ``C``, the W2 of the coordinate marginals, which reads only
+    the two diagonals (:meth:`GaussianW2Costs.tighten`); identical pairs
     start exact.  Each row's and each column's cheapest arc is priced
     exactly, and the transportation LP is solved on ``C~``: ``C`` where
     priced and ``L`` elsewhere (:func:`solve_discrete_ot`: the LP
@@ -303,15 +307,18 @@ def mw2(p, q, *, assignment=None):
     At the end ``C~ <= C`` entrywise gives ``opt(C~) <= opt(C) <= <P, C>
     = <P, C~> = opt(C~)``, so the plan ``P`` is optimal for the exact
     costs and the value is the full-matrix MW2.  Each priced entry is
-    computed as :func:`gaussian_w2_sq_matrix` computes it.
+    computed as :func:`gaussian_w2_sq_matrix` computes it, from the root
+    of its column component (:meth:`GaussianW2Costs.price`): only the
+    components of ``q`` with an arc to price are decomposed, and no
+    component of ``p``.
 
     ``assignment``, one component index of ``q`` per component of ``p``,
     is a candidate plan handed to every :func:`solve_discrete_ot` call:
     where the nearest-column plan is infeasible, that plan is taken when
     dual potentials certify it optimal for ``C~``, and HiGHS runs only
     when they do not.  It changes which optimal plan may be returned, and
-    the value only by rounding.  :func:`compress_gmm` passes its cluster map, which moment
-    matching makes feasible.
+    the value only by rounding.  :func:`compress_gmm` passes its cluster
+    map, which moment matching makes feasible.
     """
     pm = as_mixture(p)
     qm = as_mixture(q)

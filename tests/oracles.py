@@ -9,8 +9,10 @@ from-scratch fixed point driven by quadrature, and the full dropout-mask
 expansion by enumerating every mask.  The batched Gaussian W2 cost matrix
 is checked against the per-pair formula it replaced, which shares
 ``psd_sqrt`` and the per-matrix root trace with the library, the stacked
-pricing of exact costs against the row-by-row pricing it replaced, and the
-delayed-pricing MW2 against full pricing of every pair.  The
+pricing of exact costs against column-by-column pricing and, up to
+rounding, against the row-by-row pricing it replaced, which roots the
+other side of each pair, and the delayed-pricing MW2 against full pricing
+of every pair.  The
 eigenvalue-only root trace is checked against the eigenvector-weighted
 trace it replaced.  The stacked stochastic-linear push is checked
 against the per-point construction it replaced.  Exact W2 between atom
@@ -113,9 +115,36 @@ def root_trace_by_eigenvectors_oracle(mats):
     return out
 
 
+def price_by_columns_oracle(costs, mask):
+    """``GaussianW2Costs.price`` one column at a time: one root and one
+    ``_psd_root_traces`` call per column with an entry to price, on the
+    symmetrised products ``S_j^1/2 S_i S_j^1/2`` of its rows.
+
+    Makes every entry of ``costs`` under the boolean ``mask`` exact.
+    """
+    from wassnet.stats import _psd_root_traces, _root_of
+
+    todo = mask & ~costs.exact
+    if not np.any(todo):
+        return
+    p_tr = np.array([g.cov_trace() for g in costs._ps])
+    for j in np.flatnonzero(np.any(todo, axis=0)):
+        rows = np.flatnonzero(todo[:, j])
+        sb = _root_of(costs._qs[j].eigen())
+        inner = sb @ np.stack([costs._ps[i].cov for i in rows]) @ sb
+        inner = 0.5 * (inner + np.swapaxes(inner, 1, 2))
+        fidelity = _psd_root_traces(inner)
+        costs.values[rows, j] = np.maximum(costs._mean_sq[rows, j] + (
+            p_tr[rows] + costs._qs[j].cov_trace() - 2.0 * fidelity), 0.0)
+    costs.exact |= todo
+
+
 def price_by_rows_oracle(costs, mask):
     """``GaussianW2Costs.price`` by the row-by-row loop it once ran: one
-    root and one ``_psd_root_traces`` call per row with an entry to price.
+    root and one ``_psd_root_traces`` call per row with an entry to price,
+    on the symmetrised products ``S_i^1/2 S_j S_i^1/2``.  It takes the
+    fidelity from the other side of each pair than the library does, so
+    it agrees with it only up to rounding.
 
     Makes every entry of ``costs`` under the boolean ``mask`` exact.
     """

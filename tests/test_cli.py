@@ -365,6 +365,22 @@ class TestMw2:
              "--gmm-b", str(path)], capsys)
         assert code == 3
 
+    def test_covariance_that_is_not_psd_is_refused(self, tmp_path, capsys):
+        # against a point mass every product S_j^1/2 S_i S_j^1/2 is 0, so
+        # pricing alone would not see the indefinite first mixture
+        bad = GaussianMixture(np.array([1.0]), (Gaussian(
+            np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]])),))
+        point = GaussianMixture(np.array([1.0]), (Gaussian(
+            np.ones(2), np.zeros(2)),))
+        for name, g in (("bad.json", bad), ("point.json", point)):
+            (tmp_path / name).write_text(json.dumps(g.to_dict()))
+        for a, b in (("bad.json", "point.json"), ("point.json", "bad.json")):
+            code, out, err = run_cli(
+                ["mw2", "--gmm-a", str(tmp_path / a),
+                 "--gmm-b", str(tmp_path / b)], capsys)
+            assert code == 4 and out == ""
+            assert err.startswith("numerical failure: ")
+
     @pytest.mark.parametrize("field,value", [
         ("weights", ["x"]), ("mean", ["a"]), ("mean", [[0.1], [0.2, 0.3]]),
         ("diag", ["v"]), ("weights", [math.nan, math.nan]),

@@ -37,7 +37,24 @@ re-recorded a second time, alone, when the eigenvalues of a Gaussian W2
 product at or below ``n eps max lambda`` came to be set to 0 before their
 roots are summed: ``initial_loss`` moved by 1.5e-8 relative,
 ``relative_formal`` by 2.5e-6 and the log-variances by up to 5.4e-4
-relative; ``golden_propagate.json`` did not move.
+relative; ``golden_propagate.json`` did not move.  It was re-recorded a
+third time, alone, when a Gaussian W2 came to take its fidelity term from
+the root of the column side, ``S_j^1/2 S_i S_j^1/2``, instead of the row
+side (the two traces are equal in exact arithmetic and round
+differently), so ``mw2`` against the one-component GP roots the GP.  Old
+-> new: ``history[1].loss`` 1.2754088894598308 -> 1.2754088894599291,
+``history[1].mw2_term`` 1.1747279245524131 -> 1.17472792455252,
+``history[1].bound_term`` 10.068096490741766 -> 10.068096490740926,
+``log_variances`` 0.022458266926272397 -> 0.022458266927594672,
+-0.03242904705420602 -> -0.032429047053543214, 0.013605461244554085 ->
+0.013605461244878825, 0.025858899045974604 -> 0.025858899045966277,
+``initial_loss`` 1.8959037040742888 -> 1.89590370407429, ``final_loss``
+1.8790412170217126 -> 1.8790412170216098, ``relative_empirical``
+0.5421446833437263 -> 0.5421446833436737, ``relative_empirical_se``
+0.0027636640271604426 -> 0.0027636640271544144 and ``relative_formal``
+9.740739444701605 -> 9.740739444707508: at most 5.9e-11 relative (the
+log-variances) and 6.1e-13 for ``relative_formal``; ``history[0]`` did
+not move.  ``golden_propagate.json`` did not move.
 
 Regenerate (only on purpose, after a deliberate change of the numbers) with
 ``PYTHONPATH=src python3 tests/test_golden.py``, which rewrites both files.

@@ -1,9 +1,11 @@
 """Tests for 1-D quantizers, grid allocation, and Gaussian/mixture signatures."""
 
 import dataclasses
+import gc
 import itertools
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -489,6 +491,28 @@ class TestComponentGrid:
             seen.add((any(k > 1 for k in n), any(k == 1 for k in n)))
         assert seen == {(True, False), (True, True), (False, True),
                         (False, False)}
+
+    def test_templates_are_kept_on_the_table_and_freed_with_it(self):
+        # a second signature on the same grid sizes builds no template and
+        # gives the same bits; the table's caches go when the table goes
+        table = build_table(12)
+        rng = np.random.default_rng(5)
+        u = rng.normal(size=(5, 5))
+        g = Gaussian(rng.normal(size=5), u @ u.T)
+        first = _component_grid(g, 0.5, 10, table)
+        templates = dict(table._grids)
+        assert list(templates) == [first[2].grid_sizes[:sum(
+            n > 1 for n in first[2].grid_sizes)]]
+        again = _component_grid(Gaussian(g.mean, g.cov), 0.5, 10, table)
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(first[:2], again[:2]))
+        assert first[2].distortion.tobytes() == again[2].distortion.tobytes()
+        assert all(table._grids[k] is t for k, t in templates.items())
+        refs = [weakref.ref(table), weakref.ref(table._w2sq)] + [
+            weakref.ref(t.mass) for t in templates.values()]
+        del table, templates
+        gc.collect()
+        assert all(ref() is None for ref in refs)
 
     def test_matches_per_axis_loop_with_pruned_cells(self):
         # far-out 3-point cells fall below the pruning floor, and the

@@ -7,8 +7,10 @@ samples and samples of the returned approximation.
 """
 
 import dataclasses
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -192,6 +194,36 @@ class TestExpectedSpectralBound:
                                    np.array([5.0, -2.0]), np.array([9.0, 1.0]))
         assert expected_spectral_bound(base, 1) == \
             expected_spectral_bound(shifted, 1)
+
+    def test_norms_are_kept_on_the_layer_and_freed_with_it(self,
+                                                          monkeypatch):
+        # one norm per layer object, whatever the input-set size; the
+        # cached norms live in the layer's own __dict__
+        rng = np.random.default_rng(3)
+        stoch = StochasticLinear(rng.normal(size=(3, 2)),
+                                 np.full((3, 2), 0.1), np.zeros(3),
+                                 np.zeros(3), ntk_scaling=True)
+        det = DeterministicLinear(rng.normal(size=(2, 3)), np.zeros(2))
+        want = [expected_spectral_bound(layer, d)
+                for layer in (StochasticLinear(*(
+                    getattr(stoch, f.name) for f in dataclasses.fields(
+                        stoch))), DeterministicLinear(det.weight, det.bias))
+                for d in (1, 4)]
+        calls = []
+        real = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        got = [expected_spectral_bound(layer, d)
+               for layer in (stoch, det) for d in (1, 4)] + [
+            expected_spectral_bound(stoch, 1)]
+        monkeypatch.undo()
+        assert got == want + want[:1]
+        assert len(calls) == 2
+        assert "_norms" in vars(stoch) and "_spectral_norm" in vars(det)
+        refs = [weakref.ref(stoch), weakref.ref(det)]
+        del stoch, det
+        gc.collect()
+        assert all(ref() is None for ref in refs)
 
     def test_invalid_inputs(self):
         layer = DeterministicLinear(np.ones((1, 1)), np.zeros(1))

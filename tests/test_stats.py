@@ -18,7 +18,8 @@ from wassnet.stats import (GaussianW2Costs, _eigen_bases, _eigen_stack,
                            _symmetric_blocks)
 
 from oracles import (gaussian_w2_pair_oracle, is_diagonal_matrix,
-                     price_by_rows_oracle, quad_truncated_moments,
+                     price_by_columns_oracle, price_by_rows_oracle,
+                     quad_truncated_moments,
                      quantile_coupling_w2_1d,
                      root_trace_by_eigenvectors_oracle)
 
@@ -305,7 +306,7 @@ class TestGaussianW2SqMatrix:
                                   (Gaussian([0.0, 0.0], [1.0, 1.0]),))
 
 
-class TestSpectralLowerBound:
+class TestMarginalLowerBound:
     """``GaussianW2Costs.tighten`` against the exact costs of ``price``."""
 
     @staticmethod
@@ -331,27 +332,67 @@ class TestSpectralLowerBound:
             strict += int(np.sum(lower < exact - 1e-6 * scale))
         assert strict > 0  # the bound is not the exact cost in general
 
-    def test_exact_for_diagonal_and_codiagonalizable_pairs(self):
-        # covariances sharing an eigenbasis that lists both spectra in the
-        # same order: the diagonal matrices and one rotated basis
+    def test_exact_for_diagonal_pairs(self):
+        # diagonals in any order: the coordinates are independent
         rng = np.random.default_rng(47)
         for dim in range(1, 7):
-            basis = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
-            order = rng.permutation(dim)
-            for rot in (np.eye(dim), basis):
-                a, b = (np.sort(rng.uniform(0.05, 2.0, size=dim))[order]
-                        for _ in range(2))
-                p = Gaussian(rng.normal(size=dim), rot @ np.diag(a) @ rot.T)
-                q = Gaussian(rng.normal(size=dim), rot @ np.diag(b) @ rot.T)
-                lower, exact, scale = self._lower_and_exact((p,), (q,))
-                np.testing.assert_allclose(lower, exact, rtol=0.0,
-                                           atol=1e-12 * scale[0, 0])
+            p, q = (Gaussian(rng.normal(size=dim),
+                             rng.uniform(0.0, 2.0, size=dim))
+                    for _ in range(2))
+            lower, exact, scale = self._lower_and_exact((p,), (q,))
+            np.testing.assert_allclose(lower, exact, rtol=0.0,
+                                       atol=1e-12 * scale[0, 0])
+
+    def test_strictly_below_for_rotated_pairs(self):
+        # a diagonal covariance against a rotation of another: the
+        # marginals do not see the rotation, the exact cost does
+        rng = np.random.default_rng(53)
+        for dim in range(2, 7):
+            rot = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+            a, b = (rng.uniform(0.5, 2.0, size=dim) for _ in range(2))
+            mean = rng.normal(size=dim)
+            p = Gaussian(mean, a)
+            q = Gaussian(mean, rot @ np.diag(b) @ rot.T)
+            lower, exact, scale = self._lower_and_exact((p,), (q,))
+            assert lower[0, 0] < exact[0, 0] - 1e-6 * scale[0, 0]
+
+    def test_at_least_the_trace_bound(self):
+        rng = np.random.default_rng(59)
+        for _ in range(40):
+            dim = int(rng.integers(1, 7))
+            ps, qs = ([mixed_component(rng, dim, k)
+                       for k in rng.choice(KINDS, size=n)]
+                      for n in rng.integers(1, 5, size=2))
+            costs = GaussianW2Costs(ps, qs)
+            costs.tighten()
+            root_tr = [np.sqrt([g.cov_trace() for g in gs])
+                       for gs in (ps, qs)]
+            trace_bound = costs._mean_sq + np.square(
+                np.subtract.outer(*root_tr))
+            scale = np.add.outer([g.cov_trace() for g in ps],
+                                 [g.cov_trace() for g in qs])
+            assert np.all(costs.values >= np.where(
+                costs.exact, 0.0, trace_bound - 1e-12 * scale))
+
+    def test_decomposes_nothing(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        ps, qs = ([mixed_component(rng, 5, k) for k in KINDS]
+                  for _ in range(2))
+
+        def no_eigen(*args, **kwargs):
+            raise AssertionError("tighten decomposed a matrix")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigen)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigen)
+        GaussianW2Costs(ps, qs).tighten()
+        assert not any("_basis" in vars(g) for g in ps + qs)
 
 
 class TestStackedPrice:
-    """``GaussianW2Costs.price`` against the row-by-row pricing it
-    replaced: the same bits, however the mask is split into calls and the
-    pairs into stacks."""
+    """``GaussianW2Costs.price`` against column-by-column pricing: the
+    same bits, however the mask is split into calls and the pairs into
+    stacks.  Against the row-by-row pricing it replaced, which roots the
+    other side of each pair, up to rounding."""
 
     @staticmethod
     def _components(rng, n, m, dim):
@@ -367,9 +408,9 @@ class TestStackedPrice:
         return ps, qs
 
     @staticmethod
-    def _both(ps, qs, masks, oracle_masks=None):
+    def _both(ps, qs, masks, oracle_masks=None, oracle=price_by_columns_oracle):
         """Values and exactness flags after pricing ``masks`` one call
-        each, and after the oracle prices ``oracle_masks`` (by default
+        each, and after ``oracle`` prices ``oracle_masks`` (by default
         the same calls)."""
         got, want = GaussianW2Costs(ps, qs), GaussianW2Costs(ps, qs)
         for costs in (got, want):
@@ -377,7 +418,7 @@ class TestStackedPrice:
         for mask in masks:
             got.price(mask)
         for mask in masks if oracle_masks is None else oracle_masks:
-            price_by_rows_oracle(want, mask)
+            oracle(want, mask)
         return got, want
 
     @staticmethod
@@ -395,6 +436,34 @@ class TestStackedPrice:
             masks = [rng.random((n, m)) < 0.4 for _ in range(3)]
             self._assert_equal(*self._both(ps, qs, masks))
 
+    def test_rows_priced_within_the_root_perturbation_bound(self):
+        """Against the row-by-row pricing, within ``2 (2 n sqrt(delta) +
+        1e-12 f)`` per entry, where ``delta = n eps |S_i|_2 |S_j|_2``
+        and ``f = sqrt(tr S_i tr S_j)``.
+
+        Both sides compute the same fidelity, the nuclear norm of ``S_j^1/2
+        S_i^1/2``, from products whose norm is at most ``|S_i|_2 |S_j|_2``;
+        ``TestRootTraces`` derives ``2 n sqrt(n eps |M|_2) + 1e-12 tr`` for
+        two root traces of one such product, and ``f`` bounds the trace by
+        Cauchy-Schwarz.  The fidelity enters a cost twice.
+        """
+        rng = np.random.default_rng(73)
+        eps = np.finfo(float).eps
+        for _ in range(60):
+            n, m = (int(k) for k in rng.integers(2, 8, size=2))
+            dim = int(rng.integers(1, 9))
+            ps, qs = self._components(rng, n, m, dim)
+            got, want = self._both(ps, qs, [np.ones((n, m), dtype=bool)],
+                                   oracle=price_by_rows_oracle)
+            norms = [np.array([np.linalg.norm(g.cov, 2) for g in gs])
+                     for gs in (ps, qs)]
+            delta = dim * eps * np.multiply.outer(*norms)
+            f = np.sqrt(np.multiply.outer([g.cov_trace() for g in ps],
+                                          [g.cov_trace() for g in qs]))
+            assert np.array_equal(got.exact, want.exact)
+            assert np.all(np.abs(got.values - want.values)
+                          <= 2.0 * (2.0 * dim * np.sqrt(delta) + 1e-12 * f))
+
     def test_split_into_calls_as_one_call(self):
         # an entry's value does not depend on which entries are priced
         # with it
@@ -409,7 +478,7 @@ class TestStackedPrice:
     def test_stacks_stay_within_the_byte_bound(self, monkeypatch):
         # 160^2 products are 200 KiB each, so the 21 pairs of a 3 x 7
         # round take two stacks of the 4 MiB bound; a bound of three 6 x 6
-        # products cuts rows across stacks
+        # products cuts columns across stacks
         rng = np.random.default_rng(79)
         real = stats._psd_root_traces
         big = ([mixed_component(rng, 160, k)
@@ -433,14 +502,14 @@ class TestStackedPrice:
             monkeypatch.undo()
             assert len(sizes) > 1
             assert sum(sizes) == int(np.sum(~want.exact))
-            price_by_rows_oracle(want, np.ones_like(want.exact))
+            price_by_columns_oracle(want, np.ones_like(want.exact))
             self._assert_equal(got, want)
 
     @pytest.mark.parametrize("bound", [None, 3 * 5 * 5 * 8])
-    def test_one_root_per_row(self, monkeypatch, bound):
+    def test_one_root_per_column(self, monkeypatch, bound):
         # one stack for the whole round under the default bound; under a
-        # bound of three products, a row cut by a stack boundary keeps its
-        # root
+        # bound of three products, a column cut by a stack boundary keeps
+        # its root, and a second call takes no root again
         rng = np.random.default_rng(83)
         ps, qs = self._components(rng, 6, 5, 5)
         costs = GaussianW2Costs(ps, qs)
@@ -454,22 +523,26 @@ class TestStackedPrice:
                             or real_traces(mats))
         if bound is not None:
             monkeypatch.setattr(stats, "_PRICE_STACK_BYTES", bound)
+        first = np.zeros_like(todo)
+        first[:3] = True
+        costs.price(first)
         costs.price(np.ones_like(todo))
         assert sorted(rooted) == sorted(
-            {id(ps[i].eigen()) for i in np.flatnonzero(todo.any(axis=1))})
+            {id(qs[j].eigen()) for j in np.flatnonzero(todo.any(axis=0))})
         if bound is None:
-            assert stacks == [int(todo.sum())]
+            assert stacks == [int((todo & first).sum()),
+                              int((todo & ~first).sum())]
         else:
             assert max(stacks) == 3 and sum(stacks) == int(todo.sum())
 
-
     def test_price_computes_no_eigenvectors(self, monkeypatch):
-        # the rows' roots come from decompositions tighten() already made;
-        # the products need their eigenvalues only
+        # once the columns are decomposed, pricing needs the products'
+        # eigenvalues only, and no row is ever decomposed
         rng = np.random.default_rng(89)
         ps, qs = self._components(rng, 5, 4, 6)
+        ps = [Gaussian(g.mean, g.cov) for g in ps]  # none shared with qs
         got = GaussianW2Costs(ps, qs)
-        got.tighten()
+        _eigen_bases(qs)
         real = np.linalg.eigvalsh
         calls = []
 
@@ -482,8 +555,36 @@ class TestStackedPrice:
         got.price(np.ones_like(got.exact))
         monkeypatch.undo()
         assert calls
+        assert not any("_basis" in vars(g) for g in ps)
         _, want = self._both(ps, qs, [np.ones_like(got.exact)])
         self._assert_equal(got, want)
+
+    def test_decomposes_each_priced_column_once_and_no_row(self,
+                                                           monkeypatch):
+        # the columns with an entry to price go through one stacked
+        # decomposition, on the first call that needs them
+        rng = np.random.default_rng(91)
+        ps, qs = self._components(rng, 6, 5, 5)
+        ps = [Gaussian(g.mean, g.cov) for g in ps]
+        qs = [Gaussian(g.mean, g.cov) for g in qs]
+        costs = GaussianW2Costs(ps, qs)
+        stacked = []
+        real = stats._eigen_stack
+        monkeypatch.setattr(stats, "_eigen_stack",
+                            lambda mats: stacked.append(len(mats))
+                            or real(mats))
+        mask = np.zeros_like(costs.exact)
+        mask[:, :3] = True
+        mask[0, 4] = True
+        costs.tighten()
+        costs.price(mask)
+        costs.price(mask)
+        priced = np.flatnonzero((mask & ~GaussianW2Costs(ps, qs).exact)
+                                .any(axis=0))
+        assert stacked == [priced.size]
+        assert {j for j, g in enumerate(qs) if "_basis" in vars(g)} \
+            == set(priced.tolist())
+        assert not any("_basis" in vars(g) for g in ps)
 
 
 class TestRootTraces:

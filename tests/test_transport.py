@@ -683,23 +683,26 @@ class TestMw2:
             with_lp += bool(lp_calls)
         assert no_lp >= 3 and with_lp >= 3
 
-    def test_splits_each_component_pattern_once(self, monkeypatch):
-        # 40 components pushed through one stochastic layer share one
-        # block pattern (8 neurons x 3 points); their decompositions in
-        # mw2 split it once, not once per row.  The compressed columns are
-        # merged clusters, so every product that pricing decomposes is
-        # dense, which needs no split
-        rng = np.random.default_rng(67)
+    @staticmethod
+    def _pushed(seed, n):
+        """``n`` Gaussians pushed through one stochastic layer of 8
+        neurons at 3 points, as a mixture: their covariances share one
+        block pattern.  Fresh Gaussians on every call, none decomposed."""
+        rng = np.random.default_rng(seed)
         layer = snn.StochasticLinear(rng.normal(size=(8, 2)),
                                      np.full((8, 2), 0.05), np.zeros(8),
                                      np.full(8, 0.05))
-        locs = rng.normal(size=(40, 3 * 2))
-        w = rng.random(40) + 0.1
+        locs = rng.normal(size=(n, 3 * 2))
+        w = rng.random(n) + 0.1
+        return lambda: GaussianMixture(w / w.sum(), Gaussian.stack(
+            *snn._push_atoms(locs, layer, 3)))
 
-        def pushed():  # fresh Gaussians, none decomposed yet
-            return GaussianMixture(w / w.sum(), Gaussian.stack(
-                *snn._push_atoms(locs, layer, 3)))
-
+    def test_splits_each_component_pattern_once(self, monkeypatch):
+        # mw2 prices against the compressed columns, merged clusters with
+        # dense roots, so every product is dense and the pushed rows'
+        # shared pattern is never split.  The signature step decomposes
+        # the rows; their pattern is split once, also across calls
+        pushed = self._pushed(67, 40)
         res = compress_gmm(pushed(), 5, seed=0)
         assert np.all(np.bincount(res.cluster_assignment) > 1)
         g = pushed()
@@ -712,25 +715,47 @@ class TestMw2:
             split[np.packbits(pattern != 0.0).tobytes()] += 1
             return real(pattern)
 
-        rounds = []
-        real_price = stats.GaussianW2Costs.price
-
-        def price(costs, mask):
-            rounds.append(bool(np.any(mask & ~costs.exact)))
-            return real_price(costs, mask)
-
         monkeypatch.setattr(stats, "_symmetric_blocks", counting)
-        monkeypatch.setattr(stats.GaussianW2Costs, "price", price)
-        mw2(g, compressed)
+        stats._pattern_blocks.cache_clear()
+        value, _ = mw2(g, compressed)
         row_pattern = np.packbits(g.components[0].cov != 0.0).tobytes()
         dense = np.packbits(np.ones((24, 24), dtype=bool)).tobytes()
-        assert split[row_pattern] == 1
-        assert set(split) == {row_pattern, dense}
-        # the dense pattern: once for the columns, once per price round
-        assert split[dense] <= 1 + sum(rounds)
+        assert set(split) == {dense}
+        assert stats._pattern_blocks.cache_info().misses == 0
+        for _ in range(2):
+            stats._eigen_bases(pushed().components)
+        assert split[row_pattern] == 2
+        assert stats._pattern_blocks.cache_info().misses == 1
         monkeypatch.undo()
         expected, _ = mw2_full_oracle(g, compressed)
-        assert mw2(g, compressed)[0] == expected
+        assert value == expected
+
+    def test_compress_gmm_decomposes_no_pushed_component(self, monkeypatch):
+        # only the compressed columns with an arc to price are decomposed,
+        # in one stacked call per mw2; a singleton cluster is a pushed
+        # component and a column at once
+        seen_singleton = False
+        for seed in range(6):
+            g = self._pushed(seed, int(12 + 8 * seed))()
+            stacks = []
+            real = stats._eigen_stack
+            monkeypatch.setattr(stats, "_eigen_stack",
+                                lambda mats: stacks.append(len(mats))
+                                or real(mats))
+            res = compress_gmm(g, 5, seed=seed)
+            monkeypatch.undo()
+            columns = {id(c) for c in res.compressed.components}
+            assert not any("_basis" in vars(c) for c in g.components
+                           if id(c) not in columns)
+            decomposed = sum("_basis" in vars(c)
+                             for c in res.compressed.components)
+            assert 0 < decomposed <= res.compressed.size
+            assert sum(stacks) == decomposed and len(stacks) <= 2
+            seen_singleton |= bool(np.any(
+                np.bincount(res.cluster_assignment) == 1))
+            expected, _ = mw2_full_oracle(g, res.compressed)
+            assert math.isclose(res.w2_bound, expected, rel_tol=1e-12)
+        assert seen_singleton
 
     def test_one_stack_against_a_one_component_target(self, monkeypatch):
         # tune_loss prices a network mixture against its GP target, one
@@ -753,6 +778,9 @@ class TestMw2:
                             or real(mats))
         value, _ = mw2(net, gp)
         assert calls == [net.size]
+        # the target is the column: it is rooted, no row is decomposed
+        assert "_basis" in vars(gp)
+        assert not any("_basis" in vars(c) for c in net.components)
         monkeypatch.undo()
         expected, _ = mw2_full_oracle(net, gp)
         assert value == expected
