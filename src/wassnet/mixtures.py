@@ -2,7 +2,7 @@
 
 Gaussian mixtures are reduced by seeded k-means++ / Lloyd clustering of the
 component means followed by per-cluster moment matching, certified by the
-mixture-level transport bound.  Dropout layers turn an atom set (a
+transport cost of the cluster map.  Dropout layers turn an atom set (a
 :class:`~wassnet.stats.DiscreteDistribution`, re-exported here) into a
 mixture of masked copies; that mixture is expanded explicitly on the
 heaviest mask dimensions and the discarded mask randomness is charged with
@@ -18,8 +18,9 @@ import numpy as np
 
 from .config import TOL
 from .errors import ParseError
-from .stats import DiscreteDistribution, Gaussian, GaussianMixture, as_mixture
-from .transport import _pairwise_sq_dists, mw2
+from .stats import DiscreteDistribution, Gaussian, GaussianMixture, \
+    GaussianW2Costs, as_mixture
+from .transport import _pairwise_sq_dists
 
 __all__ = [
     "DiscreteDistribution",
@@ -140,15 +141,25 @@ def compress_gmm(g, m: int, seed: int) -> CompressionResult:
     Otherwise the component means are clustered by seeded k-means++ followed
     by mass-weighted Lloyd iterations (converged assignments or 200 rounds),
     each cluster is replaced by its moment-matched Gaussian, and the returned
-    bound is the mixture-level transport bound between input and result.
-    The cluster map is handed to :func:`mw2` as a candidate plan: moment
-    matching gives each cluster its members' mass, so the plan is feasible
-    to rounding, and it is taken without an LP whenever dual potentials
-    certify it optimal.  The input mixture is the row side of ``mw2``, so
-    none of its components is decomposed; the compressed components are
-    the columns, and ``mw2`` decomposes those with an arc to price, where
-    the signature step finds them decomposed (``Gaussian.eigen``).  A
-    singleton cluster keeps its component object, which is a column too.
+    bound is the cost of the cluster map ``s``:
+    ``sqrt(sum_i w_i W2^2(p_i, q_s(i)))``.
+
+    Proof that it bounds ``W2(g, compressed)`` from above: moment matching
+    gives cluster ``j`` the mass ``sum_{i: s(i)=j} w_i``, so the plan
+    ``pi_ij = w_i 1[s(i) = j]`` has row sums ``w`` and column sums the
+    compressed weights.  Draw ``i`` with probability ``w_i`` and then
+    ``(X, Y)`` from an optimal coupling of ``p_i`` and ``q_s(i)``; then
+    ``X ~ g`` and ``Y ~ compressed``, and ``E|X - Y|^2 = sum_i w_i
+    W2^2(p_i, q_s(i))``.  The value is at least the optimal MW2
+    (:func:`~wassnet.transport.mw2`), and equal to it when ``s`` is an
+    optimal plan.
+
+    Only the map's arcs are priced (:meth:`GaussianW2Costs.price`), one per
+    row outside a singleton cluster: a singleton cluster keeps its
+    component object, so its arc is an identical pair, exactly 0.  The
+    input components are the rows, so none of them is decomposed; the
+    merged components are the columns, decomposed once, where the
+    signature step finds them (``Gaussian.eigen``).
     """
     g = as_mixture(g)
     if not (isinstance(m, (int, np.integer)) and m >= 1):
@@ -163,7 +174,12 @@ def compress_gmm(g, m: int, seed: int) -> CompressionResult:
     relabel = {j: k for k, j in enumerate(cluster_ids)}
     compact = np.array([relabel[j] for j in assign], dtype=int)
     compressed = _moment_matched(g, assign, cluster_ids)
-    bound, _ = mw2(g, compressed, assignment=compact)
+    costs = GaussianW2Costs(g.components, compressed.components)
+    arcs = (np.arange(g.size), compact)
+    mask = np.zeros_like(costs.exact)
+    mask[arcs] = True
+    costs.price(mask)
+    bound = math.sqrt(max(float(g.weights @ costs.values[arcs]), 0.0))
     return CompressionResult(compressed, bound, compact)
 
 

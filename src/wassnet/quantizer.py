@@ -572,8 +572,8 @@ def signature_of_mixture(g, budget_per_component: int, table: QuantizerTable):
     penalty included): ``w2_bound = sqrt(sum_i pi_i * w2sq_i)``.
     Zero-weight components contribute neither atoms nor bound mass.  The
     components are decomposed together (:func:`~wassnet.stats._eigen_bases`),
-    and those decomposed before, for instance as ``mw2`` columns, are
-    reused.
+    and those decomposed before, for instance the merged clusters that
+    ``compress_gmm`` priced its bound against, are reused.
     """
     gm = as_mixture(g)
     live = [(pi, comp) for pi, comp in zip(gm.weights, gm.components)

@@ -8,8 +8,7 @@ moments.  Covariances are decomposed into eigenvectors once each, for their
 roots and spectra, and a sparsity pattern is split into its blocks once.
 A Gaussian W2 takes the root of one side only, the column side of a cost
 matrix (its fidelity term is symmetric in the pair), and the eigenvalues
-of a product, for which it computes no eigenvectors; its cheap lower
-bound reads only the diagonals of the two covariances.
+of a product, for which it computes no eigenvectors.
 
 All values are immutable after construction and safe to share across threads.
 A Gaussian stores its covariance as a matrix; a 1-d variance vector is
@@ -596,10 +595,10 @@ def _root_of(basis: EigenBasis) -> np.ndarray:
 # Bytes of products that one stack of GaussianW2Costs.price holds: 4 MiB,
 # 1/64 of TOL.cov_bytes_cap.  A stack holds 128 products of 64^2 doubles,
 # the largest matrices of the deep benchmark (D n <= 64), whose largest
-# round on seeds 1-3 prices 65 pairs; the 640^2 products of the 1-64-64-1
-# D10 ladder row (3.3 MB each) are priced one at a time.  Building and
-# decomposing a stack keeps about three stacks' worth alive: the gathered
-# row covariances and column roots, and one product buffer.
+# compression on seeds 1-3 prices 64 arcs; the 640^2 products of the
+# 1-64-64-1 D10 ladder row (3.3 MB each) are priced one at a time.
+# Building and decomposing a stack keeps about three stacks' worth alive:
+# the gathered row covariances and column roots, and one product buffer.
 _PRICE_STACK_BYTES = TOL.cov_bytes_cap // 64
 
 
@@ -609,11 +608,11 @@ class GaussianW2Costs:
 
     Entry ``(i, j)`` of ``values`` is ``W2^2(p_i, q_j) = |m_i - m_j|^2
     + tr(S_i + S_j - 2 (S_j^1/2 S_i S_j^1/2)^1/2)`` where ``exact[i, j]``
-    is set, and a lower bound on it elsewhere.  Construction makes the
-    free entries exact: identical pairs (equal means and equal
-    covariances) are exactly 0.  Every other entry starts at
-    ``|m_i - m_j|^2``, which :meth:`tighten` raises to the marginal bound
-    and :meth:`price` replaces by the exact cost.
+    is set, and its mean term ``|m_i - m_j|^2``, a lower bound, elsewhere.
+    Construction makes the free entries exact: identical pairs (equal
+    means and equal covariances) are exactly 0.  :meth:`price` makes the
+    others exact: all of them for :func:`gaussian_w2_sq_matrix`, and one
+    arc per row, the cluster map's, for ``compress_gmm``.
 
     Only column components are decomposed, and only those with an entry
     to price: the fidelity term is symmetric in the pair (see
@@ -624,14 +623,13 @@ class GaussianW2Costs:
     one stacked :func:`_eigen_bases` call, which splits each sparsity
     pattern into its blocks once and caches each decomposition on its
     Gaussian (``Gaussian.eigen``); a column's root ``S_j^1/2`` equals
-    :func:`psd_sqrt` of its covariance.  :meth:`tighten` reads only
-    diagonals.  :meth:`price` computes the exact entries of a round
-    together: the products ``S_j^1/2 S_i S_j^1/2`` of all requested
-    pairs are built and symmetrised as one stack, bounded in bytes, and
-    handed to one :func:`_psd_root_traces` call, which computes only
-    their eigenvalues (one ``eigvalsh`` per block size of each sparsity
-    pattern); the fidelity term is ``sum_k sqrt(max(lambda_k, 0))``, the
-    trace of the clipped root.  The value of an entry does not depend on
+    :func:`psd_sqrt` of its covariance.  :meth:`price` computes the exact
+    entries of a call together: the products ``S_j^1/2 S_i S_j^1/2`` of
+    all requested pairs are built and symmetrised as one stack, bounded
+    in bytes, and handed to one :func:`_psd_root_traces` call, which
+    computes only their eigenvalues (one ``eigvalsh`` per block size of
+    each sparsity pattern); the fidelity term is ``sum_k sqrt(max(lambda_k,
+    0))``, the trace of the clipped root.  The value of an entry does not depend on
     which other entries are priced with it.  Degenerate covariances are
     fine.  A column that is not PSD within tolerance raises
     :class:`NumericalError` when it is decomposed, and so does a product
@@ -661,32 +659,6 @@ class GaussianW2Costs:
         self._p_tr = np.array([g.cov_trace() for g in ps])
         self._q_tr = np.array([g.cov_trace() for g in qs])
         self._roots = {}
-
-    def tighten(self) -> None:
-        """Raise every entry that is not exact to the marginal lower bound.
-
-        ``L_ij = |m_i - m_j|^2 + sum_k (sqrt(S_i,kk) - sqrt(S_j,kk))^2``,
-        from the diagonals alone: no covariance is decomposed.  Proof that
-        ``L_ij <= W2^2(p_i, q_j)``: a coupling of ``X ~ p_i`` and ``Y ~
-        q_j`` couples each coordinate pair ``(X_k, Y_k)``, whose laws are
-        ``N(m_i,k, S_i,kk)`` and ``N(m_j,k, S_j,kk)``, and the squared
-        cost splits over coordinates, so ``E|X - Y|^2 = sum_k E(X_k -
-        Y_k)^2 >= sum_k W2^2(N(m_i,k, S_i,kk), N(m_j,k, S_j,kk))``.  In one
-        dimension ``W2^2(N(a, s), N(b, t)) = (a - b)^2 + (sqrt(s) -
-        sqrt(t))^2``, and summing over ``k`` gives ``L_ij``.  The bound is
-        exact for two diagonal covariances: their coordinates are
-        independent, so the product of the optimal 1-D couplings couples
-        the two Gaussians at cost ``L_ij``.  By Cauchy-Schwarz,
-        ``sum_k sqrt(S_i,kk S_j,kk) <= sqrt(tr S_i tr S_j)``, so ``L_ij``
-        is at least the trace bound ``|m_i - m_j|^2 + (sqrt(tr S_i) -
-        sqrt(tr S_j))^2``.
-        """
-        rows, cols = (np.sqrt(np.maximum(np.stack(
-            [np.diagonal(g.cov) for g in gs]), 0.0))
-            for gs in (self._ps, self._qs))
-        bound = self._mean_sq + np.sum(
-            np.square(rows[:, None, :] - cols[None, :, :]), axis=-1)
-        np.copyto(self.values, bound, where=~self.exact)
 
     def price(self, mask: np.ndarray) -> None:
         """Make every entry under the boolean ``mask`` exact.

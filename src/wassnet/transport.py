@@ -2,28 +2,16 @@
 
 The transportation LP is solved exactly (vertex solutions, no
 regularization).  Problems with a single row or column have only the
-product plan.  Otherwise the nearest-column plan, which sends each row's
-whole mass to its cheapest column, is taken whenever its column sums
-match the column marginal to rounding (``4 M eps`` times the total mass
-for ``M`` rows, not the looser marginal tolerance): every plan with
-the given row sums costs at least ``sum_i a_i min_j c_ij``, and this plan
-attains that bound, so it is optimal; its support has one arc per row, a
-forest, so it is a vertex.  A caller that holds a one-arc-per-row plan of
-its own (``compress_gmm``'s cluster map, through ``mw2``) has it tried
-next: it is taken when it is feasible to the same rounding and dual
-potentials, found by a negative-cycle test on the columns, prove it
-optimal.  Only when no such plan applies does one ``scipy.optimize.milp``
-call without integrality run, which HiGHS (1.12 in scipy 1.17) solves
-with its serial dual simplex.  The solver backs both
-the MW2 distance between Gaussian mixtures and empirical W2 estimates
-between sample clouds.  MW2 prices its Gaussian costs lazily: unpriced
-arcs carry the W2 of the coordinate marginals, which reads only
-diagonals, and a priced arc roots its column component only, so
-``compress_gmm`` decomposes none of the components it compresses.  Equal-size uniform empirical problems take the
-assignment-problem fast path, and in one dimension the sorted matching.
-The assignment solver is given a cost matrix shifted by row and column
-potentials (minimum reductions, then a few Sinkhorn scaling sweeps): a
-dual warm start that changes no optimal permutation.
+product plan; every other instance is one ``scipy.optimize.milp`` call
+without integrality, which HiGHS (1.12 in scipy 1.17) solves with its
+serial dual simplex.  The solver backs both the MW2 distance between
+Gaussian mixtures, over the fully priced matrix of pairwise Gaussian W2
+costs, and empirical W2 estimates between sample clouds of unequal size.
+Equal-size uniform empirical problems take the assignment-problem fast
+path, and in one dimension the sorted matching.  The assignment solver is
+given a cost matrix shifted by row and column potentials (minimum
+reductions, then a few Sinkhorn scaling sweeps): a dual warm start that
+changes no optimal permutation.
 """
 
 from __future__ import annotations
@@ -37,8 +25,8 @@ from scipy.sparse import csc_array
 
 from .config import TOL
 from .errors import NumericalError, ParseError
-from .stats import GaussianW2Costs, as_mixture, mixture_second_moment, \
-    _readonly
+from .stats import as_mixture, gaussian_w2_sq_matrix, \
+    mixture_second_moment, _readonly
 
 __all__ = [
     "TransportPlan",
@@ -131,78 +119,7 @@ def _transport_lp(cost, a, b):
     return np.maximum(res.x, 0.0).reshape(m, n)
 
 
-def _one_arc_plan(targets, a, b):
-    """The plan that holds ``a_i`` at ``(i, targets[i])``, or None when its
-    column sums miss ``b`` by more than rounding.
-
-    Rounding is ``4 M eps sum(a)`` per column for ``M`` rows: the error of
-    summing the same masses in another order.  The marginal tolerance
-    (1e-9) would be too loose here, since an atom lighter than it could
-    then sit in a column that cannot take it.
-    """
-    rounding = 4.0 * a.size * np.finfo(float).eps * a.sum()
-    if np.any(np.abs(np.bincount(targets, a, b.size) - b) > rounding):
-        return None
-    plan = np.zeros((a.size, b.size))
-    plan[np.arange(a.size), targets] = a
-    return plan
-
-
-def _certifies(cost, targets) -> bool:
-    """Whether dual potentials prove the one-arc-per-row plan optimal.
-
-    The plan sends every row ``i`` (all of positive mass) to column
-    ``s(i) = targets[i]``.  It is optimal if there are potentials ``u``,
-    ``v`` with ``u_i + v_j <= c_ij`` everywhere and equality on its arcs
-    (complementary slackness): then every plan ``P`` with the same
-    marginals has ``<P, c> >= sum_i a_i u_i + sum_j b_j v_j =
-    sum_i a_i (u_i + v_s(i)) = sum_i a_i c_is(i)``, the plan's cost.
-    Equality on the arcs fixes ``u_i = c_is(i) - v_s(i)``, which leaves
-    ``v_j - v_s(i) <= c_ij - c_is(i)`` for all ``i, j``, that is
-    ``v_j <= v_k + W_kj`` with ``W_kj = min_{i: s(i)=k} (c_ij - c_ik)``
-    (``+inf`` for a column no row is sent to).  Such difference
-    constraints are solvable iff the graph on the columns with arc
-    lengths ``W`` has no negative cycle: the shortest-path lengths from a
-    source joined to every column by a zero-length arc then satisfy them,
-    and summing the constraints around a negative cycle gives ``0 < 0``.
-    One Floyd-Warshall pass finds the shortest walks between all columns;
-    there is a negative cycle iff some column then reaches itself at a
-    negative length.  ``W_kk = 0`` for a column with rows, so the diagonal
-    starts at 0.
-
-    The comparisons are plain float comparisons without a tolerance.  Each
-    length tracked by the pass is a rounded sum of at most ``m`` arc
-    lengths, for ``m`` columns, so a negative cycle can be missed only when its exact length
-    lies within that rounding of zero; the plan is then optimal up to a
-    cost of that order, far below the feasibility and optimality
-    tolerances of the simplex solver it replaces (1e-7 in HiGHS).
-    """
-    rows = np.arange(cost.shape[0])
-    reduced = cost - cost[rows, targets][:, None]
-    dist = np.full((cost.shape[1],) * 2, np.inf)
-    np.minimum.at(dist, targets, reduced)
-    for k in range(dist.shape[0]):
-        dist = np.minimum(dist, dist[:, k, None] + dist[None, k, :])
-    return bool(np.all(np.diagonal(dist) >= 0.0))
-
-
-def _assigned_plan(assignment, rows, cols, n, cost, a, b):
-    """The plan of ``assignment`` (a column in ``range(n)`` per row) on the
-    problem ``(cost, a, b)`` of the positive rows ``rows`` and columns
-    ``cols``, when it is feasible to rounding and certified optimal; else
-    None."""
-    column = np.full(n, -1)
-    column[cols] = np.arange(cols.size)
-    targets = column[assignment[rows]]
-    if np.any(targets < 0):
-        return None
-    plan = _one_arc_plan(targets, a, b)
-    if plan is None or not _certifies(cost, targets):
-        return None
-    return plan
-
-
-def solve_discrete_ot(cost, a, b, *, assignment=None) -> TransportPlan:
+def solve_discrete_ot(cost, a, b) -> TransportPlan:
     """Exact optimum of the transportation LP min <plan, cost>.
 
     Marginals must be nonnegative with equal total mass (within 1e-9); the
@@ -210,38 +127,11 @@ def solve_discrete_ot(cost, a, b, *, assignment=None) -> TransportPlan:
     Zero-mass atoms are removed before the solve and reinserted as zero
     rows/columns.  A reduced problem with one row or one column has the
     product plan ``outer(a, b) / sum(a)`` as its only feasible point, which
-    is returned in closed form.
-
-    Otherwise the nearest-column plan, which holds ``a_i`` at
-    ``(i, argmin_j c_ij)`` (ties go to the lowest column index), is
-    returned when its column sums match ``b`` to rounding, within
-    ``4 M eps sum(a)`` per column for ``M`` positive rows
-    (:func:`_one_arc_plan`).  Any plan with row sums ``a`` costs
-    ``sum_ij P_ij c_ij >= sum_i a_i min_j c_ij``, which this plan attains,
-    so it is optimal.
-
-    When it is infeasible and an ``assignment`` is given (one column index
-    per row, such as the cluster map of :func:`compress_gmm`), the plan
-    that holds ``a_i`` at ``(i, assignment[i])`` is tried next.  It is
-    returned when its column sums pass the same rounding check and dual
-    potentials prove it optimal (:func:`_certifies`, a negative-cycle test
-    on the columns).  A row of zero mass is dropped with its entry of the
-    assignment; a row of positive mass assigned to a column of zero mass
-    refuses the plan.
-
-    Either plan has one arc per row: every row node of its support has
-    degree 1, so the support has no cycle and is a forest, and a feasible
-    plan with an acyclic support is a vertex.  Only when neither plan
-    applies does the problem go to HiGHS through ``milp``, whose serial
-    dual simplex ends on a basic (vertex) solution.
+    is returned in closed form.  Every other reduced problem goes to HiGHS
+    through ``milp``, whose serial dual simplex ends on a basic (vertex)
+    solution.
     """
     cost, a, b = _validate_marginals(cost, a, b)
-    if assignment is not None:
-        assignment = np.asarray(assignment)
-        if (assignment.shape != a.shape
-                or not np.issubdtype(assignment.dtype, np.integer)
-                or np.any((assignment < 0) | (assignment >= b.size))):
-            raise ParseError("assignment must give each row a column index")
     rows = np.flatnonzero(a > 0.0)
     cols = np.flatnonzero(b > 0.0)
     sub_a = a[rows]
@@ -254,12 +144,7 @@ def solve_discrete_ot(cost, a, b, *, assignment=None) -> TransportPlan:
     if rows.size == 1 or cols.size == 1:
         sub_plan = np.outer(sub_a, sub_b) / sub_a.sum()
     else:
-        sub_plan = _one_arc_plan(np.argmin(sub_cost, axis=1), sub_a, sub_b)
-        if sub_plan is None and assignment is not None:
-            sub_plan = _assigned_plan(assignment, rows, cols, b.size,
-                                      sub_cost, sub_a, sub_b)
-        if sub_plan is None:
-            sub_plan = _transport_lp(sub_cost, sub_a, sub_b)
+        sub_plan = _transport_lp(sub_cost, sub_a, sub_b)
     plan = np.zeros_like(cost)
     plan[np.ix_(rows, cols)] = sub_plan
     if not np.allclose(plan.sum(axis=1), a, rtol=0.0, atol=TOL.marginal_atol):
@@ -284,58 +169,25 @@ def _pairwise_sq_dists(xs, ys):
     return np.maximum(d2, 0.0, out=d2)
 
 
-def mw2(p, q, *, assignment=None):
+def mw2(p, q):
     """Mixture-level W2 upper bound: transport over pairwise Gaussian W2^2.
 
     Returns ``(distance, plan)`` with the full ``(N, m)`` plan.  The
     coupling set is restricted to mixtures of the given components, so the
     value always upper-bounds the true W2 between the mixtures and
     vanishes iff the component-wise coupling can be made perfect (in
-    particular mw2(p, p) = 0).
-
-    A vertex plan uses at most ``N + m - 1`` of the ``N m`` arcs, so exact
-    Gaussian costs are computed only where the plan needs them (delayed
-    pricing).  Every arc starts at a cheap lower bound ``L <= C`` on its
-    exact cost ``C``, the W2 of the coordinate marginals, which reads only
-    the two diagonals (:meth:`GaussianW2Costs.tighten`); identical pairs
-    start exact.  Each row's and each column's cheapest arc is priced
-    exactly, and the transportation LP is solved on ``C~``: ``C`` where
-    priced and ``L`` elsewhere (:func:`solve_discrete_ot`: the LP
-    runs only when the plan that sends each row to its cheapest column of
-    ``C~`` is infeasible).  While the plan's support holds an arc that is
-    not priced, those arcs are priced and the LP solved again.
-    At the end ``C~ <= C`` entrywise gives ``opt(C~) <= opt(C) <= <P, C>
-    = <P, C~> = opt(C~)``, so the plan ``P`` is optimal for the exact
-    costs and the value is the full-matrix MW2.  Each priced entry is
-    computed as :func:`gaussian_w2_sq_matrix` computes it, from the root
-    of its column component (:meth:`GaussianW2Costs.price`): only the
-    components of ``q`` with an arc to price are decomposed, and no
-    component of ``p``.
-
-    ``assignment``, one component index of ``q`` per component of ``p``,
-    is a candidate plan handed to every :func:`solve_discrete_ot` call:
-    where the nearest-column plan is infeasible, that plan is taken when
-    dual potentials certify it optimal for ``C~``, and HiGHS runs only
-    when they do not.  It changes which optimal plan may be returned, and
-    the value only by rounding.  :func:`compress_gmm` passes its cluster
-    map, which moment matching makes feasible.
+    particular mw2(p, p) = 0).  Every arc is priced by one
+    :func:`gaussian_w2_sq_matrix` call, which decomposes the components
+    of ``q`` and no component of ``p``, and the plan is one
+    :func:`solve_discrete_ot` call on that matrix.
     """
     pm = as_mixture(p)
     qm = as_mixture(q)
     if pm.dim != qm.dim:
         raise ParseError("mixtures must share the ambient dimension")
-    costs = GaussianW2Costs(pm.components, qm.components)
-    costs.tighten()
-    first = np.zeros_like(costs.exact)
-    first[np.arange(pm.size), np.argmin(costs.values, axis=1)] = True
-    first[np.argmin(costs.values, axis=0), np.arange(qm.size)] = True
-    costs.price(first)
-    plan = solve_discrete_ot(costs.values, pm.weights, qm.weights,
-                             assignment=assignment)
-    while not np.all(costs.exact[plan.plan > 0.0]):
-        costs.price(plan.plan > 0.0)
-        plan = solve_discrete_ot(costs.values, pm.weights, qm.weights,
-                                 assignment=assignment)
+    plan = solve_discrete_ot(
+        gaussian_w2_sq_matrix(pm.components, qm.components), pm.weights,
+        qm.weights)
     return math.sqrt(max(plan.cost, 0.0)), plan
 
 

@@ -93,6 +93,24 @@ def gaussian_w2_pair_oracle(a, b):
     return dm2 + (a.cov_trace() + b.cov_trace() - 2.0 * cross)
 
 
+def marginal_lower_bound_oracle(ps, qs):
+    """``L_ij <= W2^2(p_i, q_j)`` from the coordinate marginals alone.
+
+    ``L_ij = |m_i - m_j|^2 + sum_k (sqrt(S_i,kk) - sqrt(S_j,kk))^2``.  A
+    coupling of ``X ~ p_i`` and ``Y ~ q_j`` couples each coordinate pair
+    ``(X_k, Y_k)``, whose laws are ``N(m_i,k, S_i,kk)`` and ``N(m_j,k,
+    S_j,kk)``, and the squared cost splits over coordinates, so ``E|X -
+    Y|^2 >= sum_k W2^2(N(m_i,k, S_i,kk), N(m_j,k, S_j,kk))``; in one
+    dimension ``W2^2(N(a, s), N(b, t)) = (a - b)^2 + (sqrt(s) -
+    sqrt(t))^2``.  The bound is exact for two diagonal covariances, whose
+    coordinates are independent, and by Cauchy-Schwarz it is at least the
+    trace bound ``|m_i - m_j|^2 + (sqrt(tr S_i) - sqrt(tr S_j))^2``.
+    """
+    return np.array([[float(np.sum(np.square(p.mean - q.mean)) + np.sum(
+        np.square(np.sqrt(np.diagonal(p.cov)) - np.sqrt(np.diagonal(q.cov)))))
+        for q in qs] for p in ps])
+
+
 def root_trace_by_eigenvectors_oracle(mats):
     """``tr(M^1/2)`` of each matrix in a stack by the eigenvector-weighted
     sum the library computed before it took eigenvalues alone.

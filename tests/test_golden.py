@@ -1,26 +1,28 @@
 """Golden outputs of ``propagate`` on two fixed networks and of one ``tune``.
 
-``tests/data/golden_propagate.json`` holds the mixture and ledger of each
-case below.  The first two were recorded with an independent
+``tests/data/golden_propagate.json`` holds the mixture and ledger of
+each case below.  The first two were recorded with an independent
 implementation of the transportation LP (a pure-Python network simplex)
 and of the eigen-block split (a union-find).  Refactors of the pipeline
 must reproduce the mixtures exactly and every ledger term within 1e-12
 relative.  The second case has two tanh hidden layers, so it runs
-``compress_gmm``, ``mw2`` and a multi-row, multi-column transportation
-LP.  The third has ReLU hidden layers, each followed by ``Dropout(0.9)``,
-so it also runs the truncated dropout expansion; it was recorded before
-that expansion moved into ``compress_dropout``, and while a ReLU
-dead-zone refinement of the signature bound still ran, which left this
-case's bound unchanged and has since been deleted.  The
-fourth runs the second net on one input point, so its first layer pushes
-diagonal Gaussians and ``mw2`` compares diagonal pairs; it was recorded
-while ``Gaussian`` still stored a diagonal covariance as its variance
-vector and priced diagonal pairs by their commuting closed form.  The
-always-1.0 ``lipschitz`` key left the ledger records by deletion from the
-file, not by re-recording, so the independently recorded terms stay.  The
-first case's mixture was re-recorded once, alone, when signature weights
-stopped being normalized a second time: its ten weights moved by at most
-2.1e-16 relative, and its ledger did not move.
+``compress_gmm``; it was recorded while the compression bound came from
+``mw2`` and a multi-row, multi-column transportation LP, and the cost of
+the cluster map, which is the bound now, reproduces it.  The third has
+ReLU hidden layers, each followed by ``Dropout(0.9)``, so it also runs
+the truncated dropout expansion; it was recorded before that expansion
+moved into ``compress_dropout``, and while a ReLU dead-zone refinement
+of the signature bound still ran, which left this case's bound unchanged
+and has since been deleted.  The fourth runs the second net on one input
+point, so its first layer pushes diagonal Gaussians and the compression
+bound prices diagonal rows; it was recorded while ``Gaussian`` still
+stored a diagonal covariance as its variance vector and priced diagonal
+pairs by their commuting closed form.  The always-1.0 ``lipschitz`` key
+left the ledger records by deletion from the file, not by re-recording,
+so the independently recorded terms stay.  The first case's mixture was
+re-recorded once, alone, when signature weights stopped being normalized
+a second time: its ten weights moved by at most 2.1e-16 relative, and
+its ledger did not move.
 
 ``tests/data/golden_tune.json`` holds the report of a short ``tune`` run,
 recorded before the assignment solve started from reduced costs and

@@ -18,7 +18,8 @@ from wassnet.stats import (GaussianW2Costs, _eigen_bases, _eigen_stack,
                            _symmetric_blocks)
 
 from oracles import (gaussian_w2_pair_oracle, is_diagonal_matrix,
-                     price_by_columns_oracle, price_by_rows_oracle,
+                     marginal_lower_bound_oracle, price_by_columns_oracle,
+                     price_by_rows_oracle,
                      quad_truncated_moments,
                      quantile_coupling_w2_1d,
                      root_trace_by_eigenvectors_oracle)
@@ -307,17 +308,17 @@ class TestGaussianW2SqMatrix:
 
 
 class TestMarginalLowerBound:
-    """``GaussianW2Costs.tighten`` against the exact costs of ``price``."""
+    """The exact costs of ``GaussianW2Costs.price`` against the W2 of the
+    coordinate marginals (:func:`marginal_lower_bound_oracle`), a lower
+    bound that is exact for diagonal pairs."""
 
     @staticmethod
     def _lower_and_exact(ps, qs):
         costs = GaussianW2Costs(ps, qs)
-        costs.tighten()
-        lower = costs.values.copy()
         costs.price(np.ones_like(costs.exact))
         scale = np.add.outer([g.cov_trace() for g in ps],
                              [g.cov_trace() for g in qs])
-        return lower, costs.values, scale
+        return marginal_lower_bound_oracle(ps, qs), costs.values, scale
 
     def test_below_exact_cost(self):
         rng = np.random.default_rng(43)
@@ -357,35 +358,22 @@ class TestMarginalLowerBound:
             assert lower[0, 0] < exact[0, 0] - 1e-6 * scale[0, 0]
 
     def test_at_least_the_trace_bound(self):
+        # |m_i - m_j|^2 + (sqrt(tr S_i) - sqrt(tr S_j))^2 <= marginal bound
+        # <= exact cost
         rng = np.random.default_rng(59)
         for _ in range(40):
             dim = int(rng.integers(1, 7))
             ps, qs = ([mixed_component(rng, dim, k)
                        for k in rng.choice(KINDS, size=n)]
                       for n in rng.integers(1, 5, size=2))
-            costs = GaussianW2Costs(ps, qs)
-            costs.tighten()
+            lower, exact, scale = self._lower_and_exact(ps, qs)
             root_tr = [np.sqrt([g.cov_trace() for g in gs])
                        for gs in (ps, qs)]
-            trace_bound = costs._mean_sq + np.square(
-                np.subtract.outer(*root_tr))
-            scale = np.add.outer([g.cov_trace() for g in ps],
-                                 [g.cov_trace() for g in qs])
-            assert np.all(costs.values >= np.where(
-                costs.exact, 0.0, trace_bound - 1e-12 * scale))
-
-    def test_decomposes_nothing(self, monkeypatch):
-        rng = np.random.default_rng(61)
-        ps, qs = ([mixed_component(rng, 5, k) for k in KINDS]
-                  for _ in range(2))
-
-        def no_eigen(*args, **kwargs):
-            raise AssertionError("tighten decomposed a matrix")
-
-        monkeypatch.setattr(np.linalg, "eigh", no_eigen)
-        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigen)
-        GaussianW2Costs(ps, qs).tighten()
-        assert not any("_basis" in vars(g) for g in ps + qs)
+            mean_sq = np.array([[np.sum(np.square(p.mean - q.mean))
+                                 for q in qs] for p in ps])
+            trace_bound = mean_sq + np.square(np.subtract.outer(*root_tr))
+            assert np.all(lower >= trace_bound - 1e-12 * scale)
+            assert np.all(exact >= trace_bound - 1e-12 * scale)
 
 
 class TestStackedPrice:
@@ -413,8 +401,6 @@ class TestStackedPrice:
         each, and after ``oracle`` prices ``oracle_masks`` (by default
         the same calls)."""
         got, want = GaussianW2Costs(ps, qs), GaussianW2Costs(ps, qs)
-        for costs in (got, want):
-            costs.tighten()
         for mask in masks:
             got.price(mask)
         for mask in masks if oracle_masks is None else oracle_masks:
@@ -576,7 +562,6 @@ class TestStackedPrice:
         mask = np.zeros_like(costs.exact)
         mask[:, :3] = True
         mask[0, 4] = True
-        costs.tighten()
         costs.price(mask)
         costs.price(mask)
         priced = np.flatnonzero((mask & ~GaussianW2Costs(ps, qs).exact)
