@@ -19,7 +19,7 @@ import numpy as np
 from .config import TOL
 from .errors import ParseError
 from .stats import DiscreteDistribution, Gaussian, GaussianMixture, \
-    GaussianW2Costs, as_mixture
+    as_mixture, gaussian_w2_sq_pairs
 from .transport import _pairwise_sq_dists
 
 __all__ = [
@@ -154,12 +154,13 @@ def compress_gmm(g, m: int, seed: int) -> CompressionResult:
     (:func:`~wassnet.transport.mw2`), and equal to it when ``s`` is an
     optimal plan.
 
-    Only the map's arcs are priced (:meth:`GaussianW2Costs.price`), one per
-    row outside a singleton cluster: a singleton cluster keeps its
-    component object, so its arc is an identical pair, exactly 0.  The
-    input components are the rows, so none of them is decomposed; the
-    merged components are the columns, decomposed once, where the
-    signature step finds them (``Gaussian.eigen``).
+    Only the map's arcs are priced, by one
+    :func:`~wassnet.stats.gaussian_w2_sq_pairs` call, one arc per row: a
+    singleton cluster keeps its component object, so its arc is an
+    identical pair, exactly 0 and never priced.  The input components are
+    the rows, so none of them is decomposed; the merged components are the
+    columns, decomposed once, where the signature step finds them
+    (``Gaussian.eigen``).
     """
     g = as_mixture(g)
     if not (isinstance(m, (int, np.integer)) and m >= 1):
@@ -174,12 +175,9 @@ def compress_gmm(g, m: int, seed: int) -> CompressionResult:
     relabel = {j: k for k, j in enumerate(cluster_ids)}
     compact = np.array([relabel[j] for j in assign], dtype=int)
     compressed = _moment_matched(g, assign, cluster_ids)
-    costs = GaussianW2Costs(g.components, compressed.components)
-    arcs = (np.arange(g.size), compact)
-    mask = np.zeros_like(costs.exact)
-    mask[arcs] = True
-    costs.price(mask)
-    bound = math.sqrt(max(float(g.weights @ costs.values[arcs]), 0.0))
+    cost = g.weights @ gaussian_w2_sq_pairs(
+        g.components, compressed.components, np.arange(g.size), compact)
+    bound = math.sqrt(max(float(cost), 0.0))
     return CompressionResult(compressed, bound, compact)
 
 

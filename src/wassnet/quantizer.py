@@ -386,7 +386,8 @@ class ComponentCells:
     ``distortion`` the conditional expectation E[||z - atom||^2 | z in
     cell] in the original metric, and ``prune_penalty`` the absolute
     (mass-weighted) distortion contributed by pruned cells whose mass was
-    reassigned to this atom.
+    reassigned to this atom.  The pruned mass is ``1 - cell_mass.sum()``
+    to rounding, since the cells of a grid carry all the mass.
     """
 
     weight: float               # the component's mixture weight
@@ -395,7 +396,6 @@ class ComponentCells:
     cell_mass: np.ndarray       # (M,) own-cell standard-normal mass
     distortion: np.ndarray      # (M,) conditional squared distortion
     prune_penalty: np.ndarray   # (M,) absorbed mass-weighted distortion
-    pruned_mass: float
 
     def __post_init__(self):
         for name in ("eigenvalues", "cell_mass", "distortion",
@@ -403,10 +403,6 @@ class ComponentCells:
             object.__setattr__(self, name,
                                _readonly(np.asarray(getattr(self, name),
                                                     dtype=float)))
-
-    @property
-    def size(self) -> int:
-        return int(self.cell_mass.size)
 
     @property
     def w2sq_total(self) -> float:
@@ -504,7 +500,6 @@ def _component_grid(g: Gaussian, weight: float, budget: int,
         raise NumericalError("all signature cells fell below the mass floor")
     weights = mass[keep].copy()
     prune_penalty = np.zeros(weights.size)
-    pruned_mass = 0.0
     kept_centers = _with_tail(t.kept_centers, center_1, r)
     if not np.all(keep):
         centers = _with_tail(t.centers, center_1, r)
@@ -519,7 +514,6 @@ def _component_grid(g: Gaussian, weight: float, budget: int,
                 means[c_idx] - kept_centers[j])))) + pinned_sum
             weights[j] += mass[c_idx]
             prune_penalty[j] += mass[c_idx] * pen
-            pruned_mass += float(mass[c_idx])
 
     total = float(weights.sum())
     weights = weights / total
@@ -527,7 +521,7 @@ def _component_grid(g: Gaussian, weight: float, budget: int,
     cells = ComponentCells(
         weight=weight, eigenvalues=lam, grid_sizes=sizes,
         cell_mass=mass[keep], distortion=cond[keep],
-        prune_penalty=prune_penalty, pruned_mass=pruned_mass)
+        prune_penalty=prune_penalty)
     return locations, weights, cells
 
 

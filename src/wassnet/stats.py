@@ -6,9 +6,11 @@ symmetric eigendecomposition with negative-eigenvalue clipping, the
 closed-form 2-Wasserstein distance between Gaussians, and mixture second
 moments.  Covariances are decomposed into eigenvectors once each, for their
 roots and spectra, and a sparsity pattern is split into its blocks once.
-A Gaussian W2 takes the root of one side only, the column side of a cost
-matrix (its fidelity term is symmetric in the pair), and the eigenvalues
-of a product, for which it computes no eigenvectors.
+One function prices the squared Gaussian W2 of any list of index pairs,
+the all-pairs cost matrix and the single distance among them.  It takes
+the root of one side only, the column side of each pair (its fidelity
+term is symmetric in the pair), and the eigenvalues of a product, for
+which it computes no eigenvectors.
 
 All values are immutable after construction and safe to share across threads.
 A Gaussian stores its covariance as a matrix; a 1-d variance vector is
@@ -592,7 +594,7 @@ def _root_of(basis: EigenBasis) -> np.ndarray:
 # Wasserstein and moments
 # ---------------------------------------------------------------------------
 
-# Bytes of products that one stack of GaussianW2Costs.price holds: 4 MiB,
+# Bytes of products that one stack of gaussian_w2_sq_pairs holds: 4 MiB,
 # 1/64 of TOL.cov_bytes_cap.  A stack holds 128 products of 64^2 doubles,
 # the largest matrices of the deep benchmark (D n <= 64), whose largest
 # compression on seeds 1-3 prices 64 arcs; the 640^2 products of the
@@ -602,129 +604,111 @@ def _root_of(basis: EigenBasis) -> np.ndarray:
 _PRICE_STACK_BYTES = TOL.cov_bytes_cap // 64
 
 
-class GaussianW2Costs:
-    """Squared 2-Wasserstein distances between two lists of Gaussians,
-    computed exactly only where asked.
+def gaussian_w2_sq_pairs(ps, qs, rows, cols) -> np.ndarray:
+    """Closed-form ``W2^2(ps[i], qs[j])`` of each pair ``(i, j)`` of the
+    equal-length index arrays ``rows`` and ``cols``.
 
-    Entry ``(i, j)`` of ``values`` is ``W2^2(p_i, q_j) = |m_i - m_j|^2
-    + tr(S_i + S_j - 2 (S_j^1/2 S_i S_j^1/2)^1/2)`` where ``exact[i, j]``
-    is set, and its mean term ``|m_i - m_j|^2``, a lower bound, elsewhere.
-    Construction makes the free entries exact: identical pairs (equal
-    means and equal covariances) are exactly 0.  :meth:`price` makes the
-    others exact: all of them for :func:`gaussian_w2_sq_matrix`, and one
-    arc per row, the cluster map's, for ``compress_gmm``.
+    ``W2^2(p_i, q_j) = |m_i - m_j|^2 + tr(S_i + S_j - 2 (S_j^1/2 S_i
+    S_j^1/2)^1/2)``, clipped at 0.  An identical pair (equal means and
+    equal covariances) is exactly 0 and is not priced.  The value of a
+    pair does not depend on which other pairs are priced with it.
 
-    Only column components are decomposed, and only those with an entry
-    to price: the fidelity term is symmetric in the pair (see
-    :meth:`price`), so it is taken from the column side.  In
-    ``compress_gmm`` the columns are the few compressed components, whose
-    decompositions the signature step needs anyway, and the rows the many
-    pushed ones, which pricing never decomposes.  The columns go through
-    one stacked :func:`_eigen_bases` call, which splits each sparsity
-    pattern into its blocks once and caches each decomposition on its
-    Gaussian (``Gaussian.eigen``); a column's root ``S_j^1/2`` equals
-    :func:`psd_sqrt` of its covariance.  :meth:`price` computes the exact
-    entries of a call together: the products ``S_j^1/2 S_i S_j^1/2`` of
-    all requested pairs are built and symmetrised as one stack, bounded
-    in bytes, and handed to one :func:`_psd_root_traces` call, which
-    computes only their eigenvalues (one ``eigvalsh`` per block size of
-    each sparsity pattern); the fidelity term is ``sum_k sqrt(max(lambda_k,
-    0))``, the trace of the clipped root.  The value of an entry does not depend on
-    which other entries are priced with it.  Degenerate covariances are
-    fine.  A column that is not PSD within tolerance raises
-    :class:`NumericalError` when it is decomposed, and so does a product
-    with an eigenvalue below ``-eig_clip_rtol * max|lambda|``.  A row
-    covariance is checked only through its products: by Sylvester's law
-    of inertia a product with a nonsingular column root has as many
-    negative eigenvalues as the row, while a singular column root can
-    hide them, so callers holding outside input check it themselves (the
-    CLI decomposes every mixture it loads).
+    The fidelity of a pair is taken from the column side:
+    ``tr((S_i^1/2 S_j S_i^1/2)^1/2) = tr((S_j^1/2 S_i S_j^1/2)^1/2)``
+    (Bhatia, Jain & Lim, *On the Bures-Wasserstein distance between
+    positive definite matrices*, 2019).  Proof: with ``X = S_j^1/2
+    S_i^1/2``, the two inner matrices are ``X^T X`` and ``X X^T``.  Both
+    have the squared singular values of ``X`` as their nonzero
+    eigenvalues, so the traces of their roots are both ``sum_k
+    sigma_k(X)``, the nuclear norm of ``X``.  So only the columns of the
+    pairs to price are decomposed, through one stacked
+    :func:`_eigen_bases` call, which splits each sparsity pattern into its
+    blocks once and caches each decomposition on its Gaussian
+    (``Gaussian.eigen``), and each is rooted once (:func:`_root_of`,
+    equal to :func:`psd_sqrt` of its covariance).  In ``compress_gmm``
+    the columns are the few compressed components, whose decompositions
+    the signature step needs anyway, and the rows the many pushed ones,
+    which are never decomposed.
+
+    The products ``S_j^1/2 S_i S_j^1/2`` are built in the order of the
+    pairs, in stacks of at most ``_PRICE_STACK_BYTES`` (at least one
+    product per stack), each from the row covariances of its own pairs
+    (:func:`_products`), so the products alive at once take about three
+    times that bound, however many pairs there are.  Each stack goes to
+    one :func:`_psd_root_traces` call, which computes only the
+    eigenvalues (one ``eigvalsh`` per block size of each sparsity
+    pattern); the fidelity is ``sum_k sqrt(max(lambda_k, 0))``, the trace
+    of the clipped root.
+
+    Degenerate covariances are fine.  A column that is not PSD within
+    tolerance raises :class:`NumericalError` when it is decomposed, and
+    so does a product with an eigenvalue below ``-eig_clip_rtol *
+    max|lambda|``.  A row covariance is checked only through its
+    products: by Sylvester's law of inertia a product with a nonsingular
+    column root has as many negative eigenvalues as the row, while a
+    singular column root can hide them, so callers holding outside input
+    check it themselves (the CLI decomposes every mixture it loads).
     """
+    ps, qs = tuple(ps), tuple(qs)
+    if len({g.dim for g in ps + qs}) > 1:
+        raise ParseError("dimension mismatch")
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    p_mean = np.stack([g.mean for g in ps])[rows]
+    q_mean = np.stack([g.mean for g in qs])[cols]
+    same = np.all(p_mean == q_mean, axis=-1)
+    for k in np.flatnonzero(same):
+        same[k] = np.array_equal(ps[rows[k]].cov, qs[cols[k]].cov)
+    out = np.zeros(rows.size)
+    todo = np.flatnonzero(~same)
+    if not todo.size:
+        return out
+    rows, cols = rows[todo], cols[todo]
+    priced = np.unique(cols).tolist()
+    roots = dict(zip(priced, map(_root_of,
+                                 _eigen_bases([qs[j] for j in priced]))))
+    fidelity = np.empty(todo.size)
+    step = max(1, _PRICE_STACK_BYTES // ps[0].cov.nbytes)
+    for lo in range(0, todo.size, step):
+        fidelity[lo:lo + step] = _psd_root_traces(_products(
+            ps, roots, rows[lo:lo + step], cols[lo:lo + step]))
+    p_tr = np.array([g.cov_trace() for g in ps])
+    q_tr = np.array([g.cov_trace() for g in qs])
+    mean_sq = np.sum(np.square(p_mean[todo] - q_mean[todo]), axis=-1)
+    out[todo] = np.maximum(mean_sq + (
+        p_tr[rows] + q_tr[cols] - 2.0 * fidelity), 0.0)
+    return out
 
-    def __init__(self, ps, qs):
-        ps, qs = tuple(ps), tuple(qs)
-        if len({g.dim for g in ps + qs}) > 1:
-            raise ParseError("dimension mismatch")
-        self._ps, self._qs = ps, qs
-        p_mean = np.stack([g.mean for g in ps])
-        q_mean = np.stack([g.mean for g in qs])
-        self._mean_sq = np.sum(
-            np.square(p_mean[:, None, :] - q_mean[None, :, :]), axis=-1)
-        self.values = self._mean_sq.copy()
-        same = np.all(p_mean[:, None, :] == q_mean[None, :, :], axis=-1)
-        for i, j in zip(*np.nonzero(same)):
-            same[i, j] = np.array_equal(ps[i].cov, qs[j].cov)
-        self.values[same] = 0.0
-        self.exact = same
-        self._p_tr = np.array([g.cov_trace() for g in ps])
-        self._q_tr = np.array([g.cov_trace() for g in qs])
-        self._roots = {}
 
-    def price(self, mask: np.ndarray) -> None:
-        """Make every entry under the boolean ``mask`` exact.
+def _products(ps, roots, rows, cols) -> np.ndarray:
+    """The symmetrised ``S_j^1/2 S_i S_j^1/2`` of each pair ``(i, j)`` of
+    ``rows`` and ``cols`` as one stack, with ``S_i`` the covariance of
+    ``ps[i]`` and ``S_j^1/2`` the array ``roots[j]``.
 
-        The fidelity of a pair is taken from the column side:
-        ``tr((S_i^1/2 S_j S_i^1/2)^1/2) = tr((S_j^1/2 S_i S_j^1/2)^1/2)``
-        (Bhatia, Jain & Lim, *On the Bures-Wasserstein distance between
-        positive definite matrices*, 2019).  Proof: with ``X = S_j^1/2
-        S_i^1/2``, the two inner matrices are ``X^T X`` and ``X X^T``.
-        Both have the squared singular values of ``X`` as their nonzero
-        eigenvalues, so the traces of their roots are both ``sum_k
-        sigma_k(X)``, the nuclear norm of ``X``.
-
-        Each column with an entry to price has its root taken once, from
-        its decomposition (one :func:`_eigen_bases` call for the columns
-        not rooted yet), and keeps it for later calls.  The requested pairs
-        are priced in row-major order, in stacks of at most
-        ``_PRICE_STACK_BYTES`` of products (at least one product per
-        stack): one :func:`_psd_root_traces` call per stack, whose
-        products are built from the row covariances of that stack only.
-        """
-        todo = mask & ~self.exact
-        if not np.any(todo):
-            return
-        rows, cols = np.nonzero(todo)
-        new = [j for j in np.unique(cols).tolist() if j not in self._roots]
-        for j, basis in zip(new, _eigen_bases([self._qs[j] for j in new])):
-            self._roots[j] = _root_of(basis)
-        fidelity = np.empty(rows.size)
-        step = max(1, _PRICE_STACK_BYTES // self._ps[0].cov.nbytes)
-        for lo in range(0, rows.size, step):
-            fidelity[lo:lo + step] = _psd_root_traces(
-                self._products(rows[lo:lo + step], cols[lo:lo + step]))
-        self.values[rows, cols] = np.maximum(self._mean_sq[rows, cols] + (
-            self._p_tr[rows] + self._q_tr[cols] - 2.0 * fidelity), 0.0)
-        self.exact |= todo
-
-    def _products(self, rows, cols) -> np.ndarray:
-        """The symmetrised ``S_j^1/2 S_i S_j^1/2`` of each pair ``(i, j)``
-        of ``rows`` and ``cols``, as one stack.
-
-        Three stacks of the result's size are alive at most: the gathered
-        roots, the gathered row covariances and one product buffer, which
-        becomes the result.
-        """
-        roots = np.stack([self._roots[j] for j in cols.tolist()])
-        covs = np.stack([self._ps[i].cov for i in rows.tolist()])
-        half = np.matmul(roots, covs)
-        np.matmul(half, roots, out=covs)
-        np.add(covs, covs.swapaxes(1, 2), out=half)
-        half *= 0.5
-        return half
+    Three stacks of the result's size are alive at most: the gathered
+    roots, the gathered row covariances and one product buffer, which
+    becomes the result.
+    """
+    root = np.stack([roots[j] for j in cols.tolist()])
+    covs = np.stack([ps[i].cov for i in rows.tolist()])
+    half = np.matmul(root, covs)
+    np.matmul(half, root, out=covs)
+    np.add(covs, covs.swapaxes(1, 2), out=half)
+    half *= 0.5
+    return half
 
 
 def gaussian_w2_sq_matrix(ps, qs) -> np.ndarray:
     """Closed-form squared 2-Wasserstein distances between two lists of Gaussians.
 
-    The all-pairs case of :class:`GaussianW2Costs`, which holds the
+    The all-pairs case of :func:`gaussian_w2_sq_pairs`, which holds the
     formula: one square root per column component, the eigenvalues of the
-    products of all pairs as one stack (one ``eigvalsh`` per block size
-    of each sparsity pattern, in stacks bounded in bytes), and an exact 0
-    for identical pairs.
+    products of all pairs in stacks bounded in bytes (one ``eigvalsh`` per
+    block size of each sparsity pattern), and an exact 0 for identical
+    pairs.
     """
-    costs = GaussianW2Costs(ps, qs)
-    costs.price(np.ones_like(costs.exact))
-    return costs.values
+    ps, qs = tuple(ps), tuple(qs)
+    rows, cols = np.indices((len(ps), len(qs))).reshape(2, -1)
+    return gaussian_w2_sq_pairs(ps, qs, rows, cols).reshape(len(ps), len(qs))
 
 
 def _psd_root_traces(mats: np.ndarray) -> np.ndarray:
@@ -770,11 +754,11 @@ def _psd_root_traces(mats: np.ndarray) -> np.ndarray:
 def gaussian_w2(a: Gaussian, b: Gaussian) -> float:
     """Closed-form 2-Wasserstein distance between Gaussians.
 
-    The one-pair case of :func:`gaussian_w2_sq_matrix`: one square root of
+    The one-pair case of :func:`gaussian_w2_sq_pairs`: one square root of
     ``S_b``, the eigenvalues of the symmetrised ``S_b^1/2 S_a S_b^1/2``, and
     an exact 0 for identical Gaussians.
     """
-    return math.sqrt(float(gaussian_w2_sq_matrix((a,), (b,))[0, 0]))
+    return math.sqrt(float(gaussian_w2_sq_pairs((a,), (b,), [0], [0])[0]))
 
 
 def mixture_second_moment(g) -> float:

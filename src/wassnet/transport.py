@@ -177,8 +177,9 @@ def mw2(p, q):
     value always upper-bounds the true W2 between the mixtures and
     vanishes iff the component-wise coupling can be made perfect (in
     particular mw2(p, p) = 0).  Every arc is priced by one
-    :func:`gaussian_w2_sq_matrix` call, which decomposes the components
-    of ``q`` and no component of ``p``, and the plan is one
+    :func:`gaussian_w2_sq_matrix` call, the all-pairs case of
+    :func:`~wassnet.stats.gaussian_w2_sq_pairs`, which decomposes the
+    components of ``q`` and no component of ``p``, and the plan is one
     :func:`solve_discrete_ot` call on that matrix.
     """
     pm = as_mixture(p)

@@ -11,13 +11,12 @@ is checked against the per-pair formula it replaced, which shares
 ``psd_sqrt`` and the per-matrix root trace with the library, the stacked
 pricing of exact costs against column-by-column pricing and, up to
 rounding, against the row-by-row pricing it replaced, which roots the
-other side of each pair, and the delayed-pricing MW2 against full pricing
-of every pair.  The
-eigenvalue-only root trace is checked against the eigenvector-weighted
-trace it replaced.  The stacked stochastic-linear push is checked
-against the per-point construction it replaced.  Exact W2 between atom
-sets and stratified mixture samples serve as references for the
-compression bounds.  Grid allocation is checked against the
+other side of each pair, and MW2 against that per-pair formula and the
+LP oracle.  The eigenvalue-only root trace is checked against the
+eigenvector-weighted trace it replaced.  The stacked stochastic-linear
+push is checked against the per-point construction it replaced.  Exact
+W2 between atom sets and stratified mixture samples serve as references
+for the compression bounds.  Grid allocation is checked against the
 branch-and-bound search it replaced, and a component's grid signature
 against the per-axis loop it replaced.  The ``milp`` transportation LP is
 checked against the ``linprog`` call it replaced, and the sorted matching
@@ -133,71 +132,129 @@ def root_trace_by_eigenvectors_oracle(mats):
     return out
 
 
-def price_by_columns_oracle(costs, mask):
-    """``GaussianW2Costs.price`` one column at a time: one root and one
-    ``_psd_root_traces`` call per column with an entry to price, on the
-    symmetrised products ``S_j^1/2 S_i S_j^1/2`` of its rows.
+def identical_pairs(ps, qs, rows, cols):
+    """Whether ``ps[i]`` and ``qs[j]`` have equal means and equal
+    covariances, for each pair ``(i, j)`` of ``rows`` and ``cols``."""
+    return np.array([np.array_equal(ps[i].mean, qs[j].mean)
+                     and np.array_equal(ps[i].cov, qs[j].cov)
+                     for i, j in zip(rows, cols)], dtype=bool)
 
-    Makes every entry of ``costs`` under the boolean ``mask`` exact.
+
+def price_by_columns_oracle(ps, qs, rows, cols):
+    """``gaussian_w2_sq_pairs`` one column at a time: one root and one
+    ``_psd_root_traces`` call per column with a pair to price, on the
+    symmetrised products ``S_j^1/2 S_i S_j^1/2`` of its rows, and an
+    exact 0 for identical pairs.
+
+    Returns ``W2^2(ps[i], qs[j])`` of each pair ``(i, j)`` of ``rows`` and
+    ``cols``, in their order.
     """
     from wassnet.stats import _psd_root_traces, _root_of
 
-    todo = mask & ~costs.exact
-    if not np.any(todo):
-        return
-    p_tr = np.array([g.cov_trace() for g in costs._ps])
-    for j in np.flatnonzero(np.any(todo, axis=0)):
-        rows = np.flatnonzero(todo[:, j])
-        sb = _root_of(costs._qs[j].eigen())
-        inner = sb @ np.stack([costs._ps[i].cov for i in rows]) @ sb
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    todo = ~identical_pairs(ps, qs, rows, cols)
+    out = np.zeros(rows.size)
+    p_tr = np.array([g.cov_trace() for g in ps])
+    for j in np.unique(cols[todo]):
+        sel = np.flatnonzero(todo & (cols == j))
+        r = rows[sel]
+        sb = _root_of(qs[j].eigen())
+        inner = sb @ np.stack([ps[i].cov for i in r]) @ sb
         inner = 0.5 * (inner + np.swapaxes(inner, 1, 2))
         fidelity = _psd_root_traces(inner)
-        costs.values[rows, j] = np.maximum(costs._mean_sq[rows, j] + (
-            p_tr[rows] + costs._qs[j].cov_trace() - 2.0 * fidelity), 0.0)
-    costs.exact |= todo
+        mean_sq = np.sum(np.square(
+            np.stack([ps[i].mean for i in r]) - qs[j].mean), axis=-1)
+        out[sel] = np.maximum(mean_sq + (
+            p_tr[r] + qs[j].cov_trace() - 2.0 * fidelity), 0.0)
+    return out
 
 
-def price_by_rows_oracle(costs, mask):
-    """``GaussianW2Costs.price`` by the row-by-row loop it once ran: one
-    root and one ``_psd_root_traces`` call per row with an entry to price,
-    on the symmetrised products ``S_i^1/2 S_j S_i^1/2``.  It takes the
-    fidelity from the other side of each pair than the library does, so
-    it agrees with it only up to rounding.
+def price_by_rows_oracle(ps, qs, rows, cols):
+    """``gaussian_w2_sq_pairs`` by the row-by-row loop it once ran: one
+    root and one ``_psd_root_traces`` call per row with a pair to price,
+    on the symmetrised products ``S_i^1/2 S_j S_i^1/2``, and an exact 0
+    for identical pairs.  It takes the fidelity from the other side of
+    each pair than the library does, so it agrees with it only up to
+    rounding (:func:`row_rooted_rounding_bound`).
 
-    Makes every entry of ``costs`` under the boolean ``mask`` exact.
+    Returns ``W2^2(ps[i], qs[j])`` of each pair ``(i, j)`` of ``rows`` and
+    ``cols``, in their order.
     """
     from wassnet.stats import _psd_root_traces, _root_of
 
-    todo = mask & ~costs.exact
-    if not np.any(todo):
-        return
-    q_cov = np.stack([g.cov for g in costs._qs])
-    q_tr = np.array([g.cov_trace() for g in costs._qs])
-    for i in np.flatnonzero(np.any(todo, axis=1)):
-        js = np.flatnonzero(todo[i])
-        sa = _root_of(costs._ps[i].eigen())
-        inner = sa @ q_cov[js] @ sa
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    todo = ~identical_pairs(ps, qs, rows, cols)
+    out = np.zeros(rows.size)
+    q_tr = np.array([g.cov_trace() for g in qs])
+    for i in np.unique(rows[todo]):
+        sel = np.flatnonzero(todo & (rows == i))
+        js = cols[sel]
+        sa = _root_of(ps[i].eigen())
+        inner = sa @ np.stack([qs[j].cov for j in js]) @ sa
         inner = 0.5 * (inner + np.swapaxes(inner, 1, 2))
         fidelity = _psd_root_traces(inner)
-        costs.values[i, js] = np.maximum(costs._mean_sq[i, js] + (
-            costs._ps[i].cov_trace() + q_tr[js] - 2.0 * fidelity),
-            0.0)
-    costs.exact |= todo
+        mean_sq = np.sum(np.square(
+            ps[i].mean - np.stack([qs[j].mean for j in js])), axis=-1)
+        out[sel] = np.maximum(mean_sq + (
+            ps[i].cov_trace() + q_tr[js] - 2.0 * fidelity), 0.0)
+    return out
+
+
+def row_rooted_rounding_bound(ps, qs):
+    """``(len(ps), len(qs))`` bounds on ``|W2^2|`` priced from the column
+    side minus the same priced from the row side:
+    ``2 (2 n sqrt(delta) + 1e-12 f)`` per pair, where ``delta = n eps
+    |S_i|_2 |S_j|_2`` and ``f = sqrt(tr S_i tr S_j)``.
+
+    Both sides compute the same fidelity, the nuclear norm of ``S_j^1/2
+    S_i^1/2``, from products whose norm is at most ``|S_i|_2 |S_j|_2``;
+    ``TestRootTraces`` derives ``2 n sqrt(n eps |M|_2) + 1e-12 tr`` for
+    two root traces of one such product, and ``f`` bounds the trace by
+    Cauchy-Schwarz.  The fidelity enters a cost twice.
+    ``TestStackedPrice::test_rows_priced_within_the_root_perturbation_bound``
+    checks the library against :func:`price_by_rows_oracle` with it.
+    """
+    n = ps[0].dim
+    eps = np.finfo(float).eps
+    norms = [np.array([np.linalg.norm(g.cov, 2) for g in gs])
+             for gs in (ps, qs)]
+    delta = n * eps * np.multiply.outer(*norms)
+    f = np.sqrt(np.multiply.outer([g.cov_trace() for g in ps],
+                                  [g.cov_trace() for g in qs]))
+    return 2.0 * (2.0 * n * np.sqrt(delta) + 1e-12 * f)
 
 
 def mw2_full_oracle(p, q):
-    """MW2 by full pricing: every Gaussian W2^2 cost, then one LP.
+    """Squared MW2 by per-pair pricing and a separate LP, with its
+    tolerance against the library's ``mw2``: ``(value, tol)``.
 
-    The cost matrix is the library's all-pairs ``gaussian_w2_sq_matrix``
-    and the LP its ``solve_discrete_ot``; returns ``(distance, plan)``.
+    Every cost is :func:`gaussian_w2_pair_oracle`, which roots the row
+    side of each pair, where the library roots the column side, and the
+    transport problem is :func:`lp_transport_oracle`.  ``tol`` bounds
+    ``|mw2(p, q)^2 - value|``: two optimal transport values over costs
+    that differ by at most ``e`` per entry differ by at most ``e``, and
+    ``e`` is the largest :func:`row_rooted_rounding_bound` of a pair plus
+    ``4 (n + 2) eps (|m_i - m_j|^2 + tr S_i + tr S_j)``, the rounding of
+    the sums that make a cost, summed in another order by the commuting
+    closed form of two diagonal covariances.  The two LP solves add the
+    ``1e-9`` that ``solve_discrete_ot`` keeps from the LP oracle on
+    costs of order 1 (criterion 4), scaled by the largest cost.
     """
-    from wassnet.stats import as_mixture, gaussian_w2_sq_matrix
-    from wassnet.transport import solve_discrete_ot
+    from wassnet.stats import as_mixture
 
     pm, qm = as_mixture(p), as_mixture(q)
-    cost = gaussian_w2_sq_matrix(pm.components, qm.components)
-    plan = solve_discrete_ot(cost, pm.weights, qm.weights)
-    return math.sqrt(max(plan.cost, 0.0)), plan
+    ps, qs = pm.components, qm.components
+    cost = np.array([[max(gaussian_w2_pair_oracle(a, b), 0.0) for b in qs]
+                     for a in ps])
+    value = lp_transport_oracle(cost, pm.weights, qm.weights)
+    eps = np.finfo(float).eps
+    sums = np.array([[float(np.sum(np.square(a.mean - b.mean)))
+                      + a.cov_trace() + b.cov_trace() for b in qs]
+                     for a in ps])
+    per_pair = row_rooted_rounding_bound(ps, qs) \
+        + 4.0 * (pm.dim + 2) * eps * sums
+    tol = float(per_pair.max()) + 1e-9 * max(1.0, float(cost.max()))
+    return value, tol
 
 
 def push_point_oracle(point, layer, d=1):
@@ -548,7 +605,6 @@ def component_grid_oracle(g, weight, budget, table):
         raise NumericalError("all signature cells fell below the mass floor")
     weights = mass[keep].copy()
     prune_penalty = np.zeros(weights.size)
-    pruned_mass = 0.0
     if not np.all(keep):
         kept_centers = centers[keep]
         for c_idx in np.flatnonzero(~keep):
@@ -560,7 +616,6 @@ def component_grid_oracle(g, weight, budget, table):
                 means[c_idx] - kept_centers[j])))) + pinned_sum
             weights[j] += mass[c_idx]
             prune_penalty[j] += mass[c_idx] * pen
-            pruned_mass += float(mass[c_idx])
 
     total = float(weights.sum())
     weights = weights / total
@@ -568,7 +623,7 @@ def component_grid_oracle(g, weight, budget, table):
     cells = ComponentCells(
         weight=weight, eigenvalues=lam, grid_sizes=sizes,
         cell_mass=mass[keep], distortion=cond[keep],
-        prune_penalty=prune_penalty, pruned_mass=pruned_mass)
+        prune_penalty=prune_penalty)
     return locations, weights, cells
 
 

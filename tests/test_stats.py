@@ -14,15 +14,16 @@ from wassnet import (Gaussian, GaussianMixture, NumericalError, ParseError,
                      psd_sqrt, standard_truncated_moments, symmetric_eig)
 from wassnet import stats
 from wassnet.quantizer import _active_mask
-from wassnet.stats import (GaussianW2Costs, _eigen_bases, _eigen_stack,
-                           _symmetric_blocks)
+from wassnet.stats import (_eigen_bases, _eigen_stack, _symmetric_blocks,
+                           gaussian_w2_sq_pairs)
 
-from oracles import (gaussian_w2_pair_oracle, is_diagonal_matrix,
-                     marginal_lower_bound_oracle, price_by_columns_oracle,
-                     price_by_rows_oracle,
+from oracles import (gaussian_w2_pair_oracle, identical_pairs,
+                     is_diagonal_matrix, marginal_lower_bound_oracle,
+                     price_by_columns_oracle, price_by_rows_oracle,
                      quad_truncated_moments,
                      quantile_coupling_w2_1d,
-                     root_trace_by_eigenvectors_oracle)
+                     root_trace_by_eigenvectors_oracle,
+                     row_rooted_rounding_bound)
 
 
 def random_gaussian(rng, dim, diagonal=False, degenerate=False):
@@ -308,17 +309,16 @@ class TestGaussianW2SqMatrix:
 
 
 class TestMarginalLowerBound:
-    """The exact costs of ``GaussianW2Costs.price`` against the W2 of the
+    """The exact costs of ``gaussian_w2_sq_matrix`` against the W2 of the
     coordinate marginals (:func:`marginal_lower_bound_oracle`), a lower
     bound that is exact for diagonal pairs."""
 
     @staticmethod
     def _lower_and_exact(ps, qs):
-        costs = GaussianW2Costs(ps, qs)
-        costs.price(np.ones_like(costs.exact))
         scale = np.add.outer([g.cov_trace() for g in ps],
                              [g.cov_trace() for g in qs])
-        return marginal_lower_bound_oracle(ps, qs), costs.values, scale
+        return (marginal_lower_bound_oracle(ps, qs),
+                gaussian_w2_sq_matrix(ps, qs), scale)
 
     def test_below_exact_cost(self):
         rng = np.random.default_rng(43)
@@ -377,10 +377,10 @@ class TestMarginalLowerBound:
 
 
 class TestStackedPrice:
-    """``GaussianW2Costs.price`` against column-by-column pricing: the
-    same bits, however the mask is split into calls and the pairs into
-    stacks.  Against the row-by-row pricing it replaced, which roots the
-    other side of each pair, up to rounding."""
+    """``gaussian_w2_sq_pairs`` against column-by-column pricing: the same
+    bits, whichever pairs are priced together and however they are cut
+    into stacks.  Against the row-by-row pricing it replaced, which roots
+    the other side of each pair, up to rounding."""
 
     @staticmethod
     def _components(rng, n, m, dim):
@@ -396,36 +396,32 @@ class TestStackedPrice:
         return ps, qs
 
     @staticmethod
-    def _both(ps, qs, masks, oracle_masks=None, oracle=price_by_columns_oracle):
-        """Values and exactness flags after pricing ``masks`` one call
-        each, and after ``oracle`` prices ``oracle_masks`` (by default
-        the same calls)."""
-        got, want = GaussianW2Costs(ps, qs), GaussianW2Costs(ps, qs)
-        for mask in masks:
-            got.price(mask)
-        for mask in masks if oracle_masks is None else oracle_masks:
-            oracle(want, mask)
-        return got, want
+    def _all_pairs(n, m):
+        return np.indices((n, m)).reshape(2, -1)
 
     @staticmethod
-    def _assert_equal(got, want):
-        assert np.array_equal(got.values, want.values)
-        assert np.array_equal(got.exact, want.exact)
+    def _assert_same_bits(ps, qs, rows, cols):
+        got = gaussian_w2_sq_pairs(ps, qs, rows, cols)
+        want = price_by_columns_oracle(ps, qs, rows, cols)
+        assert got.tobytes() == want.tobytes()
 
     def test_all_pairs_and_random_masks(self):
+        # all pairs in row-major order, and random subsets in random order
         rng = np.random.default_rng(71)
         for _ in range(40):
             n, m = (int(k) for k in rng.integers(2, 8, size=2))
             ps, qs = self._components(rng, n, m, int(rng.integers(1, 7)))
-            full = np.ones((n, m), dtype=bool)
-            self._assert_equal(*self._both(ps, qs, [full]))
-            masks = [rng.random((n, m)) < 0.4 for _ in range(3)]
-            self._assert_equal(*self._both(ps, qs, masks))
+            self._assert_same_bits(ps, qs, *self._all_pairs(n, m))
+            for _ in range(3):
+                rows, cols = np.nonzero(rng.random((n, m)) < 0.4)
+                order = rng.permutation(rows.size)
+                self._assert_same_bits(ps, qs, rows[order], cols[order])
 
     def test_rows_priced_within_the_root_perturbation_bound(self):
-        """Against the row-by-row pricing, within ``2 (2 n sqrt(delta) +
-        1e-12 f)`` per entry, where ``delta = n eps |S_i|_2 |S_j|_2``
-        and ``f = sqrt(tr S_i tr S_j)``.
+        """Against the row-by-row pricing, within
+        :func:`row_rooted_rounding_bound` per entry: ``2 (2 n sqrt(delta)
+        + 1e-12 f)``, where ``delta = n eps |S_i|_2 |S_j|_2`` and ``f =
+        sqrt(tr S_i tr S_j)``.
 
         Both sides compute the same fidelity, the nuclear norm of ``S_j^1/2
         S_i^1/2``, from products whose norm is at most ``|S_i|_2 |S_j|_2``;
@@ -434,36 +430,32 @@ class TestStackedPrice:
         Cauchy-Schwarz.  The fidelity enters a cost twice.
         """
         rng = np.random.default_rng(73)
-        eps = np.finfo(float).eps
         for _ in range(60):
             n, m = (int(k) for k in rng.integers(2, 8, size=2))
             dim = int(rng.integers(1, 9))
             ps, qs = self._components(rng, n, m, dim)
-            got, want = self._both(ps, qs, [np.ones((n, m), dtype=bool)],
-                                   oracle=price_by_rows_oracle)
-            norms = [np.array([np.linalg.norm(g.cov, 2) for g in gs])
-                     for gs in (ps, qs)]
-            delta = dim * eps * np.multiply.outer(*norms)
-            f = np.sqrt(np.multiply.outer([g.cov_trace() for g in ps],
-                                          [g.cov_trace() for g in qs]))
-            assert np.array_equal(got.exact, want.exact)
-            assert np.all(np.abs(got.values - want.values)
-                          <= 2.0 * (2.0 * dim * np.sqrt(delta) + 1e-12 * f))
+            rows, cols = self._all_pairs(n, m)
+            got = gaussian_w2_sq_pairs(ps, qs, rows, cols)
+            want = price_by_rows_oracle(ps, qs, rows, cols)
+            assert np.all(np.abs(got - want)
+                          <= row_rooted_rounding_bound(ps, qs).ravel())
 
     def test_split_into_calls_as_one_call(self):
-        # an entry's value does not depend on which entries are priced
-        # with it
+        # a pair's value does not depend on which pairs are priced with it
         rng = np.random.default_rng(73)
         for _ in range(20):
             ps, qs = self._components(rng, 6, 5, 4)
-            parts = [rng.random((6, 5)) < 0.3 for _ in range(4)]
-            union = np.logical_or.reduce(parts)
-            self._assert_equal(*self._both(ps, qs, parts, [union]))
-            self._assert_equal(*self._both(ps, qs, [union], parts))
+            rows, cols = self._all_pairs(6, 5)
+            full = gaussian_w2_sq_pairs(ps, qs, rows, cols)
+            for _ in range(4):
+                sub = np.flatnonzero(rng.random(rows.size) < 0.3)
+                sub = rng.permutation(sub)
+                part = gaussian_w2_sq_pairs(ps, qs, rows[sub], cols[sub])
+                assert part.tobytes() == full[sub].tobytes()
 
     def test_stacks_stay_within_the_byte_bound(self, monkeypatch):
         # 160^2 products are 200 KiB each, so the 21 pairs of a 3 x 7
-        # round take two stacks of the 4 MiB bound; a bound of three 6 x 6
+        # call take two stacks of the 4 MiB bound; a bound of three 6 x 6
         # products cuts columns across stacks
         rng = np.random.default_rng(79)
         real = stats._psd_root_traces
@@ -481,25 +473,26 @@ class TestStackedPrice:
                 assert mats.nbytes <= bound
                 return real(mats)
 
+            rows, cols = self._all_pairs(len(ps), len(qs))
             monkeypatch.setattr(stats, "_PRICE_STACK_BYTES", bound)
             monkeypatch.setattr(stats, "_psd_root_traces", recording)
-            got, want = GaussianW2Costs(ps, qs), GaussianW2Costs(ps, qs)
-            got.price(np.ones_like(got.exact))
+            got = gaussian_w2_sq_pairs(ps, qs, rows, cols)
             monkeypatch.undo()
             assert len(sizes) > 1
-            assert sum(sizes) == int(np.sum(~want.exact))
-            price_by_columns_oracle(want, np.ones_like(want.exact))
-            self._assert_equal(got, want)
+            assert sum(sizes) == int(np.sum(
+                ~identical_pairs(ps, qs, rows, cols)))
+            want = price_by_columns_oracle(ps, qs, rows, cols)
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bound", [None, 3 * 5 * 5 * 8])
     def test_one_root_per_column(self, monkeypatch, bound):
-        # one stack for the whole round under the default bound; under a
+        # one stack for the whole call under the default bound; under a
         # bound of three products, a column cut by a stack boundary keeps
-        # its root, and a second call takes no root again
+        # its one root
         rng = np.random.default_rng(83)
         ps, qs = self._components(rng, 6, 5, 5)
-        costs = GaussianW2Costs(ps, qs)
-        todo = ~costs.exact
+        rows, cols = self._all_pairs(6, 5)
+        todo = ~identical_pairs(ps, qs, rows, cols)
         rooted, stacks = [], []
         real_root, real_traces = stats._root_of, stats._psd_root_traces
         monkeypatch.setattr(stats, "_root_of",
@@ -509,17 +502,17 @@ class TestStackedPrice:
                             or real_traces(mats))
         if bound is not None:
             monkeypatch.setattr(stats, "_PRICE_STACK_BYTES", bound)
-        first = np.zeros_like(todo)
-        first[:3] = True
-        costs.price(first)
-        costs.price(np.ones_like(todo))
+        gaussian_w2_sq_pairs(ps, qs, rows, cols)
         assert sorted(rooted) == sorted(
-            {id(qs[j].eigen()) for j in np.flatnonzero(todo.any(axis=0))})
+            {id(qs[j].eigen()) for j in np.unique(cols[todo])})
         if bound is None:
-            assert stacks == [int((todo & first).sum()),
-                              int((todo & ~first).sum())]
+            assert stacks == [int(todo.sum())]
         else:
             assert max(stacks) == 3 and sum(stacks) == int(todo.sum())
+            # some column has pairs in more than one stack
+            stack_of = np.repeat(np.arange(len(stacks)), stacks)
+            assert any(np.unique(stack_of[cols[todo] == j]).size > 1
+                       for j in np.unique(cols[todo]))
 
     def test_price_computes_no_eigenvectors(self, monkeypatch):
         # once the columns are decomposed, pricing needs the products'
@@ -527,45 +520,43 @@ class TestStackedPrice:
         rng = np.random.default_rng(89)
         ps, qs = self._components(rng, 5, 4, 6)
         ps = [Gaussian(g.mean, g.cov) for g in ps]  # none shared with qs
-        got = GaussianW2Costs(ps, qs)
+        rows, cols = self._all_pairs(5, 4)
         _eigen_bases(qs)
         real = np.linalg.eigvalsh
         calls = []
 
         def no_eigh(*args, **kwargs):
-            raise AssertionError("price called np.linalg.eigh")
+            raise AssertionError("pricing called np.linalg.eigh")
 
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda a: calls.append(a.shape) or real(a))
-        got.price(np.ones_like(got.exact))
+        got = gaussian_w2_sq_pairs(ps, qs, rows, cols)
         monkeypatch.undo()
         assert calls
         assert not any("_basis" in vars(g) for g in ps)
-        _, want = self._both(ps, qs, [np.ones_like(got.exact)])
-        self._assert_equal(got, want)
+        want = price_by_columns_oracle(ps, qs, rows, cols)
+        assert got.tobytes() == want.tobytes()
 
     def test_decomposes_each_priced_column_once_and_no_row(self,
                                                            monkeypatch):
-        # the columns with an entry to price go through one stacked
-        # decomposition, on the first call that needs them
+        # the columns with a pair to price go through one stacked
+        # decomposition; the other columns and the rows are not decomposed
         rng = np.random.default_rng(91)
         ps, qs = self._components(rng, 6, 5, 5)
         ps = [Gaussian(g.mean, g.cov) for g in ps]
         qs = [Gaussian(g.mean, g.cov) for g in qs]
-        costs = GaussianW2Costs(ps, qs)
         stacked = []
         real = stats._eigen_stack
         monkeypatch.setattr(stats, "_eigen_stack",
                             lambda mats: stacked.append(len(mats))
                             or real(mats))
-        mask = np.zeros_like(costs.exact)
+        mask = np.zeros((6, 5), dtype=bool)
         mask[:, :3] = True
         mask[0, 4] = True
-        costs.price(mask)
-        costs.price(mask)
-        priced = np.flatnonzero((mask & ~GaussianW2Costs(ps, qs).exact)
-                                .any(axis=0))
+        rows, cols = np.nonzero(mask)
+        gaussian_w2_sq_pairs(ps, qs, rows, cols)
+        priced = np.unique(cols[~identical_pairs(ps, qs, rows, cols)])
         assert stacked == [priced.size]
         assert {j for j, g in enumerate(qs) if "_basis" in vars(g)} \
             == set(priced.tolist())

@@ -426,8 +426,8 @@ class TestMw2:
             p, q = (GaussianMixture(w / w.sum(), comps) for w, comps in
                     ((rng.random(n) + 0.1, ps), (rng.random(m) + 0.1, qs)))
             value, plan = mw2(p, q)
-            expected, _ = mw2_full_oracle(p, q)
-            assert math.isclose(value, expected, rel_tol=1e-12, abs_tol=0.0)
+            expected, tol = mw2_full_oracle(p, q)
+            assert abs(value ** 2 - expected) <= tol
             assert plan.plan.shape == (n, m)
             np.testing.assert_allclose(plan.plan.sum(axis=1), p.weights,
                                        rtol=0.0, atol=1e-12)
@@ -461,16 +461,16 @@ class TestMw2:
 
     @staticmethod
     def _record_priced(monkeypatch):
-        """Route ``GaussianW2Costs.price`` through a recorder; returns the
-        list of the ``(row, column)`` arcs it makes exact."""
+        """Route ``stats._products`` through a recorder; returns the list
+        of the ``(row, column)`` arcs whose products it builds."""
         priced = []
-        real = stats.GaussianW2Costs.price
+        real = stats._products
 
-        def recording(costs, mask):
-            priced.extend(zip(*np.nonzero(mask & ~costs.exact)))
-            return real(costs, mask)
+        def recording(ps, roots, rows, cols):
+            priced.extend(zip(rows.tolist(), cols.tolist()))
+            return real(ps, roots, rows, cols)
 
-        monkeypatch.setattr(stats.GaussianW2Costs, "price", recording)
+        monkeypatch.setattr(stats, "_products", recording)
         return priced
 
     @staticmethod
@@ -535,9 +535,9 @@ class TestMw2:
                                           result.cluster_assignment))
             assert math.isclose(result.w2_bound, math.sqrt(arcs),
                                 rel_tol=1e-12)
-            expected, _ = mw2_full_oracle(g, result.compressed)
-            assert result.w2_bound >= expected * (1.0 - 1e-12)
-            looser += result.w2_bound > expected * (1.0 + 1e-9)
+            expected, tol = mw2_full_oracle(g, result.compressed)
+            assert result.w2_bound ** 2 >= expected - tol
+            looser += result.w2_bound ** 2 > expected + tol
         assert looser >= 1
 
     def test_propagate_never_solves_a_transport_problem(self, monkeypatch,
@@ -610,8 +610,13 @@ class TestMw2:
         assert split[row_pattern] == 2
         assert stats._pattern_blocks.cache_info().misses == 1
         monkeypatch.undo()
-        expected, _ = mw2_full_oracle(g, compressed)
-        assert value == expected
+        # the same bits as all-pairs pricing and one solve, unwrapped
+        plan = solve_discrete_ot(gaussian_w2_sq_matrix(
+            g.components, compressed.components), g.weights,
+            compressed.weights)
+        assert value == math.sqrt(max(plan.cost, 0.0))
+        expected, tol = mw2_full_oracle(g, compressed)
+        assert abs(value ** 2 - expected) <= tol
 
     def test_compress_gmm_decomposes_no_pushed_component(self, monkeypatch):
         # only the compressed columns with an arc to price are decomposed,
@@ -636,8 +641,8 @@ class TestMw2:
             assert sum(stacks) == decomposed and len(stacks) <= 2
             seen_singleton |= bool(np.any(
                 np.bincount(res.cluster_assignment) == 1))
-            expected, _ = mw2_full_oracle(g, res.compressed)
-            assert math.isclose(res.w2_bound, expected, rel_tol=1e-12)
+            expected, tol = mw2_full_oracle(g, res.compressed)
+            assert abs(res.w2_bound ** 2 - expected) <= tol
         assert seen_singleton
 
     def test_one_stack_against_a_one_component_target(self, monkeypatch):
@@ -665,8 +670,12 @@ class TestMw2:
         assert "_basis" in vars(gp)
         assert not any("_basis" in vars(c) for c in net.components)
         monkeypatch.undo()
-        expected, _ = mw2_full_oracle(net, gp)
-        assert value == expected
+        # the same bits as all-pairs pricing and one solve, unwrapped
+        plan = solve_discrete_ot(gaussian_w2_sq_matrix(net.components, (gp,)),
+                                 net.weights, [1.0])
+        assert value == math.sqrt(max(plan.cost, 0.0))
+        expected, tol = mw2_full_oracle(net, gp)
+        assert abs(value ** 2 - expected) <= tol
 
 
 class TestDiscreteW2:
