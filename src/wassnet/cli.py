@@ -25,7 +25,7 @@ from .priortune import apply_params, parse_gp_spec, tune
 from .quantizer import QuantizerTable, build_table
 from .snn import (BoundLedger, PropagationConfig, SnnModel, propagate,
                   sample_network)
-from .stats import GaussianMixture, _eigen_bases, as_mixture
+from .stats import GaussianMixture, as_mixture
 from .transport import empirical_w2, mw2, relative_w2
 
 __all__ = ["main"]
@@ -110,12 +110,7 @@ def _load_model(path: str) -> SnnModel:
 
 
 def _load_mixture(path: str) -> GaussianMixture:
-    """A mixture file, with every covariance decomposed: one that is not
-    PSD within tolerance raises :class:`NumericalError` here, since ``mw2``
-    decomposes only its column side."""
-    mixture = GaussianMixture.from_dict(_read_json(path))
-    _eigen_bases(mixture.components)
-    return mixture
+    return GaussianMixture.from_dict(_read_json(path))
 
 
 def _resolve_table(path: str, budget: int) -> QuantizerTable:

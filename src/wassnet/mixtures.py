@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import ParseError
-from .stats import DiscreteDistribution, Gaussian, GaussianMixture, \
+from .stats import DiscreteDistribution, GaussianMixture, _gaussians, \
     as_mixture, gaussian_w2_sq_pairs
 from .transport import _pairwise_sq_dists
 
@@ -110,7 +110,9 @@ def _moment_matched(mixture, assign, cluster_ids):
     """Replace each cluster by the Gaussian matching its mass, mean, cov.
 
     A singleton cluster keeps its component object; the merged Gaussians
-    are built by one :meth:`Gaussian.stack`.
+    are built by one :func:`~wassnet.stats._gaussians`.  Each merged
+    covariance ``sum_i w_i (S_i + d_i d_i^T) / mass`` is a positive sum of
+    PSD matrices and outer products, so PSD.
     """
     members = [np.flatnonzero(assign == j) for j in cluster_ids]
     masses = np.array([float(mixture.weights[m].sum()) for m in members])
@@ -127,7 +129,7 @@ def _moment_matched(mixture, assign, cluster_ids):
                 mixture.components[i].cov + np.outer(d, d))
         merged_means.append(mu)
         merged_covs.append(cov / mass)
-    merged = iter(Gaussian.stack(merged_means, merged_covs)
+    merged = iter(_gaussians(np.array(merged_means), np.array(merged_covs))
                   if merged_means else ())
     comps = tuple(mixture.components[int(m[0])] if m.size == 1
                   else next(merged) for m in members)

@@ -354,12 +354,22 @@ def allocate_grid(eigenvalues, budget: int, table: QuantizerTable) -> tuple:
         raise ParseError("eigenvalues must be finite and nonnegative")
     if np.any(np.diff(lam) > 0.0):
         raise ParseError("eigenvalues must be sorted nonincreasing")
+    _check_budget(budget, table)
+    return _grid_sizes(lam, budget, table)
+
+
+def _check_budget(budget, table: QuantizerTable) -> None:
     if not isinstance(budget, (int, np.integer)) or budget < 1:
         raise ParseError("budget must be a positive integer")
     if table.n_max < budget:
         raise ParseError(
             f"quantizer table covers N<={table.n_max}; budget {budget} needs more")
 
+
+def _grid_sizes(lam: np.ndarray, budget: int, table: QuantizerTable) -> tuple:
+    """The search of :func:`allocate_grid`, for checked arguments: the
+    eigenvalues of an :class:`~wassnet.stats.EigenBasis` are sorted,
+    finite and nonnegative by construction."""
     lam_active = lam[_active_mask(lam)]
     r = int(lam_active.size)
     if r == 0:
@@ -468,7 +478,7 @@ def _with_tail(prefix: np.ndarray, value: float, r: int) -> np.ndarray:
 def _component_grid(g: Gaussian, weight: float, budget: int,
                     table: QuantizerTable):
     """Grid signature of a single Gaussian of mixture weight ``weight``:
-    ``(locations, weights, cells)``.
+    ``(locations, weights, cells)``, for a checked budget (:func:`_check_budget`).
 
     Sizes are nonincreasing, so the multi-point axes form a prefix, whose
     cells come from the table's :func:`_grid_template`; each single-point
@@ -478,7 +488,7 @@ def _component_grid(g: Gaussian, weight: float, budget: int,
     """
     basis = g.eigen()
     lam = basis.eigenvalues
-    sizes = allocate_grid(lam, budget, table)
+    sizes = _grid_sizes(lam, budget, table)
     r = len(sizes)
     pinned_sum = float(lam[r:].sum())
     lam_r = lam[:r]
@@ -547,6 +557,7 @@ def signature_of_gaussian(g: Gaussian, budget: int, table: QuantizerTable):
     """
     if not isinstance(g, Gaussian):
         raise ParseError("signature_of_gaussian expects a Gaussian")
+    _check_budget(budget, table)
     locations, weights, cc = _component_grid(g, 1.0, budget, table)
     lam = cc.eigenvalues
     r = len(cc.grid_sizes)
@@ -570,6 +581,7 @@ def signature_of_mixture(g, budget_per_component: int, table: QuantizerTable):
     ``compress_gmm`` priced its bound against, are reused.
     """
     gm = as_mixture(g)
+    _check_budget(budget_per_component, table)
     live = [(pi, comp) for pi, comp in zip(gm.weights, gm.components)
             if pi > 0.0]
     _eigen_bases([comp for _, comp in live])

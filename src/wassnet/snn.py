@@ -22,7 +22,8 @@ from .errors import ParseError
 from .mixtures import compress_dropout, compress_gmm
 from .quantizer import (_ACTIVATIONS, QuantizerTable,
                         activation_signature_w2_bound, signature_of_mixture)
-from .stats import DiscreteDistribution, Gaussian, GaussianMixture, _readonly
+from .stats import (DiscreteDistribution, Gaussian, GaussianMixture,
+                    _gaussians, _readonly)
 
 __all__ = [
     "StochasticLinear",
@@ -395,9 +396,11 @@ def _push_atoms(locations: np.ndarray, layer: StochasticLinear, d: int):
     ``d x d`` blocks.  All points go through one matmul and one einsum.
     Returns means ``(A, d * n_out)`` and, for ``d = 1``, variances
     ``(A, n_out)``, else covariances ``(A, d * n_out, d * n_out)``: the
-    arguments of :meth:`Gaussian.stack`, which lays variances out as
-    diagonal matrices.  The ``d = 1`` variances come from one matmul, not
-    the einsum, whose other summation order would move them by a few ulps.
+    arguments of :func:`~wassnet.stats._gaussians`.  Each is PSD, as a
+    direct sum of blocks ``X diag(v_i) X^T + bias_var_i 1 1^T`` with
+    ``v_i, bias_var_i >= 0``.  The ``d = 1`` variances come from one matmul,
+    not the einsum, whose other summation order would move them by a few
+    ulps.
     """
     s = layer.scale
     n_atoms, n_out = locations.shape[0], layer.n_out
@@ -408,8 +411,7 @@ def _push_atoms(locations: np.ndarray, layer: StochasticLinear, d: int):
         var = s * s * (np.square(blocks) @ layer.weight_var.T
                        + layer.bias_var)
         return mean, var.reshape(n_atoms, n_out)
-    # per-neuron block covariance x_a diag(v_i) x_b^T + bias_var_i, which
-    # Gaussian.stack symmetrises
+    # per-neuron block covariance x_a diag(v_i) x_b^T + bias_var_i
     cross = np.einsum("kaj,ij,kbj->kiab", blocks, layer.weight_var, blocks)
     cross = s * s * (cross + layer.bias_var[:, None, None])
     cov = np.zeros((n_atoms, d * n_out, d * n_out))
@@ -437,7 +439,7 @@ def push_point_through_stochastic_linear(point, layer: StochasticLinear,
         raise ParseError(
             f"point has {point.shape[0]} entries, expected {d} blocks "
             f"of {layer.n_in}")
-    return Gaussian.stack(*_push_atoms(point[None], layer, d))[0]
+    return _gaussians(*_push_atoms(point[None], layer, d))[0]
 
 
 def _atoms_through_deterministic(atoms: DiscreteDistribution,
@@ -451,10 +453,11 @@ def _atoms_through_deterministic(atoms: DiscreteDistribution,
 
 def _gaussian_through_deterministic(g: Gaussian, layer: DeterministicLinear,
                                     d: int) -> Gaussian:
+    """The image of ``g`` under the layer, ``N(W m + b, W S W^T)``, PSD
+    since ``S`` is."""
     w = np.kron(np.eye(d), layer.weight)
     mean = w @ g.mean + np.tile(layer.bias, d)
-    cov = w @ g.cov @ w.T
-    return Gaussian(mean, 0.5 * (cov + cov.T))
+    return _gaussians(mean[None], (w @ g.cov @ w.T)[None])[0]
 
 
 def _block_seed(seed: int, k: int) -> int:
@@ -553,7 +556,7 @@ def propagate(model: SnnModel, points, cfg: PropagationConfig):
                         f"covariance for {atoms.size} components, above the "
                         f"cap {TOL.cov_bytes_cap}; lower the signature "
                         "budget, the compression size or the input count")
-                comps = Gaussian.stack(*_push_atoms(atoms.locations, layer, d))
+                comps = _gaussians(*_push_atoms(atoms.locations, layer, d))
                 mixture = GaussianMixture(atoms.weights, comps)
                 atoms = None
             elif mixture is not None:

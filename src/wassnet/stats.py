@@ -69,68 +69,62 @@ def _simplex_weights(w: np.ndarray, what: str) -> np.ndarray:
 # domain types
 # ---------------------------------------------------------------------------
 
-def _symmetrised(mats: np.ndarray) -> np.ndarray:
-    """``(S + S^T) / 2`` of each matrix in a ``(K, n, n)`` stack, read-only.
-
-    Every entry must be finite, and each matrix symmetric within
-    ``cov_symmetry_rtol * max(max|S|, 1)``; otherwise :class:`ParseError`.
-    Needs one scratch array of the stack's size, which becomes the result.
-    """
-    flat = (len(mats), mats.shape[1] * mats.shape[2])
-    rows = mats.reshape(flat)
-    # max|S| per matrix without an |S| temporary
-    scale = np.maximum(rows.max(axis=1, initial=0.0),
-                       -rows.min(axis=1, initial=0.0))
-    if not np.isfinite(scale).all():
-        raise ParseError("covariance must be finite")
-    mats_t = mats.swapaxes(1, 2)
-    out = mats - mats_t
-    np.abs(out, out=out)
-    asym = out.reshape(flat).max(axis=1, initial=0.0)
-    if (asym > TOL.cov_symmetry_rtol * np.maximum(scale, 1.0)).any():
-        raise ParseError("covariance is not symmetric within tolerance")
-    np.add(mats, mats_t, out=out)
-    out *= 0.5
-    out.setflags(write=False)
-    return out
-
-
 def _validated(means: np.ndarray, covs: np.ndarray):
-    """Checked, read-only copies of stacked Gaussian parameters.
+    """Outside stacked Gaussian parameters, checked for :func:`_gaussians`.
 
-    ``means`` is ``(K, n)``; ``covs`` holds ``K`` matrices ``(K, n, n)`` or
-    ``K`` variance vectors ``(K, n)``, the input form of diagonal matrices.
-    Every entry must be finite.  Matrices are symmetrised by
-    :func:`_symmetrised`.  A variance below ``-eig_clip_rtol * max(max v,
-    1)`` of its vector raises, smaller negatives are clipped to 0, and each
-    vector is laid out as its diagonal matrix, which is exactly symmetric.
-    Returns the means and the ``(K, n, n)`` matrices.
+    ``means`` is ``(K, n)``; ``covs`` holds ``K`` variance vectors ``(K,
+    n)`` or ``K`` matrices ``(K, n, n)``, each finite and symmetric within
+    ``cov_symmetry_rtol * max(max|S|, 1)``.  A variance below
+    ``-eig_clip_rtol * max(max v, 1)`` of its vector raises
+    :class:`ParseError`, smaller negatives are clipped to 0.  Needs one
+    scratch array of the stack's size at a time.
     """
-    if not np.isfinite(means).all():
-        raise ParseError("mean must be finite")
     k, n = means.shape
     if covs.ndim == 2:
         if covs.shape != (k, n):
             raise ParseError("variance vector length does not match mean")
-        scale = covs.max(axis=1, initial=0.0)
-        if not np.isfinite(scale).all():
-            raise ParseError("covariance must be finite")
-        floor = -TOL.eig_clip_rtol * np.maximum(scale, 1.0)
+        floor = -TOL.eig_clip_rtol * np.maximum(
+            covs.max(axis=1, initial=0.0), 1.0)
         if (covs < floor[:, None]).any():
             raise ParseError("negative variance beyond tolerance")
-        var = np.maximum(covs, 0.0)
-        covs = np.zeros((k, n, n))
-        covs[:, np.arange(n), np.arange(n)] = var
-        covs.setflags(write=False)
-    elif covs.ndim == 3:
-        if covs.shape != (k, n, n):
-            raise ParseError("covariance shape does not match mean")
-        covs = _symmetrised(covs)
-    else:
+        return means, np.maximum(covs, 0.0)
+    if covs.ndim != 3:
         raise ParseError("cov must be a variance vector or a square matrix")
-    means = np.array(means, dtype=float)
-    means.setflags(write=False)
+    if covs.shape != (k, n, n):
+        raise ParseError("covariance shape does not match mean")
+    scale = np.abs(covs).reshape(k, n * n).max(axis=1, initial=0.0)
+    if not np.isfinite(scale).all():
+        raise ParseError("covariance must be finite")
+    diff = covs - covs.swapaxes(1, 2)
+    asym = np.abs(diff, out=diff).reshape(k, n * n).max(axis=1, initial=0.0)
+    if (asym > TOL.cov_symmetry_rtol * np.maximum(scale, 1.0)).any():
+        raise ParseError("covariance is not symmetric within tolerance")
     return means, covs
+
+
+def _gaussians(means: np.ndarray, covs: np.ndarray) -> tuple:
+    """One Gaussian per row of ``means`` ``(K, n)``, from covariances that
+    are PSD: ``K`` variance vectors ``(K, n)``, laid out as diagonal
+    matrices, or ``K`` matrices ``(K, n, n)``, replaced by ``(S + S^T) /
+    2``, since a product such as ``X D X^T`` need not round symmetric.
+    Only finiteness is checked, which a push that overflows fails with
+    :class:`ParseError`; outside data comes in through
+    :meth:`Gaussian.stack`.  The Gaussians share read-only storage.
+    """
+    for what, a in (("mean", means), ("covariance", covs)):
+        if not np.isfinite(a).all():
+            raise ParseError(f"{what} must be finite")
+    means = _readonly(means)
+    k, n = means.shape
+    if covs.ndim == 2:
+        var, covs = covs, np.zeros((k, n, n))
+        covs[:, np.arange(n), np.arange(n)] = var
+    else:
+        covs = np.add(covs, covs.swapaxes(1, 2))
+        covs *= 0.5
+    covs.setflags(write=False)
+    return tuple(_trusted(Gaussian, mean=m, cov=c)
+                 for m, c in zip(means, covs))
 
 
 @dataclass(frozen=True)
@@ -141,10 +135,11 @@ class Gaussian:
     be given as a 1-d variance vector, which is stored as its diagonal
     matrix: the form a mean-field layer yields at one input point.
     Symmetry is required within a relative tolerance and then enforced
-    exactly; tiny negative variances are clipped to zero.  :meth:`stack`
-    builds many Gaussians with the same checks at once.  The
-    eigendecomposition is computed once per Gaussian and cached
-    (:meth:`eigen`).
+    exactly; tiny negative variances are clipped to zero.  The covariance
+    is then decomposed (:meth:`eigen`, kept on the Gaussian), and one with
+    an eigenvalue below ``-eig_clip_rtol * max|lambda|`` raises
+    :class:`NumericalError`, so every Gaussian is PSD.  :meth:`stack`
+    builds many Gaussians with the same checks at once.
     """
 
     mean: np.ndarray
@@ -154,10 +149,11 @@ class Gaussian:
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         if mean.ndim != 1:
             raise ParseError("mean must be a vector")
-        cov = np.asarray(self.cov, dtype=float)
-        means, covs = _validated(mean[None], cov[None])
-        object.__setattr__(self, "mean", means[0])
-        object.__setattr__(self, "cov", covs[0])
+        g, = Gaussian.stack(mean[None],
+                            np.asarray(self.cov, dtype=float)[None])
+        object.__setattr__(self, "mean", g.mean)
+        object.__setattr__(self, "cov", g.cov)
+        vars(self)["_basis"] = g.eigen()
 
     @staticmethod
     def stack(means, covs) -> tuple:
@@ -165,16 +161,18 @@ class Gaussian:
         checks one.
 
         ``covs`` holds covariance matrices ``(K, n, n)`` or variance vectors
-        ``(K, n)``, which become diagonal matrices.  Every check and the
-        symmetrisation of the constructor run once over the whole stack,
-        and the Gaussians share its read-only storage.
+        ``(K, n)``, which become diagonal matrices.  Every check runs once
+        over the whole stack (:func:`_validated`), the Gaussians are built
+        by :func:`_gaussians`, sharing its read-only storage, and their
+        covariances are decomposed in one :func:`_eigen_bases` call, which
+        raises :class:`NumericalError` on one that is not PSD.
         """
         means = np.asarray(means, dtype=float)
         if means.ndim != 2:
             raise ParseError("means must be a (K, n) array")
-        means, covs = _validated(means, np.asarray(covs, dtype=float))
-        return tuple(_trusted(Gaussian, mean=m, cov=c)
-                     for m, c in zip(means, covs))
+        gs = _gaussians(*_validated(means, np.asarray(covs, dtype=float)))
+        _eigen_bases(gs)
+        return gs
 
     @property
     def dim(self) -> int:
@@ -219,11 +217,8 @@ class Gaussian:
     def from_dict(d: dict) -> "Gaussian":
         try:
             cov = d["cov"]
-            if "diag" in cov:
-                return Gaussian(np.asarray(d["mean"], dtype=float),
-                                np.asarray(cov["diag"], dtype=float))
-            return Gaussian(np.asarray(d["mean"], dtype=float),
-                            np.asarray(cov["full"], dtype=float))
+            return Gaussian(d["mean"],
+                            cov["diag"] if "diag" in cov else cov["full"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed Gaussian object: {exc}") from exc
 
@@ -570,13 +565,12 @@ def symmetric_eig(cov: np.ndarray) -> EigenBasis:
     Eigenvalues are returned nonincreasing.  Negative eigenvalues within
     ``eig_clip_rtol * max|lambda|`` of zero are clipped to 0; anything more
     negative raises :class:`NumericalError` with the matrix attached.  The
-    one-matrix case of :func:`_eigen_stack`, after the checks and the exact
-    symmetrisation of :func:`_symmetrised`.
+    decomposition that :class:`Gaussian` checks and keeps.
     """
     a = np.asarray(cov, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ParseError("expected a square matrix")
-    return _eigen_stack(_symmetrised(a[None]))[0]
+    return Gaussian(np.zeros(len(a)), a).eigen()
 
 
 def psd_sqrt(cov: np.ndarray) -> np.ndarray:
@@ -640,14 +634,8 @@ def gaussian_w2_sq_pairs(ps, qs, rows, cols) -> np.ndarray:
     pattern); the fidelity is ``sum_k sqrt(max(lambda_k, 0))``, the trace
     of the clipped root.
 
-    Degenerate covariances are fine.  A column that is not PSD within
-    tolerance raises :class:`NumericalError` when it is decomposed, and
-    so does a product with an eigenvalue below ``-eig_clip_rtol *
-    max|lambda|``.  A row covariance is checked only through its
-    products: by Sylvester's law of inertia a product with a nonsingular
-    column root has as many negative eigenvalues as the row, while a
-    singular column root can hide them, so callers holding outside input
-    check it themselves (the CLI decomposes every mixture it loads).
+    Degenerate covariances are fine, and every covariance is PSD by
+    construction (:class:`Gaussian`, :func:`_gaussians`).
     """
     ps, qs = tuple(ps), tuple(qs)
     if len({g.dim for g in ps + qs}) > 1:

@@ -367,13 +367,14 @@ class TestMw2:
 
     def test_covariance_that_is_not_psd_is_refused(self, tmp_path, capsys):
         # against a point mass every product S_j^1/2 S_i S_j^1/2 is 0, so
-        # pricing alone would not see the indefinite first mixture
-        bad = GaussianMixture(np.array([1.0]), (Gaussian(
-            np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]])),))
-        point = GaussianMixture(np.array([1.0]), (Gaussian(
-            np.ones(2), np.zeros(2)),))
+        # pricing alone would not see the indefinite first mixture; the
+        # mixture is refused when it is loaded, on either side
+        bad = {"weights": [1], "components": [
+            {"mean": [0, 0], "cov": {"full": [[1, 2], [2, 1]]}}]}
+        point = {"weights": [1], "components": [
+            {"mean": [1, 1], "cov": {"diag": [0, 0]}}]}
         for name, g in (("bad.json", bad), ("point.json", point)):
-            (tmp_path / name).write_text(json.dumps(g.to_dict()))
+            (tmp_path / name).write_text(json.dumps(g))
         for a, b in (("bad.json", "point.json"), ("point.json", "bad.json")):
             code, out, err = run_cli(
                 ["mw2", "--gmm-a", str(tmp_path / a),

@@ -15,7 +15,7 @@ import weakref
 import numpy as np
 import pytest
 
-from wassnet import snn
+from wassnet import snn, stats
 from wassnet.config import TOL
 from wassnet.errors import ParseError
 from wassnet.snn import (Activation, BoundLedger, DeterministicLinear,
@@ -555,6 +555,44 @@ class TestPropagate:
         est, se = _empirical_batches(model, approx, points, 500, 4, seed=33)
         assert est + 3 * se <= ledger.final_bound
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_overflowing_push_is_refused_before_any_decomposition(
+            self, table, d, monkeypatch):
+        # an input of 1e200 squares past the float range: the pushed
+        # covariances hold inf, which is refused as soon as they are built
+        rng = np.random.default_rng(7)
+        model = _vi_net(rng, (1, 3, 1))
+        points = np.linspace(1e200, 2e200, d)[:, None]
+
+        def decomposing(mats):
+            raise AssertionError("an overflowing covariance was decomposed")
+
+        monkeypatch.setattr(stats, "_eigen_stack", decomposing)
+        cfg = PropagationConfig(table=table, signature_budget=4,
+                                compression_size=2, seed=0)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ParseError, match="covariance must be finite"):
+                propagate(model, points, cfg)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_builds_no_gaussian_through_the_outside_checks(self, table, d,
+                                                          monkeypatch):
+        # pushes, merged clusters and images under a deterministic layer
+        # are PSD by construction and skip the checks of outside data
+        rng = np.random.default_rng(11 + d)
+        net = _vi_net(rng, (1, 4, 4, 3))
+        model = SnnModel(1, net.layers + (DeterministicLinear(
+            rng.normal(size=(2, 3)), np.zeros(2)),))
+        calls = []
+        real = stats._validated
+        monkeypatch.setattr(stats, "_validated",
+                            lambda *a: calls.append(1) or real(*a))
+        cfg = PropagationConfig(table=table, signature_budget=4,
+                                compression_size=2, seed=0)
+        approx, _ = propagate(model, np.linspace(-1.0, 1.0, d)[:, None], cfg)
+        assert isinstance(approx, GaussianMixture) and approx.size > 1
+        assert calls == []
+
     def test_atom_cap_rejects_oversized_signature(self, table):
         rng = np.random.default_rng(1)
         model = _vi_net(rng, (1, 4, 1))
@@ -585,7 +623,7 @@ class TestPropagate:
         cfg = PropagationConfig(table=table, signature_budget=4,
                                 compression_size=2, seed=0)
         sizes = []
-        real = Gaussian.stack
+        real = snn._gaussians
 
         def recording(means, covs):
             comps = real(means, covs)
@@ -595,7 +633,7 @@ class TestPropagate:
             sizes.append(shared.nbytes)
             return comps
 
-        monkeypatch.setattr(Gaussian, "stack", staticmethod(recording))
+        monkeypatch.setattr(snn, "_gaussians", recording)
         propagate(model, points, cfg)
         top = max(sizes)
         assert top > sizes[0]  # the largest stack is a later layer's

@@ -12,7 +12,7 @@ from scipy.sparse.csgraph import connected_components
 from wassnet import (Gaussian, GaussianMixture, NumericalError, ParseError,
                      gaussian_w2, gaussian_w2_sq_matrix, mixture_second_moment,
                      psd_sqrt, standard_truncated_moments, symmetric_eig)
-from wassnet import stats
+from wassnet import mw2, stats
 from wassnet.quantizer import _active_mask
 from wassnet.stats import (_eigen_bases, _eigen_stack, _symmetric_blocks,
                            gaussian_w2_sq_pairs)
@@ -33,6 +33,13 @@ def random_gaussian(rng, dim, diagonal=False, degenerate=False):
     r = dim - 1 if degenerate and dim > 1 else dim
     f = rng.normal(size=(dim, r))
     return Gaussian(mean, f @ f.T)
+
+
+def undecomposed(gs):
+    """Copies of Gaussians of one dimension made by the pipeline's
+    builder, which decomposes none of them."""
+    return list(stats._gaussians(np.stack([g.mean for g in gs]),
+                                 np.stack([g.cov for g in gs])))
 
 
 def truncated_moments(mu, var, lo, hi):
@@ -211,10 +218,10 @@ class TestGaussianW2:
         assert abs(gaussian_w2(a, b) - math.sqrt(2.0)) < 1e-12
 
     def test_non_psd_rejected(self):
-        bad = Gaussian([0.0, 0.0], np.array([[1.0, 2.0], [2.0, 1.0]]))
-        good = Gaussian([0.0, 0.0], np.eye(2))
+        # the covariance is refused when the Gaussian is built, so no
+        # such Gaussian reaches gaussian_w2
         with pytest.raises(NumericalError):
-            gaussian_w2(bad, good)
+            Gaussian([0.0, 0.0], np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def mixed_component(rng, dim, kind):
@@ -295,12 +302,13 @@ class TestGaussianW2SqMatrix:
             assert abs(cost[0, 0] - 1.6e-5) <= 4 * 16 * eps * np.trace(s)
 
     def test_non_psd_rejected_as_row_or_column(self):
-        bad = Gaussian([0.0, 0.0], np.array([[1.0, 2.0], [2.0, 1.0]]))
-        good = (Gaussian([0.0, 0.0], np.eye(2)), Gaussian([1.0, 0.0], [1.0, 2.0]))
+        # neither side can hold an indefinite covariance: it is refused
+        # when its Gaussian is built, alone or in a stack
+        bad = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(NumericalError):
-            gaussian_w2_sq_matrix((bad,), good)
+            Gaussian([0.0, 0.0], bad)
         with pytest.raises(NumericalError):
-            gaussian_w2_sq_matrix(good, (good[0], bad))
+            Gaussian.stack(np.zeros((2, 2)), np.stack([np.eye(2), bad]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ParseError):
@@ -519,7 +527,7 @@ class TestStackedPrice:
         # eigenvalues only, and no row is ever decomposed
         rng = np.random.default_rng(89)
         ps, qs = self._components(rng, 5, 4, 6)
-        ps = [Gaussian(g.mean, g.cov) for g in ps]  # none shared with qs
+        ps = undecomposed(ps)  # none shared with qs
         rows, cols = self._all_pairs(5, 4)
         _eigen_bases(qs)
         real = np.linalg.eigvalsh
@@ -544,8 +552,7 @@ class TestStackedPrice:
         # decomposition; the other columns and the rows are not decomposed
         rng = np.random.default_rng(91)
         ps, qs = self._components(rng, 6, 5, 5)
-        ps = [Gaussian(g.mean, g.cov) for g in ps]
-        qs = [Gaussian(g.mean, g.cov) for g in qs]
+        ps, qs = undecomposed(ps), undecomposed(qs)
         stacked = []
         real = stats._eigen_stack
         monkeypatch.setattr(stats, "_eigen_stack",
@@ -832,6 +839,25 @@ class TestContainers:
             Gaussian([0.0, 0.0], np.array([[1.0, 0.5], [0.1, 1.0]]))
         with pytest.raises(ParseError):
             Gaussian([0.0], [-1.0])
+
+    def test_covariance_that_is_not_psd_is_refused_at_every_door(self):
+        # eigenvalues 3 and -1; one of -1e-13, within eig_clip_rtol of 2,
+        # is clipped to 0
+        bad = [[1.0, 2.0], [2.0, 1.0]]
+        for build in (lambda: Gaussian([0.0, 0.0], bad),
+                      lambda: Gaussian.stack(np.zeros((2, 2)),
+                                             np.stack([np.eye(2), bad])),
+                      lambda: GaussianMixture.from_dict({
+                          "weights": [1], "components": [
+                              {"mean": [0, 0], "cov": {"full": bad}}]})):
+            with pytest.raises(NumericalError):
+                build()
+        near = Gaussian([0.0, 0.0], [[1.0, 1.0 + 1e-13], [1.0 + 1e-13, 1.0]])
+        assert near.eigen().eigenvalues[1] == 0.0
+        # the pair mw2 once priced at 2.0 with the indefinite side as its
+        # row can no longer be formed
+        with pytest.raises(NumericalError):
+            mw2(Gaussian([0.0, 0.0], bad), Gaussian([1.0, 1.0], [0.0, 0.0]))
 
     def test_eigen_is_cached(self):
         rng = np.random.default_rng(43)

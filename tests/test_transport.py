@@ -435,6 +435,29 @@ class TestMw2:
                                        rtol=0.0, atol=1e-12)
             assert mw2(p, p)[0] == 0.0
 
+    @staticmethod
+    def _well_conditioned(rng, dim):
+        """A mixture of 2-8 components whose covariances have eigenvalues
+        in [10^-1.5, 10^1.5], so condition number at most 1e3."""
+        n = int(rng.integers(2, 9))
+        u = np.linalg.qr(rng.normal(size=(n, dim, dim)))[0]
+        lam = 10.0 ** rng.uniform(-1.5, 1.5, size=(n, 1, dim))
+        w = rng.random(n) + 0.1
+        return GaussianMixture(w / w.sum(), tuple(
+            Gaussian(rng.normal(scale=2.0, size=dim), c)
+            for c in (u * lam) @ u.swapaxes(1, 2)))
+
+    def test_matches_full_pricing_oracle_tightly_when_well_conditioned(self):
+        # the two ways of pricing agree far inside the oracle's general
+        # tolerance, so a pricing error of 1e-6 relative fails here
+        for seed in range(60):
+            rng = np.random.default_rng((59, seed))
+            dim = int(rng.integers(1, 5))
+            p, q = (self._well_conditioned(rng, dim) for _ in range(2))
+            value, _ = mw2(p, q)
+            expected, _ = mw2_full_oracle(p, q)
+            assert abs(value ** 2 - expected) <= 1e-10 * expected
+
     def test_identical_pair_is_zero_whatever_the_storage(self):
         # equal means and covariances, stored once as a variance vector and
         # once as a full matrix: an eigh of S^1/2 S S^1/2 gave 2.1e-8
@@ -577,7 +600,7 @@ class TestMw2:
                                      np.full(8, 0.05))
         locs = rng.normal(size=(n, 3 * 2))
         w = rng.random(n) + 0.1
-        return lambda: GaussianMixture(w / w.sum(), Gaussian.stack(
+        return lambda: GaussianMixture(w / w.sum(), stats._gaussians(
             *snn._push_atoms(locs, layer, 3)))
 
     def test_splits_each_component_pattern_once(self, monkeypatch):
@@ -655,7 +678,7 @@ class TestMw2:
                                      np.full(4, 0.05))
         locs = rng.normal(size=(12, 3))
         w = rng.random(12) + 0.1
-        net = GaussianMixture(w / w.sum(), Gaussian.stack(
+        net = GaussianMixture(w / w.sum(), stats._gaussians(
             *snn._push_atoms(locs, layer, 3)))
         f = rng.normal(size=(12, 12))
         gp = Gaussian(np.zeros(12), f @ f.T)
