@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -76,6 +77,21 @@ class GpTarget:
         return self.signal_variance * np.exp(
             -sq / (2.0 * self.lengthscale ** 2))
 
+    @cached_property
+    def _realized(self) -> Gaussian:
+        """:func:`gp_realize`'s Gaussian, built on first use."""
+        gram = self.gram()
+        eye = np.eye(self.size)
+        for decade in range(3):
+            cov = gram + (TOL.gp_jitter * 10.0 ** decade) * eye
+            try:
+                np.linalg.cholesky(cov)
+            except np.linalg.LinAlgError:
+                continue
+            return Gaussian(np.zeros(self.size), cov)
+        raise NumericalError("GP covariance is not positive definite even "
+                             "after jitter escalation")
+
     def restrict(self, indices) -> "GpTarget":
         return GpTarget(self.lengthscale, self.signal_variance,
                         self.points[np.asarray(indices, dtype=int)])
@@ -100,21 +116,13 @@ def gp_realize(target: GpTarget) -> Gaussian:
     """The finite-dimensional law of the GP: ``N(0, K + jitter I)``.
 
     The jitter starts at the configured value and escalates over three
-    decades until the covariance admits a Cholesky factorization.
+    decades until the covariance admits a Cholesky factorization.  The
+    Gaussian is built on the first call and kept on the target, so the
+    many losses of one descent step realize their batch once.
     """
     if not isinstance(target, GpTarget):
         raise ParseError("gp_realize expects a GpTarget")
-    gram = target.gram()
-    eye = np.eye(target.size)
-    for decade in range(3):
-        cov = gram + (TOL.gp_jitter * 10.0 ** decade) * eye
-        try:
-            np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            continue
-        return Gaussian(np.zeros(target.size), cov)
-    raise NumericalError(
-        "GP covariance is not positive definite even after jitter escalation")
+    return target._realized
 
 
 @dataclass(frozen=True)

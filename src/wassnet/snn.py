@@ -574,22 +574,100 @@ def propagate(model: SnnModel, points, cfg: PropagationConfig):
     return (mixture if mixture is not None else atoms), ledger
 
 
+# NumPy's SeedSequence hash constants (32-bit words) and PCG64's 128-bit
+# LCG multiplier, which _substream_states replays.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _substream_states(seed: int, n: int) -> list:
+    """PCG64 ``(state, inc)`` of each child of ``SeedSequence(seed).spawn(n)``.
+
+    Child ``i`` hashes its entropy, the 32-bit words of ``seed`` padded
+    with zeros to 4 and then ``i`` (one word, as ``i < 2^32``), into a
+    4-word pool: each word is hashed in (``INIT_A``/``MULT_A``), every
+    pool word is mixed into every other, and the words past the fourth are
+    mixed into all four.  ``generate_state(4, uint64)`` hashes the pool
+    again (``INIT_B``/``MULT_B``) into the 128-bit ``s`` and ``u``, from
+    which PCG64 seeds its LCG: ``inc = 2 u + 1``, ``state = (s + inc) *
+    mult + inc`` mod ``2^128``.  NumPy runs the hash for one child at a
+    time; every step of it is an operation on 32-bit words that wraps mod
+    ``2^32``, and the hash constants do not depend on the data, so here
+    each step runs once on ``uint32`` arrays over all children and gives
+    the same words.  Only the 128-bit seeding runs per child, on Python
+    integers.
+    """
+    seed = int(seed)
+    words = [seed >> shift & _MASK32
+             for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = ([np.full(n, w, dtype=np.uint32)
+                for w in words + [0] * (4 - len(words))]
+               + [np.arange(n, dtype=np.uint32)])
+
+    def hasher(const, mult):
+        def hash_words(value):
+            nonlocal const
+            value = value ^ const
+            const = const * mult & _MASK32
+            value = value * const
+            return value ^ (value >> 16)
+        return hash_words
+
+    def mix(x, y):
+        out = _MIX_L * x - _MIX_R * y
+        return out ^ (out >> 16)
+
+    hashmix = hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(e) for e in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for e in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(e))
+    # generate_state(4, uint64): eight words, cycling the pool
+    hash_state = hasher(_INIT_B, _MULT_B)
+    drawn = np.stack([hash_state(pool[k % 4]) for k in range(8)], axis=1)
+    out = []
+    for s_hi, s_lo, u_hi, u_lo in drawn.astype("<u4").view("<u8").tolist():
+        inc = (u_hi << 65 | u_lo << 1 | 1) & _MASK128
+        state = (((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128
+        out.append((state, inc))
+    return out
+
+
 def sample_network(model: SnnModel, points, n_samples: int, seed: int):
     """Joint Monte Carlo draws of the network output over the input set.
 
-    Each sample draws one weight realization per layer (shared by all input
-    points) and one dropout mask per dropout layer, from an independent
-    substream derived from ``(seed, sample index)``; rows are the stacked
-    block-major outputs.  Each substream fills that sample's row of one
-    preallocated ``(n_samples, k)`` buffer per draw, in layer order
-    (weights, then biases, of each stochastic layer; the mask of each
-    dropout layer), and the forward pass then runs once for all samples
-    as stacked matmuls.
+    Row ``i`` is the network output for one weight realization per
+    stochastic layer (shared by all input points) and one mask per dropout
+    layer, drawn from ``default_rng(SeedSequence(seed).spawn(n_samples)[i])``
+    in layer order: the weights, then the biases, of each stochastic
+    layer, and the mask of each dropout layer.  Rows are the stacked
+    block-major outputs, and the first ``k`` rows do not depend on
+    ``n_samples``.
+
+    Those generators are not built: :func:`_substream_states` computes the
+    PCG64 state that NumPy's seeding gives each child, for all children in
+    one pass, and one generator, set to each child's state in turn, draws
+    that sample's row of one ``(n_samples, total)`` buffer.  A generator
+    keeps nothing between calls when it draws float64 standard normals or
+    uniforms, each value taking whole 64-bit outputs of the stream, so
+    ``a`` values and then ``b`` values of one kind equal ``a + b`` values
+    in one call: each run of like draws takes one call, and the weights
+    and biases of stochastic layers with no dropout mask between them
+    share it.  The forward pass then runs once for all samples as stacked
+    matmuls.
     """
     if not isinstance(model, SnnModel):
         raise ParseError("sample_network expects an SnnModel")
-    if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 1):
-        raise ParseError("sample count must be a positive integer")
+    if not (isinstance(n_samples, (int, np.integer))
+            and 1 <= n_samples <= 2 ** 32):
+        raise ParseError("sample count must be an integer in [1, 2^32]")
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ParseError("seed must be a nonnegative integer")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -597,36 +675,52 @@ def sample_network(model: SnnModel, points, n_samples: int, seed: int):
         raise ParseError(
             f"points must be (D, {model.input_dim}); got {pts.shape}")
     n = int(n_samples)
-    # (buffer, normal?) per draw; a dropout mask is as wide as its input
-    draws = []
-    width = model.input_dim
+    # columns of each draw, and [start, stop, normal?] of each run of
+    # like draws; a dropout mask is as wide as its input
+    spans, runs = [], []
+    width, total = model.input_dim, 0
     for layer in model.layers:
         if isinstance(layer, StochasticLinear):
-            draws.append((np.empty((n, layer.weight_mean.size)), True))
-            draws.append((np.empty((n, layer.n_out)), True))
+            draws = ((layer.weight_mean.size, True), (layer.n_out, True))
         elif isinstance(layer, Dropout):
-            draws.append((np.empty((n, width)), False))
+            draws = ((width, False),)
+        else:
+            draws = ()
+        for size, normal in draws:
+            spans.append(slice(total, total + size))
+            if runs and runs[-1][2] == normal:
+                runs[-1][1] = total + size
+            else:
+                runs.append([total, total + size, normal])
+            total += size
         if _is_linear(layer):
             width = layer.n_out
-    children = np.random.SeedSequence(int(seed)).spawn(n)
-    for row, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        for buf, normal in draws:
-            (rng.standard_normal if normal else rng.random)(out=buf[row])
+    buf = np.empty((n, total))
+    if runs:
+        bitgen = np.random.PCG64(0)  # reseeded for every sample
+        rng = np.random.Generator(bitgen)
+        fills = [((rng.standard_normal if normal else rng.random),
+                  buf[:, start:stop]) for start, stop, normal in runs]
+        state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+        for row, (s, inc) in enumerate(_substream_states(seed, n)):
+            state["state"] = {"state": s, "inc": inc}
+            bitgen.state = state
+            for fill, cols in fills:
+                fill(out=cols[row])
     z = pts[None]
-    bufs = iter(buf for buf, _ in draws)
+    cols = iter(buf[:, span] for span in spans)
     for layer in model.layers:
         if isinstance(layer, StochasticLinear):
             w = layer.weight_mean + np.sqrt(layer.weight_var) \
-                * next(bufs).reshape((n,) + layer.weight_mean.shape)
-            b = layer.bias_mean + np.sqrt(layer.bias_var) * next(bufs)
+                * next(cols).reshape((n,) + layer.weight_mean.shape)
+            b = layer.bias_mean + np.sqrt(layer.bias_var) * next(cols)
             z = layer.scale * (z @ w.transpose(0, 2, 1) + b[:, None, :])
         elif isinstance(layer, DeterministicLinear):
             z = z @ layer.weight.T + layer.bias
         elif isinstance(layer, Activation):
             z = layer.apply(z)
         else:
-            z = z * (next(bufs) < layer.keep_prob)[:, None, :]
+            z = z * (next(cols) < layer.keep_prob)[:, None, :]
     out = np.empty((n, pts.shape[0] * model.output_dim))
     # a net without random draws gives one row, repeated for every sample
     out[:] = z.reshape(z.shape[0], -1)

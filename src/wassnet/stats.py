@@ -283,11 +283,33 @@ class GaussianMixture:
 
     @staticmethod
     def from_dict(d: dict) -> "GaussianMixture":
+        """The mixture of :meth:`to_dict`'s object.  Every component is
+        parsed first; then the components with one shape of mean and of
+        covariance (for a valid mixture, one group per covariance form)
+        are checked and decomposed by one :meth:`Gaussian.stack`."""
         try:
-            comps = tuple(Gaussian.from_dict(c) for c in d["components"])
-            return GaussianMixture(np.asarray(d["weights"], dtype=float), comps)
+            weights = np.asarray(d["weights"], dtype=float)
+            parsed = []
+            for c in d["components"]:
+                cov = c["cov"]
+                parsed.append((
+                    np.atleast_1d(np.asarray(c["mean"], dtype=float)),
+                    np.asarray(cov["diag"] if "diag" in cov else cov["full"],
+                               dtype=float)))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed mixture object: {exc}") from exc
+        groups = {}
+        for k, (mean, cov) in enumerate(parsed):
+            if mean.ndim != 1:
+                raise ParseError("mean must be a vector")
+            groups.setdefault((mean.shape, cov.shape), []).append(k)
+        comps = [None] * len(parsed)
+        for ks in groups.values():
+            built = Gaussian.stack(np.stack([parsed[k][0] for k in ks]),
+                                   np.stack([parsed[k][1] for k in ks]))
+            for k, g in zip(ks, built):
+                comps[k] = g
+        return GaussianMixture(weights, tuple(comps))
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,21 @@ class TestGpRealize:
         with pytest.raises(ParseError):
             gp_realize("rbf")
 
+    def test_realized_once_per_target(self, monkeypatch):
+        target = GpTarget(0.5, 1.0, np.array([[0.0], [0.4], [1.1]]))
+        fresh = gp_realize(GpTarget(0.5, 1.0, target.points))
+        grams = []
+        gram = GpTarget.gram
+        monkeypatch.setattr(GpTarget, "gram",
+                            lambda self: grams.append(1) or gram(self))
+        g = gp_realize(target)
+        assert gp_realize(target) is g
+        assert len(grams) == 1
+        np.testing.assert_array_equal(g.cov, fresh.cov)
+        # a restricted target is a new target, realized on its own
+        sub = gp_realize(target.restrict([0, 2]))
+        assert len(grams) == 2 and sub.dim == 2
+
 
 class TestPriorParams:
     def test_validation(self):

@@ -845,6 +845,62 @@ class TestSampleNetwork:
                         sample_network_oracle(model, pts, n, seed)), \
                         (trial, n)
 
+    # seeds of one, one, two, three and five 32-bit words: the last has
+    # more entropy words than the 4-word pool, which mixes them in after
+    EDGE_SEEDS = (0, 2 ** 31 - 1, 2 ** 32, 2 ** 64 + 1, 2 ** 130 + 5)
+
+    def test_substream_states_match_pcg64(self):
+        for seed in self.EDGE_SEEDS:
+            for n in (1, 1000):
+                expected = [
+                    (s["state"], s["inc"]) for s in (
+                        np.random.PCG64(child).state["state"] for child
+                        in np.random.SeedSequence(seed).spawn(n))]
+                assert snn._substream_states(seed, n) == expected, (seed, n)
+
+    def test_sample_network_matches_oracle_at_edge_seeds(self):
+        rng = np.random.default_rng(23)
+        net = _vi_net(rng, (2, 4, 3, 2), dropout=0.8)
+        plain = _vi_net(rng, (2, 4, 3, 2), "relu")
+        det = SnnModel(2, (
+            DeterministicLinear(rng.normal(size=(3, 2)), rng.normal(size=3)),
+            Activation("tanh"),
+            DeterministicLinear(rng.normal(size=(2, 3)), rng.normal(size=2))))
+        models = (
+            net,
+            # a mask ahead of the first layer, then two masks in a row
+            SnnModel(2, (Dropout(0.6),) + net.layers),
+            SnnModel(2, net.layers[:3] + (Dropout(0.9),) + net.layers[3:]),
+            # no mask: every weight and bias comes from one normal call
+            plain,
+            # no random draw at all
+            det)
+        pts = rng.normal(size=(3, 2))
+        for seed in self.EDGE_SEEDS:
+            for model in models:
+                for n in (1, 40):
+                    assert np.array_equal(
+                        sample_network(model, pts, n, seed),
+                        sample_network_oracle(model, pts, n, seed)), \
+                        (seed, n)
+
+    def test_sample_network_rows_are_a_prefix(self):
+        rng = np.random.default_rng(29)
+        model = _vi_net(rng, (1, 5, 5, 1), "relu", dropout=0.7)
+        pts = np.array([[0.4], [-1.2]])
+        for seed in (3, 2 ** 64 + 1):
+            full = sample_network(model, pts, 300, seed)
+            for k in (1, 17, 299):
+                assert np.array_equal(full[:k],
+                                      sample_network(model, pts, k, seed))
+
+    def test_sample_network_refuses_counts_beyond_one_index_word(self):
+        # a child's index must fit one 32-bit entropy word; refused before
+        # any buffer is allocated
+        model = _vi_net(np.random.default_rng(2), (1, 2, 1))
+        with pytest.raises(ParseError, match=r"2\^32"):
+            sample_network(model, np.array([[1.0]]), 2 ** 32 + 1, 0)
+
     def test_invalid_inputs(self):
         rng = np.random.default_rng(1)
         model = _vi_net(rng, (2, 3, 1))

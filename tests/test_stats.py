@@ -825,6 +825,38 @@ class TestContainers:
         np.testing.assert_array_equal(again.weights, mix.weights)
         assert again.components[1].cov[0, 0] == 0.5
 
+    def test_mixture_loads_with_one_stacked_decomposition(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        k, n = 64, 24
+        f = rng.normal(size=(k, n, n))
+        covs = f @ np.swapaxes(f, 1, 2)
+        means = rng.normal(size=(k, n))
+        variances = rng.uniform(0.0, 2.0, size=(3, n))
+        d = {"weights": [1.0 / (k + 3)] * (k + 3), "components": [
+            {"mean": m.tolist(), "cov": {"full": c.tolist()}}
+            for m, c in zip(means, covs)]}
+        # variance vectors among the matrices: one stack per form, and
+        # the components keep their order
+        for at, v in zip((0, 30, 66), variances):
+            d["components"].insert(at, {"mean": v.tolist(),
+                                        "cov": {"diag": v.tolist()}})
+        calls = []
+        eigen_stack = stats._eigen_stack
+        monkeypatch.setattr(stats, "_eigen_stack",
+                            lambda mats: calls.append(len(mats))
+                            or eigen_stack(mats))
+        mix = GaussianMixture.from_dict(json.loads(json.dumps(d)))
+        assert sorted(calls) == [3, k]
+        monkeypatch.setattr(stats, "_eigen_stack", eigen_stack)
+        for g, c in zip(mix.components, d["components"]):
+            one = Gaussian.from_dict(c)
+            np.testing.assert_array_equal(g.mean, one.mean)
+            np.testing.assert_array_equal(g.cov, one.cov)
+            np.testing.assert_array_equal(g.eigen().eigenvalues,
+                                          one.eigen().eigenvalues)
+            np.testing.assert_array_equal(g.eigen().eigenvectors,
+                                          one.eigen().eigenvectors)
+
     def test_mixture_validation(self):
         g = Gaussian([0.0], [1.0])
         with pytest.raises(ParseError):
