@@ -28,7 +28,7 @@ from .errors import NumericalError, ParseError
 from .snn import (PropagationConfig, SnnModel, StochasticLinear, propagate,
                   sample_network)
 from .stats import Gaussian, _readonly
-from .transport import empirical_w2, mw2, relative_w2
+from .transport import _empirical_w2_batch, mw2, relative_w2
 
 __all__ = [
     "GpTarget",
@@ -346,6 +346,14 @@ def tune(template: SnnModel, target: GpTarget, cfg: PropagationConfig,
     keeps a fixed step size stable across that range.  The returned parameters are
     guaranteed no worse than the initialization on the full point set (the
     tuner reverts if the stochastic descent ended higher).
+
+    The final evaluation draws ``eval_batches`` batches of ``eval_samples``
+    network and GP samples, all before solving any, and estimates W2 from
+    the batches' exact assignments, two at a time
+    (:func:`~wassnet.transport._empirical_w2_batch`).  With more than one
+    evaluation point each assignment has ``eval_samples**2`` cost entries,
+    which must stay within ``TOL.empirical_cost_cap``; that is checked
+    with the other arguments, before the descent.
     """
     if not isinstance(target, GpTarget):
         raise ParseError("tune expects a GpTarget")
@@ -364,6 +372,14 @@ def tune(template: SnnModel, target: GpTarget, cfg: PropagationConfig,
             and isinstance(eval_samples, (int, np.integer))
             and eval_samples >= 2):
         raise ParseError("evaluation needs at least 2 batches of 2 samples")
+    # the evaluation's assignment problems have eval_samples^2 entries;
+    # one point takes the sorted matching, which builds no cost matrix
+    entries = int(eval_samples) ** 2
+    if target.size > 1 and entries > TOL.empirical_cost_cap:
+        raise ParseError(
+            f"evaluation cost matrices would hold {entries} "
+            f"entries, above the cap {TOL.empirical_cost_cap}; lower "
+            "eval_samples")
     _require_zero_mean(template)
 
     if init is None:
@@ -418,12 +434,12 @@ def tune(template: SnnModel, target: GpTarget, cfg: PropagationConfig,
     gp = gp_realize(target)
     eval_rng = np.random.default_rng(
         np.random.SeedSequence((int(seed), int(steps))))
-    estimates = []
+    pairs = []
     for _ in range(int(eval_batches)):
         net_samples = sample_network(model, target.points, int(eval_samples),
                                      int(eval_rng.integers(2 ** 31)))
-        gp_samples = gp.sample(int(eval_samples), eval_rng)
-        estimates.append(empirical_w2(net_samples, gp_samples))
+        pairs.append((net_samples, gp.sample(int(eval_samples), eval_rng)))
+    estimates = _empirical_w2_batch(pairs)
     est = float(np.mean(estimates))
     se = float(np.std(estimates, ddof=1) / math.sqrt(len(estimates)))
     return TuneReport(

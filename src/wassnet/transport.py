@@ -11,12 +11,14 @@ Equal-size uniform empirical problems take the assignment-problem fast
 path, and in one dimension the sorted matching.  The assignment solver is
 given a cost matrix shifted by row and column potentials (minimum
 reductions, then a few Sinkhorn scaling sweeps): a dual warm start that
-changes no optimal permutation.
+changes no optimal permutation.  Each assignment is solved in one (n, n)
+buffer, and a batch of them runs on two threads, one buffer each.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +43,14 @@ __all__ = [
 # reduced cost
 _SINKHORN_SWEEPS = 10
 _SINKHORN_EPS_SHARE = 0.05
+
+# rows of |x|^2 + |y|^2 added to the cross products at a time
+_ROW_BLOCK = 64
+
+# threads of one _empirical_w2_batch call, each reusing one (n, n) buffer:
+# scipy's linear_sum_assignment releases the GIL, and two buffers are what
+# one assignment solve held before the single-buffer path
+_BATCH_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -154,19 +164,29 @@ def solve_discrete_ot(cost, a, b) -> TransportPlan:
     return TransportPlan(plan, float(np.sum(sub_plan * sub_cost)))
 
 
-def _pairwise_sq_dists(xs, ys):
+def _pairwise_sq_dists(xs, ys, out=None):
     """Squared Euclidean distances in the expanded form, clamped at zero.
 
-    ``|x|^2 + |y|^2 - 2 x.y`` is built in place in one (n, m) buffer; the
-    cross products are the only other (n, m) array alive.
+    Builds ``(|x|^2 + |y|^2) - 2 x.y`` in ``out``, a C-contiguous (n, m)
+    float array (allocated when None), and returns it.  ``-2 X Y^T`` is
+    written first, ``|x|^2 + |y|^2`` is added to it ``_ROW_BLOCK`` rows at
+    a time, and the sum is clamped at 0, so no other (n, m) array is
+    alive.  Scaling by -2 is exact and ``a + (-b)`` is ``a - b`` in IEEE
+    arithmetic, so every entry is bit for bit the two-array form
+    ``(|x|^2 + |y|^2) - 2 (X Y^T)``.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    d2 = np.add.outer(np.sum(xs * xs, axis=1), np.sum(ys * ys, axis=1))
-    cross = xs @ ys.T
-    cross *= 2.0
-    d2 -= cross
-    return np.maximum(d2, 0.0, out=d2)
+    if out is None:
+        out = np.empty((xs.shape[0], ys.shape[0]))
+    np.matmul(xs, ys.T, out=out)
+    out *= -2.0
+    sx = np.sum(xs * xs, axis=1)
+    sy = np.sum(ys * ys, axis=1)
+    for start in range(0, xs.shape[0], _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        out[rows] += np.add.outer(sx[rows], sy)
+    return np.maximum(out, 0.0, out=out)
 
 
 def mw2(p, q):
@@ -195,33 +215,37 @@ def mw2(p, q):
 def _subtract_minima(cost):
     """Subtract the row minima and then the column minima, in place.
 
-    Afterwards every entry is nonnegative and every row and every column
-    holds a zero (each row's zero lies in a column whose minimum is 0).
+    Returns both vectors.  Afterwards every entry is nonnegative and every
+    row and every column holds a zero (each row's zero lies in a column
+    whose minimum is 0).
     """
-    cost -= cost.min(axis=1)[:, None]
-    cost -= cost.min(axis=0)
+    row_min = cost.min(axis=1)
+    cost -= row_min[:, None]
+    col_min = cost.min(axis=0)
+    cost -= col_min
+    return row_min, col_min
 
 
 def _sinkhorn_potentials(cost):
     """Row and column potentials ``(f, g)`` from a few Sinkhorn sweeps.
 
     ``cost`` must be nonnegative with a zero in every row and column.  With
-    ``eps = _SINKHORN_EPS_SHARE * mean(cost)`` and ``K = exp(-cost / eps)``
-    (built in place in one buffer, freed on return), each sweep sets
+    ``eps = _SINKHORN_EPS_SHARE * mean(cost)`` and ``K = exp(-cost / eps)``,
+    built in place over ``cost`` (whose entries are lost), each sweep sets
     ``u = 1 / (K v)`` and then ``v = 1 / (K^T u)`` from ``v = 1``; the
     potentials are ``f = eps log u`` and ``g = eps log v``.  Returns None
     when ``eps`` is not a positive float whose reciprocal is finite (all
-    costs zero, or too small or too large to scale), or when a potential
-    is not finite.  Every row and column of ``K`` holds a 1 and no entry
-    exceeds 1, so a sweep widens the range of ``v`` by at most a factor
-    ``n`` at either end: after ten sweeps ``u`` and ``v`` lie within
-    ``n^(+-11)``, far inside the float range.
+    costs zero, or too small or too large to scale; ``cost`` is then left
+    as it was), or when a potential is not finite.  Every row and column
+    of ``K`` holds a 1 and no entry exceeds 1, so a sweep widens the range
+    of ``v`` by at most a factor ``n`` at either end: after ten sweeps
+    ``u`` and ``v`` lie within ``n^(+-11)``, far inside the float range.
     """
     with np.errstate(over="ignore"):
         eps = _SINKHORN_EPS_SHARE * float(cost.mean())
     if not (0.0 < eps < math.inf and math.isfinite(1.0 / eps)):
         return None
-    kernel = np.multiply(cost, -1.0 / eps)
+    kernel = np.multiply(cost, -1.0 / eps, out=cost)
     np.exp(kernel, out=kernel)
     v = np.ones(cost.shape[1])
     for _ in range(_SINKHORN_SWEEPS):
@@ -232,6 +256,71 @@ def _sinkhorn_potentials(cost):
     if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
         return None
     return f, g
+
+
+def _checked_samples(xs, ys):
+    """``(xs, ys)`` as float arrays, once their shapes and the entry cap
+    have been checked; see :func:`empirical_w2`."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.ndim != 2 or ys.ndim != 2 or xs.shape[0] < 1 or ys.shape[0] < 1:
+        raise ParseError("sample sets must be nonempty (n, d) arrays")
+    if xs.shape[1] != ys.shape[1]:
+        raise ParseError("sample sets must share the ambient dimension")
+    n, m = xs.shape[0], ys.shape[0]
+    if n * m > TOL.empirical_cost_cap and not (n == m and xs.shape[1] == 1):
+        raise ParseError(
+            f"cost matrix would hold {n * m} entries, above the cap "
+            f"{TOL.empirical_cost_cap}; subsample the inputs")
+    return xs, ys
+
+
+def _takes_assignment(xs, ys) -> bool:
+    """Whether checked samples take the assignment path (equal counts,
+    more than one dimension)."""
+    return xs.shape[0] == ys.shape[0] and xs.shape[1] > 1
+
+
+def _assignment_w2(xs, ys, cost):
+    """W2 of equal-count samples by the warm-started assignment, solved in
+    the caller's C-contiguous (n, n) float buffer ``cost``; see
+    :func:`empirical_w2`."""
+    _pairwise_sq_dists(xs, ys, out=cost)
+    row_min, col_min = _subtract_minima(cost)
+    potentials = _sinkhorn_potentials(cost)
+    # the sweeps built their kernel over the distances: rebuild them and
+    # replay the two reductions
+    _pairwise_sq_dists(xs, ys, out=cost)
+    cost -= row_min[:, None]
+    cost -= col_min
+    if potentials is not None:
+        cost -= potentials[0][:, None]
+        cost -= potentials[1]
+        _subtract_minima(cost)
+    rows, cols = linear_sum_assignment(cost)
+    sq = np.sum(np.square(xs[rows] - ys[cols]), axis=1)
+    return math.sqrt(float(sq.mean()))
+
+
+def _matching_or_lp_w2(xs, ys):
+    """W2 of checked samples that take no assignment: the sorted matching
+    for equal counts in one dimension, the transportation LP for unequal
+    counts; see :func:`empirical_w2`."""
+    n, m = xs.shape[0], ys.shape[0]
+    if n == m:
+        rows = np.arange(n)
+        cols = np.empty(n, dtype=np.intp)
+        cols[np.argsort(xs[:, 0], kind="stable")] = np.argsort(
+            ys[:, 0], kind="stable")
+        sq = np.sum(np.square(xs[rows] - ys[cols]), axis=1)
+        return math.sqrt(float(sq.mean()))
+    plan = solve_discrete_ot(_pairwise_sq_dists(xs, ys), np.full(n, 1.0 / n),
+                             np.full(m, 1.0 / m))
+    # re-evaluate the objective with direct differences on the plan support,
+    # which is exact where the expanded cost form carries rounding noise
+    ii, jj = np.nonzero(plan.plan)
+    sq = np.sum(np.square(xs[ii] - ys[jj]), axis=1)
+    return math.sqrt(float(np.dot(plan.plan[ii, jj], sq)))
 
 
 def empirical_w2(xs, ys) -> float:
@@ -265,9 +354,23 @@ def empirical_w2(xs, ys) -> float:
     every row and column.  When ``eps`` is not a positive float with a
     finite reciprocal (for example every reduced cost is zero) or some
     potential is not finite, the Sinkhorn shift is skipped and the matrix
-    reduced by the minima alone is solved.  The Sinkhorn kernel is one
-    extra ``(n, n)`` buffer, freed before the solve.  The value is
-    recomputed from direct differences on the returned permutation.
+    reduced by the minima alone is solved.  The value is recomputed from
+    direct differences on the returned permutation.
+
+    One (n, n) buffer holds every matrix of the solve, and nothing else
+    of that size is alive.  The distances are built into it
+    (:func:`_pairwise_sq_dists`), reduced, and the row and column minima
+    are kept; the Sinkhorn kernel is then built in place over the reduced
+    costs.  After the sweeps the distances are rebuilt in the buffer, the
+    two saved minimum vectors are subtracted again, and the potentials and
+    the last reduction follow.  The rebuilt and replayed matrix is bit for
+    bit the reduced matrix the sweeps started from: the rebuild repeats
+    the same floating-point operations on the same inputs, and
+    subtracting the saved vector ``r`` is the very operation the first
+    reduction did once it had computed ``r`` as the row minima (likewise
+    the column minima ``c``, computed after ``r`` was subtracted).  So
+    the solver sees exactly the matrix it saw when the kernel had a
+    buffer of its own.
 
     In one dimension the sorted matching is an optimal permutation and no
     cost matrix is built (monotone rearrangement; Santambrogio 2015,
@@ -283,45 +386,71 @@ def empirical_w2(xs, ys) -> float:
 
     Unequal counts go through the transportation LP.  Other instances
     whose cost matrix would exceed the configured entry cap are rejected
-    with advice to subsample.
+    with advice to subsample.  :func:`_empirical_w2_batch` returns the
+    same values for a list of pairs, two assignments at a time.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.ndim != 2 or ys.ndim != 2 or xs.shape[0] < 1 or ys.shape[0] < 1:
-        raise ParseError("sample sets must be nonempty (n, d) arrays")
-    if xs.shape[1] != ys.shape[1]:
-        raise ParseError("sample sets must share the ambient dimension")
-    n, m = xs.shape[0], ys.shape[0]
-    sorted_matching = n == m and xs.shape[1] == 1
-    if n * m > TOL.empirical_cost_cap and not sorted_matching:
-        raise ParseError(
-            f"cost matrix would hold {n * m} entries, above the cap "
-            f"{TOL.empirical_cost_cap}; subsample the inputs")
-    if n == m:
-        # uniform equal marginals: the optimum is a permutation
-        if sorted_matching:
-            rows = np.arange(n)
-            cols = np.empty(n, dtype=np.intp)
-            cols[np.argsort(xs[:, 0], kind="stable")] = np.argsort(
-                ys[:, 0], kind="stable")
+    xs, ys = _checked_samples(xs, ys)
+    if _takes_assignment(xs, ys):
+        n = xs.shape[0]
+        return _assignment_w2(xs, ys, np.empty((n, n)))
+    return _matching_or_lp_w2(xs, ys)
+
+
+def _empirical_w2_batch(pairs) -> list:
+    """``[empirical_w2(xs, ys) for xs, ys in pairs]``, the same values in
+    the same order, with the assignments solved two at a time.
+
+    Every pair is checked, the entry cap included, before anything is
+    allocated.  Pairs that take no assignment are solved first, on the
+    calling thread.  The calling thread then allocates one flat buffer per
+    worker, ``_BATCH_WORKERS`` (2) of them or one per assignment if there
+    are fewer, each large enough for the largest assignment, and worker
+    ``w`` solves assignments ``w``, ``w + 2``, ... in an (n, n) view of
+    buffer ``w`` by :func:`_assignment_w2`.  Each value is computed by the
+    same operations as in :func:`empirical_w2`, so it is the same float.
+    A worker allocates nothing of size n² itself: buffers freed by worker
+    threads would be kept by their per-thread heaps.  An exception in a
+    worker stops both workers before their next solve and is raised here.
+    The workers call no public function of the package, so a wrapper put
+    around one by a profiler never runs on a worker thread.
+    """
+    checked = [_checked_samples(xs, ys) for xs, ys in pairs]
+    values = [None] * len(checked)
+    square = []
+    for k, (xs, ys) in enumerate(checked):
+        if _takes_assignment(xs, ys):
+            square.append(k)
         else:
-            cost = _pairwise_sq_dists(xs, ys)
-            _subtract_minima(cost)
-            potentials = _sinkhorn_potentials(cost)
-            if potentials is not None:
-                cost -= potentials[0][:, None]
-                cost -= potentials[1]
-                _subtract_minima(cost)
-            rows, cols = linear_sum_assignment(cost)
-        sq = np.sum(np.square(xs[rows] - ys[cols]), axis=1)
-        return math.sqrt(float(sq.mean()))
-    plan = solve_discrete_ot(_pairwise_sq_dists(xs, ys), np.full(n, 1.0 / n),
-                             np.full(m, 1.0 / m))
-    # re-evaluate the objective with direct differences on the plan support,
-    # which is exact where the expanded cost form carries rounding noise
-    ii, jj = np.nonzero(plan.plan)
-    sq = np.sum(np.square(xs[ii] - ys[jj]), axis=1)
-    return math.sqrt(float(np.dot(plan.plan[ii, jj], sq)))
+            values[k] = _matching_or_lp_w2(xs, ys)
+    if not square:
+        return values
+    size = max(checked[k][0].shape[0] for k in square) ** 2
+    buffers = [np.empty(size)
+               for _ in range(min(_BATCH_WORKERS, len(square)))]
+    errors = []
+
+    def work(w):
+        try:
+            for k in square[w::len(buffers)]:
+                if errors:
+                    return
+                xs, ys = checked[k]
+                n = xs.shape[0]
+                values[k] = _assignment_w2(
+                    xs, ys, buffers[w][:n * n].reshape(n, n))
+        except BaseException as exc:
+            # handed to the calling thread, which raises it after the joins
+            errors.append(exc)
+
+    workers = [threading.Thread(target=work, args=(w,))
+               for w in range(len(buffers))]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    if errors:
+        raise errors[0]
+    return values
 
 
 def relative_w2(w2_value: float, reference) -> float:

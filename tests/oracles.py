@@ -439,16 +439,28 @@ def transport_lp_linprog_oracle(cost, a, b):
     return np.maximum(res.x, 0.0).reshape(m, n)
 
 
+def pairwise_sq_dists_oracle(xs, ys):
+    """Squared distances in the library's former two-array form,
+    ``(|x|^2 + |y|^2) - 2 (X Y^T)`` clamped at 0, with no code shared with
+    the single-buffer build in ``wassnet.transport``."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    d2 = np.add.outer(np.sum(xs * xs, axis=1), np.sum(ys * ys, axis=1))
+    cross = xs @ ys.T
+    cross *= 2.0
+    d2 -= cross
+    return np.maximum(d2, 0.0, out=d2)
+
+
 def empirical_w2_assignment_oracle(xs, ys):
     """Equal-count ``empirical_w2`` by the assignment path with the row and
     column minimum reductions only, and no Sinkhorn shift.
 
     This is the path the library took before its Sinkhorn dual warm start;
-    it is kept unchanged as the reference that warm start must match.
+    it is kept unchanged as the reference that warm start must match, with
+    the squared distances of :func:`pairwise_sq_dists_oracle`.
     """
-    from wassnet.transport import _pairwise_sq_dists
-
-    cost = _pairwise_sq_dists(xs, ys)
+    cost = pairwise_sq_dists_oracle(xs, ys)
     cost -= cost.min(axis=1)[:, None]
     cost -= cost.min(axis=0)[None, :]
     rows, cols = optimize.linear_sum_assignment(cost)

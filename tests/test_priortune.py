@@ -344,6 +344,31 @@ class TestTune:
         with pytest.raises(ParseError):
             tune(biased, target, cfg, steps=1)
 
+    def test_over_cap_evaluation_refused_before_descent(
+            self, cfg, scalar_template, monkeypatch):
+        # two points make 2-D samples, so 2001 of them need an assignment
+        # problem above the entry cap: refused with the other arguments
+        def refuse(*args, **kwargs):
+            raise AssertionError("descended or sampled before refusing")
+
+        monkeypatch.setattr("wassnet.priortune.tune_loss", refuse)
+        monkeypatch.setattr("wassnet.priortune.sample_network", refuse)
+        target = GpTarget(0.5, 1.0, np.array([[0.0], [1.0]]))
+        assert 2001 ** 2 > TOL.empirical_cost_cap
+        with pytest.raises(ParseError, match="eval_samples"):
+            tune(scalar_template, target, cfg, steps=1, eval_samples=2001)
+
+    def test_one_point_evaluation_has_no_cap(self, cfg, scalar_template,
+                                             monkeypatch):
+        # one point makes 1-D samples, which take the sorted matching
+        monkeypatch.setattr(
+            "wassnet.priortune.tune_loss",
+            lambda *args, **kwargs: LossParts(1.0, 1.0, 0.0))
+        target = GpTarget(0.5, 1.0, np.array([[0.5]]))
+        report = tune(scalar_template, target, cfg, steps=1,
+                      eval_samples=2001, eval_batches=2)
+        assert report.relative_empirical > 0.0
+
     def test_gradient_is_clipped(self, cfg, scalar_template, monkeypatch):
         # slope 1000 in the one log-variance: the step uses TOL.grad_clip
         monkeypatch.setattr(

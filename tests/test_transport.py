@@ -1,6 +1,9 @@
 """Tests for exact discrete optimal transport, MW2, and empirical W2."""
 
 import math
+import sys
+import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -24,7 +27,8 @@ from wassnet.transport import (
 
 from oracles import (_transport_constraints, assignment_oracle, discrete_w2,
                      empirical_w2_assignment_oracle, gaussian_w2_pair_oracle,
-                     lp_transport_oracle, mw2_full_oracle, sample_stratified,
+                     lp_transport_oracle, mw2_full_oracle,
+                     pairwise_sq_dists_oracle, sample_stratified,
                      stratified_w2_batches, transport_lp_linprog_oracle,
                      vertex_enumeration_oracle)
 
@@ -42,6 +46,61 @@ def _random_instance(rng, max_side=8, max_cells=None):
     a /= a.sum()
     b /= b.sum()
     return cost, a, b
+
+
+def _network_gp_pairs(rng):
+    """Four 1000-sample pairs of a zero-mean network and its GP target,
+    the shapes tune-prior's final evaluation solves (6 to 10 points)."""
+    def zero_mean(n_in, n_out, var):
+        return snn.StochasticLinear(
+            np.zeros((n_out, n_in)), np.full((n_out, n_in), var),
+            np.zeros(n_out), np.full(n_out, var), ntk_scaling=True)
+
+    templates = (
+        lambda v: snn.SnnModel(1, (zero_mean(1, 8, v),
+                                   snn.Activation("tanh"),
+                                   zero_mean(8, 1, v))),
+        lambda v: snn.SnnModel(1, (zero_mean(1, 16, v),
+                                   snn.Activation("relu"),
+                                   zero_mean(16, 16, v),
+                                   snn.Activation("relu"),
+                                   zero_mean(16, 1, v))))
+    pairs = []
+    for k, n_points in enumerate((6, 10, 8, 7)):
+        model = templates[k % 2](float(rng.uniform(0.3, 3.0)))
+        points = rng.uniform(-1.0, 1.0, size=(n_points, 1))
+        gp = gp_realize(parse_gp_spec("rbf:ls=0.5,var=1.0", points))
+        pairs.append((snn.sample_network(model, points, 1000, k),
+                      gp.sample(1000, rng)))
+    return pairs
+
+
+_DEGENERATE_CASES = ("identical", "duplicates", "two", "tiny", "huge",
+                     "outlier")
+
+
+def _degenerate_pair(case):
+    """A 200-point (or 2-point) 3-D pair that strains the Sinkhorn sweeps."""
+    rng = np.random.default_rng(17)
+    xs = rng.normal(size=(200, 3))
+    ys = rng.normal(size=(200, 3)) + 0.5
+    if case == "identical":
+        # every reduced cost is zero: eps = 0 skips the shift
+        xs = np.tile(rng.normal(size=3), (200, 1))
+        ys = np.tile(rng.normal(size=3), (200, 1))
+    elif case == "duplicates":
+        xs = np.repeat(xs[:50], 4, axis=0)
+        ys = np.concatenate([xs[rng.permutation(200)[:100]], ys[:100]])
+    elif case == "two":
+        xs, ys = xs[:2], ys[:2]
+    elif case == "tiny":
+        xs, ys = 1e-150 * xs, 1e-150 * ys
+    elif case == "huge":
+        xs, ys = 1e150 * xs, 1e150 * ys
+    else:
+        # the outlier's row of the kernel is 0 but for its zero cost
+        xs[0] = 1e4
+    return xs, ys
 
 
 class TestTransportPlan:
@@ -800,29 +859,9 @@ class TestEmpiricalW2:
         # values to the bit against the minimum-reduction path, on the
         # shapes tune-prior's final evaluation and criterion 5 solve
         rng = np.random.default_rng(16)
-
-        def zero_mean(n_in, n_out, var):
-            return snn.StochasticLinear(
-                np.zeros((n_out, n_in)), np.full((n_out, n_in), var),
-                np.zeros(n_out), np.full(n_out, var), ntk_scaling=True)
-
-        templates = (
-            lambda v: snn.SnnModel(1, (zero_mean(1, 8, v),
-                                       snn.Activation("tanh"),
-                                       zero_mean(8, 1, v))),
-            lambda v: snn.SnnModel(1, (zero_mean(1, 16, v),
-                                       snn.Activation("relu"),
-                                       zero_mean(16, 16, v),
-                                       snn.Activation("relu"),
-                                       zero_mean(16, 1, v))))
-        for k, n_points in enumerate((6, 10, 8, 7)):
-            model = templates[k % 2](float(rng.uniform(0.3, 3.0)))
-            points = rng.uniform(-1.0, 1.0, size=(n_points, 1))
-            gp = gp_realize(parse_gp_spec("rbf:ls=0.5,var=1.0", points))
-            xs = snn.sample_network(model, points, 1000, k)
-            ys = gp.sample(1000, rng)
+        for k, (xs, ys) in enumerate(_network_gp_pairs(rng)):
             assert empirical_w2(xs, ys) == \
-                empirical_w2_assignment_oracle(xs, ys), (k, n_points)
+                empirical_w2_assignment_oracle(xs, ys), (k, xs.shape)
         for dim in (2, 3, 2, 3):
             p, q = (GaussianMixture(
                 rng.dirichlet(np.ones(k)),
@@ -835,31 +874,12 @@ class TestEmpiricalW2:
             assert empirical_w2(xs, ys) == \
                 empirical_w2_assignment_oracle(xs, ys), dim
 
-    @pytest.mark.parametrize("case", ["identical", "duplicates", "two",
-                                      "tiny", "huge", "outlier"])
+    @pytest.mark.parametrize("case", _DEGENERATE_CASES)
     def test_dual_warm_start_degenerate_inputs(self, case):
         # RuntimeWarnings are errors under the test settings, so these
         # also check that the Sinkhorn sweeps neither overflow nor divide
         # by zero
-        rng = np.random.default_rng(17)
-        xs = rng.normal(size=(200, 3))
-        ys = rng.normal(size=(200, 3)) + 0.5
-        if case == "identical":
-            # every reduced cost is zero: eps = 0 skips the shift
-            xs = np.tile(rng.normal(size=3), (200, 1))
-            ys = np.tile(rng.normal(size=3), (200, 1))
-        elif case == "duplicates":
-            xs = np.repeat(xs[:50], 4, axis=0)
-            ys = np.concatenate([xs[rng.permutation(200)[:100]], ys[:100]])
-        elif case == "two":
-            xs, ys = xs[:2], ys[:2]
-        elif case == "tiny":
-            xs, ys = 1e-150 * xs, 1e-150 * ys
-        elif case == "huge":
-            xs, ys = 1e150 * xs, 1e150 * ys
-        else:
-            # the outlier's row of the kernel is 0 but for its zero cost
-            xs[0] = 1e4
+        xs, ys = _degenerate_pair(case)
         assert empirical_w2(xs, ys) == empirical_w2_assignment_oracle(xs, ys)
 
     def test_assignment_solver_gets_reduced_costs(self, monkeypatch):
@@ -913,6 +933,134 @@ class TestEmpiricalW2:
             empirical_w2(np.zeros((3, 1)), np.zeros((3, 2)))
         with pytest.raises(ParseError):
             empirical_w2(np.zeros(3), np.zeros(3))
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes traced by ``tracemalloc`` while ``fn(*args)`` runs, above
+    what was traced before the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestEmpiricalW2Batch:
+    """``transport._empirical_w2_batch``, tune-prior's final evaluation."""
+
+    def test_pairwise_sq_dists_matches_two_array_form(self):
+        # bit for bit, with and without a caller's buffer, on row counts
+        # below, at and off the row block
+        rng = np.random.default_rng(19)
+        for n, m, d in ((1, 1, 1), (5, 7, 3), (64, 9, 2), (130, 130, 8),
+                        (200, 3, 1)):
+            xs = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
+            ys = rng.normal(size=(m, d)) + 0.5
+            expected = pairwise_sq_dists_oracle(xs, ys).view(np.uint64)
+            got = transport._pairwise_sq_dists(xs, ys)
+            assert np.array_equal(got.view(np.uint64), expected)
+            buf = np.full(n * m + 3, np.nan)
+            out = buf[:n * m].reshape(n, m)
+            assert transport._pairwise_sq_dists(xs, ys, out=out) is out
+            assert np.array_equal(out.view(np.uint64), expected)
+
+    def test_matches_sequential_values_in_order(self):
+        rng = np.random.default_rng(20)
+        pairs = _network_gp_pairs(rng)
+        pairs += [_degenerate_pair(case) for case in _DEGENERATE_CASES]
+        pairs += [(rng.normal(size=(300, 1)), rng.normal(size=(300, 1))),
+                  (rng.normal(size=(40, 3)), rng.normal(size=(30, 3))),
+                  (rng.normal(size=(20, 1)), rng.normal(size=(25, 1)))]
+        order = rng.permutation(len(pairs))
+        pairs = [pairs[k] for k in order]
+        expected = [empirical_w2(xs, ys) for xs, ys in pairs]
+        for size in (1, 2, 3, 4):
+            for start in range(0, len(pairs), size):
+                chunk = pairs[start:start + size]
+                assert transport._empirical_w2_batch(chunk) == \
+                    expected[start:start + size], (size, start)
+        assert transport._empirical_w2_batch([]) == []
+
+    def test_many_pairs_under_frequent_thread_switches(self):
+        # the workers write disjoint slots of one result list; a lost or
+        # misplaced write would show as a None or a value out of order
+        rng = np.random.default_rng(24)
+        pairs = [(rng.normal(size=(30, 2)), rng.normal(size=(30, 2)))
+                 for _ in range(41)]
+        expected = [empirical_w2(xs, ys) for xs, ys in pairs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert transport._empirical_w2_batch(pairs) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_error_surfaces(self, monkeypatch):
+        solve = transport.linear_sum_assignment
+        calls = []
+        lock = threading.Lock()
+
+        def third_fails(cost):
+            with lock:
+                calls.append(cost.shape)
+                if len(calls) == 3:
+                    raise RuntimeError("third solve fails")
+            return solve(cost)
+
+        monkeypatch.setattr(transport, "linear_sum_assignment", third_fails)
+        rng = np.random.default_rng(21)
+        pairs = [(rng.normal(size=(100, 2)), rng.normal(size=(100, 2)))
+                 for _ in range(4)]
+        outcome = []
+
+        def call():
+            try:
+                transport._empirical_w2_batch(pairs)
+            except RuntimeError as exc:
+                outcome.append(exc)
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(60.0)
+        assert not caller.is_alive(), "the batch hung after a worker error"
+        assert [str(exc) for exc in outcome] == ["third solve fails"]
+        assert 3 <= len(calls) <= 4
+        monkeypatch.setattr(transport, "linear_sum_assignment", solve)
+        assert transport._empirical_w2_batch(pairs) == \
+            [empirical_w2(xs, ys) for xs, ys in pairs]
+
+    def test_over_cap_pair_refused_before_allocation(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("solved a pair of a refused batch")
+
+        monkeypatch.setattr(transport, "_assignment_w2", refuse)
+        monkeypatch.setattr(transport, "_matching_or_lp_w2", refuse)
+        rng = np.random.default_rng(22)
+        n = 1000
+        fine = (rng.normal(size=(n, 3)), rng.normal(size=(n, 3)))
+        over = (np.zeros((2001, 2)), np.zeros((2001, 2)))
+
+        def refused():
+            with pytest.raises(ParseError, match="subsample"):
+                transport._empirical_w2_batch(
+                    [fine, (np.zeros((5, 1)), np.ones((6, 1))), over])
+
+        assert _traced_peak(refused) < 0.1 * n * n * 8
+
+    def test_one_buffer_per_solve(self):
+        # one solve holds its (n, n) buffer and row-sized temporaries; the
+        # two-array build held about twice that.  A batch holds one buffer
+        # per worker.
+        rng = np.random.default_rng(23)
+        pairs = _network_gp_pairs(rng)
+        n = 1000
+        assert _traced_peak(empirical_w2, *pairs[0]) < 1.25 * n * n * 8
+        assert _traced_peak(transport._empirical_w2_batch, pairs) \
+            < 2.25 * n * n * 8
 
 
 class TestRelativeW2:
