@@ -26,7 +26,7 @@ from .quantizer import QuantizerTable, build_table
 from .snn import (BoundLedger, PropagationConfig, SnnModel, propagate,
                   sample_network)
 from .stats import GaussianMixture, as_mixture
-from .transport import empirical_w2, mw2, relative_w2
+from .transport import _check_entry_cap, empirical_w2, mw2, relative_w2
 
 __all__ = ["main"]
 
@@ -174,10 +174,8 @@ def cmd_empirical(args) -> int:
         raise ParseError(
             f"mixture dimension {mixture.dim} does not match the model "
             f"output over the point set ({expected_dim})")
-    if args.samples * args.samples > TOL.empirical_cost_cap:
-        raise ParseError(
-            f"{args.samples} samples per side need a cost matrix above the "
-            f"cap {TOL.empirical_cost_cap}; reduce --samples")
+    _check_entry_cap(args.samples, args.samples, expected_dim,
+                     "reduce --samples")
     net_samples = sample_network(model, points, args.samples, args.seed)
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 1)))
     mixture_samples = mixture.sample(args.samples, rng)

@@ -28,7 +28,8 @@ from .errors import NumericalError, ParseError
 from .snn import (PropagationConfig, SnnModel, StochasticLinear, propagate,
                   sample_network)
 from .stats import Gaussian, _readonly
-from .transport import _empirical_w2_batch, mw2, relative_w2
+from .transport import (_check_entry_cap, _empirical_w2_batch, mw2,
+                        relative_w2)
 
 __all__ = [
     "GpTarget",
@@ -372,14 +373,8 @@ def tune(template: SnnModel, target: GpTarget, cfg: PropagationConfig,
             and isinstance(eval_samples, (int, np.integer))
             and eval_samples >= 2):
         raise ParseError("evaluation needs at least 2 batches of 2 samples")
-    # the evaluation's assignment problems have eval_samples^2 entries;
-    # one point takes the sorted matching, which builds no cost matrix
-    entries = int(eval_samples) ** 2
-    if target.size > 1 and entries > TOL.empirical_cost_cap:
-        raise ParseError(
-            f"evaluation cost matrices would hold {entries} "
-            f"entries, above the cap {TOL.empirical_cost_cap}; lower "
-            "eval_samples")
+    _check_entry_cap(int(eval_samples), int(eval_samples),
+                     target.size * template.output_dim, "lower eval_samples")
     _require_zero_mean(template)
 
     if init is None:

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtri
 
 from .config import TOL
 from .errors import ParseError
@@ -464,6 +465,18 @@ def _block_seed(seed: int, k: int) -> int:
     return int(np.random.SeedSequence((int(seed), int(k))).generate_state(1)[0])
 
 
+def _checked_points(model: SnnModel, points) -> np.ndarray:
+    """``points`` as a float ``(D, input_dim)`` array, once its shape and
+    finiteness have been checked."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != model.input_dim:
+        raise ParseError(
+            f"points must be (D, {model.input_dim}); got {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise ParseError("points must be finite")
+    return pts
+
+
 def propagate(model: SnnModel, points, cfg: PropagationConfig):
     """Push a finite input set through the network with a certified ledger.
 
@@ -489,10 +502,7 @@ def propagate(model: SnnModel, points, cfg: PropagationConfig):
         raise ParseError("propagate expects an SnnModel")
     if not isinstance(cfg, PropagationConfig):
         raise ParseError("propagate expects a PropagationConfig")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.ndim != 2 or pts.shape[1] != model.input_dim:
-        raise ParseError(
-            f"points must be (D, {model.input_dim}); got {pts.shape}")
+    pts = _checked_points(model, points)
     d = pts.shape[0]
 
     atoms = DiscreteDistribution(pts.reshape(1, -1), np.array([1.0]))
@@ -574,94 +584,23 @@ def propagate(model: SnnModel, points, cfg: PropagationConfig):
     return (mixture if mixture is not None else atoms), ledger
 
 
-# NumPy's SeedSequence hash constants (32-bit words) and PCG64's 128-bit
-# LCG multiplier, which _substream_states replays.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
-
-
-def _substream_states(seed: int, n: int) -> list:
-    """PCG64 ``(state, inc)`` of each child of ``SeedSequence(seed).spawn(n)``.
-
-    Child ``i`` hashes its entropy, the 32-bit words of ``seed`` padded
-    with zeros to 4 and then ``i`` (one word, as ``i < 2^32``), into a
-    4-word pool: each word is hashed in (``INIT_A``/``MULT_A``), every
-    pool word is mixed into every other, and the words past the fourth are
-    mixed into all four.  ``generate_state(4, uint64)`` hashes the pool
-    again (``INIT_B``/``MULT_B``) into the 128-bit ``s`` and ``u``, from
-    which PCG64 seeds its LCG: ``inc = 2 u + 1``, ``state = (s + inc) *
-    mult + inc`` mod ``2^128``.  NumPy runs the hash for one child at a
-    time; every step of it is an operation on 32-bit words that wraps mod
-    ``2^32``, and the hash constants do not depend on the data, so here
-    each step runs once on ``uint32`` arrays over all children and gives
-    the same words.  Only the 128-bit seeding runs per child, on Python
-    integers.
-    """
-    seed = int(seed)
-    words = [seed >> shift & _MASK32
-             for shift in range(0, max(seed.bit_length(), 1), 32)]
-    entropy = ([np.full(n, w, dtype=np.uint32)
-                for w in words + [0] * (4 - len(words))]
-               + [np.arange(n, dtype=np.uint32)])
-
-    def hasher(const, mult):
-        def hash_words(value):
-            nonlocal const
-            value = value ^ const
-            const = const * mult & _MASK32
-            value = value * const
-            return value ^ (value >> 16)
-        return hash_words
-
-    def mix(x, y):
-        out = _MIX_L * x - _MIX_R * y
-        return out ^ (out >> 16)
-
-    hashmix = hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(e) for e in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for e in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(e))
-    # generate_state(4, uint64): eight words, cycling the pool
-    hash_state = hasher(_INIT_B, _MULT_B)
-    drawn = np.stack([hash_state(pool[k % 4]) for k in range(8)], axis=1)
-    out = []
-    for s_hi, s_lo, u_hi, u_lo in drawn.astype("<u4").view("<u8").tolist():
-        inc = (u_hi << 65 | u_lo << 1 | 1) & _MASK128
-        state = (((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128
-        out.append((state, inc))
-    return out
-
-
 def sample_network(model: SnnModel, points, n_samples: int, seed: int):
     """Joint Monte Carlo draws of the network output over the input set.
 
     Row ``i`` is the network output for one weight realization per
     stochastic layer (shared by all input points) and one mask per dropout
-    layer, drawn from ``default_rng(SeedSequence(seed).spawn(n_samples)[i])``
-    in layer order: the weights, then the biases, of each stochastic
-    layer, and the mask of each dropout layer.  Rows are the stacked
-    block-major outputs, and the first ``k`` rows do not depend on
-    ``n_samples``.
-
-    Those generators are not built: :func:`_substream_states` computes the
-    PCG64 state that NumPy's seeding gives each child, for all children in
-    one pass, and one generator, set to each child's state in turn, draws
-    that sample's row of one ``(n_samples, total)`` buffer.  A generator
-    keeps nothing between calls when it draws float64 standard normals or
-    uniforms, each value taking whole 64-bit outputs of the stream, so
-    ``a`` values and then ``b`` values of one kind equal ``a + b`` values
-    in one call: each run of like draws takes one call, and the weights
-    and biases of stochastic layers with no dropout mask between them
-    share it.  The forward pass then runs once for all samples as stacked
-    matmuls.
+    layer.  Every draw is a standard normal, taken row-major from one
+    ``default_rng(seed).standard_normal((n_samples, total))`` array: row
+    ``i`` holds sample ``i``'s draws in layer order, the weights and then
+    the biases of each stochastic layer and one column per unit of each
+    dropout layer.  A unit is kept when its normal lies below
+    ``ndtri(keep_prob)``, which happens with probability exactly
+    ``keep_prob`` as ``P(Z < Phi^-1(p)) = p``; ``ndtri(1) = inf`` keeps
+    every unit.  A generator keeps nothing between calls when it draws
+    float64 standard normals, so the first ``k`` rows are the stream's
+    first ``k * total`` values and do not depend on ``n_samples``.  Rows
+    are the stacked block-major outputs.  The forward pass runs once for
+    all samples as stacked matmuls.
     """
     if not isinstance(model, SnnModel):
         raise ParseError("sample_network expects an SnnModel")
@@ -670,45 +609,20 @@ def sample_network(model: SnnModel, points, n_samples: int, seed: int):
         raise ParseError("sample count must be an integer in [1, 2^32]")
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ParseError("seed must be a nonnegative integer")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.ndim != 2 or pts.shape[1] != model.input_dim:
-        raise ParseError(
-            f"points must be (D, {model.input_dim}); got {pts.shape}")
+    pts = _checked_points(model, points)
     n = int(n_samples)
-    # columns of each draw, and [start, stop, normal?] of each run of
-    # like draws; a dropout mask is as wide as its input
-    spans, runs = [], []
-    width, total = model.input_dim, 0
+    # columns of each draw; a dropout mask is as wide as its input
+    sizes, width = [], model.input_dim
     for layer in model.layers:
         if isinstance(layer, StochasticLinear):
-            draws = ((layer.weight_mean.size, True), (layer.n_out, True))
+            sizes += [layer.weight_mean.size, layer.n_out]
         elif isinstance(layer, Dropout):
-            draws = ((width, False),)
-        else:
-            draws = ()
-        for size, normal in draws:
-            spans.append(slice(total, total + size))
-            if runs and runs[-1][2] == normal:
-                runs[-1][1] = total + size
-            else:
-                runs.append([total, total + size, normal])
-            total += size
+            sizes.append(width)
         if _is_linear(layer):
             width = layer.n_out
-    buf = np.empty((n, total))
-    if runs:
-        bitgen = np.random.PCG64(0)  # reseeded for every sample
-        rng = np.random.Generator(bitgen)
-        fills = [((rng.standard_normal if normal else rng.random),
-                  buf[:, start:stop]) for start, stop, normal in runs]
-        state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-        for row, (s, inc) in enumerate(_substream_states(seed, n)):
-            state["state"] = {"state": s, "inc": inc}
-            bitgen.state = state
-            for fill, cols in fills:
-                fill(out=cols[row])
+    draws = np.random.default_rng(seed).standard_normal((n, sum(sizes)))
+    cols = iter(np.split(draws, np.cumsum(sizes)[:-1], axis=1))
     z = pts[None]
-    cols = iter(buf[:, span] for span in spans)
     for layer in model.layers:
         if isinstance(layer, StochasticLinear):
             w = layer.weight_mean + np.sqrt(layer.weight_var) \
@@ -720,7 +634,7 @@ def sample_network(model: SnnModel, points, n_samples: int, seed: int):
         elif isinstance(layer, Activation):
             z = layer.apply(z)
         else:
-            z = z * (next(cols) < layer.keep_prob)[:, None, :]
+            z = z * (next(cols) < ndtri(layer.keep_prob))[:, None, :]
     out = np.empty((n, pts.shape[0] * model.output_dim))
     # a net without random draws gives one row, repeated for every sample
     out[:] = z.reshape(z.shape[0], -1)

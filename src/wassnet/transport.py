@@ -258,20 +258,30 @@ def _sinkhorn_potentials(cost):
     return f, g
 
 
+def _check_entry_cap(n: int, m: int, dim: int, advice: str):
+    """Raise :class:`ParseError`, ending with ``advice``, if the empirical
+    W2 of ``n`` against ``m`` samples in ``dim`` dimensions would build a
+    cost matrix above ``TOL.empirical_cost_cap`` entries.  Equal counts in
+    one dimension take the sorted matching, which builds none."""
+    if n * m > TOL.empirical_cost_cap and not (n == m and dim == 1):
+        raise ParseError(
+            f"cost matrix would hold {n * m} entries, above the cap "
+            f"{TOL.empirical_cost_cap}; {advice}")
+
+
 def _checked_samples(xs, ys):
-    """``(xs, ys)`` as float arrays, once their shapes and the entry cap
-    have been checked; see :func:`empirical_w2`."""
+    """``(xs, ys)`` as float arrays, once their shapes, finiteness and the
+    entry cap have been checked; see :func:`empirical_w2`."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.ndim != 2 or ys.ndim != 2 or xs.shape[0] < 1 or ys.shape[0] < 1:
         raise ParseError("sample sets must be nonempty (n, d) arrays")
     if xs.shape[1] != ys.shape[1]:
         raise ParseError("sample sets must share the ambient dimension")
-    n, m = xs.shape[0], ys.shape[0]
-    if n * m > TOL.empirical_cost_cap and not (n == m and xs.shape[1] == 1):
-        raise ParseError(
-            f"cost matrix would hold {n * m} entries, above the cap "
-            f"{TOL.empirical_cost_cap}; subsample the inputs")
+    _check_entry_cap(xs.shape[0], ys.shape[0], xs.shape[1],
+                     "subsample the inputs")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise ParseError("samples must be finite")
     return xs, ys
 
 
@@ -386,8 +396,10 @@ def empirical_w2(xs, ys) -> float:
 
     Unequal counts go through the transportation LP.  Other instances
     whose cost matrix would exceed the configured entry cap are rejected
-    with advice to subsample.  :func:`_empirical_w2_batch` returns the
-    same values for a list of pairs, two assignments at a time.
+    with advice to subsample, and samples that are not all finite are
+    rejected on every path, each with :class:`ParseError`.
+    :func:`_empirical_w2_batch` returns the same values for a list of
+    pairs, two assignments at a time.
     """
     xs, ys = _checked_samples(xs, ys)
     if _takes_assignment(xs, ys):

@@ -284,16 +284,19 @@ def push_point_oracle(point, layer, d=1):
 
 
 def sample_network_oracle(model, points, n_samples, seed):
-    """Network samples by the per-sample loop: one substream and one
-    forward pass per sample, each draw taken by its own generator call."""
+    """Network samples by the per-sample loop on one ``default_rng(seed)``:
+    one forward pass per sample, each weight, bias and mask drawn by its
+    own ``standard_normal`` call, and a unit kept when its normal lies
+    below ``ndtri(keep_prob)``."""
+    from scipy.special import ndtri
+
     from wassnet.snn import Activation, DeterministicLinear, StochasticLinear
 
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     d = pts.shape[0]
     out = np.empty((int(n_samples), d * model.output_dim))
-    children = np.random.SeedSequence(int(seed)).spawn(int(n_samples))
-    for row, child in enumerate(children):
-        rng = np.random.default_rng(child)
+    rng = np.random.default_rng(seed)
+    for row in range(int(n_samples)):
         z = pts
         for layer in model.layers:
             if isinstance(layer, StochasticLinear):
@@ -307,7 +310,7 @@ def sample_network_oracle(model, points, n_samples, seed):
             elif isinstance(layer, Activation):
                 z = layer.apply(z)
             else:
-                mask = rng.random(z.shape[1]) < layer.keep_prob
+                mask = rng.standard_normal(z.shape[1]) < ndtri(layer.keep_prob)
                 z = z * mask
         out[row] = z.reshape(-1)
     return out

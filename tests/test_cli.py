@@ -22,6 +22,7 @@ from wassnet import (
     TuneReport,
 )
 from wassnet.cli import main
+from wassnet.config import TOL
 from wassnet.errors import NumericalError
 from wassnet.quantizer import QuantizerTable
 from wassnet.stats import Gaussian, GaussianMixture, gaussian_w2
@@ -296,6 +297,37 @@ class TestEmpirical:
             ["empirical", "--model", str(DATA / "model_1_16_1_tanh.json"),
              "--points", str(DATA / "points_5.json"), "--gmm", out_gmm,
              "--samples", "100000"], capsys)
+        assert code == 3
+        assert "--samples" in err
+
+    def test_one_point_has_no_sample_cap(self, tmp_path, table_file,
+                                         capsys):
+        # one point makes 1-D samples, which take the sorted matching and
+        # build no cost matrix
+        points = tmp_path / "one_point.json"
+        points.write_text("[[0.5]]")
+        out_gmm, _, _ = _approximate(tmp_path, table_file, capsys,
+                                     budget=4, points=str(points))
+        assert 3000 ** 2 > TOL.empirical_cost_cap
+        code, out, _ = run_cli(
+            ["empirical", "--model", str(DATA / "model_1_16_1_tanh.json"),
+             "--points", str(points), "--gmm", out_gmm,
+             "--samples", "3000"], capsys)
+        assert code == 0
+        value = float(out.splitlines()[0].split("=", 1)[1])
+        assert math.isfinite(value) and value >= 0.0
+
+    def test_over_cap_refused_before_sampling(self, tmp_path, table_file,
+                                              capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled before refusing")
+
+        out_gmm, _, _ = _approximate(tmp_path, table_file, capsys, budget=4)
+        monkeypatch.setattr("wassnet.cli.sample_network", refuse)
+        code, _, err = run_cli(
+            ["empirical", "--model", str(DATA / "model_1_16_1_tanh.json"),
+             "--points", str(DATA / "points_5.json"), "--gmm", out_gmm,
+             "--samples", "3000"], capsys)
         assert code == 3
         assert "--samples" in err
 

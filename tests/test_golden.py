@@ -56,7 +56,15 @@ differently), so ``mw2`` against the one-component GP roots the GP.  Old
 0.0027636640271604426 -> 0.0027636640271544144 and ``relative_formal``
 9.740739444701605 -> 9.740739444707508: at most 5.9e-11 relative (the
 log-variances) and 6.1e-13 for ``relative_formal``; ``history[0]`` did
-not move.  ``golden_propagate.json`` did not move.
+not move.  ``golden_propagate.json`` did not move.  It was re-recorded a
+fourth time, alone, when ``sample_network`` came to draw every sample
+from one row-major normal stream, with masks by threshold, instead of
+one ``SeedSequence`` child stream per sample.  Only the evaluation's
+network samples changed.  Old -> new: ``relative_empirical``
+0.5421446833436737 -> 0.5426712479461846 and ``relative_empirical_se``
+0.0027636640271544144 -> 0.01236838161580411; every history, parameter
+and loss field, and ``relative_formal``, stayed bit-identical.
+``golden_propagate.json`` did not move.
 
 Regenerate (only on purpose, after a deliberate change of the numbers) with
 ``PYTHONPATH=src python3 tests/test_golden.py``, which rewrites both files.

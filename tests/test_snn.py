@@ -845,18 +845,9 @@ class TestSampleNetwork:
                         sample_network_oracle(model, pts, n, seed)), \
                         (trial, n)
 
-    # seeds of one, one, two, three and five 32-bit words: the last has
-    # more entropy words than the 4-word pool, which mixes them in after
+    # seeds of one, one, two, three and five 32-bit words, which
+    # default_rng hashes into its state by SeedSequence
     EDGE_SEEDS = (0, 2 ** 31 - 1, 2 ** 32, 2 ** 64 + 1, 2 ** 130 + 5)
-
-    def test_substream_states_match_pcg64(self):
-        for seed in self.EDGE_SEEDS:
-            for n in (1, 1000):
-                expected = [
-                    (s["state"], s["inc"]) for s in (
-                        np.random.PCG64(child).state["state"] for child
-                        in np.random.SeedSequence(seed).spawn(n))]
-                assert snn._substream_states(seed, n) == expected, (seed, n)
 
     def test_sample_network_matches_oracle_at_edge_seeds(self):
         rng = np.random.default_rng(23)
@@ -895,11 +886,33 @@ class TestSampleNetwork:
                                       sample_network(model, pts, k, seed))
 
     def test_sample_network_refuses_counts_beyond_one_index_word(self):
-        # a child's index must fit one 32-bit entropy word; refused before
-        # any buffer is allocated
+        # the count is capped at 2^32 and refused before the draws are
+        # allocated
         model = _vi_net(np.random.default_rng(2), (1, 2, 1))
         with pytest.raises(ParseError, match=r"2\^32"):
             sample_network(model, np.array([[1.0]]), 2 ** 32 + 1, 0)
+
+    def test_keep_probability_one_keeps_every_unit(self):
+        # ndtri(1) = inf: no normal reaches the threshold, so no unit drops
+        model = SnnModel(2, (
+            DeterministicLinear(np.array([[1.0, -2.0], [0.5, 3.0],
+                                          [-1.0, 0.25]]),
+                                np.array([0.1, -0.2, 0.3])),
+            Dropout(1.0),
+            DeterministicLinear(np.array([[1.0, 1.0, 1.0]]), np.zeros(1)),
+        ))
+        pts = np.array([[1.0, -0.5], [0.3, 2.0]])
+        samples = sample_network(model, pts, 500, 4)
+        expected = (pts @ model.layers[0].weight.T
+                    + model.layers[0].bias).sum(axis=1)
+        assert np.ptp(samples, axis=0).max() == 0.0
+        assert np.allclose(samples[0], expected, atol=1e-12)
+
+    def test_refuses_non_finite_points(self):
+        model = _vi_net(np.random.default_rng(1), (2, 3, 1))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ParseError, match="finite"):
+                sample_network(model, np.array([[1.0, bad]]), 10, 0)
 
     def test_invalid_inputs(self):
         rng = np.random.default_rng(1)

@@ -926,6 +926,26 @@ class TestEmpiricalW2:
             (np.sort(xs[:, 0]) - np.sort(ys[:, 0])) ** 2)))
         assert math.isclose(empirical_w2(xs, ys), expected, rel_tol=1e-12)
 
+    def test_non_finite_samples_refused_on_every_path(self):
+        rng = np.random.default_rng(15)
+        # assignment (equal counts, 2-D), sorted matching (equal counts,
+        # 1-D) and transportation LP (unequal counts)
+        shapes = (((6, 2), (6, 2)), ((6, 1), (6, 1)), ((5, 2), (7, 2)))
+        for bad in (np.nan, np.inf, -np.inf):
+            for x_shape, y_shape in shapes:
+                xs = rng.normal(size=x_shape)
+                ys = rng.normal(size=y_shape)
+                for side in (xs, ys):
+                    clean = side[0, 0]
+                    side[0, 0] = bad
+                    with pytest.raises(ParseError, match="finite"):
+                        empirical_w2(xs, ys)
+                    with pytest.raises(ParseError, match="finite"):
+                        transport._empirical_w2_batch(
+                            [(rng.normal(size=(4, 2)),
+                              rng.normal(size=(4, 2))), (xs, ys)])
+                    side[0, 0] = clean
+
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ParseError):
             empirical_w2(np.zeros((0, 1)), np.zeros((3, 1)))
