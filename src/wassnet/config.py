@@ -6,7 +6,9 @@ single place.  Functions read the module-level ``TOL``; none accepts a
 ``Tolerances``, though a few take one value as a keyword whose default comes
 from ``TOL`` (for example ``solve_quantizer_1d(n, tol=...)``).  A value that
 no caller varies is a field here, not a parameter: ``tune`` reads its
-gradient clip and step decay from ``TOL`` only.
+gradient clip and step decay from ``TOL`` only.  One cap may guard more
+than one allocation: ``cov_bytes_cap`` bounds both the covariances that
+propagation pushes and the draws that network sampling takes.
 """
 
 from dataclasses import dataclass
@@ -24,8 +26,6 @@ class Tolerances:
     # 1-d quantizer fixed point: stop when max location change < tol
     fixed_point_tol: float = 1e-12
     fixed_point_max_iters: int = 100_000
-    # signature grid cells with standard-normal mass below this are pruned
-    cell_mass_prune: float = 1e-12
     # quantizer lookup table is built up to this size by default
     table_n_max: int = 512
     # transport marginals must agree to this absolute tolerance
@@ -40,7 +40,10 @@ class Tolerances:
     # 8 components of 640^2 doubles at the second layer of the 1-64-64-1
     # D10 ladder row; the benchmark's largest is 19 MB, one wide first
     # layer), and a 1-128-128-1 net at D = 20 pushes its first layer
-    # (52 MB) but stops before its second (up to 10 x 52 MB)
+    # (52 MB) but stops before its second (up to 10 x 52 MB).  Network
+    # sampling refuses a count whose normal draws and output (n rows of
+    # the draw count plus D times the output width, in doubles) would
+    # exceed it: 1000 samples of the largest ladder net take 35 MB
     cov_bytes_cap: int = 2 ** 28
     # GP Gram matrices get this relative diagonal jitter before Cholesky
     gp_jitter: float = 1e-10

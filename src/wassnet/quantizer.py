@@ -388,51 +388,16 @@ def _grid_sizes(lam: np.ndarray, budget: int, table: QuantizerTable) -> tuple:
 # signatures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComponentCells:
-    """Grid-cell data of one mixture component's signature block.
-
-    ``cell_mass`` is the standard-normal product mass of each kept cell,
-    ``distortion`` the conditional expectation E[||z - atom||^2 | z in
-    cell] in the original metric, and ``prune_penalty`` the absolute
-    (mass-weighted) distortion contributed by pruned cells whose mass was
-    reassigned to this atom.  The pruned mass is ``1 - cell_mass.sum()``
-    to rounding, since the cells of a grid carry all the mass.
-    """
-
-    weight: float               # the component's mixture weight
-    eigenvalues: np.ndarray     # (n,) all eigenvalues, nonincreasing
-    grid_sizes: tuple           # per-axis point counts over grid axes
-    cell_mass: np.ndarray       # (M,) own-cell standard-normal mass
-    distortion: np.ndarray      # (M,) conditional squared distortion
-    prune_penalty: np.ndarray   # (M,) absorbed mass-weighted distortion
-
-    def __post_init__(self):
-        for name in ("eigenvalues", "cell_mass", "distortion",
-                     "prune_penalty"):
-            object.__setattr__(self, name,
-                               _readonly(np.asarray(getattr(self, name),
-                                                    dtype=float)))
-
-    @property
-    def w2sq_total(self) -> float:
-        """Absolute squared distortion of coupling each cell to its atom."""
-        return float(np.dot(self.cell_mass, self.distortion)
-                     + np.sum(self.prune_penalty))
-
-
 class _GridTemplate(NamedTuple):
     """What a component's grid takes from the table and its grid sizes
-    alone; arrays are read-only, one row per cell and one column per
-    multi-point axis."""
+    alone: its cells of positive mass, in C order.  Arrays are read-only,
+    one row per cell and one column per multi-point axis.  A cell whose
+    product mass underflows to exactly 0 carries no distortion either, so
+    dropping it moves no bound, and no atom has zero weight."""
 
     mass: np.ndarray          # (M,) standard-normal product mass
     centers: np.ndarray       # (M, a) cell locations
-    means: np.ndarray         # (M, a) cell means
-    variances: np.ndarray     # (M, a) cell variances
     distortion: np.ndarray    # (M, a) var + (mean - centre)^2 per axis
-    keep: np.ndarray          # (M,) mass at or above the pruning floor
-    kept_centers: np.ndarray  # centers[keep]
 
 
 def _grid_template(table: QuantizerTable, sizes: tuple) -> _GridTemplate:
@@ -446,93 +411,60 @@ def _grid_template(table: QuantizerTable, sizes: tuple) -> _GridTemplate:
     idx = np.indices(sizes).reshape(n_multi, m_cells)
     mass = np.ones(m_cells)
     centers = np.empty((m_cells, n_multi))
-    means = np.empty((m_cells, n_multi))
-    variances = np.empty((m_cells, n_multi))
+    distortion = np.empty((m_cells, n_multi))
     for l, n_l in enumerate(sizes):
         q = table.get(n_l)
         _, _, mass_l, mean_l, var_l = q.cells
         sel = idx[l]
         mass *= mass_l[sel]
         centers[:, l] = q.locations[sel]
-        means[:, l] = mean_l[sel]
-        variances[:, l] = var_l[sel]
-    keep = mass >= TOL.cell_mass_prune
-    keep.setflags(write=False)
-    template = _GridTemplate(
-        *(_readonly(a) for a in (mass, centers, means, variances,
-                                 variances + np.square(means - centers))),
-        keep, _readonly(centers[keep]))
+        distortion[:, l] = var_l[sel] + np.square(mean_l[sel]
+                                                  - centers[:, l])
+    keep = mass > 0.0
+    template = _GridTemplate(*(_readonly(a[keep])
+                               for a in (mass, centers, distortion)))
     table._grids[sizes] = template
     return template
 
 
-def _with_tail(prefix: np.ndarray, value: float, r: int) -> np.ndarray:
-    """``prefix`` (one column per multi-point axis) padded with ``value``
-    to ``r`` columns, C-ordered."""
-    out = np.empty((prefix.shape[0], r))
-    out[:, :prefix.shape[1]] = prefix
-    out[:, prefix.shape[1]:] = value
-    return out
-
-
-def _component_grid(g: Gaussian, weight: float, budget: int,
-                    table: QuantizerTable):
-    """Grid signature of a single Gaussian of mixture weight ``weight``:
-    ``(locations, weights, cells)``, for a checked budget (:func:`_check_budget`).
+def _component_grid(g: Gaussian, budget: int, table: QuantizerTable):
+    """Grid signature of a single Gaussian: ``(locations, weights, w2sq)``,
+    for a checked budget (:func:`_check_budget`).
 
     Sizes are nonincreasing, so the multi-point axes form a prefix, whose
     cells come from the table's :func:`_grid_template`; each single-point
-    axis has the one cell of N(0,1), of mass exactly 1.  The conditional
+    axis has the one cell of N(0,1), of mass exactly 1.  Every cell keeps
+    its own atom, weighted by the cell's mass.  The conditional
     distortion of a cell sums the pinned variance and the eigenvalue-
-    weighted per-axis terms left to right.
+    weighted per-axis terms left to right, and ``w2sq`` is the
+    mass-weighted sum of those: the squared W2 of the coupling that sends
+    each cell to its atom.
     """
     basis = g.eigen()
     lam = basis.eigenvalues
     sizes = _grid_sizes(lam, budget, table)
     r = len(sizes)
-    pinned_sum = float(lam[r:].sum())
     lam_r = lam[:r]
-    transform = basis.eigenvectors[:, :r] * np.sqrt(lam_r)
     n_multi = sum(n_l > 1 for n_l in sizes)
     t = _grid_template(table, sizes[:n_multi])
-    mass, keep = t.mass, t.keep
     one = table.get(1)
     _, _, _, mean_1, var_1 = one.cells
     center_1 = one.locations[0]
-    terms = np.empty((mass.size, r + 1))
-    terms[:, 0] = pinned_sum
+    terms = np.empty((t.mass.size, r + 1))
+    terms[:, 0] = float(lam[r:].sum())
     terms[:, 1:n_multi + 1] = lam_r[:n_multi] * t.distortion
     terms[:, n_multi + 1:] = lam_r[n_multi:] * (
         var_1[0] + np.square(mean_1[0] - center_1))
-    cond = np.cumsum(terms, axis=1)[:, -1]
+    # contiguous: BLAS sums a strided vector in another order
+    cond = np.ascontiguousarray(np.cumsum(terms, axis=1)[:, -1])
 
-    if not np.any(keep):
-        raise NumericalError("all signature cells fell below the mass floor")
-    weights = mass[keep].copy()
-    prune_penalty = np.zeros(weights.size)
-    kept_centers = _with_tail(t.kept_centers, center_1, r)
-    if not np.all(keep):
-        centers = _with_tail(t.centers, center_1, r)
-        means = _with_tail(t.means, mean_1[0], r)
-        variances = _with_tail(t.variances, var_1[0], r)
-        for c_idx in np.flatnonzero(~keep):
-            d2 = np.sum(lam_r * np.square(kept_centers - centers[c_idx]),
-                        axis=1)
-            j = int(np.argmin(d2))
-            # exact conditional distortion of sending this cell to atom j
-            pen = float(np.sum(lam_r * (variances[c_idx] + np.square(
-                means[c_idx] - kept_centers[j])))) + pinned_sum
-            weights[j] += mass[c_idx]
-            prune_penalty[j] += mass[c_idx] * pen
-
-    total = float(weights.sum())
-    weights = weights / total
-    locations = g.mean + kept_centers @ transform.T
-    cells = ComponentCells(
-        weight=weight, eigenvalues=lam, grid_sizes=sizes,
-        cell_mass=mass[keep], distortion=cond[keep],
-        prune_penalty=prune_penalty)
-    return locations, weights, cells
+    centers = np.empty((t.mass.size, r))
+    centers[:, :n_multi] = t.centers
+    centers[:, n_multi:] = center_1
+    transform = basis.eigenvectors[:, :r] * np.sqrt(lam_r)
+    locations = g.mean + centers @ transform.T
+    weights = t.mass / float(t.mass.sum())
+    return locations, weights, float(np.dot(t.mass, cond))
 
 
 def signature_of_gaussian(g: Gaussian, budget: int, table: QuantizerTable):
@@ -541,28 +473,23 @@ def signature_of_gaussian(g: Gaussian, budget: int, table: QuantizerTable):
     Returns ``(atoms, w2sq)``; the atoms are those of the one-component
     :func:`signature_of_mixture`, and ``w2sq`` is the eigenvalue-weighted
     sum of the 1-D quantizer distortions plus the variance of the pinned
-    axes.  When no cell is pruned, ``w2sq`` is the exact squared
-    2-Wasserstein distance between ``g`` and the atoms (not a bound): in
-    the eigen coordinates the squared metric is a sum over axes, so the
-    nearest point of the product grid is the per-axis nearest point, its
-    Voronoi cells are the products of the 1-D cells, and its Voronoi error
-    (attained by the atoms, which carry the cell masses) is the closed
-    form.  When cells fall below ``TOL.cell_mass_prune`` and their mass is
-    reassigned, ``w2sq`` is only a lower bound on W2^2 to the returned
-    atoms: any coupling costs at least the Voronoi error of the atoms'
-    locations, and those are a subset of the grid, whose Voronoi error is
-    no larger.  The certified bound is :func:`signature_of_mixture`'s,
-    which adds the pruned cells' penalty.  Zero covariance yields a single
-    atom at the mean with distance zero.
+    axes.  ``w2sq`` is the exact squared 2-Wasserstein distance between
+    ``g`` and the atoms (not a bound): in the eigen coordinates the
+    squared metric is a sum over axes, so the nearest point of the product
+    grid is the per-axis nearest point, its Voronoi cells are the products
+    of the 1-D cells, and its Voronoi error (attained by the atoms, which
+    carry the cell masses) is the closed form.  Zero covariance yields a
+    single atom at the mean with distance zero.
     """
     if not isinstance(g, Gaussian):
         raise ParseError("signature_of_gaussian expects a Gaussian")
     _check_budget(budget, table)
-    locations, weights, cc = _component_grid(g, 1.0, budget, table)
-    lam = cc.eigenvalues
-    r = len(cc.grid_sizes)
+    locations, weights, _ = _component_grid(g, budget, table)
+    lam = g.eigen().eigenvalues
+    sizes = _grid_sizes(lam, budget, table)
+    r = len(sizes)
     w2sq = float(lam[r:].sum())
-    for lam_l, n_l in zip(lam[:r], cc.grid_sizes):
+    for lam_l, n_l in zip(lam[:r], sizes):
         w2sq += float(lam_l) * table.get(n_l).w2sq
     return DiscreteDistribution(locations, weights), w2sq
 
@@ -572,9 +499,9 @@ def signature_of_mixture(g, budget_per_component: int, table: QuantizerTable):
 
     Returns ``(atoms, w2_bound)``.  Atom weights are the component weights
     times the in-component cell masses, in component order.  The bound
-    couples every component with its own signature block (the
-    :class:`ComponentCells` of :func:`_component_grid`, pruned cells'
-    penalty included): ``w2_bound = sqrt(sum_i pi_i * w2sq_i)``.
+    couples every component with its own signature block, each cell with
+    its own atom (the ``w2sq_i`` of :func:`_component_grid`, exact for
+    that component): ``w2_bound = sqrt(sum_i pi_i * w2sq_i)``.
     Zero-weight components contribute neither atoms nor bound mass.  The
     components are decomposed together (:func:`~wassnet.stats._eigen_bases`),
     and those decomposed before, for instance the merged clusters that
@@ -585,16 +512,16 @@ def signature_of_mixture(g, budget_per_component: int, table: QuantizerTable):
     live = [(pi, comp) for pi, comp in zip(gm.weights, gm.components)
             if pi > 0.0]
     _eigen_bases([comp for _, comp in live])
-    blocks = []
-    cells = []
+    locations, weights, w2sqs = [], [], []
     for pi, comp in live:
-        loc_i, w_i, cells_i = _component_grid(comp, float(pi),
-                                              budget_per_component, table)
-        blocks.append((loc_i, pi * w_i))
-        cells.append(cells_i)
-    atoms = DiscreteDistribution(np.concatenate([b[0] for b in blocks]),
-                                 np.concatenate([b[1] for b in blocks]))
-    w2sq = np.dot([c.weight for c in cells], [c.w2sq_total for c in cells])
+        loc_i, w_i, w2sq_i = _component_grid(comp, budget_per_component,
+                                             table)
+        locations.append(loc_i)
+        weights.append(pi * w_i)
+        w2sqs.append(w2sq_i)
+    atoms = DiscreteDistribution(np.concatenate(locations),
+                                 np.concatenate(weights))
+    w2sq = np.dot([pi for pi, _ in live], w2sqs)
     return atoms, float(math.sqrt(max(0.0, float(w2sq))))
 
 

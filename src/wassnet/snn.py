@@ -600,13 +600,14 @@ def sample_network(model: SnnModel, points, n_samples: int, seed: int):
     float64 standard normals, so the first ``k`` rows are the stream's
     first ``k * total`` values and do not depend on ``n_samples``.  Rows
     are the stacked block-major outputs.  The forward pass runs once for
-    all samples as stacked matmuls.
+    all samples as stacked matmuls.  If the draws and the output would
+    take more than ``TOL.cov_bytes_cap`` bytes, :class:`ParseError` is
+    raised before they are allocated.
     """
     if not isinstance(model, SnnModel):
         raise ParseError("sample_network expects an SnnModel")
-    if not (isinstance(n_samples, (int, np.integer))
-            and 1 <= n_samples <= 2 ** 32):
-        raise ParseError("sample count must be an integer in [1, 2^32]")
+    if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 1):
+        raise ParseError("sample count must be a positive integer")
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ParseError("seed must be a nonnegative integer")
     pts = _checked_points(model, points)
@@ -620,7 +621,13 @@ def sample_network(model: SnnModel, points, n_samples: int, seed: int):
             sizes.append(width)
         if _is_linear(layer):
             width = layer.n_out
-    draws = np.random.default_rng(seed).standard_normal((n, sum(sizes)))
+    total = sum(sizes)
+    n_bytes = 8 * n * (total + pts.shape[0] * model.output_dim)
+    if n_bytes > TOL.cov_bytes_cap:
+        raise ParseError(
+            f"{n} samples would hold {n_bytes} bytes of draws and output, "
+            f"above the cap {TOL.cov_bytes_cap}; lower the sample count")
+    draws = np.random.default_rng(seed).standard_normal((n, total))
     cols = iter(np.split(draws, np.cumsum(sizes)[:-1], axis=1))
     z = pts[None]
     for layer in model.layers:

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 from scipy.special import ndtr
 
 from .config import TOL
@@ -423,45 +424,25 @@ def standard_truncated_moments(lo, hi):
 # linear algebra
 # ---------------------------------------------------------------------------
 
-def _symmetric_blocks(a: np.ndarray):
-    """Connected components of the sparsity pattern, grouped by size.
-
-    Returns a tuple of ``(k, s)`` index arrays, one per block size ``s``,
-    each row one block's indices in increasing order.  Exact zeros
-    produced by mean-field propagation make large covariances
-    block-diagonal, which turns one O(n^3) eigendecomposition into many
-    small ones.  A pattern with a zero
-    is split once and then looked up (:func:`_pattern_blocks`); the
-    returned arrays are read-only and shared between calls.
-    """
-    link = a != 0.0
-    if np.all(link):
-        return (np.arange(a.shape[0])[None, :],)
-    return _pattern_blocks(a.shape[0], np.packbits(link).tobytes())
-
-
 # 32 patterns: a key holds n^2 bits, so the cache holds at most half the
 # bytes of one n x n covariance per dimension n.  A benchmark op meets a
 # handful of patterns, since the pushed components of a layer share one.
 @functools.lru_cache(maxsize=32)
 def _pattern_blocks(n: int, packed: bytes):
-    """The blocks of :func:`_symmetric_blocks` for the ``n x n`` pattern
-    whose bits ``np.packbits`` packed into ``packed``."""
+    """Connected components of the ``n x n`` sparsity pattern whose bits
+    ``np.packbits`` packed into ``packed``, grouped by size.
+
+    Returns a tuple of ``(k, s)`` index arrays, one per block size ``s``,
+    each row one block's indices in increasing order and the rows in
+    order of their lowest index.  Exact zeros produced by mean-field
+    propagation make large covariances block-diagonal, which turns one
+    O(n^3) eigendecomposition into many small ones.  The returned arrays
+    are read-only and shared between calls.
+    """
     link = np.unpackbits(np.frombuffer(packed, dtype=np.uint8),
-                         count=n * n).reshape(n, n).view(bool)
-    # min-label propagation over the edges plus self-loops, with pointer
-    # jumping; each node ends labelled by the lowest index in its block
-    rows, cols = np.nonzero(link | np.eye(n, dtype=bool))
-    starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-    lab = np.arange(n)
-    while True:
-        new = np.minimum.reduceat(lab[cols], starts)
-        new = new[new]
-        if np.array_equal(new, lab):
-            break
-        lab = new
-    # consecutive labels in order of each block's lowest index
-    _, labels = np.unique(lab, return_inverse=True)
+                         count=n * n).reshape(n, n)
+    # components are labelled in order of their lowest index
+    _, labels = connected_components(link, directed=False)
     order = np.argsort(labels, kind="stable")  # blocks contiguous, in order
     block_size = np.bincount(labels)[labels[order]]
     blocks = tuple(order[block_size == s].reshape(-1, s)
@@ -474,46 +455,46 @@ def _pattern_blocks(n: int, packed: bytes):
 def _pattern_groups(mats):
     """The matrices of a sequence grouped by sparsity pattern.
 
-    Returns ``(sel, pattern)`` per distinct pattern, in order of first
+    Returns ``(sel, blocks)`` per distinct pattern, in order of first
     appearance: the indices of the matrices that are nonzero exactly where
-    ``pattern`` is.
+    the pattern is, and the pattern's :func:`_pattern_blocks`.  Each
+    matrix's pattern is packed once, and a pattern is split once.
     """
     groups = {}
     for k, m in enumerate(mats):
-        pattern = m != 0.0
-        key = np.packbits(pattern).tobytes()
-        groups.setdefault(key, (pattern, []))[1].append(k)
-    return [(sel, pattern) for pattern, sel in groups.values()]
+        groups.setdefault(np.packbits(m != 0.0).tobytes(), []).append(k)
+    return [(sel, _pattern_blocks(mats[sel[0]].shape[0], key))
+            for key, sel in groups.items()]
 
 
-def _block_eigh(mats, pattern: np.ndarray, vectors: bool = True):
+def _block_eigh(mats, blocks, vectors: bool = True):
     """Eigendecomposition of equal-size symmetric matrices, block by block.
 
     Every matrix in ``mats`` (a sequence of 2-d arrays) must be zero
-    wherever ``pattern`` is.  Each block of the pattern
-    (:func:`_symmetric_blocks`) is decomposed on its own, one stacked
-    ``eigh`` call per block size; only the blocks are copied out of the
-    matrices.  Returns the unsorted eigenvalues, one row per matrix, and
-    ``(idx, vecs)`` per block size: the ``(k, s)`` block indices and the
-    ``(len(mats), k, s, s)`` eigenvectors.  With ``vectors=False`` each
+    outside the ``blocks`` of :func:`_pattern_blocks`.  Each block is
+    decomposed on its own, one stacked ``eigh`` call per block size; only
+    the blocks are copied out of the matrices.  Returns the unsorted
+    eigenvalues, one row per matrix, and ``(idx, vecs)`` per block size:
+    the ``(k, s)`` block indices and the ``(len(mats), k, s, s)``
+    eigenvectors.  With ``vectors=False`` each
     block size takes one ``eigvalsh`` call instead and the list is empty.
     """
-    lam = np.empty((len(mats), pattern.shape[0]))
-    blocks = []
+    lam = np.empty((len(mats), mats[0].shape[0]))
+    out = []
     try:
-        for idx in _symmetric_blocks(pattern):
+        for idx in blocks:
             ix = (idx[:, :, None], idx[:, None, :])
             stack = np.stack([m[ix] for m in mats])
             if vectors:
                 w, v = np.linalg.eigh(stack)
-                blocks.append((idx, v))
+                out.append((idx, v))
             else:
                 w = np.linalg.eigvalsh(stack)
             lam[:, idx] = w
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}",
                              payload=mats) from exc
-    return lam, blocks
+    return lam, out
 
 
 def _clip_negative(lam: np.ndarray, payload) -> np.ndarray:
@@ -549,15 +530,15 @@ def _eigen_stack(mats):
     n = mats[0].shape[0]
     lam = np.empty((len(mats), n))
     vecs = np.zeros((len(mats), n, n)).transpose(0, 2, 1)
-    for sel, pattern in _pattern_groups(mats):
+    for sel, blocks in _pattern_groups(mats):
         group = [mats[k] for k in sel]
-        w, blocks = _block_eigh(group, pattern)
+        w, vec_blocks = _block_eigh(group, blocks)
         order = np.argsort(-w, axis=1, kind="stable")
         rank = np.argsort(order, axis=1)  # sorted column of each eigenpair
         lam[sel] = _clip_negative(w[np.arange(len(sel))[:, None], order],
                                   payload=group)
         rows = np.asarray(sel)[:, None, None, None]
-        for idx, v in blocks:
+        for idx, v in vec_blocks:
             # entry p of block eigenvector q lands in row idx[p] of the
             # sorted column rank[idx[q]]
             vecs[rows, idx[None, :, :, None], rank[:, idx][:, :, None, :]] = v
@@ -751,9 +732,9 @@ def _psd_root_traces(mats: np.ndarray) -> np.ndarray:
     for the upper bounds built from it.
     """
     out = np.empty(len(mats))
-    for sel, pattern in _pattern_groups(mats):
+    for sel, blocks in _pattern_groups(mats):
         group = [mats[k] for k in sel]
-        lam = _clip_negative(_block_eigh(group, pattern, vectors=False)[0],
+        lam = _clip_negative(_block_eigh(group, blocks, vectors=False)[0],
                              payload=group)
         floor = lam.shape[1] * np.finfo(float).eps * lam.max(axis=1)
         lam[lam <= floor[:, None]] = 0.0

@@ -123,13 +123,42 @@ def root_trace_by_eigenvectors_oracle(mats):
     from wassnet.stats import _block_eigh, _clip_negative, _pattern_groups
 
     out = np.empty(len(mats))
-    for sel, pattern in _pattern_groups(mats):
+    for sel, pattern_blocks in _pattern_groups(mats):
         group = [mats[k] for k in sel]
-        lam, blocks = _block_eigh(group, pattern)
+        lam, blocks = _block_eigh(group, pattern_blocks)
         root = np.sqrt(_clip_negative(lam, payload=group))
         out[sel] = sum(np.sum(np.square(v) * root[:, idx][..., None, :],
                               axis=(1, 2, 3)) for idx, v in blocks)
     return out
+
+
+def pattern_blocks_oracle(link):
+    """Connected components of a symmetric boolean pattern by union-find.
+
+    Returns one ``(k, s)`` index array per block size ``s``, in increasing
+    ``s``: each row one block's indices in increasing order, the rows in
+    order of their lowest index.  Each union hangs the larger root under
+    the smaller, so a root is its block's lowest index.
+    """
+    n = link.shape[0]
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in zip(*np.nonzero(link)):
+        ri, rj = find(int(i)), find(int(j))
+        parent[max(ri, rj)] = min(ri, rj)
+    members = {}
+    for i in range(n):
+        members.setdefault(find(i), []).append(i)
+    by_size = {}
+    for block in members.values():
+        by_size.setdefault(len(block), []).append(block)
+    return [np.array(by_size[s]) for s in sorted(by_size)]
 
 
 def identical_pairs(ps, qs, rows, cols):
@@ -574,21 +603,19 @@ def allocate_grid_search_oracle(eigenvalues, budget, table):
     return best
 
 
-def component_grid_oracle(g, weight, budget, table):
-    """Grid signature of a single Gaussian of mixture weight ``weight``:
-    ``(locations, weights, cells)``, by the per-axis loop that
-    ``quantizer._component_grid`` once ran: every axis, single-point or
-    not, gathers its quantizer cells and adds its distortion term in its
-    own pass."""
-    from wassnet.config import TOL
-    from wassnet.errors import NumericalError
-    from wassnet.quantizer import ComponentCells, allocate_grid
+def component_grid_oracle(g, budget, table):
+    """Grid signature of a single Gaussian: ``(locations, weights, w2sq,
+    cond)``, by the per-axis loop that ``quantizer._component_grid`` once
+    ran: every axis, single-point or not, gathers its quantizer cells and
+    adds its distortion term in its own pass.  Every cell of positive mass
+    keeps its own atom; ``cond`` is the conditional squared distortion of
+    each such cell, and ``w2sq`` their mass-weighted sum."""
+    from wassnet.quantizer import allocate_grid
 
     basis = g.eigen()
     lam = basis.eigenvalues
     sizes = allocate_grid(lam, budget, table)
     r = len(sizes)
-    pinned_sum = float(lam[r:].sum())
     lam_r = lam[:r]
     transform = basis.eigenvectors[:, :r] * np.sqrt(lam_r)
 
@@ -601,45 +628,21 @@ def component_grid_oracle(g, weight, budget, table):
     idx[:n_multi] = np.indices(sizes[:n_multi]).reshape(n_multi, m_cells)
     mass = np.ones(m_cells)
     centers = np.empty((m_cells, r))
-    means = np.empty((m_cells, r))
-    variances = np.empty((m_cells, r))
-    cond = np.full(m_cells, pinned_sum)
+    cond = np.full(m_cells, float(lam[r:].sum()))
     for l, n_l in enumerate(sizes):
         q = table.get(n_l)
         _, _, mass_l, mean_l, var_l = q.cells
         sel = idx[l]
         mass *= mass_l[sel]
         centers[:, l] = q.locations[sel]
-        means[:, l] = mean_l[sel]
-        variances[:, l] = var_l[sel]
-        cond += lam_r[l] * (variances[:, l]
-                            + np.square(means[:, l] - centers[:, l]))
+        cond += lam_r[l] * (var_l[sel] + np.square(mean_l[sel]
+                                                    - centers[:, l]))
 
-    keep = mass >= TOL.cell_mass_prune
-    if not np.any(keep):
-        raise NumericalError("all signature cells fell below the mass floor")
-    weights = mass[keep].copy()
-    prune_penalty = np.zeros(weights.size)
-    if not np.all(keep):
-        kept_centers = centers[keep]
-        for c_idx in np.flatnonzero(~keep):
-            d2 = np.sum(lam_r * np.square(kept_centers - centers[c_idx]),
-                        axis=1)
-            j = int(np.argmin(d2))
-            # exact conditional distortion of sending this cell to atom j
-            pen = float(np.sum(lam_r * (variances[c_idx] + np.square(
-                means[c_idx] - kept_centers[j])))) + pinned_sum
-            weights[j] += mass[c_idx]
-            prune_penalty[j] += mass[c_idx] * pen
-
-    total = float(weights.sum())
-    weights = weights / total
+    keep = mass > 0.0
+    weights = mass[keep] / float(mass[keep].sum())
     locations = g.mean + centers[keep] @ transform.T
-    cells = ComponentCells(
-        weight=weight, eigenvalues=lam, grid_sizes=sizes,
-        cell_mass=mass[keep], distortion=cond[keep],
-        prune_penalty=prune_penalty)
-    return locations, weights, cells
+    return (locations, weights, float(np.dot(mass[keep], cond[keep])),
+            cond[keep])
 
 
 def mc_mean_se(values):

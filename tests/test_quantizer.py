@@ -1,10 +1,10 @@
 """Tests for 1-D quantizers, grid allocation, and Gaussian/mixture signatures."""
 
-import dataclasses
 import gc
 import itertools
 import json
 import math
+import warnings
 import weakref
 from pathlib import Path
 
@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 
 from wassnet import (DiscreteDistribution, Gaussian, GaussianMixture,
-                     mixture_second_moment)
+                     mixture_second_moment, snn)
 from wassnet.errors import FixedPointError, ParseError
 from wassnet.quantizer import (
-    ComponentCells,
     Quantizer1D,
     QuantizerTable,
     _centroid_map,
@@ -28,10 +27,13 @@ from wassnet.quantizer import (
     signature_of_mixture,
     solve_quantizer_1d,
 )
+from wassnet.snn import (Activation, Dropout, PropagationConfig, SnnModel,
+                         StochasticLinear, propagate, sample_network)
 from wassnet.stats import standard_truncated_moments
+from wassnet.transport import empirical_w2
 
 from oracles import (allocate_grid_search_oracle, component_grid_oracle,
-                     sample_stratified, semidiscrete_w2_lp)
+                     mc_mean_se, sample_stratified, semidiscrete_w2_lp)
 
 # frozen values from an independent quadrature-driven fixed point (tol 1e-12)
 N2_LOC = 0.7978845608028654          # sqrt(2/pi)
@@ -343,8 +345,8 @@ class TestSignatureOfGaussian:
             g = random_full_gaussian(rng, dim)
             _, exact = signature_of_gaussian(g, 18, table)
             _, bound = signature_of_mixture(g, 18, table)
-            _, _, cc = _component_grid(g, 1.0, 18, table)
-            assert abs(cc.w2sq_total - exact) < 1e-9 * max(1.0, exact)
+            w2sq = _component_grid(g, 18, table)[2]
+            assert abs(w2sq - exact) < 1e-9 * max(1.0, exact)
             assert abs(bound - math.sqrt(exact)) < 1e-9
 
     def test_exactness_against_empirical_ot(self, table):
@@ -376,11 +378,11 @@ class TestSignatureOfGaussian:
             assert bound_d == bound
             # closed form: eigenvalue-weighted 1-D distortions plus the
             # pinned-axis variance
-            _, _, cc = _component_grid(g, 1.0, budget, table)
-            r = len(cc.grid_sizes)
-            lam = cc.eigenvalues
+            lam = g.eigen().eigenvalues
+            sizes = allocate_grid(lam, budget, table)
+            r = len(sizes)
             exact = float(lam[r:].sum())
-            for lam_l, n_l in zip(lam[:r], cc.grid_sizes):
+            for lam_l, n_l in zip(lam[:r], sizes):
                 exact += float(lam_l) * table.get(n_l).w2sq
             assert w2sq == exact
 
@@ -399,60 +401,71 @@ class TestSignatureOfGaussian:
             Quantizer1D(np.array([-far, 0.0, far])),
         ) + tuple(Quantizer1D(loc) for loc in larger))
 
-    def test_pruning_reassigns_negligible_cells(self):
-        # far-out 3-point cells drive the outer cell masses below the
-        # pruning floor
+    def test_far_cells_keep_their_own_atoms(self):
+        # far-out 3-point cells carry 9.5e-18 each, below the rounding of
+        # 1; each still keeps its own atom, with its own mass, and the
+        # distortion is the closed form
         fake = self._far_table(17.0)
         g = Gaussian(np.zeros(1), np.ones(1))
-        atoms, _ = signature_of_mixture(g, 3, fake)
-        _, _, cc = _component_grid(g, 1.0, 3, fake)
-        assert cc.grid_sizes == (3,)
-        assert atoms.size == 1
-        assert atoms.locations[0, 0] == 0.0
-        assert abs(float(atoms.weights.sum()) - 1.0) < 1e-15
-        # the pruned cells' mass (1.9e-17, below the rounding of 1) left
-        # its distortion on the kept atom
-        assert cc.prune_penalty[0] > 0.0
-        # the surviving cell still accounts for (essentially) all variance
-        assert cc.w2sq_total >= 0.999
+        atoms, w2sq = signature_of_gaussian(g, 3, fake)
+        q = fake.get(3)
+        mass = q.cells[2]
+        assert allocate_grid(np.ones(1), 3, fake) == (3,)
+        assert atoms.locations[:, 0].tolist() == q.locations.tolist()
+        assert atoms.weights.tobytes() == (mass / mass.sum()).tobytes()
+        assert 0.0 < atoms.weights[0] < 1e-17
+        assert w2sq == q.w2sq
+        _, bound = signature_of_mixture(g, 3, fake)
+        assert math.isclose(bound * bound, w2sq, rel_tol=1e-14)
 
-    def test_pruning_penalty_is_the_exact_box_distortion(self):
+    def test_far_grid_bound_is_exact_and_sound(self):
         # 2-D grid of a 3-point entry with one far cell per side: the four
-        # corner cells fall below the floor; every size tuple within the
+        # corner cells carry 8.2e-14 each; every size tuple within the
         # budget other than (3, 3) has an axis on the costly 1- or 2-point
         # entry, so the allocation picks the (3, 3) grid
         real = build_table(9)
         fake = self._far_table(10.0, (real.get(n).locations
                                       for n in range(4, 10)))
         g = Gaussian(np.array([1.0, -1.0]), np.array([4.0, 1.0]))
-        sig, _ = signature_of_mixture(g, 9, fake)
-        _, _, cc = _component_grid(g, 1.0, 9, fake)
-        assert cc.grid_sizes == (3, 3) and sig.size < 9
-        lam = cc.eigenvalues
+        sig, w2sq = signature_of_gaussian(g, 9, fake)
+        _, bound = signature_of_mixture(g, 9, fake)
+        basis = g.eigen()
+        lam = basis.eigenvalues
+        assert allocate_grid(lam, 9, fake) == (3, 3)
+        # every cell keeps its atom, weighted by its product mass
         q = fake.get(3)
         lo, hi, mass, _, _ = _centroid_map(q.locations)
         cells = list(itertools.product(range(3), repeat=2))
-        kept = np.array([q.locations[[i, j]] for i, j in cells
-                         if mass[i] * mass[j] >= 1e-12])
-        assert len(kept) == sig.size
-        penalty = np.zeros(sig.size)
+        centers = np.array([q.locations[[i, j]] for i, j in cells])
+        cell_mass = np.array([mass[i] * mass[j] for i, j in cells])
+        assert sig.size == 9 and cell_mass.min() < 1e-13
+        np.testing.assert_allclose(
+            sig.locations,
+            g.mean + centers @ (basis.eigenvectors * np.sqrt(lam)).T,
+            rtol=0.0, atol=1e-12)
+        assert sig.weights.tobytes() == (cell_mass
+                                         / cell_mass.sum()).tobytes()
+        # the closed form, and the bound is its root
+        assert w2sq == 0.0 + lam[0] * q.w2sq + lam[1] * q.w2sq
+        assert math.isclose(bound * bound, w2sq, rel_tol=1e-14)
+        # no looser than the certificate of pruning the cells below 1e-12
+        # and charging each its distortion at the nearest kept atom
+        kept = cell_mass >= 1e-12
         pruned = 0.0
-        for i, j in cells:
-            cell_mass = mass[i] * mass[j]
-            if cell_mass >= 1e-12:
-                continue
-            c = q.locations[[i, j]]
-            k = int(np.argmin(np.sum(lam * np.square(kept - c), axis=1)))
+        for (i, j), c, cm, own in zip(cells, centers, cell_mass, kept):
             _, mean, var = standard_truncated_moments(lo[[i, j]], hi[[i, j]])
-            pen = float(np.sum(lam * (var + np.square(mean - kept[k]))))
-            penalty[k] += cell_mass * pen
-            pruned += float(cell_mass)
-        assert pruned > 0.0
-        assert cc.prune_penalty.tobytes() == penalty.tobytes()
-        # the pruned mass, derived: the nine cells' masses sum to 1 up to
-        # rounding
-        assert abs(1.0 - float(cc.cell_mass.sum()) - pruned) \
-            <= 16 * np.finfo(float).eps
+            k = int(np.argmin(np.sum(lam * np.square(centers[kept] - c),
+                                     axis=1)))
+            atom = c if own else centers[kept][k]
+            pruned += cm * float(np.sum(lam * (var + np.square(mean - atom))))
+        assert not kept.all()
+        assert bound < math.sqrt(pruned)
+        # and it dominates the exact semidiscrete W2 to the atoms
+        rng = np.random.default_rng(43)
+        w2 = [semidiscrete_w2_lp(g.sample(1000, rng), sig.locations,
+                                 sig.weights) for _ in range(5)]
+        mean_w2, se = mc_mean_se(w2)
+        assert bound >= mean_w2 - 3.0 * se
 
 
 class TestComponentGrid:
@@ -461,18 +474,13 @@ class TestComponentGrid:
 
     @staticmethod
     def _assert_same(g, budget, table):
-        got = _component_grid(g, 0.25, budget, table)
-        want = component_grid_oracle(g, 0.25, budget, table)
+        """Compare the two and return the grid's weights and sizes."""
+        got = _component_grid(g, budget, table)
+        want = component_grid_oracle(g, budget, table)
         for a, b in zip(got[:2], want[:2]):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
-        for field in dataclasses.fields(ComponentCells):
-            a, b = getattr(got[2], field.name), getattr(want[2], field.name)
-            if isinstance(a, np.ndarray):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes(), \
-                    field.name
-            else:
-                assert a == b, field.name
-        return got[2]
+        assert got[2] == want[2]
+        return got[1], allocate_grid(g.eigen().eigenvalues, budget, table)
 
     def test_matches_per_axis_loop(self, table):
         rng = np.random.default_rng(97)
@@ -490,8 +498,7 @@ class TestComponentGrid:
              for dim, budget in ((6, 10), (40, 10), (40, 1), (12, 32))]
         seen = set()
         for g, budget, sizes in cases:
-            cells = self._assert_same(g, budget, table)
-            n = cells.grid_sizes
+            _, n = self._assert_same(g, budget, table)
             assert sizes is None or n == sizes
             seen.add((any(k > 1 for k in n), any(k == 1 for k in n)))
         assert seen == {(True, False), (True, True), (False, True),
@@ -504,14 +511,14 @@ class TestComponentGrid:
         rng = np.random.default_rng(5)
         u = rng.normal(size=(5, 5))
         g = Gaussian(rng.normal(size=5), u @ u.T)
-        first = _component_grid(g, 0.5, 10, table)
+        first = _component_grid(g, 10, table)
         templates = dict(table._grids)
-        assert list(templates) == [first[2].grid_sizes[:sum(
-            n > 1 for n in first[2].grid_sizes)]]
-        again = _component_grid(Gaussian(g.mean, g.cov), 0.5, 10, table)
+        sizes = allocate_grid(g.eigen().eigenvalues, 10, table)
+        assert list(templates) == [sizes[:sum(n > 1 for n in sizes)]]
+        again = _component_grid(Gaussian(g.mean, g.cov), 10, table)
         assert all(a.tobytes() == b.tobytes()
                    for a, b in zip(first[:2], again[:2]))
-        assert first[2].distortion.tobytes() == again[2].distortion.tobytes()
+        assert first[2] == again[2]
         assert all(table._grids[k] is t for k, t in templates.items())
         refs = [weakref.ref(table), weakref.ref(table._w2sq)] + [
             weakref.ref(t.mass) for t in templates.values()]
@@ -519,17 +526,17 @@ class TestComponentGrid:
         gc.collect()
         assert all(ref() is None for ref in refs)
 
-    def test_matches_per_axis_loop_with_pruned_cells(self):
-        # far-out 3-point cells fall below the pruning floor, and the
-        # table's 1-point entry sits at 5, off the origin
+    def test_matches_per_axis_loop_on_far_table(self):
+        # far-out 3-point cells carry masses far below the rounding of 1,
+        # and the table's 1-point entry sits at 5, off the origin
         real = build_table(9)
         fake = TestSignatureOfGaussian._far_table(
             10.0, (real.get(n).locations for n in range(4, 10)))
         g = Gaussian(np.array([1.0, -1.0, 0.5, 2.0]),
                      np.array([4.0, 1.0, 0.02, 0.01]))
-        cells = self._assert_same(g, 9, fake)
-        assert cells.grid_sizes == (3, 3, 1, 1)
-        assert np.any(cells.prune_penalty > 0.0)
+        weights, sizes = self._assert_same(g, 9, fake)
+        assert sizes == (3, 3, 1, 1)
+        assert weights.size == 9 and weights.min() < 1e-13
 
 
 class TestSignatureOfMixture:
@@ -555,13 +562,10 @@ class TestSignatureOfMixture:
                                    atol=1e-12)
         np.testing.assert_allclose(sig.weights, 0.25, atol=1e-15)
         assert abs(bound * bound - N2_W2SQ) < 1e-12
-        # one cell block per component, carrying its mixture weight; the
-        # bound is derived from the blocks
-        cells = [_component_grid(c, 0.5, 2, table)[2] for c in gm.components]
-        assert [c.weight for c in cells] == [0.5, 0.5]
-        assert [c.cell_mass.size for c in cells] == [2, 2]
-        assert bound == math.sqrt(0.5 * cells[0].w2sq_total
-                                  + 0.5 * cells[1].w2sq_total)
+        # one grid per component; the bound is derived from the grids
+        grids = [_component_grid(c, 2, table) for c in gm.components]
+        assert [w.size for _, w, _ in grids] == [2, 2]
+        assert bound == math.sqrt(0.5 * grids[0][2] + 0.5 * grids[1][2])
 
     def test_zero_weight_component_contributes_nothing(self, table):
         gm = GaussianMixture(
@@ -572,9 +576,9 @@ class TestSignatureOfMixture:
         assert sig.size == 2
         assert np.max(np.abs(sig.locations)) < 5.0
         assert abs(bound * bound - N2_W2SQ) < 1e-12
-        # the bound is the live component's block alone
-        _, _, cc = _component_grid(gm.components[0], 1.0, 2, table)
-        assert bound == math.sqrt(cc.w2sq_total)
+        # the bound is the live component's grid alone
+        assert bound == math.sqrt(_component_grid(gm.components[0], 2,
+                                                  table)[2])
 
     def test_bound_dominates_empirical_ot(self, table):
         rng = np.random.default_rng(17)
@@ -590,13 +594,16 @@ class TestSignatureOfMixture:
         assert bound >= w2.mean() - 3.0 * se
 
     def _conditional_mc_check(self, gm, budget, table, rng, n_samples=200_000):
-        sig, _ = signature_of_mixture(gm, budget, table)
+        # each cell's conditional distortion as the per-axis loop sums it
+        # (whose total ``_component_grid`` reproduces bit for bit), and the
+        # bound as the mean over all cells
+        sig, bound = signature_of_mixture(gm, budget, table)
         comp = gm.components[0]
-        _, _, cc = _component_grid(comp, 1.0, budget, table)
+        cond = component_grid_oracle(comp, budget, table)[3]
         x = comp.sample(n_samples, rng)
-        sizes = cc.grid_sizes
-        r = len(sizes)
         basis = comp.eigen()
+        sizes = allocate_grid(basis.eigenvalues, budget, table)
+        r = len(sizes)
         whitened = (x - comp.mean) @ basis.eigenvectors[:, :r]
         whitened = whitened / np.sqrt(basis.eigenvalues[:r])
         # per-axis Voronoi index -> flat C-order cell id
@@ -612,7 +619,9 @@ class TestSignatureOfMixture:
                 continue
             vals = d2[mask]
             se = vals.std(ddof=1) / math.sqrt(mask.sum())
-            assert abs(vals.mean() - cc.distortion[cell]) <= 3.0 * se
+            assert abs(vals.mean() - cond[cell]) <= 3.0 * se
+        se = d2.std(ddof=1) / math.sqrt(d2.size)
+        assert abs(d2.mean() - bound * bound) <= 3.0 * se
 
     def test_cell_conditional_distortion_matches_mc_1d(self, table):
         rng = np.random.default_rng(23)
@@ -627,6 +636,47 @@ class TestSignatureOfMixture:
                              (Gaussian(np.array([0.5, -1.0]),
                                        f @ f.T + 0.4 * np.eye(2)),))
         self._conditional_mc_check(gm, 6, table, rng)
+
+    def test_propagation_through_far_table_is_sound(self, monkeypatch):
+        # a ReLU/tanh net with dropout on the far table: its first
+        # pushforward is N(., diag(4, 1)), whose (3, 3) grid has corner
+        # atoms of weight 8.2e-14; propagation raises no warning, and the
+        # ledger bound dominates the empirical W2 to the network
+        real = build_table(9)
+        fake = TestSignatureOfGaussian._far_table(
+            10.0, (real.get(n).locations for n in range(4, 10)))
+        rng = np.random.default_rng(3)
+        model = SnnModel(1, (
+            StochasticLinear(np.array([[1.0], [-0.5]]),
+                             np.array([[4.0], [1.0]]), np.array([0.5, 0.2]),
+                             np.zeros(2)),
+            Activation("relu"),
+            Dropout(0.9),
+            StochasticLinear(rng.normal(size=(2, 2)), np.full((2, 2), 0.05),
+                             np.zeros(2), np.full(2, 0.05)),
+            Activation("tanh"),
+            StochasticLinear(rng.normal(size=(1, 2)), np.full((1, 2), 0.05),
+                             np.zeros(1), np.full(1, 0.05)),
+        ))
+        points = np.array([[1.0]])
+        cfg = PropagationConfig(table=fake, signature_budget=9,
+                                compression_size=3, seed=0)
+        smallest = []
+
+        def recording(*args):
+            atoms, bound = signature_of_mixture(*args)
+            smallest.append(float(atoms.weights.min()))
+            return atoms, bound
+
+        monkeypatch.setattr(snn, "signature_of_mixture", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            approx, ledger = propagate(model, points, cfg)
+            w2 = [empirical_w2(sample_network(model, points, 1000, 100 + b),
+                               approx.sample(1000, rng)) for b in range(5)]
+        assert 0.0 < smallest[0] < 1e-13
+        mean_w2, se = mc_mean_se(w2)
+        assert ledger.final_bound >= mean_w2 - 3.0 * se
 
     def test_budget_doubling_reaches_epsilon(self, table):
         rng = np.random.default_rng(31)
@@ -658,29 +708,28 @@ class TestSignatureContainer:
             DiscreteDistribution(np.zeros((2,)), np.array([1.0]))
         with pytest.raises(ParseError):  # three atoms, two weights
             DiscreteDistribution(np.zeros((3, 1)), np.full(2, 0.5))
-        # the cell blocks cover exactly the atoms, in component order, and
-        # each block carries its component's weight
+        # the component grids cover exactly the atoms, in component order,
+        # and each block carries its component's weight
         gm = GaussianMixture(
             np.array([0.3, 0.7]),
             (Gaussian(np.zeros(1), np.ones(1)),
              Gaussian(np.array([4.0]), np.array([2.0]))))
         atoms, bound = signature_of_mixture(gm, 3, table)
         assert isinstance(atoms, DiscreteDistribution)
-        cells = [_component_grid(c, pi, 3, table)[2]
-                 for pi, c in zip(gm.weights, gm.components)]
-        assert sum(c.cell_mass.size for c in cells) == atoms.size
+        grids = [_component_grid(c, 3, table) for c in gm.components]
+        assert sum(w.size for _, w, _ in grids) == atoms.size
         start = 0
-        for pi, c in zip(gm.weights, cells):
-            assert c.weight == pi
-            block = atoms.weights[start:start + c.cell_mass.size]
-            assert abs(block.sum() - pi) < 1e-12
-            start += c.cell_mass.size
-        # the bound is derived from the cell blocks
+        for pi, (loc, w, _) in zip(gm.weights, grids):
+            block = slice(start, start + w.size)
+            assert atoms.locations[block].tobytes() == loc.tobytes()
+            assert abs(atoms.weights[block].sum() - pi) < 1e-12
+            start += w.size
+        # the bound is derived from the component grids
         assert bound == math.sqrt(float(np.dot(
-            [c.weight for c in cells], [c.w2sq_total for c in cells])))
+            gm.weights, [w2sq for _, _, w2sq in grids])))
         _, one_bound = signature_of_mixture(gm.components[0], 2, table)
-        _, _, cc = _component_grid(gm.components[0], 1.0, 2, table)
-        assert one_bound == math.sqrt(cc.w2sq_total)
+        assert one_bound == math.sqrt(_component_grid(gm.components[0], 2,
+                                                      table)[2])
 
 
 class TestActivationSignatureW2Bound:

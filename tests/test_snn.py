@@ -885,12 +885,33 @@ class TestSampleNetwork:
                 assert np.array_equal(full[:k],
                                       sample_network(model, pts, k, seed))
 
-    def test_sample_network_refuses_counts_beyond_one_index_word(self):
-        # the count is capped at 2^32 and refused before the draws are
-        # allocated
+    def test_sample_network_refuses_counts_beyond_one_index_word(
+            self, monkeypatch):
+        # 7 draws and 1 output double per sample: the count is refused
+        # before they are allocated once they pass TOL.cov_bytes_cap
         model = _vi_net(np.random.default_rng(2), (1, 2, 1))
-        with pytest.raises(ParseError, match=r"2\^32"):
-            sample_network(model, np.array([[1.0]]), 2 ** 32 + 1, 0)
+        pts = np.array([[1.0]])
+        with pytest.raises(ParseError, match="bytes of draws and output"):
+            sample_network(model, pts, 2 ** 32 + 1, 0)
+        monkeypatch.setattr(snn, "TOL",
+                            dataclasses.replace(TOL, cov_bytes_cap=6400))
+        assert sample_network(model, pts, 100, 0).shape == (100, 1)
+        with pytest.raises(ParseError, match="cap 6400"):
+            sample_network(model, pts, 101, 0)
+
+    def test_sample_network_refuses_output_beyond_the_cap(self, monkeypatch):
+        # a net without random draws still allocates its output, n rows
+        # of 2 points times 3 outputs
+        model = SnnModel(1, (DeterministicLinear(np.ones((3, 1)),
+                                                 np.zeros(3)),))
+        pts = np.array([[1.0], [2.0]])
+        with pytest.raises(ParseError, match="bytes of draws and output"):
+            sample_network(model, pts, TOL.cov_bytes_cap // 48 + 1, 0)
+        monkeypatch.setattr(snn, "TOL",
+                            dataclasses.replace(TOL, cov_bytes_cap=4800))
+        assert sample_network(model, pts, 100, 0).shape == (100, 6)
+        with pytest.raises(ParseError, match="cap 4800"):
+            sample_network(model, pts, 101, 0)
 
     def test_keep_probability_one_keeps_every_unit(self):
         # ndtri(1) = inf: no normal reaches the threshold, so no unit drops

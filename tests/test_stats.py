@@ -7,18 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.csgraph import connected_components
 
 from wassnet import (Gaussian, GaussianMixture, NumericalError, ParseError,
                      gaussian_w2, gaussian_w2_sq_matrix, mixture_second_moment,
                      psd_sqrt, standard_truncated_moments, symmetric_eig)
 from wassnet import mw2, stats
 from wassnet.quantizer import _active_mask
-from wassnet.stats import (_eigen_bases, _eigen_stack, _symmetric_blocks,
+from wassnet.stats import (_eigen_bases, _eigen_stack, _pattern_groups,
                            gaussian_w2_sq_pairs)
 
 from oracles import (gaussian_w2_pair_oracle, identical_pairs,
                      is_diagonal_matrix, marginal_lower_bound_oracle,
+                     pattern_blocks_oracle,
                      price_by_columns_oracle, price_by_rows_oracle,
                      quad_truncated_moments,
                      quantile_coupling_w2_1d,
@@ -690,7 +690,7 @@ class TestSymmetricEig:
     def test_block_structure_reconstruction(self):
         # interleaved blocks exercise the connected-component split: blocks
         # of different sizes, two equal-size blocks (one batched eigh call)
-        # and a fully dense matrix (no graph built)
+        # and a fully dense matrix (one block)
         rng = np.random.default_rng(23)
         cases = (
             (np.array([0, 2, 4]), np.array([1, 3]), np.array([5])),
@@ -738,11 +738,9 @@ class TestSymmetricEig:
         np.fill_diagonal(link, rng.uniform(size=n) >= zero_diag)
         a = np.where(link, rng.normal(size=(n, n)), 0.0)
         a = a + a.T
-        _, cc = connected_components(a != 0.0, directed=False)
-        order = np.argsort(cc, kind="stable")
-        size = np.bincount(cc)[cc[order]]
-        expected = [order[size == s].reshape(-1, s) for s in np.unique(size)]
-        got = _symmetric_blocks(a)
+        expected = pattern_blocks_oracle(a != 0.0)
+        [(sel, got)] = _pattern_groups([a])
+        assert sel == [0]
         assert len(got) == len(expected)
         for g, e in zip(got, expected):
             np.testing.assert_array_equal(g, e)

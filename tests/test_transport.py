@@ -665,32 +665,33 @@ class TestMw2:
     def test_splits_each_component_pattern_once(self, monkeypatch):
         # mw2 prices against the compressed columns, merged clusters with
         # dense roots, so every product is dense and the pushed rows'
-        # shared pattern is never split.  The signature step decomposes
-        # the rows; their pattern is split once, also across calls
+        # shared pattern is never looked up.  The signature step
+        # decomposes the rows; their pattern is looked up on each call and
+        # split once (one cache miss), also across calls
         pushed = self._pushed(67, 40)
         res = compress_gmm(pushed(), 5, seed=0)
         assert np.all(np.bincount(res.cluster_assignment) > 1)
         g = pushed()
         compressed = GaussianMixture(res.compressed.weights, tuple(
             Gaussian(c.mean, c.cov) for c in res.compressed.components))
-        split = Counter()
-        real = stats._symmetric_blocks
+        looked_up = Counter()
+        real = stats._pattern_blocks
 
-        def counting(pattern):
-            split[np.packbits(pattern != 0.0).tobytes()] += 1
-            return real(pattern)
+        def counting(n, packed):
+            looked_up[packed] += 1
+            return real(n, packed)
 
-        monkeypatch.setattr(stats, "_symmetric_blocks", counting)
-        stats._pattern_blocks.cache_clear()
+        monkeypatch.setattr(stats, "_pattern_blocks", counting)
+        real.cache_clear()
         value, _ = mw2(g, compressed)
         row_pattern = np.packbits(g.components[0].cov != 0.0).tobytes()
         dense = np.packbits(np.ones((24, 24), dtype=bool)).tobytes()
-        assert set(split) == {dense}
-        assert stats._pattern_blocks.cache_info().misses == 0
+        assert set(looked_up) == {dense}
+        assert real.cache_info().misses == 1
         for _ in range(2):
             stats._eigen_bases(pushed().components)
-        assert split[row_pattern] == 2
-        assert stats._pattern_blocks.cache_info().misses == 1
+        assert looked_up[row_pattern] == 2
+        assert real.cache_info().misses == 2
         monkeypatch.undo()
         # the same bits as all-pairs pricing and one solve, unwrapped
         plan = solve_discrete_ot(gaussian_w2_sq_matrix(
