@@ -7,8 +7,9 @@ single place.  Functions read the module-level ``TOL``; none accepts a
 from ``TOL`` (for example ``solve_quantizer_1d(n, tol=...)``).  A value that
 no caller varies is a field here, not a parameter: ``tune`` reads its
 gradient clip and step decay from ``TOL`` only.  One cap may guard more
-than one allocation: ``cov_bytes_cap`` bounds both the covariances that
-propagation pushes and the draws that network sampling takes.
+than one allocation: ``cov_bytes_cap`` bounds the covariances that
+propagation pushes, and the draws and activations that network sampling
+takes.
 """
 
 from dataclasses import dataclass
@@ -43,7 +44,10 @@ class Tolerances:
     # (52 MB) but stops before its second (up to 10 x 52 MB).  Network
     # sampling refuses a count whose normal draws and output (n rows of
     # the draw count plus D times the output width, in doubles) would
-    # exceed it: 1000 samples of the largest ladder net take 35 MB
+    # exceed it: 1000 samples of the largest ladder net take 35 MB.  It
+    # also refuses one whose forward pass, counted as three times its
+    # largest activation (n rows of D times the width, in doubles), would
+    # exceed it
     cov_bytes_cap: int = 2 ** 28
     # GP Gram matrices get this relative diagonal jitter before Cholesky
     gp_jitter: float = 1e-10

@@ -470,27 +470,23 @@ def _component_grid(g: Gaussian, budget: int, table: QuantizerTable):
 def signature_of_gaussian(g: Gaussian, budget: int, table: QuantizerTable):
     """Signature of a Gaussian on the optimal eigen-aligned grid.
 
-    Returns ``(atoms, w2sq)``; the atoms are those of the one-component
-    :func:`signature_of_mixture`, and ``w2sq`` is the eigenvalue-weighted
-    sum of the 1-D quantizer distortions plus the variance of the pinned
-    axes.  ``w2sq`` is the exact squared 2-Wasserstein distance between
-    ``g`` and the atoms (not a bound): in the eigen coordinates the
-    squared metric is a sum over axes, so the nearest point of the product
-    grid is the per-axis nearest point, its Voronoi cells are the products
-    of the 1-D cells, and its Voronoi error (attained by the atoms, which
-    carry the cell masses) is the closed form.  Zero covariance yields a
-    single atom at the mean with distance zero.
+    Returns ``(atoms, w2sq)``, both from :func:`_component_grid`: the
+    atoms are those of the one-component :func:`signature_of_mixture`, and
+    ``w2sq``, the mass-weighted sum of the cell distortions, equals up to
+    rounding the eigenvalue-weighted sum of the 1-D quantizer distortions
+    plus the variance of the pinned axes.  It is the exact squared
+    2-Wasserstein distance between ``g`` and the atoms (not a bound): in
+    the eigen coordinates the squared metric is a sum over axes, so the
+    nearest point of the product grid is the per-axis nearest point, its
+    Voronoi cells are the products of the 1-D cells, and its Voronoi error
+    (attained by the atoms, which carry the cell masses) is the closed
+    form.  Zero covariance yields a single atom at the mean with distance
+    zero.
     """
     if not isinstance(g, Gaussian):
         raise ParseError("signature_of_gaussian expects a Gaussian")
     _check_budget(budget, table)
-    locations, weights, _ = _component_grid(g, budget, table)
-    lam = g.eigen().eigenvalues
-    sizes = _grid_sizes(lam, budget, table)
-    r = len(sizes)
-    w2sq = float(lam[r:].sum())
-    for lam_l, n_l in zip(lam[:r], sizes):
-        w2sq += float(lam_l) * table.get(n_l).w2sq
+    locations, weights, w2sq = _component_grid(g, budget, table)
     return DiscreteDistribution(locations, weights), w2sq
 
 

@@ -600,9 +600,16 @@ def sample_network(model: SnnModel, points, n_samples: int, seed: int):
     float64 standard normals, so the first ``k`` rows are the stream's
     first ``k * total`` values and do not depend on ``n_samples``.  Rows
     are the stacked block-major outputs.  The forward pass runs once for
-    all samples as stacked matmuls.  If the draws and the output would
-    take more than ``TOL.cov_bytes_cap`` bytes, :class:`ParseError` is
-    raised before they are allocated.
+    all samples as stacked matmuls.  Each weight and bias is built in
+    place over its draws, and each matmul's result is shifted and scaled
+    in place, so of the arrays that grow with the sample count the pass
+    holds, besides the draws, a layer's input and output activations and
+    a dropout mask (one byte per unit, less than the activation it
+    multiplies).  An activation has one row per sample from the first
+    layer that draws on, and one row before it.  If the draws and the
+    output, or three times the largest activation, would take more than
+    ``TOL.cov_bytes_cap`` bytes, :class:`ParseError` is raised before
+    anything of that size is allocated.
     """
     if not isinstance(model, SnnModel):
         raise ParseError("sample_network expects an SnnModel")
@@ -611,9 +618,10 @@ def sample_network(model: SnnModel, points, n_samples: int, seed: int):
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ParseError("seed must be a nonnegative integer")
     pts = _checked_points(model, points)
-    n = int(n_samples)
-    # columns of each draw; a dropout mask is as wide as its input
-    sizes, width = [], model.input_dim
+    n, d = int(n_samples), pts.shape[0]
+    # columns of each draw (a dropout mask is as wide as its input) and
+    # the largest activation in rows times units per point
+    sizes, width, act = [], model.input_dim, model.input_dim
     for layer in model.layers:
         if isinstance(layer, StochasticLinear):
             sizes += [layer.weight_mean.size, layer.n_out]
@@ -621,23 +629,33 @@ def sample_network(model: SnnModel, points, n_samples: int, seed: int):
             sizes.append(width)
         if _is_linear(layer):
             width = layer.n_out
+        act = max(act, (n if sizes else 1) * width)
     total = sum(sizes)
-    n_bytes = 8 * n * (total + pts.shape[0] * model.output_dim)
-    if n_bytes > TOL.cov_bytes_cap:
-        raise ParseError(
-            f"{n} samples would hold {n_bytes} bytes of draws and output, "
-            f"above the cap {TOL.cov_bytes_cap}; lower the sample count")
+    for what, n_bytes in (
+            ("draws and output", 8 * n * (total + d * model.output_dim)),
+            ("forward-pass activations", 3 * 8 * d * act)):
+        if n_bytes > TOL.cov_bytes_cap:
+            raise ParseError(
+                f"{n} samples would hold {n_bytes} bytes of {what}, above "
+                f"the cap {TOL.cov_bytes_cap}; lower the sample count")
     draws = np.random.default_rng(seed).standard_normal((n, total))
     cols = iter(np.split(draws, np.cumsum(sizes)[:-1], axis=1))
     z = pts[None]
     for layer in model.layers:
         if isinstance(layer, StochasticLinear):
-            w = layer.weight_mean + np.sqrt(layer.weight_var) \
-                * next(cols).reshape((n,) + layer.weight_mean.shape)
-            b = layer.bias_mean + np.sqrt(layer.bias_var) * next(cols)
-            z = layer.scale * (z @ w.transpose(0, 2, 1) + b[:, None, :])
+            # updated as (n, n_out n_in) columns: numpy would copy a 3-d
+            # view of them to update it in place
+            w, b = next(cols), next(cols)
+            w *= np.sqrt(layer.weight_var).ravel()
+            w += layer.weight_mean.ravel()
+            b *= np.sqrt(layer.bias_var)
+            b += layer.bias_mean
+            z = z @ w.reshape(n, layer.n_out, -1).transpose(0, 2, 1)
+            z += b[:, None, :]
+            z *= layer.scale
         elif isinstance(layer, DeterministicLinear):
-            z = z @ layer.weight.T + layer.bias
+            z = z @ layer.weight.T
+            z += layer.bias
         elif isinstance(layer, Activation):
             z = layer.apply(z)
         else:

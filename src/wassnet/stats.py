@@ -261,14 +261,6 @@ class GaussianMixture:
         means = np.stack([c.mean for c in self.components])
         return self.weights @ means
 
-    def full_cov(self) -> np.ndarray:
-        m_bar = self.mean()
-        out = np.zeros((self.dim, self.dim))
-        for w, c in zip(self.weights, self.components):
-            d = c.mean - m_bar
-            out += w * (c.cov + np.outer(d, d))
-        return 0.5 * (out + out.T)
-
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         idx = rng.choice(self.size, size=n, p=self.weights)
         out = np.empty((n, self.dim))
@@ -424,10 +416,13 @@ def standard_truncated_moments(lo, hi):
 # linear algebra
 # ---------------------------------------------------------------------------
 
-# 32 patterns: a key holds n^2 bits, so the cache holds at most half the
-# bytes of one n x n covariance per dimension n.  A benchmark op meets a
-# handful of patterns, since the pushed components of a layer share one.
-@functools.lru_cache(maxsize=32)
+# 128 patterns: a key holds n^2 bits and its blocks n indices, so the
+# cache holds at most 16 n^2 + 1024 n bytes, about twice one n x n
+# covariance, per dimension n.  The pushed components of a layer share a
+# pattern, but the 96 ops of a deep benchmark pool (seeds 1-3) meet 62 to
+# 79 patterns of dimension 16 to 64 (under 14 KB of keys); a wide pool
+# meets 8, of dimension up to 1536 (1.1 MB).
+@functools.lru_cache(maxsize=128)
 def _pattern_blocks(n: int, packed: bytes):
     """Connected components of the ``n x n`` sparsity pattern whose bits
     ``np.packbits`` packed into ``packed``, grouped by size.

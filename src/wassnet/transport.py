@@ -11,14 +11,15 @@ Equal-size uniform empirical problems take the assignment-problem fast
 path, and in one dimension the sorted matching.  The assignment solver is
 given a cost matrix shifted by row and column potentials (minimum
 reductions, then a few Sinkhorn scaling sweeps): a dual warm start that
-changes no optimal permutation.  Each assignment is solved in one (n, n)
-buffer, and a batch of them runs on two threads, one buffer each.
+changes no optimal permutation.  Every assignment, a lone one included,
+goes through one batch path: a pool of two threads, each solving its
+share in one (n, n) buffer.
 """
 
 from __future__ import annotations
 
 import math
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -285,12 +286,6 @@ def _checked_samples(xs, ys):
     return xs, ys
 
 
-def _takes_assignment(xs, ys) -> bool:
-    """Whether checked samples take the assignment path (equal counts,
-    more than one dimension)."""
-    return xs.shape[0] == ys.shape[0] and xs.shape[1] > 1
-
-
 def _assignment_w2(xs, ys, cost):
     """W2 of equal-count samples by the warm-started assignment, solved in
     the caller's C-contiguous (n, n) float buffer ``cost``; see
@@ -397,40 +392,38 @@ def empirical_w2(xs, ys) -> float:
     Unequal counts go through the transportation LP.  Other instances
     whose cost matrix would exceed the configured entry cap are rejected
     with advice to subsample, and samples that are not all finite are
-    rejected on every path, each with :class:`ParseError`.
-    :func:`_empirical_w2_batch` returns the same values for a list of
-    pairs, two assignments at a time.
+    rejected on every path, each with :class:`ParseError`.  The value is
+    the one-pair case of :func:`_empirical_w2_batch`, so an assignment is
+    solved on a worker thread, and an error raised there is raised here.
     """
-    xs, ys = _checked_samples(xs, ys)
-    if _takes_assignment(xs, ys):
-        n = xs.shape[0]
-        return _assignment_w2(xs, ys, np.empty((n, n)))
-    return _matching_or_lp_w2(xs, ys)
+    return _empirical_w2_batch([(xs, ys)])[0]
 
 
 def _empirical_w2_batch(pairs) -> list:
-    """``[empirical_w2(xs, ys) for xs, ys in pairs]``, the same values in
-    the same order, with the assignments solved two at a time.
+    """The empirical W2 of each pair (see :func:`empirical_w2`), in order,
+    with the assignments solved two at a time.
 
     Every pair is checked, the entry cap included, before anything is
-    allocated.  Pairs that take no assignment are solved first, on the
-    calling thread.  The calling thread then allocates one flat buffer per
-    worker, ``_BATCH_WORKERS`` (2) of them or one per assignment if there
-    are fewer, each large enough for the largest assignment, and worker
-    ``w`` solves assignments ``w``, ``w + 2``, ... in an (n, n) view of
-    buffer ``w`` by :func:`_assignment_w2`.  Each value is computed by the
-    same operations as in :func:`empirical_w2`, so it is the same float.
-    A worker allocates nothing of size n² itself: buffers freed by worker
-    threads would be kept by their per-thread heaps.  An exception in a
-    worker stops both workers before their next solve and is raised here.
-    The workers call no public function of the package, so a wrapper put
+    allocated.  Pairs that take no assignment (unequal counts, or one
+    dimension) are solved first, on the calling thread.  The calling
+    thread then allocates one flat buffer per worker, ``_BATCH_WORKERS``
+    (2) of them or one per assignment if there are fewer, each large
+    enough for the largest assignment, and worker ``w`` of a
+    ``ThreadPoolExecutor`` solves assignments ``w``, ``w + 2``, ... in an
+    (n, n) view of buffer ``w`` by :func:`_assignment_w2`.  A worker
+    allocates nothing of size n² itself: buffers freed by worker threads
+    would be kept by their per-thread heaps.  An exception in a worker
+    reaches the calling thread through its future's result, which
+    ``pool.map`` collects, and is raised here once the pool has shut
+    down, that is, after the other worker has finished its share.  The
+    workers call no public function of the package, so a wrapper put
     around one by a profiler never runs on a worker thread.
     """
     checked = [_checked_samples(xs, ys) for xs, ys in pairs]
     values = [None] * len(checked)
     square = []
     for k, (xs, ys) in enumerate(checked):
-        if _takes_assignment(xs, ys):
+        if xs.shape[0] == ys.shape[0] and xs.shape[1] > 1:
             square.append(k)
         else:
             values[k] = _matching_or_lp_w2(xs, ys)
@@ -439,29 +432,15 @@ def _empirical_w2_batch(pairs) -> list:
     size = max(checked[k][0].shape[0] for k in square) ** 2
     buffers = [np.empty(size)
                for _ in range(min(_BATCH_WORKERS, len(square)))]
-    errors = []
 
     def work(w):
-        try:
-            for k in square[w::len(buffers)]:
-                if errors:
-                    return
-                xs, ys = checked[k]
-                n = xs.shape[0]
-                values[k] = _assignment_w2(
-                    xs, ys, buffers[w][:n * n].reshape(n, n))
-        except BaseException as exc:
-            # handed to the calling thread, which raises it after the joins
-            errors.append(exc)
+        for k in square[w::len(buffers)]:
+            n = len(checked[k][0])
+            values[k] = _assignment_w2(*checked[k],
+                                       buffers[w][:n * n].reshape(n, n))
 
-    workers = [threading.Thread(target=work, args=(w,))
-               for w in range(len(buffers))]
-    for worker in workers:
-        worker.start()
-    for worker in workers:
-        worker.join()
-    if errors:
-        raise errors[0]
+    with ThreadPoolExecutor(len(buffers)) as pool:
+        list(pool.map(work, range(len(buffers))))
     return values
 
 

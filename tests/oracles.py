@@ -20,7 +20,9 @@ for the compression bounds.  Grid allocation is checked against the
 branch-and-bound search it replaced, and a component's grid signature
 against the per-axis loop it replaced.  The ``milp`` transportation LP is
 checked against the ``linprog`` call it replaced, and the sorted matching
-of one-dimensional empirical W2 against the assignment path.
+of one-dimensional empirical W2 against the assignment path.  Mixture
+covariances for the moment-matching checks come from the law of total
+covariance.
 """
 
 import itertools
@@ -29,6 +31,18 @@ import math
 import numpy as np
 from scipy import integrate, optimize
 from scipy.sparse import csr_matrix
+
+
+def mixture_full_cov(mix):
+    """Covariance of a Gaussian mixture by the law of total covariance: the
+    weighted component covariances plus the weighted outer products of the
+    component mean offsets, symmetrized."""
+    m_bar = mix.mean()
+    out = np.zeros((mix.dim, mix.dim))
+    for w, c in zip(mix.weights, mix.components):
+        d = c.mean - m_bar
+        out += w * (c.cov + np.outer(d, d))
+    return 0.5 * (out + out.T)
 
 
 def npdf(x, mu=0.0, var=1.0):

@@ -339,14 +339,27 @@ class TestSignatureOfGaussian:
         assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
         assert vals[-1] < vals[0]
 
+    @staticmethod
+    def _closed_form(g, budget, table):
+        """Eigenvalue-weighted 1-D distortions plus the pinned-axis
+        variance."""
+        lam = g.eigen().eigenvalues
+        sizes = allocate_grid(lam, budget, table)
+        r = len(sizes)
+        exact = float(lam[r:].sum())
+        for lam_l, n_l in zip(lam[:r], sizes):
+            exact += float(lam_l) * table.get(n_l).w2sq
+        return exact
+
     def test_cell_sum_matches_exact_value(self, table):
         rng = np.random.default_rng(7)
         for dim in (1, 2, 3):
             g = random_full_gaussian(rng, dim)
-            _, exact = signature_of_gaussian(g, 18, table)
+            exact = self._closed_form(g, 18, table)
+            _, w2sq = signature_of_gaussian(g, 18, table)
             _, bound = signature_of_mixture(g, 18, table)
-            w2sq = _component_grid(g, 18, table)[2]
-            assert abs(w2sq - exact) < 1e-9 * max(1.0, exact)
+            assert w2sq == _component_grid(g, 18, table)[2]
+            assert math.isclose(w2sq, exact, rel_tol=1e-15, abs_tol=0.0)
             assert abs(bound - math.sqrt(exact)) < 1e-9
 
     def test_exactness_against_empirical_ot(self, table):
@@ -375,16 +388,9 @@ class TestSignatureOfGaussian:
                 assert (getattr(atoms_g, name).tobytes()
                         == getattr(atoms_m, name).tobytes()
                         == getattr(atoms_d, name).tobytes())
-            assert bound_d == bound
-            # closed form: eigenvalue-weighted 1-D distortions plus the
-            # pinned-axis variance
-            lam = g.eigen().eigenvalues
-            sizes = allocate_grid(lam, budget, table)
-            r = len(sizes)
-            exact = float(lam[r:].sum())
-            for lam_l, n_l in zip(lam[:r], sizes):
-                exact += float(lam_l) * table.get(n_l).w2sq
-            assert w2sq == exact
+            assert bound_d == bound == math.sqrt(w2sq)
+            assert math.isclose(w2sq, self._closed_form(g, budget, table),
+                                rel_tol=1e-15, abs_tol=0.0)
 
     @staticmethod
     def _far_table(far, larger=()):

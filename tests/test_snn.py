@@ -27,7 +27,8 @@ from wassnet.stats import (DiscreteDistribution, Gaussian, GaussianMixture,
                            _eigen_bases)
 from wassnet.transport import empirical_w2
 
-from oracles import mc_mean_se, push_point_oracle, sample_network_oracle
+from oracles import (mc_mean_se, mixture_full_cov, push_point_oracle,
+                     sample_network_oracle)
 
 
 def _vi_net(rng, widths, activation="tanh", weight_var=0.3, bias_var=0.1,
@@ -491,12 +492,12 @@ class TestPropagate:
         single, _ = propagate(model, np.array([[0.7]]), cfg)
         for d in (2, 3):
             stacked, _ = propagate(model, np.full((d, 1), 0.7), cfg)
-            mean, cov = stacked.mean(), stacked.full_cov()
+            mean, cov = stacked.mean(), mixture_full_cov(stacked)
             for block in range(d):
                 assert np.allclose(mean[block:block + 1], single.mean(),
                                    atol=1e-9)
                 assert np.allclose(cov[block:block + 1, block:block + 1],
-                                   single.full_cov(), atol=1e-9)
+                                   mixture_full_cov(single), atol=1e-9)
 
     def test_dead_zone_net_charges_the_plain_signature_bound(
             self, table, monkeypatch):
@@ -912,6 +913,45 @@ class TestSampleNetwork:
         assert sample_network(model, pts, 100, 0).shape == (100, 6)
         with pytest.raises(ParseError, match="cap 4800"):
             sample_network(model, pts, 101, 0)
+
+    def test_sample_network_count_bounds_the_forward_pass(self,
+                                                          monkeypatch):
+        # a 1-128-1 net on 200 points: 200 samples take 385 draws and 200
+        # outputs each (0.94 MB), but the forward pass holds two (200, 200,
+        # 128) activations at once (82 MB).  A 1-48-48-1 net with dropout
+        # on 3 points draws its (1000, 48, 48) weights (18 MB) and builds
+        # them in place, so its forward pass holds small activations only.
+        rng = np.random.default_rng(30)
+        cases = ((_vi_net(rng, (1, 128, 1)), 200, 200, 385, 128),
+                 (_vi_net(rng, (1, 48, 48, 1), "relu", dropout=0.9), 3,
+                  1000, (48 + 48) + 48 + (48 * 48 + 48) + 48 + (48 + 1), 48))
+        for model, d, n, total, width in cases:
+            pts = np.linspace(-1.0, 1.0, d)[:, None]
+            draws_and_output = 8 * n * (total + d)
+            # input and output activations and a dropout mask
+            forward = 3 * 8 * d * n * width
+            tracemalloc.start()
+            try:
+                sample_network(model, pts, n, 0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= draws_and_output + forward, (d, n)
+        # a cap that admits the draws and output of the first net but not
+        # its forward pass refuses before the draws are allocated
+        model, d, n, total, _ = cases[0]
+        pts = np.linspace(-1.0, 1.0, d)[:, None]
+        monkeypatch.setattr(snn, "TOL", dataclasses.replace(
+            TOL, cov_bytes_cap=8 * n * (total + d)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError,
+                               match="bytes of forward-pass activations"):
+                sample_network(model, pts, n, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * 8 * n * total
 
     def test_keep_probability_one_keeps_every_unit(self):
         # ndtri(1) = inf: no normal reaches the threshold, so no unit drops

@@ -1027,29 +1027,42 @@ class TestEmpiricalW2Batch:
 
         def third_fails(cost):
             with lock:
-                calls.append(cost.shape)
+                calls.append(threading.current_thread())
                 if len(calls) == 3:
                     raise RuntimeError("third solve fails")
             return solve(cost)
+
+        def raised(fn, *args):
+            """The thread that ran ``fn(*args)``, which must end within
+            60 s, and the messages of the RuntimeErrors it raised."""
+            outcome = []
+
+            def call():
+                try:
+                    fn(*args)
+                except RuntimeError as exc:
+                    outcome.append(exc)
+
+            caller = threading.Thread(target=call, daemon=True)
+            caller.start()
+            caller.join(60.0)
+            assert not caller.is_alive(), "hung after a worker error"
+            return caller, [str(exc) for exc in outcome]
 
         monkeypatch.setattr(transport, "linear_sum_assignment", third_fails)
         rng = np.random.default_rng(21)
         pairs = [(rng.normal(size=(100, 2)), rng.normal(size=(100, 2)))
                  for _ in range(4)]
-        outcome = []
-
-        def call():
-            try:
-                transport._empirical_w2_batch(pairs)
-            except RuntimeError as exc:
-                outcome.append(exc)
-
-        caller = threading.Thread(target=call, daemon=True)
-        caller.start()
-        caller.join(60.0)
-        assert not caller.is_alive(), "the batch hung after a worker error"
-        assert [str(exc) for exc in outcome] == ["third solve fails"]
+        _, outcome = raised(transport._empirical_w2_batch, pairs)
+        assert outcome == ["third solve fails"]
         assert 3 <= len(calls) <= 4
+        # a lone assignment is solved on a worker thread too, and its
+        # failure is raised by empirical_w2; with two calls kept, its solve
+        # is the third
+        del calls[2:]
+        caller, outcome = raised(empirical_w2, *pairs[0])
+        assert outcome == ["third solve fails"]
+        assert len(calls) == 3 and calls[-1] is not caller
         monkeypatch.setattr(transport, "linear_sum_assignment", solve)
         assert transport._empirical_w2_batch(pairs) == \
             [empirical_w2(xs, ys) for xs, ys in pairs]
